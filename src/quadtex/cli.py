@@ -39,7 +39,7 @@ CLI_HEADROOM = 2
 def _load_input(path: str, kappa_override: str | None):
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    if "A" not in doc or "B" not in doc:
+    if not isinstance(doc, dict) or "A" not in doc or "B" not in doc:
         raise QuadtexError('input document needs "A" and "B" matrices')
     kappa = doc.get("kappa", "lex")
     if kappa_override and kappa_override != "explicit":

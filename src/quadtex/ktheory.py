@@ -6,8 +6,10 @@ when a tile has top alpha, left a and right b; the vertical one allows
 (alpha, a) -> (beta, d) when a tile has top alpha, left a and bottom beta.
 Stacking them into the 2x2 block matrix [[A, A], [B, B]] gives the
 defining matrix of the associated Cuntz-Krieger algebra, whose K-groups
-are presented by the integer matrix A + B - I through its Smith normal
-form.  All arithmetic is arbitrary-precision integer.
+are presented by the integer matrix A + B - I through its invariant
+factors.  Those are computed modulo twice a nonzero maximal minor, so no
+coefficient grows; the Smith normal form with its unimodular transforms
+is kept as the reference.  All arithmetic is arbitrary-precision integer.
 """
 
 from __future__ import annotations
@@ -49,27 +51,68 @@ def mat_add(a: Matrix, b: Matrix, scale_b: int = 1) -> Matrix:
     ]
 
 
+def _bareiss(matrix: Matrix) -> tuple[int, int]:
+    """Rank r and a nonzero r x r minor, by fraction-free (Bareiss) elimination.
+
+    Pivots are searched over the whole remaining submatrix, so the returned
+    minor is the leading one of the row- and column-permuted matrix; its
+    sign is that of the unpermuted minor on the same rows and columns.  A
+    pivot equal to the previous one up to sign is preferred: it is made
+    equal by negating its row, and then the step touches only the rows
+    with a nonzero in the pivot column, and in them only the columns where
+    the pivot row is nonzero.  A zero matrix has rank 0 and minor 1 (the
+    empty minor).
+    """
+    m = [list(row) for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    sign = 1
+    prev = 1
+    for k in range(min(rows, cols)):
+        cells = ((i, j) for i in range(k, rows) for j in range(k, cols) if m[i][j])
+        first = next(cells, None)
+        if first is None:
+            return k, sign * prev
+        i, j = next(
+            (ij for ij in itertools.chain([first], cells) if abs(m[ij[0]][ij[1]]) == abs(prev)),
+            first,
+        )
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        if j != k:
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            sign = -sign
+        top = m[k]
+        if top[k] == -prev:
+            top[:] = [-x for x in top]
+            sign = -sign
+        p = top[k]
+        if p == prev:
+            # (x*p - a*y) / p = x - a*y/p: only the pivot row's support moves
+            support = [(j, y) for j, y in enumerate(top) if y and j > k]
+            for row in m[k + 1:]:
+                a = row[k]
+                if a:
+                    for j, y in support:
+                        row[j] -= a * y // p
+                    row[k] = 0
+        else:
+            tail = top[k + 1:]
+            for row in m[k + 1:]:
+                a = row[k]
+                row[k + 1:] = [(x * p - a * y) // prev for x, y in zip(row[k + 1:], tail)]
+                row[k] = 0
+        prev = p
+    return min(rows, cols), sign * prev
+
+
 def int_det(matrix: Matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    rank, minor = _bareiss(matrix)
+    return minor if rank == n else 0
 
 
 @dataclass
@@ -178,6 +221,113 @@ def smith_normal_form(matrix: Matrix) -> SNFResult:
     return SNFResult(d=d, u=u, v=v, invariant_factors=factors, rank=len(factors))
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _diagonalize_mod(m: Matrix, modulus: int) -> list[int]:
+    """Diagonal entries of an elimination of ``m`` over Z/modulus.
+
+    ``m`` is consumed; its entries must already lie in [0, modulus).  Units
+    are taken as pivots first: they divide every entry, so each row of
+    their column is cleared by one subtraction and their row needs no
+    column step at all, the column being zero elsewhere.  Once no unit is
+    left, the entry sharing the fewest factors with the modulus is the
+    pivot, and extended-gcd row and column steps shrink it until it
+    divides its whole cross.  Finished pivot rows and columns are dropped,
+    and so are zero rows; the diagonal entries are returned in order.
+    """
+    n = modulus
+    rows = [row for row in m if any(row)]
+    diagonal = []
+    while rows:
+        pivot = next(
+            ((i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
+             if x and math.gcd(x, n) == 1),
+            None,
+        )
+        if pivot is None:
+            pivot = min(
+                ((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x),
+                key=lambda ij: math.gcd(rows[ij[0]][ij[1]], n),
+            )
+        i, c = pivot
+        top = rows.pop(i)
+        while True:
+            # p divides a in Z/n exactly when g = gcd(p, n) divides a
+            p = top[c]
+            g = math.gcd(p, n)
+            inv = pow(p // g, -1, n // g)
+            support = [(j, y) for j, y in enumerate(top) if y]
+            for row in rows:
+                a = row[c]
+                if not a:
+                    continue
+                if a % g == 0:
+                    q = a // g * inv % (n // g)
+                    for j, y in support:
+                        row[j] = (row[j] - q * y) % n
+                    continue
+                d, s, t = _xgcd(p, a)
+                u, v = p // d, a // d
+                top, row[:] = (
+                    [(s * y + t * x) % n for x, y in zip(row, top)],
+                    [(u * x - v * y) % n for x, y in zip(row, top)],
+                )
+                p = d
+                g = math.gcd(p, n)
+                inv = pow(p // g, -1, n // g)
+                support = [(j, y) for j, y in enumerate(top) if y]
+            # the column is clear below the pivot, so a column step that
+            # divides out only touches the pivot row; one that does not
+            # pushes entries back into the column, which is cleared again
+            j = next((j for j, b in enumerate(top) if b % g), None)
+            if j is None:
+                break
+            d, s, t = _xgcd(p, top[j])
+            u, v = p // d, top[j] // d
+            for row in rows:
+                x, y = row[c], row[j]
+                row[c], row[j] = (s * x + t * y) % n, (u * y - v * x) % n
+            top[c], top[j] = d, 0
+        diagonal.append(p)
+        for row in rows:
+            del row[c]
+        rows = [row for row in rows if any(row)]
+    return diagonal
+
+
+def invariant_factors(matrix: Matrix) -> list[int]:
+    """Nonzero invariant factors of an integer matrix, in divisor order.
+
+    The same list as ``smith_normal_form(matrix).invariant_factors``, in
+    polynomial time and without transforms.  A Bareiss pass gives the rank
+    r and a nonzero r x r minor D; every invariant factor divides D, so the
+    elimination runs modulo N = 2|D|, where the k-th one is recovered as
+    gcd(t, N) over a divisor chain of the diagonal.  The factor 2 keeps a
+    factor equal to |D| apart from the zeros, which read as N.
+    """
+    rank, minor = _bareiss(matrix)
+    if rank == 0:
+        return []
+    n = 2 * abs(minor)
+    gcds = [math.gcd(t, n) for t in _diagonalize_mod([[x % n for x in row] for row in matrix], n)]
+    # unique divisor chain of the diagonal: gcd/lcm swaps, smallest first
+    for i in range(len(gcds)):
+        for j in range(i + 1, len(gcds)):
+            a, b = gcds[i], gcds[j]
+            g = math.gcd(a, b)
+            gcds[i], gcds[j] = g, a // g * b
+    return [g for g in gcds if g != n]
+
+
 @dataclass
 class KGroups:
     """Torsion and free ranks of the two K-groups."""
@@ -226,22 +376,21 @@ def build_quad_matrices(ts: TextileSystem) -> tuple[Matrix, Matrix, Matrix]:
 
 def _groups_from_presentation(matrix: Matrix) -> KGroups:
     n = len(matrix)
-    snf = smith_normal_form(matrix)
+    factors = invariant_factors(matrix)
     return KGroups(
-        k0_torsion=[f for f in snf.invariant_factors if f > 1],
-        k0_free_rank=n - snf.rank,
-        k1_free_rank=n - snf.rank,
+        k0_torsion=[f for f in factors if f > 1],
+        k0_free_rank=n - len(factors),
+        k1_free_rank=n - len(factors),
     )
 
 
-def k_theory(ts: TextileSystem) -> KGroups:
+def k_groups(a_kappa: Matrix, b_kappa: Matrix, h_kappa: Matrix) -> KGroups:
     """K-groups presented by A + B - I over the corner pairs.
 
     Recomputes the same groups from the 2x2 block stack minus the identity
     and raises CrossCheckFailure if the torsion lists or free ranks differ
     (they agree for every system; a mismatch means a bug).
     """
-    a_kappa, b_kappa, h_kappa = build_quad_matrices(ts)
     n = len(a_kappa)
     small = mat_add(mat_add(a_kappa, b_kappa), identity_matrix(n), scale_b=-1)
     big = mat_add(h_kappa, identity_matrix(2 * n), scale_b=-1)
@@ -262,97 +411,91 @@ def k_theory(ts: TextileSystem) -> KGroups:
     return from_small
 
 
-def _digraph(matrix: Matrix) -> dict[int, list[int]]:
-    return {
-        i: [j for j, v in enumerate(row) if v] for i, row in enumerate(matrix)
-    }
+def k_theory(ts: TextileSystem) -> KGroups:
+    """K-groups of a system, cross-checked between both presentations."""
+    return k_groups(*build_quad_matrices(ts))
 
 
-def _strongly_connected(adj: dict[int, list[int]]) -> bool:
-    n = len(adj)
-    if n == 0:
-        return False
+def _strong_components(adj: list[list[int]]) -> list[list[int]]:
+    """Tarjan's strongly connected components, sinks first.
 
-    def reachable(start, edges):
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in edges[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    if len(reachable(0, adj)) != n:
-        return False
-    reverse = {i: [] for i in adj}
-    for i, outs in adj.items():
-        for j in outs:
-            reverse[j].append(i)
-    return len(reachable(0, reverse)) == n
-
-
-def _vertices_on_cycles(adj: dict[int, list[int]]) -> set[int]:
-    on_cycle = set()
-    for start in adj:
-        seen = set()
-        stack = list(adj[start])
-        while stack:
-            node = stack.pop()
-            if node == start:
-                on_cycle.add(start)
-                break
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adj[node])
-    return on_cycle
+    Iterative, so deep graphs do not hit the recursion limit.  Every edge
+    out of a component leads to one listed before it.
+    """
+    index = [-1] * len(adj)
+    low = [0] * len(adj)
+    on_stack = [False] * len(adj)
+    stack: list[int] = []
+    components = []
+    counter = 0
+    for root in range(len(adj)):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, successors = work[-1]
+            w = next(successors, None)
+            if w is None:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+            elif index[w] < 0:
+                index[w] = low[w] = counter
+                counter += 1
+                stack.append(w)
+                on_stack[w] = True
+                work.append((w, iter(adj[w])))
+            elif on_stack[w]:
+                low[v] = min(low[v], index[w])
+    return components
 
 
 def structure_checks(h_matrix: Matrix) -> dict:
-    """Graph-level diagnostics of a 0/1 matrix.
+    """Graph-level diagnostics of a 0/1 matrix, from one SCC pass.
 
     irreducible: the directed graph is strongly connected.  condition_I:
     every vertex reaches a cycle and no cycle runs entirely through
     vertices of out-degree one (every cycle has an exit).  has_zero_row:
-    some row is identically zero.
+    some row is identically zero.  A cycle without an exit is a whole
+    cyclic component of out-degree-one vertices, and a vertex reaches a
+    cycle exactly when its component reaches a cyclic component.
     """
-    adj = _digraph(h_matrix)
-    cyclic = _vertices_on_cycles(adj)
-
-    def reaches_cycle(start):
-        seen = set()
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node in cyclic:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adj[node])
-        return False
-
-    every_vertex_reaches = all(reaches_cycle(v) for v in adj)
-
-    # a cycle with no exit lives entirely inside the out-degree-one vertices
-    single = {v for v in adj if len(adj[v]) == 1}
-    no_exit_cycle = False
-    for start in single:
-        node = start
-        seen = set()
-        while node in single and node not in seen:
-            seen.add(node)
-            node = adj[node][0]
-        if node in seen:
-            no_exit_cycle = True
-            break
-
+    adj = [[j for j, v in enumerate(row) if v] for row in h_matrix]
+    components = _strong_components(adj)
+    component_of = [0] * len(adj)
+    for k, component in enumerate(components):
+        for v in component:
+            component_of[v] = k
+    reaches_cycle: list[bool] = []
+    exitless_cycle = False
+    for component in components:
+        cyclic = len(component) > 1 or component[0] in adj[component[0]]
+        if cyclic and all(len(adj[v]) == 1 for v in component):
+            exitless_cycle = True
+        # an acyclic component is one loopless vertex: its edges all lead
+        # out, to components listed earlier
+        reaches_cycle.append(
+            cyclic
+            or any(reaches_cycle[component_of[w]] for v in component for w in adj[v])
+        )
     return {
-        "irreducible": _strongly_connected(adj),
-        "condition_I": every_vertex_reaches and not no_exit_cycle,
-        "has_zero_row": any(not outs for outs in adj.values()),
+        "irreducible": len(components) == 1,
+        "condition_I": all(reaches_cycle) and not exitless_cycle,
+        "has_zero_row": any(not outs for outs in adj),
     }
 
 
@@ -412,7 +555,7 @@ def analyze_system(ts: TextileSystem) -> dict:
     from .quadmod import empty_basis_edges
 
     a_kappa, b_kappa, h_kappa = build_quad_matrices(ts)
-    groups = k_theory(ts)
+    groups = k_groups(a_kappa, b_kappa, h_kappa)
     k0, k1 = groups.describe()
     warnings = []
     for layer in ("A", "B"):

@@ -49,6 +49,10 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows
+        ):
+            raise InvalidMatrix(f"matrix must be a list of rows, got {rows!r}")
         n = len(rows)
         if n == 0:
             raise InvalidMatrix("matrix must have positive size")
@@ -56,9 +60,10 @@ class IntMatrix:
             if len(row) != n:
                 raise InvalidMatrix(f"matrix is not square: {n} rows, row of length {len(row)}")
             for entry in row:
-                if int(entry) != entry or entry < 0:
+                # bool is an int subclass, and JSON true must not read as 1
+                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
                     raise InvalidMatrix(f"entry {entry!r} is not a nonnegative integer")
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        return IntMatrix(tuple(tuple(row) for row in rows))
 
     @property
     def n(self) -> int:
@@ -304,6 +309,10 @@ def build_kappa(matrix_a: IntMatrix, matrix_b: IntMatrix, strategy="lex") -> Kap
             ]
         except KeyError as exc:
             raise NotABijection(f"unknown edge id {exc.args[0]!r} in explicit pairing") from exc
+        except (TypeError, ValueError) as exc:
+            raise NotABijection(
+                "explicit pairing entries must read [[alpha_id, b_id], [a_id, beta_id]]"
+            ) from exc
         return _validate_kappa(matrix_a, matrix_b, pairs)
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -329,17 +338,19 @@ def enumerate_kappas(
     """
     blocks = sigma_blocks(matrix_a, matrix_b)
     keys = sorted(key for key in blocks if blocks[key][0])
-    per_block = [
-        [list(zip(blocks[key][0], perm)) for perm in itertools.permutations(blocks[key][1])]
-        for key in keys
-    ]
-    count = 0
-    for combo in itertools.product(*per_block):
-        if limit is not None and count >= limit:
+
+    def pairings(k: int, prefix: list):
+        # nested loops over lazily generated permutations, first block
+        # outermost: the order of itertools.product without building lists
+        if k == len(keys):
+            yield prefix
             return
-        pairs = [pair for block_pairs in combo for pair in block_pairs]
+        ab, ba = blocks[keys[k]]
+        for perm in itertools.permutations(ba):
+            yield from pairings(k + 1, prefix + list(zip(ab, perm)))
+
+    for pairs in itertools.islice(pairings(0, []), None if limit is None else max(limit, 0)):
         yield _validate_kappa(matrix_a, matrix_b, pairs)
-        count += 1
 
 
 def build_system(a_rows, b_rows, kappa="lex") -> TextileSystem:

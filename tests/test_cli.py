@@ -173,6 +173,36 @@ def test_missing_file_and_bad_json(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"A": [[None]], "B": [[1]]}, "entry None"),
+        ({"A": 5, "B": [[1]]}, "list of rows"),
+        ("AB", '"A" and "B"'),
+        ({"A": [[True]], "B": [[1]]}, "entry True"),
+        ({"A": [[1.0]], "B": [[1]]}, "entry 1.0"),
+        ({"A": [[1]], "B": [[1]], "kappa": [1]}, "explicit pairing"),
+    ],
+)
+def test_malformed_documents_exit_two(write_input, capsys, doc, message):
+    path = write_input("bad.json", doc)
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_kappa_limit_one_on_sixteen_factorial(write_input, capsys):
+    path = write_input("four.json", {"A": [[4]], "B": [[4]]})
+    assert main(["kappa", path, "--limit", "1", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 20922789888000
+    assert payload["listed"] == 1
+    lex = q.build_system([[4]], [[4]], "lex").kappa
+    assert payload["specifications"][0] == [
+        [[pre[0].id, pre[1].id], [img[0].id, img[1].id]] for pre, img in lex.pairs
+    ]
+
+
 def test_internal_cross_check_maps_to_exit_three(exchange_input, capsys, monkeypatch):
     from quadtex import cli
     from quadtex.errors import CrossCheckFailure

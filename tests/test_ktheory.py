@@ -6,6 +6,7 @@ from quadtex.ktheory import (
     build_quad_matrices,
     identity_matrix,
     int_det,
+    invariant_factors,
     k_theory,
     presentation_cross_check_pairs,
     mat_add,
@@ -130,6 +131,58 @@ def test_snf_edge_cases():
     assert abs(int_det(snf.u)) == 1 and abs(int_det(snf.v)) == 1
 
 
+def check_invariant_factors(matrix):
+    # the reference normal form, itself held to the minor-gcd oracle
+    factors = invariant_factors(matrix)
+    assert factors == check_snf_contract(matrix).invariant_factors
+    return factors
+
+
+def test_invariant_factors_on_seeded_random_matrices():
+    rng = random.Random(2024)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        matrix = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        check_invariant_factors(matrix)
+
+
+def test_invariant_factors_on_singular_matrices():
+    rng = random.Random(7)
+    for _ in range(40):
+        rows, cols = rng.randint(3, 5), rng.randint(2, 5)
+        matrix = [[rng.choice([0, 0, 1, -1, 2, 3, -4, 6]) for _ in range(cols)] for _ in range(rows)]
+        matrix[2] = [x + y for x, y in zip(matrix[0], matrix[1])]
+        factors = check_invariant_factors(matrix)
+        assert len(factors) < rows
+
+
+def test_invariant_factors_edge_cases():
+    assert invariant_factors([[0, 0], [0, 0]]) == []
+    assert invariant_factors([[0]]) == []
+    assert invariant_factors([[-6]]) == [6]
+    assert invariant_factors([[1]]) == [1]
+    # the last factor equals the minor the modulus is built from
+    assert invariant_factors([[4, 0], [0, 6]]) == [2, 12]
+    assert invariant_factors([[9, 0], [0, 9]]) == [9, 9]
+    assert invariant_factors([[2, 4], [6, 8]]) == [2, 4]
+    assert invariant_factors([[1, 2], [2, 4]]) == [1]
+    assert invariant_factors([[3, 0, 0]]) == [3]
+    assert invariant_factors([[0], [0], [-5]]) == [5]
+    assert invariant_factors(identity_matrix(4)) == [1, 1, 1, 1]
+
+
+def test_exchange_six_by_seven_regression():
+    # took unbounded time through the transform-carrying normal form
+    ts = q.build_system([[6]], [[7]], "exchange")
+    groups = k_theory(ts)
+    assert groups.k0_torsion == [5, 30, 30, 30, 30, 360]
+    assert groups.k0_free_rank == 0 and groups.k1_free_rank == 0
+    assert math.prod(groups.k0_torsion) == 1_458_000_000
+    a_kappa, b_kappa, _ = build_quad_matrices(ts)
+    small = mat_add(mat_add(a_kappa, b_kappa), identity_matrix(42), scale_b=-1)
+    assert abs(int_det(small)) == 1_458_000_000
+
+
 def test_k_theory_values(exchange_pair, one_tile, fibonacci):
     groups = k_theory(exchange_pair)
     assert groups.k0_torsion == [8]
@@ -196,6 +249,51 @@ def test_structure_check_reachability():
     good = [[1, 1], [1, 0]]
     assert structure_checks(good) == {
         "irreducible": True,
+        "condition_I": True,
+        "has_zero_row": False,
+    }
+
+
+def brute_structure(matrix):
+    """The three structure flags straight from their definitions."""
+    n = len(matrix)
+    # reach[i][j]: a path of length >= 1 from i to j (transitive closure)
+    reach = [[bool(v) for v in row] for row in matrix]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    on_cycle = {v for v in range(n) if reach[v][v]}
+    every_vertex_reaches = all(
+        v in on_cycle or any(reach[v][w] for w in on_cycle) for v in range(n)
+    )
+    out_degree = [sum(1 for v in row if v) for row in matrix]
+    # a cycle without an exit: a cycle in the graph cut down to the
+    # vertices of out-degree one
+    single = [[bool(v) and out_degree[i] == 1 for v in row] for i, row in enumerate(matrix)]
+    for k in range(n):
+        for i in range(n):
+            if single[i][k]:
+                for j in range(n):
+                    single[i][j] = single[i][j] or single[k][j]
+    exitless = any(single[v][v] for v in range(n))
+    return {
+        "irreducible": n > 0 and all(i == j or reach[i][j] for i in range(n) for j in range(n)),
+        "condition_I": every_vertex_reaches and not exitless,
+        "has_zero_row": any(out_degree[v] == 0 for v in range(n)),
+    }
+
+
+def test_structure_checks_match_brute_force():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        density = rng.choice([0.15, 0.3, 0.5])
+        matrix = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+        assert structure_checks(matrix) == brute_structure(matrix), matrix
+    assert structure_checks([]) == {
+        "irreducible": False,
         "condition_I": True,
         "has_zero_row": False,
     }

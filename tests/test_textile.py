@@ -39,6 +39,9 @@ def test_invalid_matrices():
         q.IntMatrix.from_rows([[-1]])
     with pytest.raises(InvalidMatrix):
         q.IntMatrix.from_rows([])
+    for rows in ([[True]], [[1.0]], [[None]], 5, [1], "AB"):
+        with pytest.raises(InvalidMatrix):
+            q.IntMatrix.from_rows(rows)
 
 
 def test_commuting_accepts_loops_and_self():
@@ -184,6 +187,34 @@ def test_enumeration_matches_brute_force_bijections(fibonacci):
         brute.add(tuple(sorted(pair for block in combo for pair in block)))
     enumerated = {spec.pairs for spec in q.enumerate_kappas(a, b)}
     assert enumerated == brute
+
+
+def product_order(a, b):
+    """Every specification in itertools.product order, last block fastest."""
+    blocks = q.sigma_blocks(a, b)
+    per_block = [
+        [list(zip(blocks[key][0], perm)) for perm in itertools.permutations(blocks[key][1])]
+        for key in sorted(blocks)
+        if blocks[key][0]
+    ]
+    return [
+        tuple(sorted(pair for block in combo for pair in block))
+        for combo in itertools.product(*per_block)
+    ]
+
+
+def test_enumeration_keeps_product_order(fibonacci, exchange_pair):
+    for ts in (fibonacci, exchange_pair):
+        a, b = ts.matrix_a, ts.matrix_b
+        assert [spec.pairs for spec in q.enumerate_kappas(a, b)] == product_order(a, b)
+        assert [spec.pairs for spec in q.enumerate_kappas(a, b, limit=3)] == product_order(a, b)[:3]
+
+
+def test_enumeration_is_lazy_on_a_huge_block():
+    four = q.IntMatrix.from_rows([[4]])
+    (first,) = q.enumerate_kappas(four, four, limit=1)
+    assert first == q.build_kappa(four, four, "lex")
+    assert list(q.enumerate_kappas(four, four, limit=0)) == []
 
 
 def test_tiles_exchange_pair(exchange_pair):

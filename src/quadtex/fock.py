@@ -20,13 +20,43 @@ images never leave the basis.  Each verified identity therefore carries a
 margin m and is compared only on the block of rows and columns at levels
 <= L - m (identity suite) or on interior levels [2, L - m] (relation
 suite), where the level-0/1 corrections are provably absent.
+
+Identity checks: every checked identity of the three reports (word-space
+identities, universal relations, corner generators) is one row of the
+table ``_TABLE``: report, id, formula, margin m, lowest compared level and
+the builders of its (case, lhs, rhs) triples.  Relations come in mirrored
+pairs, s over the A-edges with diagonal p and t over the B-edges with
+diagonal q; each builder is written once over a ``_Layer`` record and
+loops over both.  ``_run`` is the one runner: it compares the sides of
+every row and reports the first differing entry of the row's block
+[low, L - m] as the witness.
+
+One ``_Bank`` per basis (``TruncatedFock._bank``) holds the primitive
+operators with integer entries (``Fraction`` enters only through the
+rational vectors of ``creation_expansion``) and the products several
+identities share: sum ss* and sum tt*, s*s and t*t, the corner projections
+e = p q, A_kappa and B_kappa, and per corner pair S = e s, T = e t and
+SS* + TT*.  It keeps, per builder, only the entries where the two sides
+differ (nothing when the identity holds), so ids that share a builder are
+evaluated once per basis and each reports on its own block:
+
+* ``range_partition`` and ``unit_partition_uncut``, both on [0, L-1];
+* ``diagonal_commutation`` on [0, L-1], ``range_proj_diag_commutation``
+  on [2, L-1];
+* ``twisted_sandwich`` on [0, L-2], its halves ``same_layer_compression``
+  and ``cross_layer_pullback`` on [2, L-2];
+* ``unit_partition_interior`` and the ``sum ss* + tt*`` case of
+  ``edge_partitions``, both on [2, L-1].
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
+from typing import Iterator, NamedTuple
 
 from .algebra import DiagElem, EdgeElem, embed, pullback_along_kappa
 from .errors import (
@@ -104,6 +134,34 @@ class TruncatedFock:
     def count_at(self, level: int) -> int:
         return sum(1 for lv in self.levels if lv == level)
 
+    @cached_property
+    def _bank(self) -> "_Bank":
+        """The one operator bank of this basis, shared by every identity suite.
+
+        The bank reaches the basis only through a weak proxy, so the two form
+        no reference cycle and are freed together as soon as the basis is
+        dropped, without waiting for the cycle collector.
+        """
+        return _Bank(weakref.proxy(self))
+
+
+def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
+    """Yield the number of words at each level 0..max_level, without
+    building them.
+
+    Words are counted by their last tile: a level-n word ending in tile i
+    extends to one level-(n+1) word per eta- or rho-gluing of i to a tile.
+    """
+    gluing = [
+        [sum(glued(t, sep, u) for sep in (SEP_ETA, SEP_RHO)) for u in ts.tiles]
+        for t in ts.tiles
+    ]
+    yield len(ts.edges_a) + len(ts.edges_b)
+    ending = [1] * len(ts.tiles)
+    for _ in range(1, max_level + 1):
+        yield sum(ending)
+        ending = [sum(c * row[j] for c, row in zip(ending, gluing)) for j in range(len(ending))]
+
 
 def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) -> TruncatedFock:
     """Enumerate the graded basis up to ``max_level``.
@@ -111,10 +169,13 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
     Words at each level are generated in order: level 0 lists the B-edge
     markers then the A-edge markers; level n+1 extends each level-n word in
     order by (separator, tile), eta before rho.  Raises BasisTooLarge when
-    a level would exceed ``cap`` words.
+    a level from 2 on would exceed ``cap`` words, before any word is built.
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
+    for n, size in enumerate(level_sizes(ts, max_level)):
+        if n >= 2 and size > cap:
+            raise BasisTooLarge(f"level {n} would hold {size} words (cap {cap})")
     words: list[FockWord] = []
     words.extend(FockWord(base_kind="q", base=a) for a in ts.edges_b)
     words.extend(FockWord(base_kind="p", base=alpha) for alpha in ts.edges_a)
@@ -131,10 +192,6 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
                         nxt.append(
                             FockWord(tiles=word.tiles + (tile,), seps=word.seps + (sep,))
                         )
-        if len(nxt) > cap:
-            raise BasisTooLarge(
-                f"level {len(level[0].tiles) + 1 if level else 0} would hold {len(nxt)} words (cap {cap})"
-            )
         words.extend(nxt)
         level = nxt
     return TruncatedFock(
@@ -170,12 +227,13 @@ class SparseOp:
 
     @staticmethod
     def diagonal(tf: TruncatedFock, values) -> "SparseOp":
-        """Diagonal operator from a callable word -> value."""
+        """Diagonal operator from a callable word -> value; integral values
+        are stored as int."""
         cols = {}
         for i, word in enumerate(tf.words):
             v = values(word)
             if v != 0:
-                cols[i] = {i: v}
+                cols[i] = {i: v.numerator if v.denominator == 1 else v}
         return SparseOp(tf, cols)
 
     def entry(self, row: int, col: int):
@@ -329,13 +387,13 @@ def creation(tf: TruncatedFock, kind: str, edge: Edge) -> SparseOp:
             raise (LayerMismatch if edge in ts.edges_b else UnknownEdge)(
                 f"{edge.id} is not an A-layer edge"
             )
-        xi = QuadVector(coeffs=tuple(Fraction(1 if t.top == edge else 0) for t in ts.tiles))
+        xi = QuadVector(coeffs=tuple(int(t.top == edge) for t in ts.tiles))
     elif kind == "t":
         if edge not in ts.edges_b:
             raise (LayerMismatch if edge in ts.edges_a else UnknownEdge)(
                 f"{edge.id} is not a B-layer edge"
             )
-        xi = QuadVector(coeffs=tuple(Fraction(1 if t.left == edge else 0) for t in ts.tiles))
+        xi = QuadVector(coeffs=tuple(int(t.left == edge) for t in ts.tiles))
     else:
         raise ValueError(f"kind must be 's' or 't', got {kind!r}")
     return creation_from_vector(tf, kind, xi)
@@ -431,8 +489,8 @@ def rank_one(tf: TruncatedFock, xi, zeta) -> SparseOp:
 
 
 def basis_vector(tf: TruncatedFock, word: FockWord):
-    vec = [Fraction(0)] * tf.dim
-    vec[tf.index[word]] = Fraction(1)
+    vec = [0] * tf.dim
+    vec[tf.index[word]] = 1
     return vec
 
 
@@ -488,333 +546,477 @@ class Report:
         }
 
 
-def _compare(tf: TruncatedFock, pairs, low: int, high: int) -> dict | None:
-    """First difference between restricted sides, or None when all equal."""
-    for label, lhs, rhs in pairs:
-        diff = lhs.restrict(low, high) - rhs.restrict(low, high)
-        if diff.is_zero():
-            continue
-        row, col, _ = min(diff.entries(), key=lambda e: (e[1], e[0]))
-        return {
-            "case": label,
-            "row": tf.words[row].label(),
-            "col": tf.words[col].label(),
-            "lhs": str(lhs.entry(row, col)),
-            "rhs": str(rhs.entry(row, col)),
-        }
+def _differences(tf: TruncatedFock, cases, high: int) -> list:
+    """(case, {(row, col): (lhs, rhs)}) for the entries on levels <= high
+    where the two sides of a case differ; empty maps when all are equal."""
+    levels = tf.levels
+    out = []
+    for label, lhs, rhs in cases:
+        diff = {}
+        for c in lhs.cols.keys() | rhs.cols.keys():
+            if levels[c] > high:
+                continue
+            left, right = lhs.cols.get(c, {}), rhs.cols.get(c, {})
+            for r in left.keys() | right.keys():
+                pair = (left.get(r, 0), right.get(r, 0))
+                if levels[r] <= high and pair[0] != pair[1]:
+                    diff[r, c] = pair
+        out.append((label, diff))
+    return out
+
+
+def _witness(tf: TruncatedFock, cases, low: int) -> dict | None:
+    """The first differing entry, by column then row, of the first case
+    that differs on levels >= low; None when every case agrees there."""
+    levels = tf.levels
+    for label, diff in cases:
+        block = [(c, r) for r, c in diff if min(levels[r], levels[c]) >= low]
+        if block:
+            col, row = min(block)
+            lhs, rhs = diff[row, col]
+            return {
+                "case": label,
+                "row": tf.words[row].label(),
+                "col": tf.words[col].label(),
+                "lhs": str(lhs),
+                "rhs": str(rhs),
+            }
     return None
 
 
-def _run_identity(tf, identity_id, formula, margin, pairs_builder, low_level=0) -> IdentityCheck:
-    high = tf.max_level - margin
-    check = IdentityCheck(
-        identity_id=identity_id,
-        formula=formula,
-        margin=margin,
-        levels_checked=(low_level, high),
-        status="pass",
-    )
-    witness = _compare(tf, pairs_builder(), low_level, high)
-    if witness is not None:
-        check.status = "fail"
-        check.witness = witness
-    return check
+class _Layer:
+    """One creation family with the operators its mirrored relations use.
+
+    The horizontal layer is s over the A-edges with diagonal p, whose edge
+    algebra acts through rho; the vertical one is t over the B-edges with
+    diagonal q, acting through eta.
+    """
+
+    def __init__(self, tf, index, name, own, act, layer, unit_vector, inner, corner):
+        ts = tf.ts
+        self.tf, self.index, self.name, self.own, self.act = tf, index, name, own, act
+        self.unit_vector, self.inner, self.corner = unit_vector, inner, corner
+        self.edges = ts.edges(layer)
+        self.op = {x: creation(tf, name, x) for x in self.edges}
+        self.adj = {x: adjoint(op) for x, op in self.op.items()}
+        self.diag = {x: left_action_op(tf, act, EdgeElem.basis(ts, x)) for x in self.edges}
+        self.range = {x: self.op[x] @ self.adj[x] for x in self.edges}
+        self.range_proj = graded_projection(tf, act)
+        self.vertex = {
+            v: left_action_op(tf, act, embed(ts, layer, DiagElem.basis(ts.n_vertices, v)))
+            for v in range(1, ts.n_vertices + 1)
+        }
+
+    @cached_property
+    def range_sum(self) -> SparseOp:
+        return sum(self.range.values(), SparseOp.zero(self.tf))
+
+    @cached_property
+    def initial(self) -> dict[Edge, SparseOp]:
+        return {x: self.adj[x] @ self.op[x] for x in self.edges}
+
+    def edge_of(self, pair) -> Edge:
+        return getattr(pair, self.corner)
 
 
 class _Bank:
-    """Caches the primitive operators of one truncated basis."""
+    """The operators of one basis: primitive ones with integer entries, the
+    products several identities share, and each builder's differences."""
 
     def __init__(self, tf: TruncatedFock):
-        ts = tf.ts
         self.tf = tf
-        self.ts = ts
-        self.s = {alpha: creation(tf, "s", alpha) for alpha in ts.edges_a}
-        self.t = {a: creation(tf, "t", a) for a in ts.edges_b}
-        self.s_adj = {alpha: adjoint(op) for alpha, op in self.s.items()}
-        self.t_adj = {a: adjoint(op) for a, op in self.t.items()}
-        self.p = {
-            alpha: left_action_op(tf, "rho", EdgeElem.basis(ts, alpha))
-            for alpha in ts.edges_a
-        }
-        self.q = {a: left_action_op(tf, "eta", EdgeElem.basis(ts, a)) for a in ts.edges_b}
-        self.ss = {alpha: self.s[alpha] @ self.s_adj[alpha] for alpha in ts.edges_a}
-        self.tt = {a: self.t[a] @ self.t_adj[a] for a in ts.edges_b}
-        self.units = {
-            v: DiagElem.basis(ts.n_vertices, v) for v in range(1, ts.n_vertices + 1)
-        }
+        self.ts = ts = tf.ts
+        self.layers = (
+            _Layer(tf, 0, "s", "p", "rho", LAYER_A, top_basis_vector, inner_eta, "alpha"),
+            _Layer(tf, 1, "t", "q", "eta", LAYER_B, left_basis_vector, inner_rho, "a"),
+        )
+        # each layer with its opposite one
+        self.mirrored = (self.layers, self.layers[::-1])
+        self.zero = SparseOp.zero(tf)
         self.identity = SparseOp.identity(tf)
         self.p0 = graded_projection(tf, "level", 0)
         self.p1 = graded_projection(tf, "level", 1)
-        self.p_rho = graded_projection(tf, "rho")
-        self.p_eta = graded_projection(tf, "eta")
+        self.vertex = {
+            v: vertex_action_op(tf, DiagElem.basis(ts.n_vertices, v))
+            for v in range(1, ts.n_vertices + 1)
+        }
+        self._differences: dict = {}
 
-    def sum_ss(self) -> SparseOp:
-        total = SparseOp.zero(self.tf)
-        for op in self.ss.values():
-            total = total + op
-        return total
+    def differences(self, builder, margin: int) -> list:
+        """The builder's cases compared on levels <= L - margin, computed once."""
+        key = (builder, margin)
+        if key not in self._differences:
+            high = self.tf.max_level - margin
+            self._differences[key] = _differences(self.tf, builder(self), high)
+        return self._differences[key]
 
-    def sum_tt(self) -> SparseOp:
-        total = SparseOp.zero(self.tf)
-        for op in self.tt.values():
-            total = total + op
-        return total
+    @cached_property
+    def quad(self) -> tuple:
+        """(A_kappa, B_kappa), indexed by layer."""
+        return build_quad_matrices(self.ts)[:2]
 
-    def phi_rho_diag(self, y: DiagElem) -> SparseOp:
-        return left_action_op(self.tf, "rho", embed(self.ts, LAYER_A, y))
+    @cached_property
+    def e(self) -> dict:
+        """Corner projections e = p q, in corner-pair order."""
+        h, v = self.layers
+        return {pair: h.diag[pair.alpha] @ v.diag[pair.a] for pair in self.ts.omega}
 
-    def phi_eta_diag(self, y: DiagElem) -> SparseOp:
-        return left_action_op(self.tf, "eta", embed(self.ts, LAYER_B, y))
+    @cached_property
+    def generators(self) -> tuple[dict, dict]:
+        """S = e s and T = e t per corner pair."""
+        return tuple(
+            {pair: e @ lay.op[lay.edge_of(pair)] for pair, e in self.e.items()}
+            for lay in self.layers
+        )
+
+    @cached_property
+    def generator_ranges(self) -> dict:
+        """SS* + TT* per corner pair."""
+        s_ops, t_ops = self.generators
+        return {
+            pair: s_ops[pair] @ adjoint(s_ops[pair]) + t_ops[pair] @ adjoint(t_ops[pair])
+            for pair in s_ops
+        }
 
 
-def _fock_identity_registry(bank: _Bank, rng_vectors):
-    """(id, formula, margin, pairs builder) for the word-space identity suite."""
+# Builders: each yields (case, lhs, rhs) triples for one bank.  Mirrored
+# relations loop over the two layers; names in labels come from the layer
+# (s/t for the creation family, p/q for its diagonal).
+
+
+def _creation_range(bank):
+    for lay in bank.layers:
+        yield f"{lay.name}-family", lay.range_sum, bank.p1 + lay.range_proj
+
+
+def _range_partition(bank):
+    h, v = bank.layers
+    yield "", h.range_sum + v.range_sum + bank.p0, bank.identity + bank.p1
+
+
+def _co_isometry(bank):
     tf, ts = bank.tf, bank.ts
+    for lay, oth in bank.mirrored:
+        n = lay.name
+        for x, z in itertools.product(lay.edges, repeat=2):
+            pairing = lay.inner(ts, lay.unit_vector(ts, z), lay.unit_vector(ts, x))
+            lhs = lay.initial[x] if z == x else lay.adj[z] @ lay.op[x]
+            yield f"{n}*[{z.id}]{n}[{x.id}]", lhs, left_action_op(tf, oth.act, pairing)
 
-    def creation_ranges():
-        return [
-            ("s-family", bank.sum_ss(), bank.p1 + bank.p_rho),
-            ("t-family", bank.sum_tt(), bank.p1 + bank.p_eta),
-        ]
 
-    def range_partition():
-        lhs = bank.sum_ss() + bank.sum_tt() + bank.p0
-        return [("", lhs, bank.identity + bank.p1)]
+def _vertex_sandwich(bank):
+    for lay, oth in bank.mirrored:
+        for x in lay.edges:
+            for v, phi in bank.vertex.items():
+                rhs = oth.vertex[x.target] if v == x.source else bank.zero
+                yield f"{lay.name}*[{x.id}] E{v} {lay.name}", lay.adj[x] @ phi @ lay.op[x], rhs
 
-    def co_isometry():
-        pairs = []
-        for alpha, beta in itertools.product(ts.edges_a, repeat=2):
-            pairing = inner_eta(ts, top_basis_vector(ts, beta), top_basis_vector(ts, alpha))
-            pairs.append(
-                (
-                    f"s*[{beta.id}]s[{alpha.id}]",
-                    bank.s_adj[beta] @ bank.s[alpha],
-                    left_action_op(tf, "eta", pairing),
-                )
-            )
-        for a, b in itertools.product(ts.edges_b, repeat=2):
-            pairing = inner_rho(ts, left_basis_vector(ts, b), left_basis_vector(ts, a))
-            pairs.append(
-                (
-                    f"t*[{b.id}]t[{a.id}]",
-                    bank.t_adj[b] @ bank.t[a],
-                    left_action_op(tf, "rho", pairing),
-                )
-            )
-        return pairs
 
-    def vertex_sandwich():
-        pairs = []
-        for alpha in ts.edges_a:
-            for v, y in bank.units.items():
-                shifted = DiagElem.basis(ts.n_vertices, alpha.target) if v == alpha.source else None
-                rhs = bank.phi_eta_diag(shifted) if shifted else SparseOp.zero(tf)
-                pairs.append(
-                    (
-                        f"s*[{alpha.id}] E{v} s",
-                        bank.s_adj[alpha] @ vertex_action_op(tf, y) @ bank.s[alpha],
-                        rhs,
-                    )
-                )
-        for a in ts.edges_b:
-            for v, y in bank.units.items():
-                shifted = DiagElem.basis(ts.n_vertices, a.target) if v == a.source else None
-                rhs = bank.phi_rho_diag(shifted) if shifted else SparseOp.zero(tf)
-                pairs.append(
-                    (
-                        f"t*[{a.id}] E{v} t",
-                        bank.t_adj[a] @ vertex_action_op(tf, y) @ bank.t[a],
-                        rhs,
-                    )
-                )
-        return pairs
+def _vertex_commutation(bank):
+    for lay, oth in bank.mirrored:
+        for x, rng in lay.range.items():
+            for v, phi in bank.vertex.items():
+                label = f"[{lay.name}{lay.name}*[{x.id}], E{v}]"
+                yield label, rng @ oth.vertex[v], phi @ rng
 
-    def vertex_commutation():
-        pairs = []
-        for alpha in ts.edges_a:
-            for v, y in bank.units.items():
-                phi = vertex_action_op(tf, y)
-                pairs.append(
-                    (
-                        f"[ss*[{alpha.id}], E{v}]",
-                        bank.ss[alpha] @ bank.phi_eta_diag(y),
-                        phi @ bank.ss[alpha],
-                    )
-                )
-        for a in ts.edges_b:
-            for v, y in bank.units.items():
-                phi = vertex_action_op(tf, y)
-                pairs.append(
-                    (
-                        f"[tt*[{a.id}], E{v}]",
-                        bank.tt[a] @ bank.phi_rho_diag(y),
-                        phi @ bank.tt[a],
-                    )
-                )
-        return pairs
 
-    def tile_word_commutation():
-        pairs = []
-        for tile in ts.tiles:
-            word_op = (
-                bank.t[tile.left]
-                @ bank.s[tile.bottom]
-                @ bank.t_adj[tile.right]
-                @ bank.s_adj[tile.top]
-            )
-            for v, y in bank.units.items():
-                phi = vertex_action_op(tf, y)
-                pairs.append(
-                    (f"tile {tile!r}, E{v}", word_op @ phi, phi @ word_op)
-                )
-        return pairs
+def _tile_word_commutation(bank):
+    h, v = bank.layers
+    for tile in bank.ts.tiles:
+        word = v.op[tile.left] @ h.op[tile.bottom] @ v.adj[tile.right] @ h.adj[tile.top]
+        for k, phi in bank.vertex.items():
+            yield f"tile {tile!r}, E{k}", word @ phi, phi @ word
 
-    def compressed_range():
-        # the compressed element of a vertex mass at v through an edge is
-        # nonzero only at v = r(edge); both branches are exercised
-        pairs = []
-        for alpha in ts.edges_a:
-            for v, y in bank.units.items():
-                lhs = (
-                    bank.p[alpha] @ bank.p_rho if v == alpha.target else SparseOp.zero(tf)
-                )
-                rhs = bank.s[alpha] @ bank.phi_rho_diag(y) @ bank.s_adj[alpha]
-                pairs.append((f"p[{alpha.id}] from E{v}", lhs, rhs))
-        for a in ts.edges_b:
-            for v, y in bank.units.items():
-                lhs = bank.q[a] @ bank.p_eta if v == a.target else SparseOp.zero(tf)
-                rhs = bank.t[a] @ bank.phi_eta_diag(y) @ bank.t_adj[a]
-                pairs.append((f"q[{a.id}] from E{v}", lhs, rhs))
-        return pairs
 
-    def diagonal_commutation():
-        pairs = []
-        diag_ops = [(f"p[{d.id}]", bank.p[d]) for d in ts.edges_a] + [
-            (f"q[{d.id}]", bank.q[d]) for d in ts.edges_b
-        ]
-        for alpha in ts.edges_a:
-            for name, op in diag_ops:
-                pairs.append(
-                    (f"[ss*[{alpha.id}], {name}]", bank.ss[alpha] @ op, op @ bank.ss[alpha])
-                )
-        for a in ts.edges_b:
-            for name, op in diag_ops:
-                pairs.append((f"[tt*[{a.id}], {name}]", bank.tt[a] @ op, op @ bank.tt[a]))
-        return pairs
+def _compressed_range(bank):
+    # the compressed element of a vertex mass at v through an edge is
+    # nonzero only at v = r(edge); both branches are exercised
+    for lay in bank.layers:
+        for x in lay.edges:
+            for v, phi in lay.vertex.items():
+                lhs = lay.diag[x] @ lay.range_proj if v == x.target else bank.zero
+                yield f"{lay.own}[{x.id}] from E{v}", lhs, lay.op[x] @ phi @ lay.adj[x]
 
-    def twisted_sandwich():
-        pairs = []
-        for alpha in ts.edges_a:
-            for delta in ts.edges_a:
-                lhs = bank.s_adj[alpha] @ bank.p[delta] @ bank.s[alpha]
-                rhs = (
-                    bank.phi_eta_diag(bank.units[alpha.target])
-                    if delta == alpha
-                    else SparseOp.zero(tf)
-                )
-                pairs.append((f"s*[{alpha.id}] p[{delta.id}] s", lhs, rhs))
-            for d in ts.edges_b:
-                lhs = bank.s_adj[alpha] @ bank.q[d] @ bank.s[alpha]
-                twisted = pullback_along_kappa(ts, alpha, EdgeElem.basis(ts, d))
-                pairs.append(
-                    (
-                        f"s*[{alpha.id}] q[{d.id}] s",
-                        lhs,
-                        left_action_op(tf, "eta", twisted),
-                    )
-                )
-        for a in ts.edges_b:
-            for d in ts.edges_b:
-                lhs = bank.t_adj[a] @ bank.q[d] @ bank.t[a]
-                rhs = (
-                    bank.phi_rho_diag(bank.units[a.target]) if d == a else SparseOp.zero(tf)
-                )
-                pairs.append((f"t*[{a.id}] q[{d.id}] t", lhs, rhs))
-            for delta in ts.edges_a:
-                lhs = bank.t_adj[a] @ bank.p[delta] @ bank.t[a]
-                twisted = pullback_along_kappa(ts, a, EdgeElem.basis(ts, delta))
-                pairs.append(
-                    (
-                        f"t*[{a.id}] p[{delta.id}] t",
-                        lhs,
-                        left_action_op(tf, "rho", twisted),
-                    )
-                )
-        return pairs
 
-    def diagonal_reconstruction():
-        # only the matching creation term survives: compressing p_gamma
-        # through s_alpha gives the range mass when alpha == gamma, else 0
-        pairs = []
-        for gamma in ts.edges_a:
-            middle = bank.phi_eta_diag(bank.units[gamma.target])
+def _diagonal_commutation(bank):
+    diagonals = [(f"{lay.own}[{d.id}]", op) for lay in bank.layers for d, op in lay.diag.items()]
+    for lay in bank.layers:
+        for x, rng in lay.range.items():
+            for name, op in diagonals:
+                yield f"[{lay.name}{lay.name}*[{x.id}], {name}]", rng @ op, op @ rng
+
+
+def _same_layer_compression(bank):
+    for lay, oth in bank.mirrored:
+        for x in lay.edges:
+            for d, op in lay.diag.items():
+                rhs = oth.vertex[x.target] if d == x else bank.zero
+                label = f"{lay.name}*[{x.id}] {lay.own}[{d.id}] {lay.name}"
+                yield label, lay.adj[x] @ op @ lay.op[x], rhs
+
+
+def _cross_layer_pullback(bank):
+    for lay, oth in bank.mirrored:
+        for x in lay.edges:
+            for d, op in oth.diag.items():
+                twisted = pullback_along_kappa(bank.ts, x, EdgeElem.basis(bank.ts, d))
+                label = f"{lay.name}*[{x.id}] {oth.own}[{d.id}] {lay.name}"
+                yield label, lay.adj[x] @ op @ lay.op[x], left_action_op(bank.tf, oth.act, twisted)
+
+
+def _diagonal_reconstruction(bank):
+    # only the matching creation term survives: compressing p_gamma
+    # through s_alpha gives the range mass when alpha == gamma, else 0
+    for lay, oth in bank.mirrored:
+        for g, op in lay.diag.items():
             rhs = (
-                bank.s[gamma] @ middle @ bank.s_adj[gamma]
-                + bank.p_eta @ bank.p[gamma] @ bank.p_eta
-                + bank.p0 @ bank.p[gamma] @ bank.p0
+                lay.op[g] @ oth.vertex[g.target] @ lay.adj[g]
+                + oth.range_proj @ op @ oth.range_proj
+                + bank.p0 @ op @ bank.p0
             )
-            pairs.append((f"p[{gamma.id}]", bank.p[gamma], rhs))
-        for g in ts.edges_b:
-            middle = bank.phi_rho_diag(bank.units[g.target])
-            rhs = (
-                bank.t[g] @ middle @ bank.t_adj[g]
-                + bank.p_rho @ bank.q[g] @ bank.p_rho
-                + bank.p0 @ bank.q[g] @ bank.p0
+            yield f"{lay.own}[{g.id}]", op, rhs
+
+
+def _rank_one_partition(bank, level: int):
+    tf = bank.tf
+    vectors = (basis_vector(tf, w) for w in tf.words if w.level == level)
+    total = sum((rank_one(tf, vec, vec) for vec in vectors), bank.zero)
+    yield "", total, (bank.p0, bank.p1)[level]
+
+
+def _creation_expansion(bank):
+    tf, ts = bank.tf, bank.ts
+    for tag, xi in _seeded_tile_vectors(ts):
+        for lay, oth in bank.mirrored:
+            expanded = bank.zero
+            for x in lay.edges:
+                pairing = lay.inner(ts, lay.unit_vector(ts, x), xi)
+                expanded = expanded + lay.op[x] @ left_action_op(tf, oth.act, pairing)
+            yield f"{lay.name}[{tag}]", creation_from_vector(tf, lay.name, xi), expanded
+
+
+def _unit_partition(bank):
+    h, v = bank.layers
+    yield "sum ss* + tt*", h.range_sum + v.range_sum, bank.identity
+
+
+def _edge_sums(bank):
+    for lay in bank.layers:
+        yield f"sum {lay.own}", sum(lay.diag.values(), bank.zero), bank.identity
+
+
+def _embedding_agreement(bank):
+    h, v = bank.layers
+    for k in bank.vertex:
+        yield f"E{k}", h.vertex[k], v.vertex[k]
+
+
+def _range_proj_support(bank):
+    for lay in bank.layers:
+        for x, rng in lay.range.items():
+            yield f"{lay.name}{lay.name}*[{x.id}] {lay.own}", rng @ lay.diag[x], rng
+
+
+def _cross_proj_commutation(bank):
+    h, v = bank.layers
+    for alpha in h.edges:
+        for a in v.edges:
+            p, q, ss, tt = h.diag[alpha], v.diag[a], h.range[alpha], v.range[a]
+            yield f"[ss*[{alpha.id}], q[{a.id}]]", ss @ q, q @ ss
+            yield f"[tt*[{a.id}], p[{alpha.id}]]", tt @ p, p @ tt
+
+
+def _initial_sums(bank, cross: bool):
+    # u*u is the sum of the diagonal over the edges that can follow u, in
+    # its own layer or (cross) the opposite one
+    for lay, oth in bank.mirrored:
+        diag = oth.diag if cross else lay.diag
+        for x in lay.edges:
+            rhs = sum((op for d, op in diag.items() if d.source == x.target), bank.zero)
+            yield f"{lay.name}*{lay.name}[{x.id}]", lay.initial[x], rhs
+
+
+def _corner_selection(bank):
+    left_table, bottom_table = kappa_indicators(bank.ts)
+    h, v = bank.layers
+    for alpha in h.edges:
+        for a in v.edges:
+            rhs = sum((v.diag[d] for d in v.edges if (a, alpha, d) in left_table), bank.zero)
+            yield f"s*[{alpha.id}] q[{a.id}] s", h.adj[alpha] @ v.diag[a] @ h.op[alpha], rhs
+            rhs = sum((h.diag[d] for d in h.edges if (alpha, a, d) in bottom_table), bank.zero)
+            yield f"t*[{a.id}] p[{alpha.id}] t", v.adj[a] @ h.diag[alpha] @ v.op[a], rhs
+
+
+def _corner_commutation(bank):
+    h, v = bank.layers
+    for alpha, p in h.diag.items():
+        for a, q in v.diag.items():
+            yield f"[p[{alpha.id}], q[{a.id}]]", p @ q, q @ p
+
+
+def _shared_range_initials(bank):
+    h, v = bank.layers
+    for alpha in h.edges:
+        for a in v.edges:
+            if alpha.target == a.target:
+                yield f"s*s[{alpha.id}] = t*t[{a.id}]", h.initial[alpha], v.initial[a]
+
+
+def _corner_partition(bank):
+    yield "sum e", sum(bank.e.values(), bank.zero), bank.identity
+
+
+def _range_proj_corner_refinement(bank):
+    for lay in bank.layers:
+        for x, rng in lay.range.items():
+            corners = [e for pair, e in bank.e.items() if lay.edge_of(pair) == x]
+            label = f"{lay.name}{lay.name}*[{x.id}] via e"
+            yield f"{label} (right)", rng, sum((rng @ e for e in corners), bank.zero)
+            yield f"{label} (left)", rng, sum((e @ rng for e in corners), bank.zero)
+
+
+def _corner_transition(bank):
+    corners = list(bank.e.values())
+    for i, (pair, e) in enumerate(bank.e.items()):
+        for lay in bank.layers:
+            x = lay.edge_of(pair)
+            rhs = sum((f for f, keep in zip(corners, bank.quad[lay.index][i]) if keep), bank.zero)
+            yield f"{lay.name}*[{x.id}] e {lay.name} (row {i})", lay.adj[x] @ e @ lay.op[x], rhs
+
+
+def _vertex_commutation_quotient(bank):
+    for k, phi in bank.layers[1].vertex.items():
+        for lay in bank.layers:
+            for x, rng in lay.range.items():
+                yield f"[{lay.name}{lay.name}*[{x.id}], E{k}]", rng @ phi, phi @ rng
+
+
+def _vertex_compression_quotient(bank):
+    eta = bank.layers[1].vertex
+    for k, phi in eta.items():
+        for lay in bank.layers:
+            for x in lay.edges:
+                rhs = eta[x.target] if k == x.source else bank.zero
+                yield f"{lay.name}*[{x.id}] E{k} {lay.name}", lay.adj[x] @ phi @ lay.op[x], rhs
+
+
+def _generator_partition(bank):
+    yield "", sum(bank.generator_ranges.values(), bank.zero), bank.identity
+
+
+def _generator_transition(bank, index: int):
+    ranges = list(bank.generator_ranges.values())
+    for i, gen in enumerate(bank.generators[index].values()):
+        rhs = sum((r for r, keep in zip(ranges, bank.quad[index][i]) if keep), bank.zero)
+        yield f"row {i}", adjoint(gen) @ gen, rhs
+
+
+def _corner_decomposition(bank):
+    for pair, e in bank.e.items():
+        yield f"({pair.alpha.id},{pair.a.id})", e, bank.generator_ranges[pair]
+
+
+class _Row(NamedTuple):
+    report: str
+    identity_id: str
+    formula: str
+    margin: int
+    low: int
+    builders: tuple
+
+
+WORDS, RELATIONS, GENERATORS = "identity", "relation", "generator"
+# report -> (title, the smallest max_level it runs on)
+_REPORTS = {
+    WORDS: ("word-space identities", 3),
+    RELATIONS: ("universal relations", 4),
+    GENERATORS: ("corner generators", 4),
+}
+
+# Every checked identity.  Rows that share a builder are twins: its cases
+# are computed once per basis and compared on each row's own block
+# [low, L - margin].
+_TABLE = (
+    _Row(WORDS, "creation_range", "sum_a s_a s_a* = P1 + Prho ; sum_b t_b t_b* = P1 + Peta", 1, 0, (_creation_range,)),
+    _Row(WORDS, "range_partition", "sum ss* + sum tt* + P0 = 1 + P1", 1, 0, (_range_partition,)),
+    _Row(WORDS, "co_isometry", "s_z* s_x = act_eta(<z|x>_eta) ; t_z* t_x = act_rho(<z|x>_rho)", 1, 0, (_co_isometry,)),
+    _Row(WORDS, "vertex_sandwich", "s_a* phi(y) s_a = act_eta(edge_map_a(y))", 2, 0, (_vertex_sandwich,)),
+    _Row(WORDS, "vertex_commutation", "s_a s_a* phi(y) = phi(y) s_a s_a*", 1, 0, (_vertex_commutation,)),
+    _Row(WORDS, "tile_word_commutation", "t_a s_beta t_b* s_alpha* phi(y) = phi(y) (same word)", 4, 0, (_tile_word_commutation,)),
+    _Row(WORDS, "compressed_range", "act_rho(p_a) Prho = s_a act_rho(E_{r(a)}) s_a*", 2, 0, (_compressed_range,)),
+    _Row(WORDS, "diagonal_commutation", "s_a s_a* D = D s_a s_a* for diagonal D", 1, 0, (_diagonal_commutation,)),
+    _Row(WORDS, "twisted_sandwich", "s_a* D s_a = act(pullback of D along kappa)", 2, 0, (_same_layer_compression, _cross_layer_pullback)),
+    _Row(WORDS, "diagonal_reconstruction", "act_rho(w) = sum_a s_a act_eta(w_a) s_a* + Peta.. + P0..", 2, 0, (_diagonal_reconstruction,)),
+    _Row(WORDS, "base_rank_one_partition", "sum theta(edge markers) = P0", 0, 0, (partial(_rank_one_partition, level=0),)),
+    _Row(WORDS, "tile_rank_one_partition", "sum theta(tile words) = P1", 0, 0, (partial(_rank_one_partition, level=1),)),
+    _Row(WORDS, "creation_expansion", "s_x = sum_a s_a act_eta(<u_a|x>_eta)", 1, 0, (_creation_expansion,)),
+    _Row(RELATIONS, "unit_partition_interior", "sum uu* + sum vv* = 1", 1, 2, (_unit_partition,)),
+    _Row(RELATIONS, "unit_partition_uncut", "sum ss* + sum tt* + P0 = 1 + P1", 1, 0, (_range_partition,)),
+    _Row(RELATIONS, "range_proj_diag_commutation", "uu* w = w uu*, vv* w = w vv* (w, z diagonal)", 1, 2, (_diagonal_commutation,)),
+    _Row(RELATIONS, "same_layer_compression", "u* w u = compress(w), v* z v = compress(z)", 2, 2, (_same_layer_compression,)),
+    _Row(RELATIONS, "cross_layer_pullback", "u* z u = pullback(z), v* w v = pullback(w)", 2, 2, (_cross_layer_pullback,)),
+    _Row(RELATIONS, "embedding_agreement", "source embedding acts equally through both layers", 0, 2, (_embedding_agreement,)),
+    _Row(RELATIONS, "edge_partitions", "sum p = sum q = sum uu* + vv* = 1", 1, 2, (_edge_sums, _unit_partition)),
+    _Row(RELATIONS, "range_proj_support", "uu* p_u = uu*, vv* q_v = vv*", 1, 2, (_range_proj_support,)),
+    _Row(RELATIONS, "cross_proj_commutation", "[uu*, q] = 0, [vv*, p] = 0", 1, 2, (_cross_proj_commutation,)),
+    _Row(RELATIONS, "initial_projections", "u*u = sum of p over following edges (and v*v dually)", 1, 2, (partial(_initial_sums, cross=False),)),
+    _Row(RELATIONS, "corner_selection", "u* q u and v* p v select tiles with the fixed corner", 2, 2, (_corner_selection,)),
+    _Row(RELATIONS, "corner_projection_commutation", "p and q commute", 0, 2, (_corner_commutation,)),
+    _Row(RELATIONS, "initial_support_by_composability", "u*u = sum of q over composable edges", 1, 2, (partial(_initial_sums, cross=True),)),
+    _Row(RELATIONS, "shared_range_initials", "r(alpha) = r(a) forces u*u = v*v", 1, 2, (_shared_range_initials,)),
+    _Row(RELATIONS, "corner_partition", "sum over corner pairs of e = 1", 1, 2, (_corner_partition,)),
+    _Row(RELATIONS, "range_proj_corner_refinement", "uu* = sum_a uu* e = sum_a e uu*", 1, 2, (_range_proj_corner_refinement,)),
+    _Row(RELATIONS, "corner_transition", "u* e u = row of the horizontal matrix over e (vertical dual)", 2, 2, (_corner_transition,)),
+    _Row(RELATIONS, "vertex_commutation_quotient", "[uu*, y] = [vv*, y] = 0 for vertex y", 1, 2, (_vertex_commutation_quotient,)),
+    _Row(RELATIONS, "vertex_compression_quotient", "u* y u and v* y v move vertex masses along edges", 2, 2, (_vertex_compression_quotient,)),
+    _Row(GENERATORS, "generator_partition", "sum SS* + sum TT* = 1", 2, 2, (_generator_partition,)),
+    _Row(GENERATORS, "horizontal_transition", "S*S = sum A[(row),(col)] (SS* + TT*)", 2, 2, (partial(_generator_transition, index=0),)),
+    _Row(GENERATORS, "vertical_transition", "T*T = sum B[(row),(col)] (SS* + TT*)", 2, 2, (partial(_generator_transition, index=1),)),
+    _Row(GENERATORS, "corner_decomposition", "e = SS* + TT*", 2, 2, (_corner_decomposition,)),
+)
+
+
+def _run(tf: TruncatedFock, report: str, identities=None, headroom: int = 1) -> Report:
+    """Compare every row of one report on its block; the one comparison runner.
+
+    A row whose top level L - m falls below ``headroom`` is skipped with a
+    named notice, or raises TruncationTooShallow when it was asked for by id.
+    """
+    title, depth = _REPORTS[report]
+    if tf.max_level < depth:
+        raise TruncationTooShallow(f"the {report} suite needs max_level >= {depth}")
+    bank = tf._bank
+    checks = []
+    for row in _TABLE:
+        if row.report != report or (identities is not None and row.identity_id not in identities):
+            continue
+        high = tf.max_level - row.margin
+        if high < headroom:
+            needs = f"needs max_level >= {row.margin + headroom}"
+            if identities is not None:
+                raise TruncationTooShallow(
+                    f"identity {row.identity_id!r} {needs}, basis has {tf.max_level}"
+                )
+            notice = f"{needs}, basis has {tf.max_level}"
+            checks.append(
+                IdentityCheck(row.identity_id, row.formula, row.margin, None, "skipped", notice)
             )
-            pairs.append((f"q[{g.id}]", bank.q[g], rhs))
-        return pairs
-
-    def base_rank_one_partition():
-        total = SparseOp.zero(tf)
-        for a in ts.edges_b:
-            marker = basis_vector(tf, FockWord(base_kind="q", base=a))
-            total = total + rank_one(tf, marker, marker)
-        for alpha in ts.edges_a:
-            marker = basis_vector(tf, FockWord(base_kind="p", base=alpha))
-            total = total + rank_one(tf, marker, marker)
-        return [("", total, bank.p0)]
-
-    def tile_rank_one_partition():
-        total = SparseOp.zero(tf)
-        for tile in ts.tiles:
-            vec = basis_vector(tf, FockWord(tiles=(tile,), seps=()))
-            total = total + rank_one(tf, vec, vec)
-        return [("", total, bank.p1)]
-
-    def creation_expansion():
-        pairs = []
-        for tag, xi in rng_vectors:
-            expanded_s = SparseOp.zero(tf)
-            for alpha in ts.edges_a:
-                u = top_basis_vector(ts, alpha)
-                expanded_s = expanded_s + bank.s[alpha] @ left_action_op(
-                    tf, "eta", inner_eta(ts, u, xi)
-                )
-            pairs.append((f"s[{tag}]", creation_from_vector(tf, "s", xi), expanded_s))
-            expanded_t = SparseOp.zero(tf)
-            for a in ts.edges_b:
-                v = left_basis_vector(ts, a)
-                expanded_t = expanded_t + bank.t[a] @ left_action_op(
-                    tf, "rho", inner_rho(ts, v, xi)
-                )
-            pairs.append((f"t[{tag}]", creation_from_vector(tf, "t", xi), expanded_t))
-        return pairs
-
-    return [
-        ("creation_range", "sum_a s_a s_a* = P1 + Prho ; sum_b t_b t_b* = P1 + Peta", 1, creation_ranges),
-        ("range_partition", "sum ss* + sum tt* + P0 = 1 + P1", 1, range_partition),
-        ("co_isometry", "s_z* s_x = act_eta(<z|x>_eta) ; t_z* t_x = act_rho(<z|x>_rho)", 1, co_isometry),
-        ("vertex_sandwich", "s_a* phi(y) s_a = act_eta(edge_map_a(y))", 2, vertex_sandwich),
-        ("vertex_commutation", "s_a s_a* phi(y) = phi(y) s_a s_a*", 1, vertex_commutation),
-        ("tile_word_commutation", "t_a s_beta t_b* s_alpha* phi(y) = phi(y) (same word)", 4, tile_word_commutation),
-        ("compressed_range", "act_rho(p_a) Prho = s_a act_rho(E_{r(a)}) s_a*", 2, compressed_range),
-        ("diagonal_commutation", "s_a s_a* D = D s_a s_a* for diagonal D", 1, diagonal_commutation),
-        ("twisted_sandwich", "s_a* D s_a = act(pullback of D along kappa)", 2, twisted_sandwich),
-        ("diagonal_reconstruction", "act_rho(w) = sum_a s_a act_eta(w_a) s_a* + Peta.. + P0..", 2, diagonal_reconstruction),
-        ("base_rank_one_partition", "sum theta(edge markers) = P0", 0, base_rank_one_partition),
-        ("tile_rank_one_partition", "sum theta(tile words) = P1", 0, tile_rank_one_partition),
-        ("creation_expansion", "s_x = sum_a s_a act_eta(<u_a|x>_eta)", 1, creation_expansion),
-    ]
+            continue
+        cases = itertools.chain.from_iterable(
+            bank.differences(builder, row.margin) for builder in row.builders
+        )
+        witness = _witness(tf, cases, row.low)
+        checks.append(
+            IdentityCheck(
+                row.identity_id,
+                row.formula,
+                row.margin,
+                (row.low, high),
+                "fail" if witness else "pass",
+                witness=witness,
+            )
+        )
+    return Report(title=title, max_level=tf.max_level, checks=checks)
 
 
 def _seeded_tile_vectors(ts: TextileSystem, count=2, seed=20240311):
@@ -838,345 +1040,11 @@ def verify_fock_identities(
     named notice when running the full default suite; explicitly requesting
     such an identity raises TruncationTooShallow.
     """
-    if tf.max_level < 3:
-        raise TruncationTooShallow("the identity suite needs max_level >= 3")
-    bank = _Bank(tf)
-    registry = _fock_identity_registry(bank, _seeded_tile_vectors(tf.ts))
-    known = {identity_id for identity_id, *_ in registry}
     if identities is not None:
-        unknown = set(identities) - known
+        unknown = set(identities) - {r.identity_id for r in _TABLE if r.report == WORDS}
         if unknown:
             raise ValueError(f"unknown identity ids: {sorted(unknown)}")
-    checks = []
-    for identity_id, formula, margin, builder in registry:
-        if identities is not None and identity_id not in identities:
-            continue
-        if tf.max_level - margin < headroom:
-            if identities is not None:
-                raise TruncationTooShallow(
-                    f"identity {identity_id!r} needs max_level >= {margin + headroom}, "
-                    f"basis has {tf.max_level}"
-                )
-            checks.append(
-                IdentityCheck(
-                    identity_id=identity_id,
-                    formula=formula,
-                    margin=margin,
-                    levels_checked=None,
-                    status="skipped",
-                    notice=f"needs max_level >= {margin + headroom}, basis has {tf.max_level}",
-                )
-            )
-            continue
-        checks.append(_run_identity(tf, identity_id, formula, margin, builder))
-    return Report(title="word-space identities", max_level=tf.max_level, checks=checks)
-
-
-def _relation_registry(bank: _Bank):
-    tf, ts = bank.tf, bank.ts
-    left_table, bottom_table = kappa_indicators(ts)
-    composable_ab = {(alpha, b) for (alpha, b) in ts.kappa.forward}
-    composable_ba = {(a, beta) for (a, beta) in ts.kappa.inverse}
-    omega = ts.omega
-    e_ops = {
-        (pair.alpha, pair.a): bank.p[pair.alpha] @ bank.q[pair.a] for pair in omega
-    }
-    a_kappa, b_kappa, _ = build_quad_matrices(ts)
-    omega_pos = {(pair.alpha, pair.a): i for i, pair in enumerate(omega)}
-
-    def m1_interior():
-        return [("", bank.sum_ss() + bank.sum_tt(), bank.identity)]
-
-    def m1_uncut():
-        return [("", bank.sum_ss() + bank.sum_tt() + bank.p0, bank.identity + bank.p1)]
-
-    def m2_m3():
-        pairs = []
-        diag = [(f"p[{d.id}]", bank.p[d]) for d in ts.edges_a] + [
-            (f"q[{d.id}]", bank.q[d]) for d in ts.edges_b
-        ]
-        for alpha in ts.edges_a:
-            for name, op in diag:
-                pairs.append((f"[ss*[{alpha.id}], {name}]", bank.ss[alpha] @ op, op @ bank.ss[alpha]))
-        for a in ts.edges_b:
-            for name, op in diag:
-                pairs.append((f"[tt*[{a.id}], {name}]", bank.tt[a] @ op, op @ bank.tt[a]))
-        return pairs
-
-    def m4():
-        pairs = []
-        for alpha in ts.edges_a:
-            for delta in ts.edges_a:
-                lhs = bank.s_adj[alpha] @ bank.p[delta] @ bank.s[alpha]
-                rhs = (
-                    bank.phi_eta_diag(bank.units[alpha.target])
-                    if delta == alpha
-                    else SparseOp.zero(tf)
-                )
-                pairs.append((f"compress p[{delta.id}] through s[{alpha.id}]", lhs, rhs))
-        for a in ts.edges_b:
-            for d in ts.edges_b:
-                lhs = bank.t_adj[a] @ bank.q[d] @ bank.t[a]
-                rhs = bank.phi_rho_diag(bank.units[a.target]) if d == a else SparseOp.zero(tf)
-                pairs.append((f"compress q[{d.id}] through t[{a.id}]", lhs, rhs))
-        return pairs
-
-    def m5():
-        pairs = []
-        for alpha in ts.edges_a:
-            for d in ts.edges_b:
-                lhs = bank.s_adj[alpha] @ bank.q[d] @ bank.s[alpha]
-                rhs = left_action_op(
-                    tf, "eta", pullback_along_kappa(ts, alpha, EdgeElem.basis(ts, d))
-                )
-                pairs.append((f"pullback q[{d.id}] through s[{alpha.id}]", lhs, rhs))
-        for a in ts.edges_b:
-            for delta in ts.edges_a:
-                lhs = bank.t_adj[a] @ bank.p[delta] @ bank.t[a]
-                rhs = left_action_op(
-                    tf, "rho", pullback_along_kappa(ts, a, EdgeElem.basis(ts, delta))
-                )
-                pairs.append((f"pullback p[{delta.id}] through t[{a.id}]", lhs, rhs))
-        return pairs
-
-    def m6():
-        return [
-            (f"E{v}", bank.phi_rho_diag(y), bank.phi_eta_diag(y))
-            for v, y in bank.units.items()
-        ]
-
-    def p1():
-        sum_p = SparseOp.zero(tf)
-        for op in bank.p.values():
-            sum_p = sum_p + op
-        sum_q = SparseOp.zero(tf)
-        for op in bank.q.values():
-            sum_q = sum_q + op
-        return [
-            ("sum p", sum_p, bank.identity),
-            ("sum q", sum_q, bank.identity),
-            ("sum ss* + tt*", bank.sum_ss() + bank.sum_tt(), bank.identity),
-        ]
-
-    def p2():
-        pairs = []
-        for alpha in ts.edges_a:
-            pairs.append(
-                (f"ss*[{alpha.id}] p", bank.ss[alpha] @ bank.p[alpha], bank.ss[alpha])
-            )
-        for a in ts.edges_b:
-            pairs.append((f"tt*[{a.id}] q", bank.tt[a] @ bank.q[a], bank.tt[a]))
-        return pairs
-
-    def p3():
-        pairs = []
-        for alpha in ts.edges_a:
-            for a in ts.edges_b:
-                pairs.append(
-                    (
-                        f"[ss*[{alpha.id}], q[{a.id}]]",
-                        bank.ss[alpha] @ bank.q[a],
-                        bank.q[a] @ bank.ss[alpha],
-                    )
-                )
-                pairs.append(
-                    (
-                        f"[tt*[{a.id}], p[{alpha.id}]]",
-                        bank.tt[a] @ bank.p[alpha],
-                        bank.p[alpha] @ bank.tt[a],
-                    )
-                )
-        return pairs
-
-    def p4():
-        pairs = []
-        for alpha in ts.edges_a:
-            rhs = SparseOp.zero(tf)
-            for beta in ts.edges_a:
-                if alpha.target == beta.source:
-                    rhs = rhs + bank.p[beta]
-            pairs.append((f"s*s[{alpha.id}]", bank.s_adj[alpha] @ bank.s[alpha], rhs))
-        for a in ts.edges_b:
-            rhs = SparseOp.zero(tf)
-            for b in ts.edges_b:
-                if a.target == b.source:
-                    rhs = rhs + bank.q[b]
-            pairs.append((f"t*t[{a.id}]", bank.t_adj[a] @ bank.t[a], rhs))
-        return pairs
-
-    def p5():
-        pairs = []
-        for alpha in ts.edges_a:
-            for a in ts.edges_b:
-                rhs = SparseOp.zero(tf)
-                for b in ts.edges_b:
-                    if left_table.get((a, alpha, b)):
-                        rhs = rhs + bank.q[b]
-                pairs.append(
-                    (
-                        f"s*[{alpha.id}] q[{a.id}] s",
-                        bank.s_adj[alpha] @ bank.q[a] @ bank.s[alpha],
-                        rhs,
-                    )
-                )
-                rhs = SparseOp.zero(tf)
-                for beta in ts.edges_a:
-                    if bottom_table.get((alpha, a, beta)):
-                        rhs = rhs + bank.p[beta]
-                pairs.append(
-                    (
-                        f"t*[{a.id}] p[{alpha.id}] t",
-                        bank.t_adj[a] @ bank.p[alpha] @ bank.t[a],
-                        rhs,
-                    )
-                )
-        return pairs
-
-    def corner_commutation():
-        pairs = []
-        for alpha in ts.edges_a:
-            for a in ts.edges_b:
-                pairs.append(
-                    (
-                        f"[p[{alpha.id}], q[{a.id}]]",
-                        bank.p[alpha] @ bank.q[a],
-                        bank.q[a] @ bank.p[alpha],
-                    )
-                )
-        return pairs
-
-    def composability_support():
-        pairs = []
-        for alpha in ts.edges_a:
-            rhs = SparseOp.zero(tf)
-            for b in ts.edges_b:
-                if (alpha, b) in composable_ab:
-                    rhs = rhs + bank.q[b]
-            pairs.append((f"s*s[{alpha.id}]", bank.s_adj[alpha] @ bank.s[alpha], rhs))
-        for a in ts.edges_b:
-            rhs = SparseOp.zero(tf)
-            for beta in ts.edges_a:
-                if (a, beta) in composable_ba:
-                    rhs = rhs + bank.p[beta]
-            pairs.append((f"t*t[{a.id}]", bank.t_adj[a] @ bank.t[a], rhs))
-        return pairs
-
-    def shared_range_supports():
-        pairs = []
-        for alpha in ts.edges_a:
-            for a in ts.edges_b:
-                if alpha.target == a.target:
-                    pairs.append(
-                        (
-                            f"s*s[{alpha.id}] = t*t[{a.id}]",
-                            bank.s_adj[alpha] @ bank.s[alpha],
-                            bank.t_adj[a] @ bank.t[a],
-                        )
-                    )
-        return pairs
-
-    def p1_prime():
-        total = SparseOp.zero(tf)
-        for op in e_ops.values():
-            total = total + op
-        return [("sum e", total, bank.identity)]
-
-    def p2_p3_prime():
-        pairs = []
-        for alpha in ts.edges_a:
-            left_sum = SparseOp.zero(tf)
-            right_sum = SparseOp.zero(tf)
-            for pair in omega:
-                if pair.alpha == alpha:
-                    e = e_ops[(pair.alpha, pair.a)]
-                    left_sum = left_sum + bank.ss[alpha] @ e
-                    right_sum = right_sum + e @ bank.ss[alpha]
-            pairs.append((f"ss*[{alpha.id}] via e (right)", bank.ss[alpha], left_sum))
-            pairs.append((f"ss*[{alpha.id}] via e (left)", bank.ss[alpha], right_sum))
-        for a in ts.edges_b:
-            left_sum = SparseOp.zero(tf)
-            right_sum = SparseOp.zero(tf)
-            for pair in omega:
-                if pair.a == a:
-                    e = e_ops[(pair.alpha, pair.a)]
-                    left_sum = left_sum + bank.tt[a] @ e
-                    right_sum = right_sum + e @ bank.tt[a]
-            pairs.append((f"tt*[{a.id}] via e (right)", bank.tt[a], left_sum))
-            pairs.append((f"tt*[{a.id}] via e (left)", bank.tt[a], right_sum))
-        return pairs
-
-    def p4_p5_prime():
-        pairs = []
-        for pair in omega:
-            alpha, a = pair.alpha, pair.a
-            i = omega_pos[(alpha, a)]
-            lhs = bank.s_adj[alpha] @ e_ops[(alpha, a)] @ bank.s[alpha]
-            rhs = SparseOp.zero(tf)
-            for other in omega:
-                j = omega_pos[(other.alpha, other.a)]
-                if a_kappa[i][j]:
-                    rhs = rhs + e_ops[(other.alpha, other.a)]
-            pairs.append((f"s*[{alpha.id}] e s (row {i})", lhs, rhs))
-            lhs = bank.t_adj[a] @ e_ops[(alpha, a)] @ bank.t[a]
-            rhs = SparseOp.zero(tf)
-            for other in omega:
-                j = omega_pos[(other.alpha, other.a)]
-                if b_kappa[i][j]:
-                    rhs = rhs + e_ops[(other.alpha, other.a)]
-            pairs.append((f"t*[{a.id}] e t (row {i})", lhs, rhs))
-        return pairs
-
-    def vertex_diag_commutation():
-        pairs = []
-        for v, y in bank.units.items():
-            phi = bank.phi_eta_diag(y)
-            for alpha in ts.edges_a:
-                pairs.append(
-                    (f"[ss*[{alpha.id}], E{v}]", bank.ss[alpha] @ phi, phi @ bank.ss[alpha])
-                )
-            for a in ts.edges_b:
-                pairs.append((f"[tt*[{a.id}], E{v}]", bank.tt[a] @ phi, phi @ bank.tt[a]))
-        return pairs
-
-    def vertex_diag_sandwich():
-        pairs = []
-        for v, y in bank.units.items():
-            phi = bank.phi_eta_diag(y)
-            for alpha in ts.edges_a:
-                moved = (
-                    DiagElem.basis(ts.n_vertices, alpha.target)
-                    if v == alpha.source
-                    else None
-                )
-                rhs = bank.phi_eta_diag(moved) if moved else SparseOp.zero(tf)
-                pairs.append((f"s*[{alpha.id}] E{v} s", bank.s_adj[alpha] @ phi @ bank.s[alpha], rhs))
-            for a in ts.edges_b:
-                moved = DiagElem.basis(ts.n_vertices, a.target) if v == a.source else None
-                rhs = bank.phi_eta_diag(moved) if moved else SparseOp.zero(tf)
-                pairs.append((f"t*[{a.id}] E{v} t", bank.t_adj[a] @ phi @ bank.t[a], rhs))
-        return pairs
-
-    return [
-        ("unit_partition_interior", "sum uu* + sum vv* = 1", 1, 2, m1_interior),
-        ("unit_partition_uncut", "sum ss* + sum tt* + P0 = 1 + P1", 1, 0, m1_uncut),
-        ("range_proj_diag_commutation", "uu* w = w uu*, vv* w = w vv* (w, z diagonal)", 1, 2, m2_m3),
-        ("same_layer_compression", "u* w u = compress(w), v* z v = compress(z)", 2, 2, m4),
-        ("cross_layer_pullback", "u* z u = pullback(z), v* w v = pullback(w)", 2, 2, m5),
-        ("embedding_agreement", "source embedding acts equally through both layers", 0, 2, m6),
-        ("edge_partitions", "sum p = sum q = sum uu* + vv* = 1", 1, 2, p1),
-        ("range_proj_support", "uu* p_u = uu*, vv* q_v = vv*", 1, 2, p2),
-        ("cross_proj_commutation", "[uu*, q] = 0, [vv*, p] = 0", 1, 2, p3),
-        ("initial_projections", "u*u = sum of p over following edges (and v*v dually)", 1, 2, p4),
-        ("corner_selection", "u* q u and v* p v select tiles with the fixed corner", 2, 2, p5),
-        ("corner_projection_commutation", "p and q commute", 0, 2, corner_commutation),
-        ("initial_support_by_composability", "u*u = sum of q over composable edges", 1, 2, composability_support),
-        ("shared_range_initials", "r(alpha) = r(a) forces u*u = v*v", 1, 2, shared_range_supports),
-        ("corner_partition", "sum over corner pairs of e = 1", 1, 2, p1_prime),
-        ("range_proj_corner_refinement", "uu* = sum_a uu* e = sum_a e uu*", 1, 2, p2_p3_prime),
-        ("corner_transition", "u* e u = row of the horizontal matrix over e (vertical dual)", 2, 2, p4_p5_prime),
-        ("vertex_commutation_quotient", "[uu*, y] = [vv*, y] = 0 for vertex y", 1, 2, vertex_diag_commutation),
-        ("vertex_compression_quotient", "u* y u and v* y v move vertex masses along edges", 2, 2, vertex_diag_sandwich),
-    ]
+    return _run(tf, WORDS, identities, headroom)
 
 
 def verify_relations_hk(tf: TruncatedFock) -> Report:
@@ -1188,25 +1056,7 @@ def verify_relations_hk(tf: TruncatedFock) -> Report:
     corrections of the range partition vanish; the one genuinely uncut
     identity is also checked from level 0.
     """
-    if tf.max_level < 4:
-        raise TruncationTooShallow("the relation suite needs max_level >= 4")
-    bank = _Bank(tf)
-    checks = []
-    for identity_id, formula, margin, low, builder in _relation_registry(bank):
-        high = tf.max_level - margin
-        check = IdentityCheck(
-            identity_id=identity_id,
-            formula=formula,
-            margin=margin,
-            levels_checked=(low, high),
-            status="pass",
-        )
-        witness = _compare(tf, builder(), low, high)
-        if witness is not None:
-            check.status = "fail"
-            check.witness = witness
-        checks.append(check)
-    return Report(title="universal relations", max_level=tf.max_level, checks=checks)
+    return _run(tf, RELATIONS)
 
 
 def ck_generators(tf: TruncatedFock):
@@ -1217,73 +1067,10 @@ def ck_generators(tf: TruncatedFock):
     matrices, and the corner decomposition e = SS* + TT*, all on interior
     levels [2, L-2].  Returns ({pair: S}, {pair: T}, report).
     """
-    if tf.max_level < 4:
-        raise TruncationTooShallow("the generator suite needs max_level >= 4")
-    ts = tf.ts
-    bank = _Bank(tf)
-    omega = ts.omega
-    a_kappa, b_kappa, _ = build_quad_matrices(ts)
-    s_ops = {}
-    t_ops = {}
-    for pair in omega:
-        e = bank.p[pair.alpha] @ bank.q[pair.a]
-        s_ops[pair] = e @ bank.s[pair.alpha]
-        t_ops[pair] = e @ bank.t[pair.a]
-
-    low, high = 2, tf.max_level - 2
-    checks = []
-
-    def run(identity_id, formula, pairs):
-        check = IdentityCheck(
-            identity_id=identity_id,
-            formula=formula,
-            margin=2,
-            levels_checked=(low, high),
-            status="pass",
-        )
-        witness = _compare(tf, pairs, low, high)
-        if witness is not None:
-            check.status = "fail"
-            check.witness = witness
-        checks.append(check)
-
-    def ss_plus_tt(pair):
-        s = s_ops[pair]
-        t = t_ops[pair]
-        return s @ adjoint(s) + t @ adjoint(t)
-
-    total = SparseOp.zero(tf)
-    for pair in omega:
-        total = total + ss_plus_tt(pair)
-    run("generator_partition", "sum SS* + sum TT* = 1", [("", total, bank.identity)])
-
-    pairs_h = []
-    pairs_v = []
-    for i, pair in enumerate(omega):
-        s = s_ops[pair]
-        rhs = SparseOp.zero(tf)
-        for j, other in enumerate(omega):
-            if a_kappa[i][j]:
-                rhs = rhs + ss_plus_tt(other)
-        pairs_h.append((f"row {i}", adjoint(s) @ s, rhs))
-        t = t_ops[pair]
-        rhs = SparseOp.zero(tf)
-        for j, other in enumerate(omega):
-            if b_kappa[i][j]:
-                rhs = rhs + ss_plus_tt(other)
-        pairs_v.append((f"row {i}", adjoint(t) @ t, rhs))
-    run("horizontal_transition", "S*S = sum A[(row),(col)] (SS* + TT*)", pairs_h)
-    run("vertical_transition", "T*T = sum B[(row),(col)] (SS* + TT*)", pairs_v)
-
-    corner_pairs = [
-        (
-            f"({pair.alpha.id},{pair.a.id})",
-            bank.p[pair.alpha] @ bank.q[pair.a],
-            ss_plus_tt(pair),
-        )
-        for pair in omega
-    ]
-    run("corner_decomposition", "e = SS* + TT*", corner_pairs)
-
-    report = Report(title="corner generators", max_level=tf.max_level, checks=checks)
+    report = _run(tf, GENERATORS)
+    # the bank's operators refer to the basis weakly; hand out ones that
+    # keep it alive
+    s_ops, t_ops = (
+        {pair: SparseOp(tf, op.cols) for pair, op in ops.items()} for ops in tf._bank.generators
+    )
     return s_ops, t_ops, report

@@ -335,6 +335,8 @@ def enumerate_kappas(
     Within each block the BA side runs through its permutations in
     lexicographic order; blocks combine by (i, j) order with the last block
     varying fastest.  The first yield is therefore the ``lex`` pairing.
+    Each yield pairs the AB and BA lists of every block one to one, so it
+    is a specification by construction and is not validated again.
     """
     blocks = sigma_blocks(matrix_a, matrix_b)
     keys = sorted(key for key in blocks if blocks[key][0])
@@ -350,7 +352,7 @@ def enumerate_kappas(
             yield from pairings(k + 1, prefix + list(zip(ab, perm)))
 
     for pairs in itertools.islice(pairings(0, []), None if limit is None else max(limit, 0)):
-        yield _validate_kappa(matrix_a, matrix_b, pairs)
+        yield Kappa(pairs=tuple(sorted(pairs)))
 
 
 def build_system(a_rows, b_rows, kappa="lex") -> TextileSystem:

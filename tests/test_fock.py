@@ -1,7 +1,13 @@
+import gc
 import random
+import re
+import weakref
 from fractions import Fraction
 
 import pytest
+
+import quadtex as q
+import quadtex.fock as fock
 
 from quadtex.algebra import DiagElem, EdgeElem
 from quadtex.errors import BasisTooLarge, LayerMismatch, TruncationTooShallow, UnknownEdge
@@ -15,6 +21,7 @@ from quadtex.fock import (
     fock_basis,
     graded_projection,
     left_action_op,
+    level_sizes,
     rank_one,
     verify_fock_identities,
     verify_relations_hk,
@@ -334,21 +341,14 @@ def test_tile_word_identity_with_content_at_depth(fibonacci):
     # the four-factor word operator lowers twice before raising, so it only
     # carries entries on levels >= 3; at depth 7 the compared block [0, 3]
     # genuinely exercises the identity instead of comparing empty blocks
-    from quadtex.fock import _Bank
-
     tf = fock_basis(fibonacci, 7)
     report = verify_fock_identities(tf, identities=["tile_word_commutation"])
     assert report.passed and not report.skipped
 
-    bank = _Bank(tf)
+    s, t = tf._bank.layers
     content = 0
     for tile in fibonacci.tiles:
-        word_op = (
-            bank.t[tile.left]
-            @ bank.s[tile.bottom]
-            @ bank.t_adj[tile.right]
-            @ bank.s_adj[tile.top]
-        )
+        word_op = t.op[tile.left] @ s.op[tile.bottom] @ t.adj[tile.right] @ s.adj[tile.top]
         content += word_op.restrict(0, 3).nnz()
     assert content > 0
 
@@ -356,11 +356,173 @@ def test_tile_word_identity_with_content_at_depth(fibonacci):
 def test_detects_a_broken_identity(tf_exchange, exchange_pair):
     # sanity check of the comparison harness itself: a wrong right-hand
     # side must produce a fail with a witness entry
-    from quadtex.fock import _compare
+    from quadtex.fock import _differences
 
     s1 = creation(tf_exchange, "s", by_id(exchange_pair, "A:1->1#1"))
-    witness = _compare(
-        tf_exchange, [("broken", s1 @ adjoint(s1), SparseOp.identity(tf_exchange))], 0, 3
+    [(case, diff)] = _differences(
+        tf_exchange, [("broken", s1 @ adjoint(s1), SparseOp.identity(tf_exchange))], 3
     )
-    assert witness is not None
-    assert witness["case"] == "broken"
+    assert diff
+    assert case == "broken"
+
+
+def test_level_sizes_predict_the_basis_and_the_cap():
+    from quadtex.ktheory import random_commuting_pair
+
+    rng = random.Random(2718)
+    checked = 0
+    while checked < 6:
+        a, b = random_commuting_pair(rng, total_cap=6)
+        ts = q.build_system(a.rows, b.rows, "lex")
+        if not ts.tiles:
+            continue
+        tf = fock_basis(ts, 4)
+        sizes = list(level_sizes(ts, 4))
+        assert sizes == [tf.count_at(n) for n in range(5)]
+        # the cap is met exactly at the largest predicted level above 1
+        top = max(sizes[2:])
+        assert fock_basis(ts, 4, cap=top).dim == tf.dim
+        first = next(n for n in range(2, 5) if sizes[n] > top - 1)
+        message = f"level {first} would hold {sizes[first]} words (cap {top - 1})"
+        with pytest.raises(BasisTooLarge, match=re.escape(message)):
+            fock_basis(ts, 4, cap=top - 1)
+        checked += 1
+
+
+def test_basis_cap_is_checked_before_any_word_is_built(exchange_pair, monkeypatch):
+    built = []
+
+    class CountingWord(FockWord):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(fock, "FockWord", CountingWord)
+    with pytest.raises(BasisTooLarge, match="level 3 would hold 150 words"):
+        fock_basis(exchange_pair, 12, cap=100)
+    assert built == []
+    assert fock_basis(exchange_pair, 2).dim == len(built) == 5 + 6 + 30
+    # the prediction stops at the first level over the cap
+    with pytest.raises(BasisTooLarge, match="level 9 would hold 2343750 words"):
+        fock_basis(exchange_pair, 10**6, cap=10**6)
+
+
+def test_one_bank_and_one_evaluation_per_twin(fibonacci, monkeypatch):
+    banks, quads, evaluated = [], [], []
+
+    class CountingBank(fock._Bank):
+        def __init__(self, tf):
+            banks.append(tf)
+            super().__init__(tf)
+
+    real_quad, real_differences = fock.build_quad_matrices, fock._differences
+    monkeypatch.setattr(fock, "_Bank", CountingBank)
+    monkeypatch.setattr(fock, "build_quad_matrices", lambda ts: quads.append(ts) or real_quad(ts))
+    monkeypatch.setattr(
+        fock,
+        "_differences",
+        lambda tf, cases, high: evaluated.append(cases.__name__) or real_differences(tf, cases, high),
+    )
+    tf = fock_basis(fibonacci, 4)
+    reports = [verify_fock_identities(tf, headroom=2), verify_relations_hk(tf), ck_generators(tf)[2]]
+    assert all(r.passed for r in reports)
+    assert banks == [tf]
+    primitives = [
+        op
+        for lay in tf._bank.layers
+        for ops in (lay.op, lay.adj, lay.diag, lay.vertex)
+        for op in ops.values()
+    ]
+    assert {type(v) for op in primitives for _, _, v in op.entries()} == {int}
+    assert len(quads) == 1
+    rows = [r for r in fock._TABLE if r.identity_id != "tile_word_commutation"]
+    assert len(evaluated) == len({(b, r.margin) for r in rows for b in r.builders})
+    assert len(evaluated) < sum(len(r.builders) for r in rows)
+    for twin in (
+        "_range_partition",
+        "_diagonal_commutation",
+        "_same_layer_compression",
+        "_cross_layer_pullback",
+        "_unit_partition",
+    ):
+        assert evaluated.count(twin) == 1, twin
+
+
+WORD_LABEL = re.compile(r"^([pq]\[[^]]+\]|\([^,()]+,[^,()]+\)(-[hv]-\([^,()]+,[^,()]+\))*)$")
+
+# doubling s for one A-edge changes one side of these identities by a
+# different power of two than the other; the rest are commutators,
+# homogeneous in s, or free of s
+BROKEN_BY_DOUBLED_S = {
+    "creation_range",
+    "range_partition",
+    "co_isometry",
+    "vertex_sandwich",
+    "compressed_range",
+    "twisted_sandwich",
+    "diagonal_reconstruction",
+    "creation_expansion",
+    "unit_partition_interior",
+    "unit_partition_uncut",
+    "same_layer_compression",
+    "cross_layer_pullback",
+    "edge_partitions",
+    "initial_projections",
+    "corner_selection",
+    "initial_support_by_composability",
+    "shared_range_initials",
+    "corner_transition",
+    "vertex_compression_quotient",
+    "generator_partition",
+    "horizontal_transition",
+    "vertical_transition",
+    "corner_decomposition",
+}
+
+
+def test_a_broken_bank_operator_is_caught(exchange_pair, monkeypatch):
+    alpha = by_id(exchange_pair, "A:1->1#1")
+    real = fock.creation
+
+    def doubled(tf, kind, edge):
+        op = real(tf, kind, edge)
+        return op.scale(2) if edge == alpha else op
+
+    monkeypatch.setattr(fock, "creation", doubled)
+    tf = fock_basis(exchange_pair, 4)
+    checks = [
+        c
+        for report in (verify_fock_identities(tf), verify_relations_hk(tf), ck_generators(tf)[2])
+        for c in report.checks
+    ]
+    assert {c.identity_id for c in checks if c.status == "fail"} == BROKEN_BY_DOUBLED_S
+    for check in checks:
+        if check.status != "fail":
+            continue
+        witness = check.witness
+        assert set(witness) == {"case", "row", "col", "lhs", "rhs"}
+        assert WORD_LABEL.match(witness["row"]) and WORD_LABEL.match(witness["col"])
+        assert Fraction(witness["lhs"]) != Fraction(witness["rhs"])
+        low, high = check.levels_checked
+        for end in ("row", "col"):
+            level = next(w.level for w in tf.words if w.label() == witness[end])
+            assert low <= level <= high
+
+
+def test_basis_and_bank_are_freed_without_the_cycle_collector(fibonacci):
+    # the bank refers to its basis weakly: dropping the basis frees both
+    # at once, so repeated verify calls do not pile up dead banks
+    gc.disable()
+    try:
+        tf = fock_basis(fibonacci, 4)
+        s_ops, t_ops, _ = ck_generators(tf)
+        assert verify_relations_hk(tf).passed
+        basis, bank = weakref.ref(tf), weakref.ref(tf._bank)
+        del tf
+        # the generators handed out keep their basis alive and usable
+        assert basis() is not None
+        assert sum(op.restrict(2, 3).nnz() for op in s_ops.values()) > 0
+        del s_ops, t_ops
+        assert basis() is None and bank() is None
+    finally:
+        gc.enable()

@@ -1,8 +1,11 @@
-"""Byte-for-byte golden outputs of ``analyze --format json``.
+"""Byte-for-byte golden outputs of the CLI in ``--format json``.
 
-Any refactor of the analyze path must reproduce the files under
-``tests/golden/`` exactly; rewrite them only for an intended change of
-output.
+Any refactor must reproduce the files under ``tests/golden/`` exactly;
+rewrite them only for an intended change of output.  The files cover
+``analyze`` on the bundled inputs, the exchange family and singular
+presentations; ``verify`` on the bundled inputs at level 4 and on the two
+smaller ones at levels 5 and 6; and ``kappa``, ``tiles`` and ``subshift``
+on the bundled inputs.
 """
 
 import json
@@ -14,6 +17,7 @@ from quadtex.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = sorted(p.stem for p in (ROOT / "inputs").glob("*.json"))
 
 EXCHANGE = {
     f"exchange-{p}x{p + 1}": {"A": [[p]], "B": [[p + 1]], "kappa": "exchange"}
@@ -29,21 +33,46 @@ SINGULAR = {
     },
 }
 
+# (golden file stem, subcommand arguments after the input path); verify on
+# exchange-2x3 at level 5 takes several seconds and is left out
+BUNDLED = (
+    [(f"verify-{n}-l4", n, ["verify", "--level", "4"]) for n in INPUTS]
+    + [
+        ("verify-fibonacci-l5", "fibonacci", ["verify", "--level", "5"]),
+        ("verify-one-tile-l5", "one-tile", ["verify", "--level", "5"]),
+        ("verify-one-tile-l6", "one-tile", ["verify", "--level", "6"]),
+    ]
+    + [(f"kappa-{n}", n, ["kappa", "--limit", "10"]) for n in INPUTS]
+    + [(f"tiles-{n}", n, ["tiles"]) for n in INPUTS]
+    + [(f"subshift-{n}", n, ["subshift", "--rows", "3", "--cols", "3", "--limit", "5"]) for n in INPUTS]
+)
 
-def _analyze_json(path, capsys) -> str:
-    assert main(["analyze", str(path), "--format", "json"]) == 0
+
+def _json_out(argv, capsys) -> str:
+    assert main(argv + ["--format", "json"]) == 0
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "inputs").glob("*.json")))
+def _golden(stem: str) -> str:
+    return (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", INPUTS)
 def test_bundled_inputs_match_golden(name, capsys):
-    out = _analyze_json(ROOT / "inputs" / f"{name}.json", capsys)
-    assert out == (GOLDEN / f"analyze-{name}.json").read_text(encoding="utf-8")
+    out = _json_out(["analyze", str(ROOT / "inputs" / f"{name}.json")], capsys)
+    assert out == _golden(f"analyze-{name}")
 
 
 @pytest.mark.parametrize("name", sorted(EXCHANGE) + sorted(SINGULAR))
 def test_generated_inputs_match_golden(name, tmp_path, capsys):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({**EXCHANGE, **SINGULAR}[name]), encoding="utf-8")
-    out = _analyze_json(path, capsys)
-    assert out == (GOLDEN / f"analyze-{name}.json").read_text(encoding="utf-8")
+    out = _json_out(["analyze", str(path)], capsys)
+    assert out == _golden(f"analyze-{name}")
+
+
+@pytest.mark.parametrize("stem,name,args", BUNDLED, ids=[stem for stem, _, _ in BUNDLED])
+def test_subcommands_match_golden(stem, name, args, capsys):
+    command, *options = args
+    out = _json_out([command, str(ROOT / "inputs" / f"{name}.json"), *options], capsys)
+    assert out == _golden(stem)

@@ -210,6 +210,24 @@ def test_enumeration_keeps_product_order(fibonacci, exchange_pair):
         assert [spec.pairs for spec in q.enumerate_kappas(a, b, limit=3)] == product_order(a, b)[:3]
 
 
+def test_every_enumerated_specification_is_valid():
+    # enumerate_kappas yields without validating; every specification it
+    # lists must still pass the full check, and there are exactly as many
+    # as count_specifications says
+    from quadtex.textile import _validate_kappa
+
+    ones = q.IntMatrix.from_rows([[1, 1], [1, 1]])
+    cases = [
+        (q.IntMatrix.from_rows([[2]]), q.IntMatrix.from_rows([[3]])),
+        (ones, q.IntMatrix.from_rows([[2, 1], [1, 2]])),
+    ]
+    for a, b in cases:
+        specs = list(q.enumerate_kappas(a, b))
+        assert len(specs) == q.count_specifications(a, b)
+        for spec in specs:
+            assert _validate_kappa(a, b, list(spec.pairs)) == spec
+
+
 def test_enumeration_is_lazy_on_a_huge_block():
     four = q.IntMatrix.from_rows([[4]])
     (first,) = q.enumerate_kappas(four, four, limit=1)

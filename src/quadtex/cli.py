@@ -36,6 +36,14 @@ EXIT_CROSS_CHECK = 3
 CLI_HEADROOM = 2
 
 
+def nonnegative(text: str) -> int:
+    """argparse type for a nonnegative count; anything else exits with 2."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _load_input(path: str, kappa_override: str | None):
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kappa", help="count and enumerate specifications")
     common(p)
-    p.add_argument("--limit", type=int, default=10, help="how many to list (default 10)")
+    p.add_argument("--limit", type=nonnegative, default=10, help="how many to list (default 10)")
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("tiles", help="list the tile alphabet")
@@ -240,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--limit", type=int, default=0, help="also list up to this many patches")
-    p.add_argument("--cap", type=int, default=DEFAULT_ROW_CAP)
+    p.add_argument("--limit", type=nonnegative, default=0, help="also list up to this many patches")
+    p.add_argument("--cap", type=nonnegative, default=DEFAULT_ROW_CAP)
     p.set_defaults(func=cmd_subshift)
 
     return parser

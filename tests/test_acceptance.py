@@ -21,6 +21,7 @@ from quadtex.ktheory import (
 )
 from quadtex.subshift import _brute_force_count, count_rectangles
 from conftest import FIB
+from row_transfer import row_transfer_count
 
 EXCHANGE_A_KAPPA = [
     [1, 0, 0, 1, 0, 0],
@@ -209,9 +210,10 @@ def test_criterion_8_subshift_consistency(all_systems):
             for width in range(1, 10):
                 if height * width > 9:
                     continue
-                if count_rectangles(ts, height, width) != _brute_force_count(
-                    ts, height, width
-                ):
+                count = count_rectangles(ts, height, width)
+                if count != _brute_force_count(ts, height, width):
+                    ok = False
+                if count != row_transfer_count(ts, height, width):
                     ok = False
         tf = fock_basis(ts, 2)
         eta_words = sum(1 for w in tf.words if w.level == 2 and w.seps[0] == "eta")

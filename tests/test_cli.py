@@ -134,6 +134,40 @@ def test_subshift_cap_exceeded(exchange_input, capsys):
     assert "more than 10 admissible rows" in capsys.readouterr().err
 
 
+def test_subshift_cap_checked_before_rows_are_built(exchange_input, capsys):
+    # 6 * 2**29 rows of width 30: building them first would not finish
+    code = main(["subshift", exchange_input, "--rows", "1", "--cols", "30"])
+    assert code == 2
+    assert "more than 200000 admissible rows of width 30" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["subshift", "--rows", "2", "--cols", "2", "--limit", "-1"],
+        ["subshift", "--rows", "2", "--cols", "2", "--cap", "-1"],
+        ["kappa", "--limit", "-2"],
+    ],
+    ids=["subshift-limit", "subshift-cap", "kappa-limit"],
+)
+def test_negative_counts_rejected_at_parse_time(args, exchange_input, capsys):
+    command, *options = args
+    with pytest.raises(SystemExit) as exc:
+        main([command, exchange_input, *options])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be nonnegative" in captured.err
+    assert captured.out == ""
+
+
+def test_zero_counts_accepted(exchange_input, capsys):
+    assert main(["kappa", exchange_input, "--limit", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["listed"] == 0
+    code = main(["subshift", exchange_input, "--rows", "1", "--cols", "2", "--cap", "0"])
+    assert code == 2
+    assert "more than 0 admissible rows of width 2" in capsys.readouterr().err
+
+
 def test_explicit_kappa_from_document(write_input, capsys):
     fib = q.IntMatrix.from_rows(FIB)
     second = list(q.enumerate_kappas(fib, fib))[1]

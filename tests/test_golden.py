@@ -4,8 +4,9 @@ Any refactor must reproduce the files under ``tests/golden/`` exactly;
 rewrite them only for an intended change of output.  The files cover
 ``analyze`` on the bundled inputs, the exchange family and singular
 presentations; ``verify`` on the bundled inputs at level 4 and on the two
-smaller ones at levels 5 and 6; and ``kappa``, ``tiles`` and ``subshift``
-on the bundled inputs.
+smaller ones at levels 5 and 6; ``kappa``, ``tiles`` and ``subshift`` on
+the bundled inputs; and ``subshift`` counts at larger sizes: exchange
+[[3]] x [[4]] at 6x6 and 3x7, fibonacci at 10x6 and exchange-2x3 at 8x8.
 """
 
 import json
@@ -45,7 +46,20 @@ BUNDLED = (
     + [(f"kappa-{n}", n, ["kappa", "--limit", "10"]) for n in INPUTS]
     + [(f"tiles-{n}", n, ["tiles"]) for n in INPUTS]
     + [(f"subshift-{n}", n, ["subshift", "--rows", "3", "--cols", "3", "--limit", "5"]) for n in INPUTS]
+    + [
+        ("subshift-fibonacci-10x6", "fibonacci", ["subshift", "--rows", "10", "--cols", "6"]),
+        ("subshift-exchange-2x3-8x8", "exchange-2x3", ["subshift", "--rows", "8", "--cols", "8"]),
+    ]
 )
+# (golden file stem, generated document, subcommand arguments after the input path)
+GENERATED = [
+    ("subshift-exchange-3x4-6x6", "exchange-3x4", ["subshift", "--rows", "6", "--cols", "6"]),
+    (
+        "subshift-exchange-3x4-3x7",
+        "exchange-3x4",
+        ["subshift", "--rows", "3", "--cols", "7", "--limit", "5"],
+    ),
+]
 
 
 def _json_out(argv, capsys) -> str:
@@ -75,4 +89,13 @@ def test_generated_inputs_match_golden(name, tmp_path, capsys):
 def test_subcommands_match_golden(stem, name, args, capsys):
     command, *options = args
     out = _json_out([command, str(ROOT / "inputs" / f"{name}.json"), *options], capsys)
+    assert out == _golden(stem)
+
+
+@pytest.mark.parametrize("stem,name,args", GENERATED, ids=[stem for stem, _, _ in GENERATED])
+def test_generated_subcommands_match_golden(stem, name, args, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(EXCHANGE[name]), encoding="utf-8")
+    command, *options = args
+    out = _json_out([command, str(path), *options], capsys)
     assert out == _golden(stem)

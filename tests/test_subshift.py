@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import quadtex as q
+from quadtex import subshift
 from quadtex.errors import PatternSpaceTooLarge
 from quadtex.fock import fock_basis
 from quadtex.subshift import (
@@ -13,7 +15,24 @@ from quadtex.subshift import (
     wang_tile_list,
     _brute_force_count,
 )
+from quadtex.ktheory import random_commuting_pair
 from conftest import by_id
+from row_transfer import row_transfer_count, rows_of_width
+
+# h < w, h = w and h > w, with and without the brute-force re-count
+ORACLE_SHAPES = [
+    (1, 5), (2, 4), (3, 3), (4, 2), (5, 1), (9, 1),
+    (2, 6), (3, 4), (4, 4), (4, 3), (6, 2), (3, 5), (5, 3),
+]
+
+
+def _seeded_systems(count, seed):
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        a, b = random_commuting_pair(rng, total_cap=6)
+        systems.append(q.build_system(a.rows, b.rows, "lex"))
+    return systems
 
 
 def test_glue_single_tile(one_tile):
@@ -122,6 +141,90 @@ def test_row_cap(exchange_pair):
     with pytest.raises(PatternSpaceTooLarge):
         count_rectangles(exchange_pair, 1, 4, cap=40)
     assert count_rectangles(exchange_pair, 1, 4, cap=48) == 48
+
+
+def _record_transfers(monkeypatch):
+    """Record the (height, width) each transfer runs over."""
+    calls = []
+    transfer = subshift._transfer
+
+    def recording(tiles, height, width):
+        calls.append((height, width))
+        return transfer(tiles, height, width)
+
+    monkeypatch.setattr(subshift, "_transfer", recording)
+    return calls
+
+
+def _assert_counts_agree(ts):
+    for height, width in ORACLE_SHAPES:
+        count = count_rectangles(ts, height, width)
+        assert count == row_transfer_count(ts, height, width), (height, width)
+        if height * width <= 9:
+            assert count == _brute_force_count(ts, height, width), (height, width)
+
+
+def test_counts_match_row_oracle_on_bundled_systems(all_systems, fibonacci_alt):
+    for ts in all_systems + [fibonacci_alt]:
+        _assert_counts_agree(ts)
+
+
+def test_counts_match_row_oracle_on_seeded_systems(monkeypatch):
+    calls = _record_transfers(monkeypatch)
+    systems = _seeded_systems(15, seed=5)
+    for ts in systems:
+        _assert_counts_agree(ts)
+    requested = ORACLE_SHAPES * len(systems)
+    assert len(calls) == len(requested)
+    big = [(shape, call) for shape, call in zip(requested, calls) if shape[0] * shape[1] > 9]
+    by_rows = {shape for shape, call in big if call == shape}
+    by_columns = {shape for shape, call in big if call != shape}
+    # both orientations ran on shapes above 9 cells, with h < w and h > w
+    for shapes in (by_rows, by_columns):
+        assert any(h < w for h, w in shapes) and any(h > w for h, w in shapes)
+
+
+def test_transfer_runs_along_the_cheaper_side(monkeypatch):
+    calls = _record_transfers(monkeypatch)
+    # |E_A| = 3, |E_B| = 4: 3**7 * 4 = 8748 states by rows, 4**3 * 3 = 192 by columns
+    ex34 = q.build_system([[3]], [[4]], "exchange")
+    assert count_rectangles(ex34, 3, 7) == row_transfer_count(ex34, 3, 7)
+    # 3**6 * 4 = 2916 by rows, 4**6 * 3 = 12288 by columns
+    assert count_rectangles(ex34, 6, 6) == 2985984
+    assert calls == [(7, 3), (6, 6)]
+
+
+def _outcome(count):
+    try:
+        return count()
+    except PatternSpaceTooLarge as exc:
+        return str(exc)
+
+
+def test_row_cap_matches_the_row_oracle():
+    # the cap raises exactly when building the rows would exceed it
+    for ts in _seeded_systems(15, seed=3):
+        for width in (1, 2, 3, 4):
+            sizes = [len(rows_of_width(ts, k)) for k in range(2, width + 1)]
+            for cap in sorted({0, 1, *sizes, *(n - 1 for n in sizes)} - {-1}):
+                expected = _outcome(lambda: row_transfer_count(ts, 2, width, cap=cap))
+                assert _outcome(lambda: count_rectangles(ts, 2, width, cap=cap)) == expected
+                listed = _outcome(lambda: len(list(enumerate_rectangles(ts, 2, width, cap=cap))))
+                assert listed == expected
+
+
+def test_row_cap_raises_before_anything_is_built(exchange_pair, monkeypatch):
+    def fail(*args):
+        raise AssertionError("rows or states were built")
+
+    monkeypatch.setattr(subshift, "_rows_of_width", fail)
+    monkeypatch.setattr(subshift, "_transfer", fail)
+    message = "more than 200000 admissible rows of width 30"
+    # 6 * 2**29 rows of width 30
+    with pytest.raises(PatternSpaceTooLarge, match=message):
+        count_rectangles(exchange_pair, 1, 30)
+    with pytest.raises(PatternSpaceTooLarge, match=message):
+        next(enumerate_rectangles(exchange_pair, 2, 30, limit=1))
 
 
 def test_subalphabet_monotonicity(fibonacci, exchange_pair):

@@ -1,28 +1,26 @@
-"""Finite rectangular patches of the tile shift, with transfer counts.
+"""Finite rectangular patches of the tile shift, counted in closed form.
 
 Tiles glue horizontally when right(left tile) == left(right tile) and
-vertically when bottom(upper tile) == top(lower tile); the same adjacency
-that drives the graded word gluing.  Rectangles are finite admissible
-patches only; nothing here decides anything about infinite configurations.
+vertically when bottom(upper tile) == top(lower tile), the adjacency of the
+graded word gluing.  Rectangles are finite admissible patches only.
 
-``count_rectangles`` is a cell-by-cell transfer over integer edge codes: a
-state is the bottom codes of the last w cells and the right code of the
-previous cell, with weights in one dict.  It runs by rows, with at most
-|E_A|^w * |E_B| states, or on the transposed tiles by columns, with at
-most |E_B|^h * |E_A|, whichever bound is smaller.  A 1 x w strip transfer
-first raises if some width 2..w has more than ``cap`` rows, before any row
-or state exists.  Patches of at most 9 cells are re-counted by brute force.
+Every composable (A-edge, B-edge) pair is the (top, right) of exactly one
+tile, so an h x w patch is fixed by its top A-path and its right B-path,
+and every such pair of paths fills one: the unique factorization of the
+2-graph of (A, B, kappa) (Kumjian-Pask, New York J. Math. 6 (2000)).  So
+``count_rectangles`` is 1^T A^w B^h 1 for every kappa, and the rows of
+width k number 1^T A^k B 1, which the cap check reads first.  Patches of at
+most 9 cells are re-counted by brute force.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from typing import Iterator
 
 from .errors import CrossCheckFailure, PatternSpaceTooLarge
-from .textile import TextileSystem, Tile
+from .textile import IntMatrix, TextileSystem, Tile
 
 DEFAULT_ROW_CAP = 200_000
 BRUTE_FORCE_CELLS = 9
@@ -52,24 +50,32 @@ class Rectangle:
                 raise ValueError(f"{direction} gluing fails between {first!r} and {second!r}")
 
 
+def _times(matrix: IntMatrix, vector: list) -> list[int]:
+    return [sum(m * x for m, x in zip(row, vector)) for row in matrix.rows]
+
+
+def _power(matrix: IntMatrix, steps: int, vector: list[int]) -> list[int]:
+    for _ in range(steps):
+        vector = _times(matrix, vector)
+    return vector
+
+
+def _reachable(matrix: IntMatrix, steps: int) -> list[list[bool]]:
+    """reach[k][v]: some path of length k starts at vertex v, for k = 0..steps."""
+    reach = [[True] * matrix.n]
+    for _ in range(steps):
+        reach.append([x > 0 for x in _times(matrix, reach[-1])])
+    return reach
+
+
 def _check_shape(ts: TextileSystem, height: int, width: int, cap: int) -> None:
     if height < 1 or width < 1:
         raise ValueError("rectangle sides must be positive")
-    ends = Counter(t.right for t in ts.tiles)  # rows of the current width by right edge
+    rows = _times(ts.matrix_a, _times(ts.matrix_b, [1] * ts.n_vertices))  # by left vertex
     for _ in range(width - 1):
-        extended: Counter = Counter()
-        for t in ts.tiles:
-            extended[t.right] += ends[t.left]
-        ends = extended
-        if sum(ends.values()) > cap:
+        rows = _times(ts.matrix_a, rows)
+        if sum(rows) > cap:
             raise PatternSpaceTooLarge(f"more than {cap} admissible rows of width {width}")
-
-
-def _rows_of_width(ts: TextileSystem, width: int) -> list[tuple[Tile, ...]]:
-    rows: list[tuple[Tile, ...]] = [(t,) for t in ts.tiles]
-    for _ in range(width - 1):
-        rows = [row + (t,) for row in rows for t in ts.tiles if glue("horizontal", row[-1], t)]
-    return rows
 
 
 def _brute_force_count(ts: TextileSystem, height: int, width: int) -> int:
@@ -93,72 +99,64 @@ def _brute_force_count(ts: TextileSystem, height: int, width: int) -> int:
     return fill(0)
 
 
-def _transfer(tiles: list[tuple[int, int, int, int]], height: int, width: int) -> int:
-    """Count patches of (top, right, left, bottom) coded tiles cell by cell."""
-    wild = -1  # matches any edge: the tops of the first row, the left of a row's first cell
-    inside: dict = {}  # (top, left) -> the state's next (bottom, right) inside a row
-    at_end: dict = {}  # the same at the end of a row, with the right code reset to wild
-    for top, right, left, bottom in tiles:
-        for key in product((top, wild), (left, wild)):
-            inside.setdefault(key, []).append((bottom, right))
-            at_end.setdefault(key, []).append((bottom, wild))
-    weights = {(wild,) * (width + 1): 1}  # bottoms, oldest first, then the right code
-    for _ in range(height):
-        for j in range(width):
-            fits = at_end if j == width - 1 else inside
-            advanced: dict = {}
-            for state, weight in weights.items():
-                tail = state[1:width]
-                for suffix in fits.get((state[0], state[-1]), ()):
-                    key = tail + suffix
-                    advanced[key] = advanced.get(key, 0) + weight
-            weights = advanced
-    return sum(weights.values())
-
-
 def count_rectangles(ts: TextileSystem, height: int, width: int, cap: int = DEFAULT_ROW_CAP) -> int:
     """Number of admissible height x width patches (see the module docstring)."""
     _check_shape(ts, height, width, cap)
-    codes: dict = {}
-    tiles = [
-        tuple(codes.setdefault(e, len(codes)) for e in (t.top, t.right, t.left, t.bottom))
-        for t in ts.tiles
-    ]
-    n_a = len({e for t in ts.tiles for e in (t.top, t.bottom)})
-    n_b = len(codes) - n_a
-    if n_b**height * n_a < n_a**width * n_b:
-        columns = [(left, bottom, top, right) for top, right, left, bottom in tiles]
-        total = _transfer(columns, width, height)
-    else:
-        total = _transfer(tiles, height, width)
-    if height * width <= BRUTE_FORCE_CELLS:
-        brute = _brute_force_count(ts, height, width)
-        if brute != total:
-            raise CrossCheckFailure(
-                f"transfer count {total} != brute-force count {brute} "
-                f"for a {height}x{width} patch"
-            )
+    total = sum(_power(ts.matrix_a, width, _power(ts.matrix_b, height, [1] * ts.n_vertices)))
+    brute = _brute_force_count(ts, height, width) if height * width <= BRUTE_FORCE_CELLS else total
+    if brute != total:
+        raise CrossCheckFailure(
+            f"matrix count {total} != brute-force count {brute} for a {height}x{width} patch"
+        )
     return total
 
 
 def enumerate_rectangles(
     ts: TextileSystem, height: int, width: int, limit: int | None = None, cap: int = DEFAULT_ROW_CAP
 ) -> Iterator[Rectangle]:
-    """Yield admissible patches in row-major lexicographic tile order."""
+    """Yield admissible patches in row-major lexicographic tile order.
+
+    Cells fill depth first.  A right-to-left pass at the start of each row
+    finds per column the right edges from which the row can still be
+    finished, its last right edge starting a B-path as long as the rows
+    left to fill; a cell takes only such tiles, so no branch dead-ends.
+    """
     _check_shape(ts, height, width, cap)
-    rows = _rows_of_width(ts, width)
-    by_top: dict[tuple, list] = {}
-    for row in rows:
-        by_top.setdefault(tuple(t.top for t in row), []).append(row)
+    below = _reachable(ts.matrix_b, height - 1)
+    placed: list[Tile] = []  # row-major
+    ends: dict[int, list[set]] = {}  # row -> column -> right edges that can finish the row
 
-    def extend(stack: list) -> Iterator[Rectangle]:
-        if len(stack) == height:
-            yield Rectangle(cells=tuple(stack))
-            return
-        for row in by_top.get(tuple(t.bottom for t in stack[-1]), []):
-            yield from extend(stack + [row])
+    def fits(t: Tile, k: int) -> bool:  # t may sit under the tile above cell k
+        return k < width or t.top == placed[k - width].bottom
 
-    yield from islice((patch for first in rows for patch in extend([first])), limit)
+    def options(k: int) -> Iterator[Tile]:
+        i, j = divmod(k, width)
+        if j == 0:
+            ahead = below[height - 1 - i]
+            sets = [{t.right for t in ts.tiles if fits(t, k + width - 1) and ahead[t.vertex - 1]}]
+            for col in range(width - 1, 0, -1):
+                sets.append({t.left for t in ts.tiles if fits(t, k + col) and t.right in sets[-1]})
+            ends[i] = sets[::-1]
+        for t in ts.tiles:
+            if t.right in ends[i][j] and fits(t, k) and (j == 0 or t.left == placed[k - 1].right):
+                yield t
+
+    def patches() -> Iterator[Rectangle]:
+        choices = [options(0)]
+        while choices:
+            del placed[len(choices) - 1 :]
+            tile = next(choices[-1], None)
+            if tile is None:
+                choices.pop()
+                continue
+            placed.append(tile)
+            if len(placed) < height * width:
+                choices.append(options(len(placed)))
+            else:
+                starts = range(0, len(placed), width)
+                yield Rectangle(tuple(tuple(placed[k : k + width]) for k in starts))
+
+    yield from islice(patches(), limit)
 
 
 def wang_tile_list(ts: TextileSystem) -> list[dict]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -17,13 +18,15 @@ from quadtex.subshift import (
 )
 from quadtex.ktheory import random_commuting_pair
 from conftest import by_id
-from row_transfer import row_transfer_count, rows_of_width
+import row_transfer
+from row_transfer import cell_transfer_count, listing_order, row_transfer_count, rows_of_width
 
 # h < w, h = w and h > w, with and without the brute-force re-count
 ORACLE_SHAPES = [
     (1, 5), (2, 4), (3, 3), (4, 2), (5, 1), (9, 1),
     (2, 6), (3, 4), (4, 4), (4, 3), (6, 2), (3, 5), (5, 3),
 ]
+KAPPA_LIMIT = 3  # specifications taken per system from enumerate_kappas
 
 
 def _seeded_systems(count, seed):
@@ -144,15 +147,15 @@ def test_row_cap(exchange_pair):
 
 
 def _record_transfers(monkeypatch):
-    """Record the (height, width) each transfer runs over."""
+    """Record the (height, width) each cell-transfer oracle run goes over."""
     calls = []
-    transfer = subshift._transfer
+    transfer = row_transfer._transfer
 
     def recording(tiles, height, width):
         calls.append((height, width))
         return transfer(tiles, height, width)
 
-    monkeypatch.setattr(subshift, "_transfer", recording)
+    monkeypatch.setattr(row_transfer, "_transfer", recording)
     return calls
 
 
@@ -160,6 +163,7 @@ def _assert_counts_agree(ts):
     for height, width in ORACLE_SHAPES:
         count = count_rectangles(ts, height, width)
         assert count == row_transfer_count(ts, height, width), (height, width)
+        assert count == cell_transfer_count(ts, height, width), (height, width)
         if height * width <= 9:
             assert count == _brute_force_count(ts, height, width), (height, width)
 
@@ -188,9 +192,10 @@ def test_transfer_runs_along_the_cheaper_side(monkeypatch):
     calls = _record_transfers(monkeypatch)
     # |E_A| = 3, |E_B| = 4: 3**7 * 4 = 8748 states by rows, 4**3 * 3 = 192 by columns
     ex34 = q.build_system([[3]], [[4]], "exchange")
-    assert count_rectangles(ex34, 3, 7) == row_transfer_count(ex34, 3, 7)
+    count = count_rectangles(ex34, 3, 7)
+    assert cell_transfer_count(ex34, 3, 7) == count == row_transfer_count(ex34, 3, 7)
     # 3**6 * 4 = 2916 by rows, 4**6 * 3 = 12288 by columns
-    assert count_rectangles(ex34, 6, 6) == 2985984
+    assert count_rectangles(ex34, 6, 6) == 2985984 == cell_transfer_count(ex34, 6, 6)
     assert calls == [(7, 3), (6, 6)]
 
 
@@ -217,14 +222,95 @@ def test_row_cap_raises_before_anything_is_built(exchange_pair, monkeypatch):
     def fail(*args):
         raise AssertionError("rows or states were built")
 
-    monkeypatch.setattr(subshift, "_rows_of_width", fail)
-    monkeypatch.setattr(subshift, "_transfer", fail)
+    # the first thing the count and the listing compute after the cap check
+    monkeypatch.setattr(subshift, "_power", fail)
+    monkeypatch.setattr(subshift, "_reachable", fail)
     message = "more than 200000 admissible rows of width 30"
     # 6 * 2**29 rows of width 30
     with pytest.raises(PatternSpaceTooLarge, match=message):
         count_rectangles(exchange_pair, 1, 30)
     with pytest.raises(PatternSpaceTooLarge, match=message):
         next(enumerate_rectangles(exchange_pair, 2, 30, limit=1))
+
+
+def _dead_end_systems():
+    """Systems with a zero row in A or B: no row or column goes on from there."""
+    return [
+        q.build_system([[0, 1], [0, 0]], [[1, 1], [0, 1]]),
+        q.build_system([[1, 1], [0, 0]], [[2, 2], [0, 0]]),
+        q.build_system([[1, 0], [4, 1]], [[0, 0], [2, 0]]),
+    ]
+
+
+def _kappa_variants(ts):
+    kappas = q.enumerate_kappas(ts.matrix_a, ts.matrix_b, limit=KAPPA_LIMIT)
+    return [q.build_system(ts.matrix_a.rows, ts.matrix_b.rows, kappa) for kappa in kappas]
+
+
+def test_counts_agree_over_every_kappa(all_systems):
+    systems = all_systems + _seeded_systems(15, seed=5)
+    assert sum(len(_kappa_variants(ts)) for ts in systems) > 2 * len(systems)
+    for ts in systems:
+        variants = _kappa_variants(ts)
+        for height, width in ORACLE_SHAPES:
+            # the oracles read the tiles, so each specification is counted on its own
+            count = count_rectangles(ts, height, width)
+            for variant in variants:
+                shape = (variant.kappa, height, width)
+                assert row_transfer_count(variant, height, width) == count, shape
+                assert cell_transfer_count(variant, height, width) == count, shape
+                if height * width <= 9:
+                    assert _brute_force_count(variant, height, width) == count, shape
+
+
+def test_listing_matches_the_order_oracle():
+    systems = _dead_end_systems() + _seeded_systems(15, seed=5)
+    shapes = [(1, 1), (1, 4), (2, 2), (2, 3), (3, 2), (4, 1), (3, 3)]
+    for ts in systems:
+        for variant in _kappa_variants(ts):
+            for height, width in shapes:
+                expected = list(listing_order(variant, height, width))
+                assert list(enumerate_rectangles(variant, height, width)) == expected
+                for limit in (0, 1, 2, 5):
+                    listed = list(enumerate_rectangles(variant, height, width, limit=limit))
+                    assert listed == expected[:limit]
+
+
+def _listing_with_cells_entered(ts, height, width):
+    """The full listing, and how many cells it started to fill: the listing
+    opens one candidate generator (``options``) per cell it enters."""
+    entered = {}
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "options" and code.co_filename == subshift.__file__:
+            entered[id(frame)] = frame  # kept alive, so ids stay distinct
+
+    sys.setprofile(profile)
+    try:
+        patches = list(enumerate_rectangles(ts, height, width))
+    finally:
+        sys.setprofile(None)
+    return patches, len(entered)
+
+
+def test_every_partial_patch_the_listing_visits_extends():
+    for ts in _dead_end_systems():
+        for height, width in [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]:
+            patches, entered = _listing_with_cells_entered(ts, height, width)
+            flat = [tuple(t for row in patch.cells for t in row) for patch in patches]
+            prefixes = {cells[:k] for cells in flat for k in range(1, height * width)}
+            # the first cell, then one more cell per proper prefix of a listed patch
+            assert entered == 1 + len(prefixes), (ts.matrix_a, height, width)
+
+
+def test_long_strips_count_and_list_at_once(one_tile):
+    assert count_rectangles(one_tile, 3, 30000) == 1
+    ex34 = q.build_system([[3]], [[4]], "exchange")
+    patches = list(enumerate_rectangles(ex34, 2, 9, limit=1))
+    assert len(patches) == 1
+    patches[0].validate()
+    assert patches[0] == next(listing_order(ex34, 2, 9))
 
 
 def test_subalphabet_monotonicity(fibonacci, exchange_pair):

@@ -12,7 +12,10 @@ creation families prepend a tile (raising the level by one), diagonal
 operators read an edge of the first tile, and adjoints are transposes:
 every primitive operator here maps basis words to basis words with the
 same terminal vertex, which makes the transpose the adjoint for the
-vertex-valued pairing.
+vertex-valued pairing.  The basis records each word as (first tile,
+first separator, tail) (``TruncatedFock.splits``), so a creation operator
+is one pass over the target words: a tile word comes from a level-0
+marker, a deeper one from its tail.
 
 Truncation semantics: a product of operators computed on the truncated
 basis agrees with the untruncated product on any column whose intermediate
@@ -33,18 +36,22 @@ every row and reports the first differing entry of the row's block
 
 One ``_Bank`` per basis (``TruncatedFock._bank``) holds the primitive
 operators with integer entries (``Fraction`` enters only through the
-rational vectors of ``creation_expansion``) and the products several
-identities share: sum ss* and sum tt*, s*s and t*t, the corner projections
-e = p q, A_kappa and B_kappa, and per corner pair S = e s, T = e t and
-SS* + TT*.  It keeps, per builder, only the entries where the two sides
-differ (nothing when the identity holds), so ids that share a builder are
-evaluated once per basis and each reports on its own block:
+rational tile vectors of ``creation_expansion`` and the edge vectors they
+pair to) and the products several identities share: sum ss* and sum tt*,
+s*s and t*t, the corner projections e = p q, A_kappa and B_kappa, and per
+corner pair S = e s, T = e t and SS* + TT*.  It keeps, per builder, only
+the entries where the two sides differ (nothing when the identity holds),
+so ids that share a builder are evaluated once per basis and each reports
+on its own block:
 
 * ``range_partition`` and ``unit_partition_uncut``, both on [0, L-1];
 * ``diagonal_commutation`` on [0, L-1], ``range_proj_diag_commutation``
-  on [2, L-1];
+  and ``cross_proj_commutation`` on [2, L-1];
 * ``twisted_sandwich`` on [0, L-2], its halves ``same_layer_compression``
-  and ``cross_layer_pullback`` on [2, L-2];
+  and ``cross_layer_pullback`` (also ``corner_selection``) on [2, L-2];
+* ``vertex_commutation`` on [0, L-1], ``vertex_commutation_quotient`` on
+  [2, L-1]; ``vertex_sandwich`` on [0, L-2],
+  ``vertex_compression_quotient`` on [2, L-2];
 * ``unit_partition_interior`` and the ``sum ss* + tt*`` case of
   ``edge_partitions``, both on [2, L-1].
 """
@@ -67,7 +74,7 @@ from .errors import (
 )
 from .ktheory import build_quad_matrices
 from .quadmod import QuadVector, inner_eta, inner_rho, left_basis_vector, top_basis_vector
-from .textile import LAYER_A, LAYER_B, Edge, TextileSystem, Tile, kappa_indicators
+from .textile import LAYER_A, LAYER_B, Edge, TextileSystem, Tile
 
 SEP_ETA = "eta"
 SEP_RHO = "rho"
@@ -108,28 +115,24 @@ class FockWord:
         return "".join(parts)
 
 
-def glued(previous: Tile, sep: str, following: Tile) -> bool:
-    if sep == SEP_ETA:
-        return previous.right == following.left
-    return previous.bottom == following.top
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedFock:
-    """Basis of all glued words up to a top level, with index maps."""
+    """Basis of all glued words up to a top level, with index maps.
+
+    ``splits[i]`` is word i split as (first tile's index in ``ts.tiles``,
+    first separator, tail index); None on level 0, (k, None, None) on level 1.
+    """
 
     ts: TextileSystem
     max_level: int
     words: tuple[FockWord, ...]
     index: dict[FockWord, int] = field(repr=False)
     levels: tuple[int, ...] = field(repr=False)
+    splits: tuple[tuple[int, str | None, int | None] | None, ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.words)
-
-    def level_indices(self, level: int) -> list[int]:
-        return [i for i, lv in enumerate(self.levels) if lv == level]
 
     def count_at(self, level: int) -> int:
         return sum(1 for lv in self.levels if lv == level)
@@ -145,6 +148,15 @@ class TruncatedFock:
         return _Bank(weakref.proxy(self))
 
 
+def _extensions(tiles) -> list[list[tuple[str, int]]]:
+    """Per tile, the (separator, index) of every tile that may follow it, eta first."""
+    return [
+        [(SEP_ETA, k) for k, u in enumerate(tiles) if u.left == t.right]
+        + [(SEP_RHO, k) for k, u in enumerate(tiles) if u.top == t.bottom]
+        for t in tiles
+    ]
+
+
 def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
     """Yield the number of words at each level 0..max_level, without
     building them.
@@ -152,15 +164,13 @@ def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
     Words are counted by their last tile: a level-n word ending in tile i
     extends to one level-(n+1) word per eta- or rho-gluing of i to a tile.
     """
-    gluing = [
-        [sum(glued(t, sep, u) for sep in (SEP_ETA, SEP_RHO)) for u in ts.tiles]
-        for t in ts.tiles
-    ]
+    n = len(ts.tiles)
+    gluing = [[sum(k == u for _, k in ext) for u in range(n)] for ext in _extensions(ts.tiles)]
     yield len(ts.edges_a) + len(ts.edges_b)
-    ending = [1] * len(ts.tiles)
+    ending = [1] * n
     for _ in range(1, max_level + 1):
         yield sum(ending)
-        ending = [sum(c * row[j] for c, row in zip(ending, gluing)) for j in range(len(ending))]
+        ending = [sum(c * row[j] for c, row in zip(ending, gluing)) for j in range(n)]
 
 
 def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) -> TruncatedFock:
@@ -176,23 +186,31 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
     for n, size in enumerate(level_sizes(ts, max_level)):
         if n >= 2 and size > cap:
             raise BasisTooLarge(f"level {n} would hold {size} words (cap {cap})")
-    words: list[FockWord] = []
-    words.extend(FockWord(base_kind="q", base=a) for a in ts.edges_b)
+    tiles = ts.tiles
+    words = [FockWord(base_kind="q", base=a) for a in ts.edges_b]
     words.extend(FockWord(base_kind="p", base=alpha) for alpha in ts.edges_a)
-
-    level = [FockWord(tiles=(t,), seps=()) for t in ts.tiles]
-    words.extend(level)
+    start = len(words)
+    words.extend(FockWord(tiles=(t,), seps=()) for t in tiles)
+    splits: list = [None] * start + [(k, None, None) for k in range(len(tiles))]
+    follow = _extensions(tiles)
+    # a word and its tail end in the same tile, so both have the same
+    # extensions in the same order: the tail of the k-th extension of a
+    # word is the k-th extension of its tail
+    first_child: dict[int, int] = {}
+    level = [(start + k, k) for k in range(len(tiles))]  # (word index, last tile index)
     for _ in range(2, max_level + 1):
-        nxt: list[FockWord] = []
-        for word in level:
-            last = word.tiles[-1]
-            for sep in (SEP_ETA, SEP_RHO):
-                for tile in ts.tiles:
-                    if glued(last, sep, tile):
-                        nxt.append(
-                            FockWord(tiles=word.tiles + (tile,), seps=word.seps + (sep,))
-                        )
-        words.extend(nxt)
+        nxt = []
+        for i, last in level:
+            first_child[i] = len(words)
+            word = words[i]
+            head, first_sep, tail = splits[i]
+            for k, (sep, u) in enumerate(follow[last]):
+                nxt.append((len(words), u))
+                words.append(FockWord(tiles=word.tiles + (tiles[u],), seps=word.seps + (sep,)))
+                if tail is None:
+                    splits.append((head, sep, start + u))
+                else:
+                    splits.append((head, first_sep, first_child[tail] + k))
         level = nxt
     return TruncatedFock(
         ts=ts,
@@ -200,22 +218,19 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
         words=tuple(words),
         index={w: i for i, w in enumerate(words)},
         levels=tuple(w.level for w in words),
+        splits=tuple(splits),
     )
 
 
 class SparseOp:
-    """Exact sparse matrix over a truncated word basis (column-major dict)."""
+    """Exact sparse matrix over a truncated word basis (column-major dict,
+    stored as given: no empty column and no zero entry)."""
 
     __slots__ = ("tf", "cols")
 
     def __init__(self, tf: TruncatedFock, cols: dict[int, dict[int, object]] | None = None):
         self.tf = tf
-        self.cols = {}
-        if cols:
-            for c, col in cols.items():
-                cleaned = {r: v for r, v in col.items() if v != 0}
-                if cleaned:
-                    self.cols[c] = cleaned
+        self.cols = {} if cols is None else cols
 
     @staticmethod
     def zero(tf: TruncatedFock) -> "SparseOp":
@@ -227,14 +242,8 @@ class SparseOp:
 
     @staticmethod
     def diagonal(tf: TruncatedFock, values) -> "SparseOp":
-        """Diagonal operator from a callable word -> value; integral values
-        are stored as int."""
-        cols = {}
-        for i, word in enumerate(tf.words):
-            v = values(word)
-            if v != 0:
-                cols[i] = {i: v.numerator if v.denominator == 1 else v}
-        return SparseOp(tf, cols)
+        """Diagonal operator from one value per basis word."""
+        return SparseOp(tf, {i: {i: v} for i, v in enumerate(values) if v})
 
     def entry(self, row: int, col: int):
         return self.cols.get(col, {}).get(row, 0)
@@ -249,11 +258,14 @@ class SparseOp:
         for c, col in other.cols.items():
             target = cols.setdefault(c, {})
             for r, v in col.items():
-                target[r] = target.get(r, 0) + v
+                total = target.get(r, 0) + v
+                if total:
+                    target[r] = total
+                else:
+                    del target[r]
+            if not target:
+                del cols[c]
         return SparseOp(self.tf, cols)
-
-    def __sub__(self, other: "SparseOp") -> "SparseOp":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "SparseOp":
         if c == 0:
@@ -272,6 +284,8 @@ class SparseOp:
                     continue
                 for r, av in left_col.items():
                     acc[r] = acc.get(r, 0) + av * bv
+            if 0 in acc.values():  # signed entries cancelled
+                acc = {r: v for r, v in acc.items() if v}
             if acc:
                 cols[c] = acc
         return SparseOp(self.tf, cols)
@@ -313,9 +327,6 @@ class SparseOp:
             return NotImplemented
         return self.cols == other.cols
 
-    def __hash__(self):
-        raise TypeError("SparseOp is unhashable")
-
     def level_shift(self) -> int | None:
         """The uniform level shift of all entries, or None if mixed/empty."""
         shifts = {self.tf.levels[r] - self.tf.levels[c] for r, c, _ in self.entries()}
@@ -346,36 +357,23 @@ def creation_from_vector(tf: TruncatedFock, kind: str, xi: QuadVector) -> Sparse
     summand.  Words pushed past the top level are dropped (truncation).
     """
     ts = tf.ts
-    sep = SEP_ETA if kind == "s" else SEP_RHO
+    # the level-0 marker each tile word comes from: q[right] for s, p[bottom] for t
+    if kind == "s":
+        sep, markers = SEP_ETA, [ts.edges_b.index(t.right) for t in ts.tiles]
+    else:
+        first_p = len(ts.edges_b)  # the p markers follow the q markers
+        sep, markers = SEP_RHO, [first_p + ts.edges_a.index(t.bottom) for t in ts.tiles]
+    coeffs = xi.coeffs
     cols: dict[int, dict[int, object]] = {}
-    support = [(tile, c) for tile, c in zip(ts.tiles, xi.coeffs) if c != 0]
-    for i, word in enumerate(tf.words):
-        if word.level == 0:
-            wanted = "q" if kind == "s" else "p"
-            if word.base_kind != wanted:
-                continue
-            col = {}
-            for tile, c in support:
-                matches = (
-                    tile.right == word.base if kind == "s" else tile.bottom == word.base
-                )
-                if matches:
-                    j = tf.index[FockWord(tiles=(tile,), seps=())]
-                    col[j] = col.get(j, 0) + c
-            if col:
-                cols[i] = col
+    for j in range(len(ts.edges_a) + len(ts.edges_b), tf.dim):
+        head, first_sep, tail = tf.splits[j]
+        c = coeffs[head]
+        if not c:
             continue
-        if word.level >= tf.max_level:
-            continue
-        first = word.tiles[0]
-        col = {}
-        for tile, c in support:
-            if glued(tile, sep, first):
-                extended = FockWord(tiles=(tile,) + word.tiles, seps=(sep,) + word.seps)
-                j = tf.index[extended]
-                col[j] = col.get(j, 0) + c
-        if col:
-            cols[i] = col
+        if first_sep is None:
+            cols.setdefault(markers[head], {})[j] = c
+        elif first_sep == sep:
+            cols.setdefault(tail, {})[j] = c
     return SparseOp(tf, cols)
 
 
@@ -383,20 +381,30 @@ def creation(tf: TruncatedFock, kind: str, edge: Edge) -> SparseOp:
     """s_alpha (kind 's', A-edge) or t_a (kind 't', B-edge)."""
     ts = tf.ts
     if kind == "s":
-        if edge not in ts.edges_a:
-            raise (LayerMismatch if edge in ts.edges_b else UnknownEdge)(
-                f"{edge.id} is not an A-layer edge"
-            )
-        xi = QuadVector(coeffs=tuple(int(t.top == edge) for t in ts.tiles))
+        own, other, side, layer = ts.edges_a, ts.edges_b, "top", "an A"
     elif kind == "t":
-        if edge not in ts.edges_b:
-            raise (LayerMismatch if edge in ts.edges_a else UnknownEdge)(
-                f"{edge.id} is not a B-layer edge"
-            )
-        xi = QuadVector(coeffs=tuple(int(t.left == edge) for t in ts.tiles))
+        own, other, side, layer = ts.edges_b, ts.edges_a, "left", "a B"
     else:
         raise ValueError(f"kind must be 's' or 't', got {kind!r}")
+    if edge not in own:
+        raise (LayerMismatch if edge in other else UnknownEdge)(
+            f"{edge.id} is not {layer}-layer edge"
+        )
+    xi = QuadVector(coeffs=tuple(int(getattr(t, side) == edge) for t in ts.tiles))
     return creation_from_vector(tf, kind, xi)
+
+
+def _exact(c):
+    """An integral coefficient as int, any other as it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _by_first_tile(tf: TruncatedFock, marker_value, tile_values) -> list:
+    """Per word: ``marker_value(word)`` on level 0, else its first tile's value."""
+    return [
+        marker_value(word) if split is None else tile_values[split[0]]
+        for word, split in zip(tf.words, tf.splits)
+    ]
 
 
 def left_action_op(tf: TruncatedFock, kind: str, elem: EdgeElem) -> SparseOp:
@@ -409,26 +417,20 @@ def left_action_op(tf: TruncatedFock, kind: str, elem: EdgeElem) -> SparseOp:
     if kind == "rho":
         if elem.layer != LAYER_A:
             raise LayerMismatch("rho action takes an A-layer vector")
-        lookup = {e: c for e, c in zip(ts.edges_a, elem.coeffs)}
-
-        def value(word: FockWord):
-            if word.tiles:
-                return lookup[word.tiles[0].top]
-            return lookup[word.base] if word.base_kind == "p" else 0
-
+        marker_kind, side = "p", "top"
     elif kind == "eta":
         if elem.layer != LAYER_B:
             raise LayerMismatch("eta action takes a B-layer vector")
-        lookup = {e: c for e, c in zip(ts.edges_b, elem.coeffs)}
-
-        def value(word: FockWord):
-            if word.tiles:
-                return lookup[word.tiles[0].left]
-            return lookup[word.base] if word.base_kind == "q" else 0
-
+        marker_kind, side = "q", "left"
     else:
         raise ValueError(f"kind must be 'rho' or 'eta', got {kind!r}")
-    return SparseOp.diagonal(tf, value)
+    coeff = {e: _exact(c) for e, c in zip(ts.edges(elem.layer), elem.coeffs)}
+    values = _by_first_tile(
+        tf,
+        lambda word: coeff[word.base] if word.base_kind == marker_kind else 0,
+        [coeff[getattr(t, side)] for t in ts.tiles],
+    )
+    return SparseOp.diagonal(tf, values)
 
 
 def vertex_action_op(tf: TruncatedFock, y: DiagElem) -> SparseOp:
@@ -440,13 +442,11 @@ def vertex_action_op(tf: TruncatedFock, y: DiagElem) -> SparseOp:
     factors vanish on level 0, where the two level-0 conventions cannot
     disagree.
     """
-
-    def value(word: FockWord):
-        if word.tiles:
-            return y[word.tiles[0].top.source]
-        return y[word.base.source]
-
-    return SparseOp.diagonal(tf, value)
+    at = [None] + [_exact(c) for c in y.coeffs]  # 1-based vertices
+    values = _by_first_tile(
+        tf, lambda word: at[word.base.source], [at[t.top.source] for t in tf.ts.tiles]
+    )
+    return SparseOp.diagonal(tf, values)
 
 
 def graded_projection(tf: TruncatedFock, which, n: int | None = None) -> SparseOp:
@@ -456,15 +456,10 @@ def graded_projection(tf: TruncatedFock, which, n: int | None = None) -> SparseO
     range of the s-family above level 1); 'eta' keeps first separator rho.
     """
     if which == "level":
-        return SparseOp.diagonal(tf, lambda w: 1 if w.level == n else 0)
-    if which == "rho":
-        return SparseOp.diagonal(
-            tf, lambda w: 1 if w.level >= 2 and w.seps[0] == SEP_ETA else 0
-        )
-    if which == "eta":
-        return SparseOp.diagonal(
-            tf, lambda w: 1 if w.level >= 2 and w.seps[0] == SEP_RHO else 0
-        )
+        return SparseOp.diagonal(tf, [int(lv == n) for lv in tf.levels])
+    if which in ("rho", "eta"):
+        sep = SEP_ETA if which == "rho" else SEP_RHO
+        return SparseOp.diagonal(tf, [1 if split and split[1] == sep else 0 for split in tf.splits])
     raise ValueError(f"which must be 'level', 'rho' or 'eta', got {which!r}")
 
 
@@ -817,15 +812,6 @@ def _range_proj_support(bank):
             yield f"{lay.name}{lay.name}*[{x.id}] {lay.own}", rng @ lay.diag[x], rng
 
 
-def _cross_proj_commutation(bank):
-    h, v = bank.layers
-    for alpha in h.edges:
-        for a in v.edges:
-            p, q, ss, tt = h.diag[alpha], v.diag[a], h.range[alpha], v.range[a]
-            yield f"[ss*[{alpha.id}], q[{a.id}]]", ss @ q, q @ ss
-            yield f"[tt*[{a.id}], p[{alpha.id}]]", tt @ p, p @ tt
-
-
 def _initial_sums(bank, cross: bool):
     # u*u is the sum of the diagonal over the edges that can follow u, in
     # its own layer or (cross) the opposite one
@@ -834,17 +820,6 @@ def _initial_sums(bank, cross: bool):
         for x in lay.edges:
             rhs = sum((op for d, op in diag.items() if d.source == x.target), bank.zero)
             yield f"{lay.name}*{lay.name}[{x.id}]", lay.initial[x], rhs
-
-
-def _corner_selection(bank):
-    left_table, bottom_table = kappa_indicators(bank.ts)
-    h, v = bank.layers
-    for alpha in h.edges:
-        for a in v.edges:
-            rhs = sum((v.diag[d] for d in v.edges if (a, alpha, d) in left_table), bank.zero)
-            yield f"s*[{alpha.id}] q[{a.id}] s", h.adj[alpha] @ v.diag[a] @ h.op[alpha], rhs
-            rhs = sum((h.diag[d] for d in h.edges if (alpha, a, d) in bottom_table), bank.zero)
-            yield f"t*[{a.id}] p[{alpha.id}] t", v.adj[a] @ h.diag[alpha] @ v.op[a], rhs
 
 
 def _corner_commutation(bank):
@@ -882,22 +857,6 @@ def _corner_transition(bank):
             x = lay.edge_of(pair)
             rhs = sum((f for f, keep in zip(corners, bank.quad[lay.index][i]) if keep), bank.zero)
             yield f"{lay.name}*[{x.id}] e {lay.name} (row {i})", lay.adj[x] @ e @ lay.op[x], rhs
-
-
-def _vertex_commutation_quotient(bank):
-    for k, phi in bank.layers[1].vertex.items():
-        for lay in bank.layers:
-            for x, rng in lay.range.items():
-                yield f"[{lay.name}{lay.name}*[{x.id}], E{k}]", rng @ phi, phi @ rng
-
-
-def _vertex_compression_quotient(bank):
-    eta = bank.layers[1].vertex
-    for k, phi in eta.items():
-        for lay in bank.layers:
-            for x in lay.edges:
-                rhs = eta[x.target] if k == x.source else bank.zero
-                yield f"{lay.name}*[{x.id}] E{k} {lay.name}", lay.adj[x] @ phi @ lay.op[x], rhs
 
 
 def _generator_partition(bank):
@@ -958,17 +917,17 @@ _TABLE = (
     _Row(RELATIONS, "embedding_agreement", "source embedding acts equally through both layers", 0, 2, (_embedding_agreement,)),
     _Row(RELATIONS, "edge_partitions", "sum p = sum q = sum uu* + vv* = 1", 1, 2, (_edge_sums, _unit_partition)),
     _Row(RELATIONS, "range_proj_support", "uu* p_u = uu*, vv* q_v = vv*", 1, 2, (_range_proj_support,)),
-    _Row(RELATIONS, "cross_proj_commutation", "[uu*, q] = 0, [vv*, p] = 0", 1, 2, (_cross_proj_commutation,)),
+    _Row(RELATIONS, "cross_proj_commutation", "[uu*, q] = 0, [vv*, p] = 0", 1, 2, (_diagonal_commutation,)),
     _Row(RELATIONS, "initial_projections", "u*u = sum of p over following edges (and v*v dually)", 1, 2, (partial(_initial_sums, cross=False),)),
-    _Row(RELATIONS, "corner_selection", "u* q u and v* p v select tiles with the fixed corner", 2, 2, (_corner_selection,)),
+    _Row(RELATIONS, "corner_selection", "u* q u and v* p v select tiles with the fixed corner", 2, 2, (_cross_layer_pullback,)),
     _Row(RELATIONS, "corner_projection_commutation", "p and q commute", 0, 2, (_corner_commutation,)),
     _Row(RELATIONS, "initial_support_by_composability", "u*u = sum of q over composable edges", 1, 2, (partial(_initial_sums, cross=True),)),
     _Row(RELATIONS, "shared_range_initials", "r(alpha) = r(a) forces u*u = v*v", 1, 2, (_shared_range_initials,)),
     _Row(RELATIONS, "corner_partition", "sum over corner pairs of e = 1", 1, 2, (_corner_partition,)),
     _Row(RELATIONS, "range_proj_corner_refinement", "uu* = sum_a uu* e = sum_a e uu*", 1, 2, (_range_proj_corner_refinement,)),
     _Row(RELATIONS, "corner_transition", "u* e u = row of the horizontal matrix over e (vertical dual)", 2, 2, (_corner_transition,)),
-    _Row(RELATIONS, "vertex_commutation_quotient", "[uu*, y] = [vv*, y] = 0 for vertex y", 1, 2, (_vertex_commutation_quotient,)),
-    _Row(RELATIONS, "vertex_compression_quotient", "u* y u and v* y v move vertex masses along edges", 2, 2, (_vertex_compression_quotient,)),
+    _Row(RELATIONS, "vertex_commutation_quotient", "[uu*, y] = [vv*, y] = 0 for vertex y", 1, 2, (_vertex_commutation,)),
+    _Row(RELATIONS, "vertex_compression_quotient", "u* y u and v* y v move vertex masses along edges", 2, 2, (_vertex_sandwich,)),
     _Row(GENERATORS, "generator_partition", "sum SS* + sum TT* = 1", 2, 2, (_generator_partition,)),
     _Row(GENERATORS, "horizontal_transition", "S*S = sum A[(row),(col)] (SS* + TT*)", 2, 2, (partial(_generator_transition, index=0),)),
     _Row(GENERATORS, "vertical_transition", "T*T = sum B[(row),(col)] (SS* + TT*)", 2, 2, (partial(_generator_transition, index=1),)),

@@ -10,7 +10,7 @@ and every such pair of paths fills one: the unique factorization of the
 2-graph of (A, B, kappa) (Kumjian-Pask, New York J. Math. 6 (2000)).  So
 ``count_rectangles`` is 1^T A^w B^h 1 for every kappa, and the rows of
 width k number 1^T A^k B 1, which the cap check reads first.  Patches of at
-most 9 cells are re-counted by brute force.
+most 9 cells are re-counted by brute force within ``BRUTE_FORCE_WORK``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ from .textile import IntMatrix, TextileSystem, Tile
 
 DEFAULT_ROW_CAP = 200_000
 BRUTE_FORCE_CELLS = 9
+# the re-count runs while the count times the number of tiles (the candidate
+# tiles the brute force tries per cell) is at most this: 2**20 candidates
+# take 0.3 s to 3 s (0.3 to 2.6 us each on a 2-vCPU x86 host), while
+# exchange [[8]] x [[8]] at 3x3 (2**24) takes 24 s
+BRUTE_FORCE_WORK = 2**20
 
 
 def glue(direction: str, first: Tile, second: Tile) -> bool:
@@ -103,7 +108,8 @@ def count_rectangles(ts: TextileSystem, height: int, width: int, cap: int = DEFA
     """Number of admissible height x width patches (see the module docstring)."""
     _check_shape(ts, height, width, cap)
     total = sum(_power(ts.matrix_a, width, _power(ts.matrix_b, height, [1] * ts.n_vertices)))
-    brute = _brute_force_count(ts, height, width) if height * width <= BRUTE_FORCE_CELLS else total
+    small = height * width <= BRUTE_FORCE_CELLS and total * len(ts.tiles) <= BRUTE_FORCE_WORK
+    brute = _brute_force_count(ts, height, width) if small else total
     if brute != total:
         raise CrossCheckFailure(
             f"matrix count {total} != brute-force count {brute} for a {height}x{width} patch"

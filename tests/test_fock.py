@@ -9,7 +9,7 @@ import pytest
 import quadtex as q
 import quadtex.fock as fock
 
-from quadtex.algebra import DiagElem, EdgeElem
+from quadtex.algebra import DiagElem, EdgeElem, pullback_along_kappa
 from quadtex.errors import BasisTooLarge, LayerMismatch, TruncationTooShallow, UnknownEdge
 from quadtex.fock import (
     FockWord,
@@ -18,6 +18,7 @@ from quadtex.fock import (
     basis_vector,
     ck_generators,
     creation,
+    creation_from_vector,
     fock_basis,
     graded_projection,
     left_action_op,
@@ -26,7 +27,9 @@ from quadtex.fock import (
     verify_fock_identities,
     verify_relations_hk,
 )
+from quadtex.ktheory import random_commuting_pair
 from conftest import by_id
+import creation_oracle
 
 
 @pytest.fixture(scope="module")
@@ -444,8 +447,19 @@ def test_one_bank_and_one_evaluation_per_twin(fibonacci, monkeypatch):
         "_same_layer_compression",
         "_cross_layer_pullback",
         "_unit_partition",
+        "_vertex_commutation",
+        "_vertex_sandwich",
     ):
         assert evaluated.count(twin) == 1, twin
+    # rows whose cases are those of a twin's builder, compared on their own block
+    builders = {r.identity_id: r.builders for r in fock._TABLE}
+    for row, twin in (
+        ("corner_selection", "cross_layer_pullback"),
+        ("cross_proj_commutation", "range_proj_diag_commutation"),
+        ("vertex_commutation_quotient", "vertex_commutation"),
+        ("vertex_compression_quotient", "vertex_sandwich"),
+    ):
+        assert builders[row] == builders[twin], row
 
 
 WORD_LABEL = re.compile(r"^([pq]\[[^]]+\]|\([^,()]+,[^,()]+\)(-[hv]-\([^,()]+,[^,()]+\))*)$")
@@ -526,3 +540,93 @@ def test_basis_and_bank_are_freed_without_the_cycle_collector(fibonacci):
         assert basis() is None and bank() is None
     finally:
         gc.enable()
+
+
+def _seeded_specifications(count, seed, total_cap, per_system=3):
+    """Systems with tiles from ``random_commuting_pair``, up to
+    ``per_system`` specifications each."""
+    rng = random.Random(seed)
+    systems = []
+    while len(systems) < count:
+        a, b = random_commuting_pair(rng, total_cap=total_cap)
+        kappas = list(q.enumerate_kappas(a, b, limit=per_system))
+        if q.build_system(a.rows, b.rows, kappas[0]).tiles:
+            systems.append([q.build_system(a.rows, b.rows, k) for k in kappas])
+    return systems
+
+
+def _assert_creation_matches_oracle(ts, level):
+    tf = fock_basis(ts, level)
+    for kind, edges, side in (("s", ts.edges_a, "top"), ("t", ts.edges_b, "left")):
+        for edge in edges:
+            xi = q.QuadVector(coeffs=tuple(int(getattr(t, side) == edge) for t in ts.tiles))
+            op = creation(tf, kind, edge)
+            assert op == creation_oracle.creation_from_vector(tf, kind, xi), (kind, edge)
+        for tag, xi in fock._seeded_tile_vectors(ts):
+            op = creation_from_vector(tf, kind, xi)
+            assert op == creation_oracle.creation_from_vector(tf, kind, xi), (kind, tag)
+
+
+def test_creation_matches_the_rebuild_oracle(all_systems, fibonacci_alt):
+    # every s_alpha and t_a and both seeded rational vectors per layer, on
+    # bundled and seeded systems with several specifications each
+    seeded = [ts for specs in _seeded_specifications(10, seed=1618, total_cap=6) for ts in specs]
+    for ts in all_systems + [fibonacci_alt] + seeded:
+        for level in (4, 5):
+            _assert_creation_matches_oracle(ts, level)
+
+
+def test_splits_decompose_every_word(all_systems, fibonacci_alt):
+    for ts in all_systems + [fibonacci_alt]:
+        tf = fock_basis(ts, 4)
+        for word, split in zip(tf.words, tf.splits):
+            if word.level == 0:
+                assert split is None
+                continue
+            head, first_sep, tail = split
+            assert ts.tiles[head] == word.tiles[0]
+            if word.level == 1:
+                assert first_sep is None and tail is None
+            else:
+                assert first_sep == word.seps[0]
+                assert tf.words[tail] == FockWord(tiles=word.tiles[1:], seps=word.seps[1:])
+
+
+def test_cancelling_sums_and_products_store_no_zero(tf_exchange, exchange_pair):
+    zero = SparseOp.zero(tf_exchange)
+    a = SparseOp(tf_exchange, {0: {0: 1, 1: Fraction(2, 3)}, 2: {3: -4}})
+    cancelled = [a + a.scale(-1), a.scale(-1) + a]
+    # left @ right adds 1 * 1 and 1 * (-1) in the single entry of column 2
+    left = SparseOp(tf_exchange, {0: {0: 1}, 1: {0: 1}})
+    right = SparseOp(tf_exchange, {2: {0: 1, 1: -1}})
+    cancelled.append(left @ right)
+    # s s* is a projection, so s s* (1 - s s*) cancels in every column
+    s1 = creation(tf_exchange, "s", by_id(exchange_pair, "A:1->1#1"))
+    rng = s1 @ adjoint(s1)
+    cancelled.append(rng @ (SparseOp.identity(tf_exchange) + rng.scale(-1)))
+    for op in cancelled:
+        assert op.nnz() == 0 and op.is_zero() and op == zero and op.cols == {}
+    with pytest.raises(TypeError):
+        hash(zero)
+    # a partial cancellation keeps only the surviving entries
+    partial = a + SparseOp(tf_exchange, {0: {1: Fraction(-2, 3)}, 2: {3: 4, 5: 1}})
+    assert partial.cols == {0: {0: 1}, 2: {5: 1}}
+    assert (left @ SparseOp(tf_exchange, {2: {0: 1, 1: 1}})).cols == {2: {0: 2}}
+
+
+def test_corner_selection_tables_equal_the_pullback(all_systems, fibonacci_alt):
+    # the right-hand side corner_selection used to build from the tile
+    # tables, against the pullback along kappa its twin builds from
+    seeded = [ts for specs in _seeded_specifications(25, seed=2024, total_cap=24) for ts in specs]
+    for ts in all_systems + [fibonacci_alt] + seeded:
+        left_table, bottom_table = q.kappa_indicators(ts)
+        for alpha in ts.edges_a:
+            for a in ts.edges_b:
+                through_s = pullback_along_kappa(ts, alpha, EdgeElem.basis(ts, a))
+                assert through_s.coeffs == tuple(
+                    int((a, alpha, d) in left_table) for d in ts.edges_b
+                )
+                through_t = pullback_along_kappa(ts, a, EdgeElem.basis(ts, alpha))
+                assert through_t.coeffs == tuple(
+                    int((alpha, a, d) in bottom_table) for d in ts.edges_a
+                )

@@ -3,8 +3,8 @@
 Any refactor must reproduce the files under ``tests/golden/`` exactly;
 rewrite them only for an intended change of output.  The files cover
 ``analyze`` on the bundled inputs, the exchange family and singular
-presentations; ``verify`` on the bundled inputs at level 4 and on the two
-smaller ones at levels 5 and 6; ``kappa``, ``tiles`` and ``subshift`` on
+presentations; ``verify`` on the bundled inputs at levels 4 and 5 and on
+one-tile at level 6; ``kappa``, ``tiles`` and ``subshift`` on
 the bundled inputs; and ``subshift`` counts at larger sizes: exchange
 [[3]] x [[4]] at 6x6 and 3x7, fibonacci at 10x6 and exchange-2x3 at 8x8.
 """
@@ -34,15 +34,14 @@ SINGULAR = {
     },
 }
 
-# (golden file stem, subcommand arguments after the input path); verify on
-# exchange-2x3 at level 5 takes several seconds and is left out
+# (golden file stem, subcommand arguments after the input path)
 BUNDLED = (
-    [(f"verify-{n}-l4", n, ["verify", "--level", "4"]) for n in INPUTS]
-    + [
-        ("verify-fibonacci-l5", "fibonacci", ["verify", "--level", "5"]),
-        ("verify-one-tile-l5", "one-tile", ["verify", "--level", "5"]),
-        ("verify-one-tile-l6", "one-tile", ["verify", "--level", "6"]),
+    [
+        (f"verify-{n}-l{level}", n, ["verify", "--level", str(level)])
+        for n in INPUTS
+        for level in (4, 5)
     ]
+    + [("verify-one-tile-l6", "one-tile", ["verify", "--level", "6"])]
     + [(f"kappa-{n}", n, ["kappa", "--limit", "10"]) for n in INPUTS]
     + [(f"tiles-{n}", n, ["tiles"]) for n in INPUTS]
     + [(f"subshift-{n}", n, ["subshift", "--rows", "3", "--cols", "3", "--limit", "5"]) for n in INPUTS]

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from quadtex.ktheory import random_commuting_pair
 from conftest import by_id
 import row_transfer
 from row_transfer import cell_transfer_count, listing_order, row_transfer_count, rows_of_width
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # h < w, h = w and h > w, with and without the brute-force re-count
 ORACLE_SHAPES = [
@@ -166,6 +169,8 @@ def _assert_counts_agree(ts):
         assert count == cell_transfer_count(ts, height, width), (height, width)
         if height * width <= 9:
             assert count == _brute_force_count(ts, height, width), (height, width)
+            # and count_rectangles re-counted it too
+            assert count * len(ts.tiles) <= subshift.BRUTE_FORCE_WORK, (height, width)
 
 
 def test_counts_match_row_oracle_on_bundled_systems(all_systems, fibonacci_alt):
@@ -311,6 +316,41 @@ def test_long_strips_count_and_list_at_once(one_tile):
     assert len(patches) == 1
     patches[0].validate()
     assert patches[0] == next(listing_order(ex34, 2, 9))
+
+
+def _subshift(path, rows, cols) -> list[str]:
+    return ["subshift", str(path), "--rows", str(rows), "--cols", str(cols)]
+
+
+def test_a_disagreeing_brute_force_count_exits_three(monkeypatch, capsys):
+    # every bundled input is re-counted at 3x3, 2x4 and 1x9
+    from quadtex.cli import main
+
+    seen = []
+    monkeypatch.setattr(
+        subshift, "_brute_force_count", lambda ts, h, w: seen.append((h, w)) or -1
+    )
+    inputs = sorted((ROOT / "inputs").glob("*.json"))
+    for path in inputs:
+        for rows, cols in ((3, 3), (2, 4), (1, 9)):
+            assert main(_subshift(path, rows, cols)) == 3, (path.name, rows, cols)
+    assert len(seen) == 3 * len(inputs)
+    assert "brute-force count -1" in capsys.readouterr().err
+
+
+def test_the_re_count_stays_within_its_work_budget(tmp_path, monkeypatch, capsys):
+    # 8**6 patches of 64 tiles: 2**24 candidate tiles, over the budget
+    from quadtex.cli import main
+
+    def unexpected(ts, height, width):
+        raise AssertionError("brute force called over its budget")
+
+    monkeypatch.setattr(subshift, "_brute_force_count", unexpected)
+    path = tmp_path / "exchange-8x8.json"
+    path.write_text('{"A": [[8]], "B": [[8]], "kappa": "exchange"}', encoding="utf-8")
+    assert main(_subshift(path, 3, 3)) == 0
+    assert capsys.readouterr().out == "3x3 patches: 262144\n"
+    assert 262144 * 64 > subshift.BRUTE_FORCE_WORK
 
 
 def test_subalphabet_monotonicity(fibonacci, exchange_pair):

@@ -29,9 +29,7 @@ from .textile import (
     edges_from_matrix,
     enumerate_kappas,
     kappa_indicators,
-    omega_set,
     sigma_blocks,
-    tiles,
 )
 from .algebra import DiagElem, EdgeElem
 from .quadmod import QuadVector
@@ -62,9 +60,7 @@ __all__ = [
     "fock_basis",
     "k_theory",
     "kappa_indicators",
-    "omega_set",
     "sigma_blocks",
     "smith_normal_form",
     "structure_checks",
-    "tiles",
 ]

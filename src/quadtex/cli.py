@@ -15,6 +15,7 @@ an exceeded cap, 3 internal cross-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -206,7 +207,10 @@ def cmd_subshift(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, binding ``cmd_*`` then: patching ``cli.cmd_*``
+    later does not reach it, patching the names those commands call does."""
     parser = argparse.ArgumentParser(
         prog="quadtex",
         description="Invariants and operator identity checks for commuting-matrix tile systems.",

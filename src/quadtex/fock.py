@@ -126,7 +126,6 @@ class TruncatedFock:
     ts: TextileSystem
     max_level: int
     words: tuple[FockWord, ...]
-    index: dict[FockWord, int] = field(repr=False)
     levels: tuple[int, ...] = field(repr=False)
     splits: tuple[tuple[int, str | None, int | None] | None, ...] = field(repr=False)
 
@@ -136,6 +135,11 @@ class TruncatedFock:
 
     def count_at(self, level: int) -> int:
         return sum(1 for lv in self.levels if lv == level)
+
+    @cached_property
+    def index(self) -> dict[FockWord, int]:
+        """Position of each word, hashed on first use; ``verify`` needs none."""
+        return {w: i for i, w in enumerate(self.words)}
 
     @cached_property
     def _bank(self) -> "_Bank":
@@ -216,7 +220,6 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
         ts=ts,
         max_level=max_level,
         words=tuple(words),
-        index={w: i for i, w in enumerate(words)},
         levels=tuple(w.level for w in words),
         splits=tuple(splits),
     )
@@ -245,34 +248,31 @@ class SparseOp:
         """Diagonal operator from one value per basis word."""
         return SparseOp(tf, {i: {i: v} for i, v in enumerate(values) if v})
 
-    def entry(self, row: int, col: int):
-        return self.cols.get(col, {}).get(row, 0)
-
     def entries(self):
         for c, col in self.cols.items():
             for r, v in col.items():
                 yield r, c, v
 
-    def __add__(self, other: "SparseOp") -> "SparseOp":
-        cols = {c: dict(col) for c, col in self.cols.items()}
-        for c, col in other.cols.items():
-            target = cols.setdefault(c, {})
-            for r, v in col.items():
-                total = target.get(r, 0) + v
-                if total:
-                    target[r] = total
-                else:
-                    del target[r]
-            if not target:
-                del cols[c]
-        return SparseOp(self.tf, cols)
+    @staticmethod
+    def sum(tf: TruncatedFock, ops) -> "SparseOp":
+        """Sum in one pass: a column is copied when first met, cancelled entries dropped."""
+        cols: dict[int, dict[int, object]] = {}
+        for op in ops:
+            for c, col in op.cols.items():
+                if (target := cols.get(c)) is None:
+                    cols[c] = dict(col)
+                    continue
+                for r, v in col.items():
+                    if total := target.get(r, 0) + v:
+                        target[r] = total
+                    else:
+                        del target[r]
+                if not target:
+                    del cols[c]
+        return SparseOp(tf, cols)
 
-    def scale(self, c) -> "SparseOp":
-        if c == 0:
-            return SparseOp(self.tf)
-        return SparseOp(
-            self.tf, {j: {r: c * v for r, v in col.items()} for j, col in self.cols.items()}
-        )
+    def __add__(self, other: "SparseOp") -> "SparseOp":
+        return SparseOp.sum(self.tf, (self, other))
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
         cols: dict[int, dict[int, object]] = {}
@@ -296,29 +296,6 @@ class SparseOp:
             cols.setdefault(r, {})[c] = v
         return SparseOp(self.tf, cols)
 
-    def restrict(self, low_level: int, high_level: int) -> "SparseOp":
-        """Cut rows and columns to words with level in [low_level, high_level]."""
-        levels = self.tf.levels
-        cols = {}
-        for c, col in self.cols.items():
-            if not low_level <= levels[c] <= high_level:
-                continue
-            kept = {r: v for r, v in col.items() if low_level <= levels[r] <= high_level}
-            if kept:
-                cols[c] = kept
-        return SparseOp(self.tf, cols)
-
-    def apply(self, vec):
-        """Matrix-vector product; vec is indexable by basis position."""
-        out = [Fraction(0)] * self.tf.dim
-        for c, col in self.cols.items():
-            x = vec[c]
-            if x == 0:
-                continue
-            for r, v in col.items():
-                out[r] += v * x
-        return out
-
     def is_zero(self) -> bool:
         return not self.cols
 
@@ -327,20 +304,8 @@ class SparseOp:
             return NotImplemented
         return self.cols == other.cols
 
-    def level_shift(self) -> int | None:
-        """The uniform level shift of all entries, or None if mixed/empty."""
-        shifts = {self.tf.levels[r] - self.tf.levels[c] for r, c, _ in self.entries()}
-        if len(shifts) == 1:
-            return shifts.pop()
-        return None
-
     def nnz(self) -> int:
         return sum(len(col) for col in self.cols.values())
-
-    @property
-    def unsafe_top_level(self) -> int:
-        """Columns at this level may already have truncated images."""
-        return self.tf.max_level
 
 
 def adjoint(op: SparseOp) -> SparseOp:
@@ -604,7 +569,7 @@ class _Layer:
 
     @cached_property
     def range_sum(self) -> SparseOp:
-        return sum(self.range.values(), SparseOp.zero(self.tf))
+        return SparseOp.sum(self.tf, self.range.values())
 
     @cached_property
     def initial(self) -> dict[Edge, SparseOp]:
@@ -774,8 +739,9 @@ def _diagonal_reconstruction(bank):
 
 def _rank_one_partition(bank, level: int):
     tf = bank.tf
-    vectors = (basis_vector(tf, w) for w in tf.words if w.level == level)
-    total = sum((rank_one(tf, vec, vec) for vec in vectors), bank.zero)
+    positions = (i for i, lv in enumerate(tf.levels) if lv == level)
+    units = ([0] * i + [1] + [0] * (tf.dim - i - 1) for i in positions)
+    total = SparseOp.sum(tf, (rank_one(tf, vec, vec) for vec in units))
     yield "", total, (bank.p0, bank.p1)[level]
 
 
@@ -783,10 +749,8 @@ def _creation_expansion(bank):
     tf, ts = bank.tf, bank.ts
     for tag, xi in _seeded_tile_vectors(ts):
         for lay, oth in bank.mirrored:
-            expanded = bank.zero
-            for x in lay.edges:
-                pairing = lay.inner(ts, lay.unit_vector(ts, x), xi)
-                expanded = expanded + lay.op[x] @ left_action_op(tf, oth.act, pairing)
+            pairings = ((x, lay.inner(ts, lay.unit_vector(ts, x), xi)) for x in lay.edges)
+            expanded = SparseOp.sum(tf, (lay.op[x] @ left_action_op(tf, oth.act, w) for x, w in pairings))
             yield f"{lay.name}[{tag}]", creation_from_vector(tf, lay.name, xi), expanded
 
 
@@ -797,7 +761,7 @@ def _unit_partition(bank):
 
 def _edge_sums(bank):
     for lay in bank.layers:
-        yield f"sum {lay.own}", sum(lay.diag.values(), bank.zero), bank.identity
+        yield f"sum {lay.own}", SparseOp.sum(bank.tf, lay.diag.values()), bank.identity
 
 
 def _embedding_agreement(bank):
@@ -818,7 +782,7 @@ def _initial_sums(bank, cross: bool):
     for lay, oth in bank.mirrored:
         diag = oth.diag if cross else lay.diag
         for x in lay.edges:
-            rhs = sum((op for d, op in diag.items() if d.source == x.target), bank.zero)
+            rhs = SparseOp.sum(bank.tf, (op for d, op in diag.items() if d.source == x.target))
             yield f"{lay.name}*{lay.name}[{x.id}]", lay.initial[x], rhs
 
 
@@ -838,7 +802,7 @@ def _shared_range_initials(bank):
 
 
 def _corner_partition(bank):
-    yield "sum e", sum(bank.e.values(), bank.zero), bank.identity
+    yield "sum e", SparseOp.sum(bank.tf, bank.e.values()), bank.identity
 
 
 def _range_proj_corner_refinement(bank):
@@ -846,8 +810,8 @@ def _range_proj_corner_refinement(bank):
         for x, rng in lay.range.items():
             corners = [e for pair, e in bank.e.items() if lay.edge_of(pair) == x]
             label = f"{lay.name}{lay.name}*[{x.id}] via e"
-            yield f"{label} (right)", rng, sum((rng @ e for e in corners), bank.zero)
-            yield f"{label} (left)", rng, sum((e @ rng for e in corners), bank.zero)
+            yield f"{label} (right)", rng, SparseOp.sum(bank.tf, (rng @ e for e in corners))
+            yield f"{label} (left)", rng, SparseOp.sum(bank.tf, (e @ rng for e in corners))
 
 
 def _corner_transition(bank):
@@ -855,18 +819,18 @@ def _corner_transition(bank):
     for i, (pair, e) in enumerate(bank.e.items()):
         for lay in bank.layers:
             x = lay.edge_of(pair)
-            rhs = sum((f for f, keep in zip(corners, bank.quad[lay.index][i]) if keep), bank.zero)
+            rhs = SparseOp.sum(bank.tf, (f for f, keep in zip(corners, bank.quad[lay.index][i]) if keep))
             yield f"{lay.name}*[{x.id}] e {lay.name} (row {i})", lay.adj[x] @ e @ lay.op[x], rhs
 
 
 def _generator_partition(bank):
-    yield "", sum(bank.generator_ranges.values(), bank.zero), bank.identity
+    yield "", SparseOp.sum(bank.tf, bank.generator_ranges.values()), bank.identity
 
 
 def _generator_transition(bank, index: int):
     ranges = list(bank.generator_ranges.values())
     for i, gen in enumerate(bank.generators[index].values()):
-        rhs = sum((r for r, keep in zip(ranges, bank.quad[index][i]) if keep), bank.zero)
+        rhs = SparseOp.sum(bank.tf, (r for r, keep in zip(ranges, bank.quad[index][i]) if keep))
         yield f"row {i}", adjoint(gen) @ gen, rhs
 
 

@@ -16,33 +16,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 
 from .errors import CrossCheckFailure
-from .textile import IntMatrix, TextileSystem, build_system, check_commuting, kappa_indicators
+from .textile import TextileSystem, kappa_indicators
 
 Matrix = list[list[int]]
 
 
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            x = ai[k]
-            if x == 0:
-                continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(cols):
-                oi[j] += x * bk[j]
-    return out
 
 
 def mat_add(a: Matrix, b: Matrix, scale_b: int = 1) -> Matrix:
@@ -106,13 +89,6 @@ def _bareiss(matrix: Matrix) -> tuple[int, int]:
                 row[k] = 0
         prev = p
     return min(rows, cols), sign * prev
-
-
-def int_det(matrix: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    rank, minor = _bareiss(matrix)
-    return minor if rank == n else 0
 
 
 @dataclass
@@ -499,56 +475,6 @@ def structure_checks(h_matrix: Matrix) -> dict:
     }
 
 
-def minor_gcd(matrix: Matrix, k: int) -> int:
-    """Gcd of all k x k minors; the determinant-divisor oracle."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    g = 0
-    for row_idx in itertools.combinations(range(rows), k):
-        for col_idx in itertools.combinations(range(cols), k):
-            sub = [[matrix[i][j] for j in col_idx] for i in row_idx]
-            g = math.gcd(g, int_det(sub))
-            if g == 1:
-                return 1
-    return g
-
-
-def random_commuting_pair(
-    rng: random.Random, size: int = 3, max_entry: int = 2, total_cap: int = 60
-) -> tuple[IntMatrix, IntMatrix]:
-    """A commuting pair built as two polynomials in one random matrix.
-
-    Entries of the base matrix and the polynomial coefficients are bounded
-    by ``max_entry``; samples whose product has more than ``total_cap``
-    composable pairs are rejected so the corner-pair matrices stay small.
-    """
-    while True:
-        n = rng.randint(1, size)
-        base = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
-
-        def poly_of_base():
-            coeffs = [rng.randint(0, max_entry) for _ in range(3)]
-            if all(c == 0 for c in coeffs):
-                coeffs[rng.randrange(3)] = 1
-            acc = [[coeffs[0] if i == j else 0 for j in range(n)] for i in range(n)]
-            power = identity_matrix(n)
-            for c in coeffs[1:]:
-                power = mat_mul(power, base)
-                acc = mat_add(acc, power, scale_b=c)
-            return acc
-
-        a_rows = poly_of_base()
-        b_rows = poly_of_base()
-        product = mat_mul(a_rows, b_rows)
-        total = sum(sum(row) for row in product)
-        if total == 0 or total > total_cap:
-            continue
-        matrix_a = IntMatrix.from_rows(a_rows)
-        matrix_b = IntMatrix.from_rows(b_rows)
-        check_commuting(matrix_a, matrix_b)
-        return matrix_a, matrix_b
-
-
 def analyze_system(ts: TextileSystem) -> dict:
     """Full invariant report: matrices, K-groups, structure and warnings."""
     from .algebra import is_essential
@@ -583,12 +509,3 @@ def analyze_system(ts: TextileSystem) -> dict:
         "warnings": warnings,
     }
 
-
-def presentation_cross_check_pairs(seed: int = 7, count: int = 20):
-    """Deterministic commuting pairs for the presentation cross-check."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        matrix_a, matrix_b = random_commuting_pair(rng)
-        out.append(build_system(matrix_a.rows, matrix_b.rows, "lex"))
-    return out

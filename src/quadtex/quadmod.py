@@ -9,7 +9,6 @@ corner vertex, the bottom edge, or the right edge respectively.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,41 +144,3 @@ def empty_basis_edges(ts: TextileSystem) -> list[Edge]:
         e for e in ts.edges_b if e not in lefts
     ]
 
-
-def reconstruct_from_top_basis(ts: TextileSystem, xi: QuadVector) -> QuadVector:
-    """Sum over alpha of u_alpha acted on the right by <u_alpha | xi>_eta.
-
-    Must reproduce xi exactly: the top-edge vectors form an orthogonal basis
-    for the right B-layer module structure.
-    """
-    total = QuadVector.zeros(ts)
-    for alpha in ts.edges_a:
-        u = top_basis_vector(ts, alpha)
-        total = total + act_right_eta(ts, u, inner_eta(ts, u, xi))
-    return total
-
-
-def reconstruct_from_left_basis(ts: TextileSystem, xi: QuadVector) -> QuadVector:
-    """Symmetric reconstruction through the left-edge vectors and the rho pairing."""
-    total = QuadVector.zeros(ts)
-    for a in ts.edges_b:
-        v = left_basis_vector(ts, a)
-        total = total + act_right_rho(ts, v, inner_rho(ts, v, xi))
-    return total
-
-
-def norms(ts: TextileSystem, xi: QuadVector) -> tuple[float, float, float]:
-    """(vertex, rho, eta) norms of a vector.
-
-    Each is the square root of the largest diagonal entry of the matching
-    self-pairing: groups of tiles sharing a corner vertex, a bottom edge, or
-    a right edge.
-    """
-    by_vertex = inner_vertex(ts, xi, xi)
-    by_bottom = inner_rho(ts, xi, xi)
-    by_right = inner_eta(ts, xi, xi)
-    return (
-        math.sqrt(max((float(c) for c in by_vertex.coeffs), default=0.0)),
-        math.sqrt(max((float(c) for c in by_bottom.coeffs), default=0.0)),
-        math.sqrt(max((float(c) for c in by_right.coeffs), default=0.0)),
-    )

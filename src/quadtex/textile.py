@@ -370,16 +370,6 @@ def build_system(a_rows, b_rows, kappa="lex") -> TextileSystem:
     )
 
 
-def tiles(ts: TextileSystem) -> tuple[Tile, ...]:
-    """The tile alphabet, one square per kappa pairing, ordered by (top, right)."""
-    return ts.tiles
-
-
-def omega_set(ts: TextileSystem) -> tuple[OmegaPair, ...]:
-    """Distinct (top, left) corner pairs of the tiles, ordered by (alpha, a)."""
-    return ts.omega
-
-
 def kappa_indicators(ts: TextileSystem):
     """0/1 existence tables for tiles with two fixed edges.
 

@@ -1,0 +1,207 @@
+"""Test oracles and test-only helpers for the exact package.
+
+* K-theory: ``minor_gcd`` (the gcd of all k x k minors, the
+  determinant-divisor oracle for invariant factors), ``int_det`` and
+  ``mat_mul``; ``random_commuting_pair`` and
+  ``presentation_cross_check_pairs`` draw seeded commuting pairs.
+* Module: the two reconstruction identities through the top- and
+  left-edge basis vectors, and ``squared_norms``, the exact squares of
+  the vertex, rho and eta norms.
+* Operators: ``entry``, ``apply``, ``scale``, ``restrict`` and
+  ``level_shift`` on a ``SparseOp``; they read only its ``cols`` and
+  ``tf``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+from quadtex.fock import SparseOp
+from quadtex.ktheory import Matrix, _bareiss, identity_matrix, mat_add
+from quadtex.quadmod import (
+    QuadVector,
+    act_right_eta,
+    act_right_rho,
+    inner_eta,
+    inner_rho,
+    inner_vertex,
+    left_basis_vector,
+    top_basis_vector,
+)
+from quadtex.textile import IntMatrix, TextileSystem, build_system, check_commuting
+
+
+# ---------------------------------------------------------------------------
+# K-theory
+# ---------------------------------------------------------------------------
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        for k in range(inner):
+            x = ai[k]
+            if x == 0:
+                continue
+            bk = b[k]
+            oi = out[i]
+            for j in range(cols):
+                oi[j] += x * bk[j]
+    return out
+
+
+def int_det(matrix: Matrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(matrix)
+    rank, minor = _bareiss(matrix)
+    return minor if rank == n else 0
+
+
+def minor_gcd(matrix: Matrix, k: int) -> int:
+    """Gcd of all k x k minors; the determinant-divisor oracle."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    g = 0
+    for row_idx in itertools.combinations(range(rows), k):
+        for col_idx in itertools.combinations(range(cols), k):
+            sub = [[matrix[i][j] for j in col_idx] for i in row_idx]
+            g = math.gcd(g, int_det(sub))
+            if g == 1:
+                return 1
+    return g
+
+
+def random_commuting_pair(
+    rng: random.Random, size: int = 3, max_entry: int = 2, total_cap: int = 60
+) -> tuple[IntMatrix, IntMatrix]:
+    """A commuting pair built as two polynomials in one random matrix.
+
+    Entries of the base matrix and the polynomial coefficients are bounded
+    by ``max_entry``; samples whose product has more than ``total_cap``
+    composable pairs are rejected so the corner-pair matrices stay small.
+    """
+    while True:
+        n = rng.randint(1, size)
+        base = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
+
+        def poly_of_base():
+            coeffs = [rng.randint(0, max_entry) for _ in range(3)]
+            if all(c == 0 for c in coeffs):
+                coeffs[rng.randrange(3)] = 1
+            acc = [[coeffs[0] if i == j else 0 for j in range(n)] for i in range(n)]
+            power = identity_matrix(n)
+            for c in coeffs[1:]:
+                power = mat_mul(power, base)
+                acc = mat_add(acc, power, scale_b=c)
+            return acc
+
+        a_rows = poly_of_base()
+        b_rows = poly_of_base()
+        product = mat_mul(a_rows, b_rows)
+        total = sum(sum(row) for row in product)
+        if total == 0 or total > total_cap:
+            continue
+        matrix_a = IntMatrix.from_rows(a_rows)
+        matrix_b = IntMatrix.from_rows(b_rows)
+        check_commuting(matrix_a, matrix_b)
+        return matrix_a, matrix_b
+
+
+def presentation_cross_check_pairs(seed: int = 7, count: int = 20):
+    """Deterministic commuting pairs for the presentation cross-check."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        matrix_a, matrix_b = random_commuting_pair(rng)
+        out.append(build_system(matrix_a.rows, matrix_b.rows, "lex"))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the tile-spanned module
+# ---------------------------------------------------------------------------
+
+
+def reconstruct_from_top_basis(ts: TextileSystem, xi: QuadVector) -> QuadVector:
+    """Sum over alpha of u_alpha acted on the right by <u_alpha | xi>_eta.
+
+    Must reproduce xi exactly: the top-edge vectors form an orthogonal basis
+    for the right B-layer module structure.
+    """
+    total = QuadVector.zeros(ts)
+    for alpha in ts.edges_a:
+        u = top_basis_vector(ts, alpha)
+        total = total + act_right_eta(ts, u, inner_eta(ts, u, xi))
+    return total
+
+
+def reconstruct_from_left_basis(ts: TextileSystem, xi: QuadVector) -> QuadVector:
+    """Symmetric reconstruction through the left-edge vectors and the rho pairing."""
+    total = QuadVector.zeros(ts)
+    for a in ts.edges_b:
+        v = left_basis_vector(ts, a)
+        total = total + act_right_rho(ts, v, inner_rho(ts, v, xi))
+    return total
+
+
+def squared_norms(ts: TextileSystem, xi: QuadVector) -> tuple[Fraction, Fraction, Fraction]:
+    """Squares of the (vertex, rho, eta) norms of a vector, exactly.
+
+    Each is the largest entry of the matching self-pairing: groups of tiles
+    sharing a corner vertex, a bottom edge, or a right edge.
+    """
+    pairings = (inner_vertex(ts, xi, xi), inner_rho(ts, xi, xi), inner_eta(ts, xi, xi))
+    return tuple(max(p.coeffs, default=Fraction(0)) for p in pairings)
+
+
+# ---------------------------------------------------------------------------
+# operators on the truncated word basis
+# ---------------------------------------------------------------------------
+
+
+def entry(op: SparseOp, row: int, col: int):
+    return op.cols.get(col, {}).get(row, 0)
+
+
+def apply(op: SparseOp, vec):
+    """Matrix-vector product; vec is indexable by basis position."""
+    out = [Fraction(0)] * op.tf.dim
+    for c, col in op.cols.items():
+        x = vec[c]
+        if x == 0:
+            continue
+        for r, v in col.items():
+            out[r] += v * x
+    return out
+
+
+def scale(op: SparseOp, c) -> SparseOp:
+    if c == 0:
+        return SparseOp(op.tf)
+    return SparseOp(op.tf, {j: {r: c * v for r, v in col.items()} for j, col in op.cols.items()})
+
+
+def restrict(op: SparseOp, low_level: int, high_level: int) -> SparseOp:
+    """Cut rows and columns to words with level in [low_level, high_level]."""
+    levels = op.tf.levels
+    cols = {}
+    for c, col in op.cols.items():
+        if not low_level <= levels[c] <= high_level:
+            continue
+        kept = {r: v for r, v in col.items() if low_level <= levels[r] <= high_level}
+        if kept:
+            cols[c] = kept
+    return SparseOp(op.tf, cols)
+
+
+def level_shift(op: SparseOp) -> int | None:
+    """The uniform level shift of all entries, or None if mixed/empty."""
+    shifts = {op.tf.levels[r] - op.tf.levels[c] for r, c, _ in op.entries()}
+    if len(shifts) == 1:
+        return shifts.pop()
+    return None

@@ -11,16 +11,13 @@ from quadtex.fock import ck_generators, fock_basis, verify_fock_identities, veri
 from quadtex.ktheory import (
     build_quad_matrices,
     identity_matrix,
-    int_det,
     k_theory,
     mat_add,
-    mat_mul,
-    minor_gcd,
-    presentation_cross_check_pairs,
     smith_normal_form,
 )
 from quadtex.subshift import _brute_force_count, count_rectangles
 from conftest import FIB
+from oracles import int_det, mat_mul, minor_gcd, presentation_cross_check_pairs
 from row_transfer import row_transfer_count
 
 EXCHANGE_A_KAPPA = [

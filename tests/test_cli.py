@@ -247,3 +247,30 @@ def test_internal_cross_check_maps_to_exit_three(exchange_input, capsys, monkeyp
     monkeypatch.setattr(cli, "analyze_system", explode)
     assert main(["analyze", exchange_input]) == 3
     assert "cross-check" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_survives_a_parse_error(exchange_input, capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from quadtex.cli import build_parser
+
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["kappa", exchange_input, "--limit", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["kappa", exchange_input, "--limit", "3", "--format", "json"]
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out
+    package_root = str(Path(q.__file__).resolve().parent.parent)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "quadtex.cli", *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert fresh.stdout == in_process

@@ -5,18 +5,14 @@ import quadtex as q
 from quadtex.ktheory import (
     build_quad_matrices,
     identity_matrix,
-    int_det,
     invariant_factors,
     k_theory,
-    presentation_cross_check_pairs,
     mat_add,
-    mat_mul,
-    minor_gcd,
-    random_commuting_pair,
     smith_normal_form,
     structure_checks,
 )
 from conftest import FIB
+from oracles import int_det, mat_mul, minor_gcd, presentation_cross_check_pairs, random_commuting_pair
 
 
 def test_exchange_pair_matrices(exchange_pair):

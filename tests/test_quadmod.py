@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -16,13 +15,11 @@ from quadtex.quadmod import (
     inner_rho,
     inner_vertex,
     left_basis_vector,
-    norms,
-    reconstruct_from_left_basis,
-    reconstruct_from_top_basis,
     top_basis_vector,
 )
 from quadtex.textile import Edge
 from conftest import by_id
+from oracles import reconstruct_from_left_basis, reconstruct_from_top_basis, squared_norms
 
 
 def random_vector(ts, rng):
@@ -102,31 +99,27 @@ def test_reconstruction(all_systems):
 
 
 def test_norms(exchange_pair):
+    # squared norms, compared exactly
     e = QuadVector.basis(exchange_pair, exchange_pair.tiles[0])
-    assert norms(exchange_pair, e) == (1.0, 1.0, 1.0)
+    assert squared_norms(exchange_pair, e) == (1, 1, 1)
     u1 = top_basis_vector(exchange_pair, by_id(exchange_pair, "A:1->1#1"))
-    vertex, _, eta = norms(exchange_pair, u1)
-    assert eta == 1.0
-    assert vertex == pytest.approx(math.sqrt(3), abs=1e-15)
-    assert norms(exchange_pair, QuadVector.zeros(exchange_pair)) == (0.0, 0.0, 0.0)
+    vertex, _, eta = squared_norms(exchange_pair, u1)
+    assert eta == 1
+    assert vertex == 3
+    assert squared_norms(exchange_pair, QuadVector.zeros(exchange_pair)) == (0, 0, 0)
 
 
 def test_norm_equivalence_bounds(all_systems):
     rng = random.Random(23)
     for ts in all_systems:
-        c_rho = float(
-            max(range_sum(ts, embed(ts, "A", DiagElem.unit(ts.n_vertices))).coeffs)
-        )
-        c_eta = float(
-            max(range_sum(ts, embed(ts, "B", DiagElem.unit(ts.n_vertices))).coeffs)
-        )
+        c_rho = max(range_sum(ts, embed(ts, "A", DiagElem.unit(ts.n_vertices))).coeffs)
+        c_eta = max(range_sum(ts, embed(ts, "B", DiagElem.unit(ts.n_vertices))).coeffs)
         for _ in range(200):
             xi = random_vector(ts, rng)
-            vertex, rho, eta = norms(ts, xi)
-            assert rho <= vertex + 1e-12
-            assert vertex <= math.sqrt(c_rho) * rho + 1e-12
-            assert eta <= vertex + 1e-12
-            assert vertex <= math.sqrt(c_eta) * eta + 1e-12
+            # squares of rho <= vertex <= sqrt(c_rho) rho, and likewise for eta
+            vertex, rho, eta = squared_norms(ts, xi)
+            assert rho <= vertex <= c_rho * rho
+            assert eta <= vertex <= c_eta * eta
 
 
 def test_vertex_pairing_collapses_both_edge_pairings(all_systems):

@@ -10,9 +10,10 @@ import random
 
 import quadtex as q
 from quadtex.fock import level_sizes
-from quadtex.ktheory import analyze_system, random_commuting_pair
+from quadtex.ktheory import analyze_system
 from quadtex.subshift import count_rectangles
 from conftest import FIB
+from oracles import random_commuting_pair
 
 SHAPES = [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4), (4, 3)]
 

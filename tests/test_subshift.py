@@ -17,8 +17,8 @@ from quadtex.subshift import (
     wang_tile_list,
     _brute_force_count,
 )
-from quadtex.ktheory import random_commuting_pair
 from conftest import by_id
+from oracles import random_commuting_pair
 import row_transfer
 from row_transfer import cell_transfer_count, listing_order, row_transfer_count, rows_of_width
 

@@ -264,12 +264,12 @@ def test_tile_corner_constraints(all_systems):
 
 
 def test_omega_orderings(exchange_pair, one_tile, fibonacci):
-    omega = q.omega_set(exchange_pair)
+    omega = exchange_pair.omega
     assert [(p.alpha.mult_index, p.a.mult_index) for p in omega] == [
         (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3),
     ]
-    assert len(q.omega_set(one_tile)) == 1
-    assert [(p.alpha.id, p.a.id) for p in q.omega_set(fibonacci)] == [
+    assert len(one_tile.omega) == 1
+    assert [(p.alpha.id, p.a.id) for p in fibonacci.omega] == [
         ("A:1->1#1", "B:1->1#1"),
         ("A:1->2#1", "B:1->2#1"),
         ("A:2->1#1", "B:2->1#1"),

@@ -22,7 +22,10 @@ basis agrees with the untruncated product on any column whose intermediate
 images never leave the basis.  Each verified identity therefore carries a
 margin m and is compared only on the block of rows and columns at levels
 <= L - m (identity suite) or on interior levels [2, L - m] (relation
-suite), where the level-0/1 corrections are provably absent.
+suite), where the level-0/1 corrections are provably absent.  Levels never
+decrease, so levels <= L - m are the first n words; each product runs right to
+left from its last factor cut to them, exactly, as column c of F1 ... Fk is
+F1 (... (Fk[:, c])).  Shared bank operators, as left factors, stay whole.
 
 Identity checks: every checked identity of the three reports (word-space
 identities, universal relations, corner generators) is one row of the
@@ -60,9 +63,10 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Iterator, NamedTuple
 
 from .algebra import DiagElem, EdgeElem, embed, pullback_along_kappa
@@ -134,7 +138,11 @@ class TruncatedFock:
         return len(self.words)
 
     def count_at(self, level: int) -> int:
-        return sum(1 for lv in self.levels if lv == level)
+        return self.prefix(level) - self.prefix(level - 1)
+
+    def prefix(self, level: int) -> int:
+        """Number of words of level <= ``level``: the first ones, as levels never decrease."""
+        return bisect_right(self.levels, level)
 
     @cached_property
     def index(self) -> dict[FockWord, int]:
@@ -364,16 +372,16 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _by_first_tile(tf: TruncatedFock, marker_value, tile_values) -> list:
-    """Per word: ``marker_value(word)`` on level 0, else its first tile's value."""
+def _by_first_tile(tf: TruncatedFock, marker_value, tile_values, n: int | None = None) -> list:
+    """Per word of the first n: ``marker_value(word)`` on level 0, else its first tile's value."""
     return [
         marker_value(word) if split is None else tile_values[split[0]]
-        for word, split in zip(tf.words, tf.splits)
+        for word, split in itertools.islice(zip(tf.words, tf.splits), n)
     ]
 
 
-def left_action_op(tf: TruncatedFock, kind: str, elem: EdgeElem) -> SparseOp:
-    """Diagonal left action of an edge vector.
+def left_action_op(tf: TruncatedFock, kind: str, elem: EdgeElem, n: int | None = None) -> SparseOp:
+    """Diagonal left action of an edge vector, on the first n words (all by default).
 
     rho reads the first tile's top edge (level 0: scales A-edge markers);
     eta reads the first tile's left edge (level 0: scales B-edge markers).
@@ -394,6 +402,7 @@ def left_action_op(tf: TruncatedFock, kind: str, elem: EdgeElem) -> SparseOp:
         tf,
         lambda word: coeff[word.base] if word.base_kind == marker_kind else 0,
         [coeff[getattr(t, side)] for t in ts.tiles],
+        n,
     )
     return SparseOp.diagonal(tf, values)
 
@@ -507,19 +516,19 @@ class Report:
 
 
 def _differences(tf: TruncatedFock, cases, high: int) -> list:
-    """(case, {(row, col): (lhs, rhs)}) for the entries on levels <= high
-    where the two sides of a case differ; empty maps when all are equal."""
-    levels = tf.levels
+    """(case, {(row, col): (lhs, rhs)}) for the entries on levels <= high, the words
+    0..n-1, where the two sides of a case differ; empty maps when all are equal."""
+    n = tf.prefix(high)
     out = []
     for label, lhs, rhs in cases:
         diff = {}
-        for c in lhs.cols.keys() | rhs.cols.keys():
-            if levels[c] > high:
-                continue
+        for c in range(n):
             left, right = lhs.cols.get(c, {}), rhs.cols.get(c, {})
+            if left == right:
+                continue
             for r in left.keys() | right.keys():
                 pair = (left.get(r, 0), right.get(r, 0))
-                if levels[r] <= high and pair[0] != pair[1]:
+                if r < n and pair[0] != pair[1]:
                     diff[r, c] = pair
         out.append((label, diff))
     return out
@@ -603,12 +612,18 @@ class _Bank:
         self._differences: dict = {}
 
     def differences(self, builder, margin: int) -> list:
-        """The builder's cases compared on levels <= L - margin, computed once."""
+        """The builder's cases, given the block bound n, compared on levels <= L - margin, computed once."""
         key = (builder, margin)
         if key not in self._differences:
             high = self.tf.max_level - margin
-            self._differences[key] = _differences(self.tf, builder(self), high)
+            self._differences[key] = _differences(self.tf, builder(self, self.tf.prefix(high)), high)
         return self._differences[key]
+
+    def product(self, n: int, *factors: SparseOp) -> SparseOp:
+        """Columns 0..n-1 of F1 ... Fk, right to left from Fk cut to them: F1 (... (Fk[:, c]))."""
+        *left, last = factors
+        cut = SparseOp(self.tf, {c: last.cols[c] for c in range(n) if c in last.cols})
+        return reduce(lambda out, op: op @ out, reversed(left), cut)
 
     @cached_property
     def quad(self) -> tuple:
@@ -639,105 +654,109 @@ class _Bank:
         }
 
 
-# Builders: each yields (case, lhs, rhs) triples for one bank.  Mirrored
-# relations loop over the two layers; names in labels come from the layer
-# (s/t for the creation family, p/q for its diagonal).
+# Builders: each yields (case, lhs, rhs) triples for one bank, given the
+# block bound n of the comparison: every product goes through
+# ``bank.product(n, ...)``, so no column past the block is computed.
+# Mirrored relations loop over the two layers; names in labels come from
+# the layer (s/t for the creation family, p/q for its diagonal).
 
 
-def _creation_range(bank):
+def _creation_range(bank, n):
     for lay in bank.layers:
         yield f"{lay.name}-family", lay.range_sum, bank.p1 + lay.range_proj
 
 
-def _range_partition(bank):
+def _range_partition(bank, n):
     h, v = bank.layers
     yield "", h.range_sum + v.range_sum + bank.p0, bank.identity + bank.p1
 
 
-def _co_isometry(bank):
+def _co_isometry(bank, n):
     tf, ts = bank.tf, bank.ts
     for lay, oth in bank.mirrored:
-        n = lay.name
+        name = lay.name
         for x, z in itertools.product(lay.edges, repeat=2):
             pairing = lay.inner(ts, lay.unit_vector(ts, z), lay.unit_vector(ts, x))
-            lhs = lay.initial[x] if z == x else lay.adj[z] @ lay.op[x]
-            yield f"{n}*[{z.id}]{n}[{x.id}]", lhs, left_action_op(tf, oth.act, pairing)
+            lhs = lay.initial[x] if z == x else bank.product(n, lay.adj[z], lay.op[x])
+            yield f"{name}*[{z.id}]{name}[{x.id}]", lhs, left_action_op(tf, oth.act, pairing, n)
 
 
-def _vertex_sandwich(bank):
+def _vertex_sandwich(bank, n):
     for lay, oth in bank.mirrored:
         for x in lay.edges:
             for v, phi in bank.vertex.items():
                 rhs = oth.vertex[x.target] if v == x.source else bank.zero
-                yield f"{lay.name}*[{x.id}] E{v} {lay.name}", lay.adj[x] @ phi @ lay.op[x], rhs
+                yield f"{lay.name}*[{x.id}] E{v} {lay.name}", bank.product(n, lay.adj[x], phi, lay.op[x]), rhs
 
 
-def _vertex_commutation(bank):
+def _vertex_commutation(bank, n):
     for lay, oth in bank.mirrored:
         for x, rng in lay.range.items():
             for v, phi in bank.vertex.items():
                 label = f"[{lay.name}{lay.name}*[{x.id}], E{v}]"
-                yield label, rng @ oth.vertex[v], phi @ rng
+                yield label, bank.product(n, rng, oth.vertex[v]), bank.product(n, phi, rng)
 
 
-def _tile_word_commutation(bank):
+def _tile_word_commutation(bank, n):
     h, v = bank.layers
     for tile in bank.ts.tiles:
-        word = v.op[tile.left] @ h.op[tile.bottom] @ v.adj[tile.right] @ h.adj[tile.top]
+        word = (v.op[tile.left], h.op[tile.bottom], v.adj[tile.right], h.adj[tile.top])
         for k, phi in bank.vertex.items():
-            yield f"tile {tile!r}, E{k}", word @ phi, phi @ word
+            yield f"tile {tile!r}, E{k}", bank.product(n, *word, phi), bank.product(n, phi, *word)
 
 
-def _compressed_range(bank):
+def _compressed_range(bank, n):
     # the compressed element of a vertex mass at v through an edge is
     # nonzero only at v = r(edge); both branches are exercised
     for lay in bank.layers:
         for x in lay.edges:
             for v, phi in lay.vertex.items():
-                lhs = lay.diag[x] @ lay.range_proj if v == x.target else bank.zero
-                yield f"{lay.own}[{x.id}] from E{v}", lhs, lay.op[x] @ phi @ lay.adj[x]
+                lhs = bank.product(n, lay.diag[x], lay.range_proj) if v == x.target else bank.zero
+                yield f"{lay.own}[{x.id}] from E{v}", lhs, bank.product(n, lay.op[x], phi, lay.adj[x])
 
 
-def _diagonal_commutation(bank):
+def _diagonal_commutation(bank, n):
     diagonals = [(f"{lay.own}[{d.id}]", op) for lay in bank.layers for d, op in lay.diag.items()]
     for lay in bank.layers:
         for x, rng in lay.range.items():
             for name, op in diagonals:
-                yield f"[{lay.name}{lay.name}*[{x.id}], {name}]", rng @ op, op @ rng
+                label = f"[{lay.name}{lay.name}*[{x.id}], {name}]"
+                yield label, bank.product(n, rng, op), bank.product(n, op, rng)
 
 
-def _same_layer_compression(bank):
+def _same_layer_compression(bank, n):
     for lay, oth in bank.mirrored:
         for x in lay.edges:
             for d, op in lay.diag.items():
                 rhs = oth.vertex[x.target] if d == x else bank.zero
                 label = f"{lay.name}*[{x.id}] {lay.own}[{d.id}] {lay.name}"
-                yield label, lay.adj[x] @ op @ lay.op[x], rhs
+                yield label, bank.product(n, lay.adj[x], op, lay.op[x]), rhs
 
 
-def _cross_layer_pullback(bank):
+def _cross_layer_pullback(bank, n):
     for lay, oth in bank.mirrored:
         for x in lay.edges:
             for d, op in oth.diag.items():
                 twisted = pullback_along_kappa(bank.ts, x, EdgeElem.basis(bank.ts, d))
                 label = f"{lay.name}*[{x.id}] {oth.own}[{d.id}] {lay.name}"
-                yield label, lay.adj[x] @ op @ lay.op[x], left_action_op(bank.tf, oth.act, twisted)
+                lhs = bank.product(n, lay.adj[x], op, lay.op[x])
+                yield label, lhs, left_action_op(bank.tf, oth.act, twisted, n)
 
 
-def _diagonal_reconstruction(bank):
+def _diagonal_reconstruction(bank, n):
     # only the matching creation term survives: compressing p_gamma
     # through s_alpha gives the range mass when alpha == gamma, else 0
     for lay, oth in bank.mirrored:
         for g, op in lay.diag.items():
             rhs = (
-                lay.op[g] @ oth.vertex[g.target] @ lay.adj[g]
-                + oth.range_proj @ op @ oth.range_proj
-                + bank.p0 @ op @ bank.p0
+                bank.product(n, lay.op[g], oth.vertex[g.target], lay.adj[g])
+                + bank.product(n, oth.range_proj, op, oth.range_proj)
+                + bank.product(n, bank.p0, op, bank.p0)
             )
             yield f"{lay.own}[{g.id}]", op, rhs
 
 
-def _rank_one_partition(bank, level: int):
+def _rank_one_partition(bank, n, level: int):
     tf = bank.tf
     positions = (i for i, lv in enumerate(tf.levels) if lv == level)
     units = ([0] * i + [1] + [0] * (tf.dim - i - 1) for i in positions)
@@ -745,38 +764,38 @@ def _rank_one_partition(bank, level: int):
     yield "", total, (bank.p0, bank.p1)[level]
 
 
-def _creation_expansion(bank):
+def _creation_expansion(bank, n):
     tf, ts = bank.tf, bank.ts
     for tag, xi in _seeded_tile_vectors(ts):
         for lay, oth in bank.mirrored:
             pairings = ((x, lay.inner(ts, lay.unit_vector(ts, x), xi)) for x in lay.edges)
-            expanded = SparseOp.sum(tf, (lay.op[x] @ left_action_op(tf, oth.act, w) for x, w in pairings))
-            yield f"{lay.name}[{tag}]", creation_from_vector(tf, lay.name, xi), expanded
+            terms = (bank.product(n, lay.op[x], left_action_op(tf, oth.act, w, n)) for x, w in pairings)
+            yield f"{lay.name}[{tag}]", creation_from_vector(tf, lay.name, xi), SparseOp.sum(tf, terms)
 
 
-def _unit_partition(bank):
+def _unit_partition(bank, n):
     h, v = bank.layers
     yield "sum ss* + tt*", h.range_sum + v.range_sum, bank.identity
 
 
-def _edge_sums(bank):
+def _edge_sums(bank, n):
     for lay in bank.layers:
         yield f"sum {lay.own}", SparseOp.sum(bank.tf, lay.diag.values()), bank.identity
 
 
-def _embedding_agreement(bank):
+def _embedding_agreement(bank, n):
     h, v = bank.layers
     for k in bank.vertex:
         yield f"E{k}", h.vertex[k], v.vertex[k]
 
 
-def _range_proj_support(bank):
+def _range_proj_support(bank, n):
     for lay in bank.layers:
         for x, rng in lay.range.items():
-            yield f"{lay.name}{lay.name}*[{x.id}] {lay.own}", rng @ lay.diag[x], rng
+            yield f"{lay.name}{lay.name}*[{x.id}] {lay.own}", bank.product(n, rng, lay.diag[x]), rng
 
 
-def _initial_sums(bank, cross: bool):
+def _initial_sums(bank, n, cross: bool):
     # u*u is the sum of the diagonal over the edges that can follow u, in
     # its own layer or (cross) the opposite one
     for lay, oth in bank.mirrored:
@@ -786,14 +805,14 @@ def _initial_sums(bank, cross: bool):
             yield f"{lay.name}*{lay.name}[{x.id}]", lay.initial[x], rhs
 
 
-def _corner_commutation(bank):
+def _corner_commutation(bank, n):
     h, v = bank.layers
     for alpha, p in h.diag.items():
         for a, q in v.diag.items():
-            yield f"[p[{alpha.id}], q[{a.id}]]", p @ q, q @ p
+            yield f"[p[{alpha.id}], q[{a.id}]]", bank.product(n, p, q), bank.product(n, q, p)
 
 
-def _shared_range_initials(bank):
+def _shared_range_initials(bank, n):
     h, v = bank.layers
     for alpha in h.edges:
         for a in v.edges:
@@ -801,40 +820,40 @@ def _shared_range_initials(bank):
                 yield f"s*s[{alpha.id}] = t*t[{a.id}]", h.initial[alpha], v.initial[a]
 
 
-def _corner_partition(bank):
+def _corner_partition(bank, n):
     yield "sum e", SparseOp.sum(bank.tf, bank.e.values()), bank.identity
 
 
-def _range_proj_corner_refinement(bank):
+def _range_proj_corner_refinement(bank, n):
     for lay in bank.layers:
         for x, rng in lay.range.items():
             corners = [e for pair, e in bank.e.items() if lay.edge_of(pair) == x]
             label = f"{lay.name}{lay.name}*[{x.id}] via e"
-            yield f"{label} (right)", rng, SparseOp.sum(bank.tf, (rng @ e for e in corners))
-            yield f"{label} (left)", rng, SparseOp.sum(bank.tf, (e @ rng for e in corners))
+            yield f"{label} (right)", rng, SparseOp.sum(bank.tf, (bank.product(n, rng, e) for e in corners))
+            yield f"{label} (left)", rng, SparseOp.sum(bank.tf, (bank.product(n, e, rng) for e in corners))
 
 
-def _corner_transition(bank):
+def _corner_transition(bank, n):
     corners = list(bank.e.values())
     for i, (pair, e) in enumerate(bank.e.items()):
         for lay in bank.layers:
             x = lay.edge_of(pair)
             rhs = SparseOp.sum(bank.tf, (f for f, keep in zip(corners, bank.quad[lay.index][i]) if keep))
-            yield f"{lay.name}*[{x.id}] e {lay.name} (row {i})", lay.adj[x] @ e @ lay.op[x], rhs
+            yield f"{lay.name}*[{x.id}] e {lay.name} (row {i})", bank.product(n, lay.adj[x], e, lay.op[x]), rhs
 
 
-def _generator_partition(bank):
+def _generator_partition(bank, n):
     yield "", SparseOp.sum(bank.tf, bank.generator_ranges.values()), bank.identity
 
 
-def _generator_transition(bank, index: int):
+def _generator_transition(bank, n, index: int):
     ranges = list(bank.generator_ranges.values())
     for i, gen in enumerate(bank.generators[index].values()):
         rhs = SparseOp.sum(bank.tf, (r for r, keep in zip(ranges, bank.quad[index][i]) if keep))
-        yield f"row {i}", adjoint(gen) @ gen, rhs
+        yield f"row {i}", bank.product(n, adjoint(gen), gen), rhs
 
 
-def _corner_decomposition(bank):
+def _corner_decomposition(bank, n):
     for pair, e in bank.e.items():
         yield f"({pair.alpha.id},{pair.a.id})", e, bank.generator_ranges[pair]
 

@@ -485,8 +485,9 @@ BROKEN_BY_DOUBLED_S = {
 }
 
 
-def test_a_broken_bank_operator_is_caught(exchange_pair, monkeypatch):
-    alpha = by_id(exchange_pair, "A:1->1#1")
+def _double_s(monkeypatch, ts):
+    """Make every bank built from now on double s for the A-edge A:1->1#1."""
+    alpha = by_id(ts, "A:1->1#1")
     real = fock.creation
 
     def doubled(tf, kind, edge):
@@ -494,6 +495,10 @@ def test_a_broken_bank_operator_is_caught(exchange_pair, monkeypatch):
         return scale(op, 2) if edge == alpha else op
 
     monkeypatch.setattr(fock, "creation", doubled)
+
+
+def test_a_broken_bank_operator_is_caught(exchange_pair, monkeypatch):
+    _double_s(monkeypatch, exchange_pair)
     tf = fock_basis(exchange_pair, 4)
     checks = [
         c
@@ -667,3 +672,115 @@ def test_verify_builds_no_word_index(exchange_pair):
     for i, word in enumerate(tf.words):
         vec = basis_vector(tf, word)
         assert vec[i] == 1 and sum(vec) == 1
+
+
+def _distinct_builders():
+    """Every (builder, margin) of the table, once, in table order."""
+    return list(dict.fromkeys((b, r.margin) for r in fock._TABLE for b in r.builders))
+
+
+def test_levels_never_decrease_and_prefixes_count_them(all_systems, fibonacci_alt):
+    # the block of levels <= h is the first prefix(h) words only because
+    # levels never decrease along the basis
+    seeded = [specs[0] for specs in _seeded_specifications(6, seed=3141, total_cap=6, per_system=1)]
+    for ts in all_systems + [fibonacci_alt] + seeded:
+        tf = fock_basis(ts, 5)
+        assert list(tf.levels) == sorted(tf.levels)
+        sizes = list(level_sizes(ts, 5))
+        assert [tf.count_at(n) for n in range(6)] == sizes
+        assert [tf.prefix(n) for n in range(-1, 6)] == [sum(sizes[: n + 1]) for n in range(-1, 6)]
+
+
+def _assert_block_equals_full(tf):
+    bank = tf._bank
+    for builder, margin in _distinct_builders():
+        high = tf.max_level - margin
+        full = fock._differences(tf, builder(bank, tf.dim), high)
+        assert bank.differences(builder, margin) == full, (builder, margin)
+
+
+def test_block_evaluation_equals_full_evaluation(all_systems, fibonacci_alt):
+    # each builder with its products cut to the block, against the same
+    # builder with every column kept, compared on the same block
+    seeded = [specs[0] for specs in _seeded_specifications(3, seed=577, total_cap=6, per_system=1)]
+    for ts in all_systems + [fibonacci_alt] + seeded:
+        for level in (4, 5):
+            _assert_block_equals_full(fock_basis(ts, level))
+
+
+def test_block_evaluation_equals_full_evaluation_on_a_broken_bank(exchange_pair, monkeypatch):
+    _double_s(monkeypatch, exchange_pair)
+    for level in (4, 5):
+        tf = fock_basis(exchange_pair, level)
+        _assert_block_equals_full(tf)
+        differing = {b for b, m in _distinct_builders() if any(d for _, d in tf._bank.differences(b, m))}
+        assert len(differing) >= 10
+
+
+def test_no_product_computes_a_column_outside_its_block(exchange_pair, monkeypatch):
+    tf = fock_basis(exchange_pair, 5)
+    bank = tf._bank
+    # the shared operators are whole by design: build them before watching
+    for lay in bank.layers:
+        lay.range_sum, lay.initial
+    bank.e, bank.generators, bank.generator_ranges, bank.quad
+    right_columns = []
+    real = SparseOp.__matmul__
+
+    def watched(left, right):
+        right_columns.extend(right.cols)
+        return real(left, right)
+
+    monkeypatch.setattr(SparseOp, "__matmul__", watched)
+    margins = {}
+    for builder, margin in _distinct_builders():
+        n = tf.prefix(tf.max_level - margin)
+        right_columns.clear()
+        bank.differences(builder, margin)
+        assert all(c < n for c in right_columns), (builder, margin, n)
+        margins[margin] = margins.get(margin, 0) + len(right_columns)
+    # every margin of the table made products; margin 0 is the whole basis
+    assert sorted(margins) == [0, 1, 2, 4] and all(margins.values())
+    assert tf.prefix(tf.max_level) == tf.dim
+    assert any(r.identity_id == "corner_projection_commutation" and r.margin == 0 for r in fock._TABLE)
+
+
+# the witnesses of the doubled-s run at level 4, as the full products gave
+# them before products were cut to their block
+_TILE = "(A:1->1#1,B:1->1#1)"
+_H, _V, _Q = f"{_TILE}-h-{_TILE}", f"{_TILE}-v-{_TILE}", "q[B:1->1#1]"
+DOUBLED_S_WITNESSES = {
+    "creation_range": ("s-family", _TILE, _TILE, "4", "1"),
+    "range_partition": ("", _TILE, _TILE, "5", "2"),
+    "co_isometry": ("s*[A:1->1#1]s[A:1->1#1]", _Q, _Q, "4", "1"),
+    "vertex_sandwich": ("s*[A:1->1#1] E1 s", _Q, _Q, "4", "1"),
+    "compressed_range": ("p[A:1->1#1] from E1", _H, _H, "1", "4"),
+    "twisted_sandwich": ("s*[A:1->1#1] p[A:1->1#1] s", _Q, _Q, "4", "1"),
+    "diagonal_reconstruction": ("p[A:1->1#1]", _TILE, _TILE, "1", "4"),
+    "creation_expansion": ("s[rand0]", _TILE, _Q, "-1/2", "-1"),
+    "unit_partition_interior": ("sum ss* + tt*", _H, _H, "4", "1"),
+    "unit_partition_uncut": ("", _TILE, _TILE, "5", "2"),
+    "same_layer_compression": ("s*[A:1->1#1] p[A:1->1#1] s", _H, _H, "4", "1"),
+    "cross_layer_pullback": ("s*[A:1->1#1] q[B:1->1#1] s", _H, _H, "4", "1"),
+    "edge_partitions": ("sum ss* + tt*", _H, _H, "4", "1"),
+    "initial_projections": ("s*s[A:1->1#1]", _H, _H, "4", "1"),
+    "corner_selection": ("s*[A:1->1#1] q[B:1->1#1] s", _H, _H, "4", "1"),
+    "initial_support_by_composability": ("s*s[A:1->1#1]", _H, _H, "4", "1"),
+    "shared_range_initials": ("s*s[A:1->1#1] = t*t[B:1->1#1]", _H, _H, "4", "1"),
+    "corner_transition": ("s*[A:1->1#1] e s (row 0)", _H, _H, "4", "1"),
+    "vertex_compression_quotient": ("s*[A:1->1#1] E1 s", _H, _H, "4", "1"),
+    "generator_partition": ("", _H, _H, "4", "1"),
+    "horizontal_transition": ("row 0", _V, _V, "4", "1"),
+    "vertical_transition": ("row 0", _H, _H, "1", "4"),
+    "corner_decomposition": (_TILE, _H, _H, "1", "4"),
+}
+
+
+def test_doubled_s_witnesses_are_pinned(exchange_pair, monkeypatch):
+    _double_s(monkeypatch, exchange_pair)
+    tf = fock_basis(exchange_pair, 4)
+    reports = (verify_fock_identities(tf), verify_relations_hk(tf), ck_generators(tf)[2])
+    witnesses = {c.identity_id: c.witness for r in reports for c in r.checks if c.status == "fail"}
+    assert set(DOUBLED_S_WITNESSES) == BROKEN_BY_DOUBLED_S
+    keys = ("case", "row", "col", "lhs", "rhs")
+    assert witnesses == {i: dict(zip(keys, w)) for i, w in DOUBLED_S_WITNESSES.items()}

@@ -4,7 +4,7 @@ Any refactor must reproduce the files under ``tests/golden/`` exactly;
 rewrite them only for an intended change of output.  The files cover
 ``analyze`` on the bundled inputs, the exchange family and singular
 presentations; ``verify`` on the bundled inputs at levels 4 and 5 and on
-one-tile at level 6; ``kappa``, ``tiles`` and ``subshift`` on
+one-tile and exchange-2x3 at level 6; ``kappa``, ``tiles`` and ``subshift`` on
 the bundled inputs; and ``subshift`` counts at larger sizes: exchange
 [[3]] x [[4]] at 6x6 and 3x7, fibonacci at 10x6 and exchange-2x3 at 8x8.
 """
@@ -41,7 +41,7 @@ BUNDLED = (
         for n in INPUTS
         for level in (4, 5)
     ]
-    + [("verify-one-tile-l6", "one-tile", ["verify", "--level", "6"])]
+    + [(f"verify-{n}-l6", n, ["verify", "--level", "6"]) for n in ("exchange-2x3", "one-tile")]
     + [(f"kappa-{n}", n, ["kappa", "--limit", "10"]) for n in INPUTS]
     + [(f"tiles-{n}", n, ["tiles"]) for n in INPUTS]
     + [(f"subshift-{n}", n, ["subshift", "--rows", "3", "--cols", "3", "--limit", "5"]) for n in INPUTS]

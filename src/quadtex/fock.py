@@ -25,7 +25,10 @@ margin m and is compared only on the block of rows and columns at levels
 suite), where the level-0/1 corrections are provably absent.  Levels never
 decrease, so levels <= L - m are the first n words; each product runs right to
 left from its last factor cut to them, exactly, as column c of F1 ... Fk is
-F1 (... (Fk[:, c])).  Shared bank operators, as left factors, stay whole.
+F1 (... (Fk[:, c])).  Every compared side holds only these columns.  The
+shared products ss* and SS* + TT* keep the columns of levels <= L - 1: each
+row that reads them has margin >= 1 and puts them at most left of a
+diagonal.  Creations, adjoints, diagonals, e, S and T stay whole.
 
 Identity checks: every checked identity of the three reports (word-space
 identities, universal relations, corner generators) is one row of the
@@ -38,14 +41,15 @@ every row and reports the first differing entry of the row's block
 [low, L - m] as the witness.
 
 One ``_Bank`` per basis (``TruncatedFock._bank``) holds the primitive
-operators with integer entries (``Fraction`` enters only through the
-rational tile vectors of ``creation_expansion`` and the edge vectors they
-pair to) and the products several identities share: sum ss* and sum tt*,
-s*s and t*t, the corner projections e = p q, A_kappa and B_kappa, and per
-corner pair S = e s, T = e t and SS* + TT*.  It keeps, per builder, only
-the entries where the two sides differ (nothing when the identity holds),
-so ids that share a builder are evaluated once per basis and each reports
-on its own block:
+operators with integer entries (``creation_expansion`` scales its rational
+tile vectors by the lcm of their denominators, and only the differing
+entries of a case are divided back into ``Fraction``s for the witness) and
+the products several identities share: sum ss* and sum tt*, s*s and t*t,
+the corner projections e = p q, A_kappa and B_kappa, and per corner pair
+S = e s, T = e t and SS* + TT*.  It keeps, per builder, only the entries
+where the two sides differ (nothing when the identity holds), so ids that
+share a builder are evaluated once per basis and each reports on its own
+block:
 
 * ``range_partition`` and ``unit_partition_uncut``, both on [0, L-1];
 * ``diagonal_commutation`` on [0, L-1], ``range_proj_diag_commutation``
@@ -62,6 +66,7 @@ on its own block:
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -517,19 +522,21 @@ class Report:
 
 def _differences(tf: TruncatedFock, cases, high: int) -> list:
     """(case, {(row, col): (lhs, rhs)}) for the entries on levels <= high, the words
-    0..n-1, where the two sides of a case differ; empty maps when all are equal."""
+    0..n-1, where the two sides of a case differ, divided by the case's optional
+    4th item (a denominator of both sides); empty maps when all are equal."""
     n = tf.prefix(high)
     out = []
-    for label, lhs, rhs in cases:
+    for label, lhs, rhs, *den in cases:
         diff = {}
-        for c in range(n):
+        walked = range(n) if lhs.cols != rhs.cols else ()  # sides equal as wholes agree on the block
+        for c in walked:
             left, right = lhs.cols.get(c, {}), rhs.cols.get(c, {})
             if left == right:
                 continue
             for r in left.keys() | right.keys():
-                pair = (left.get(r, 0), right.get(r, 0))
-                if r < n and pair[0] != pair[1]:
-                    diff[r, c] = pair
+                a, b = left.get(r, 0), right.get(r, 0)
+                if r < n and a != b:
+                    diff[r, c] = (Fraction(a, *den), Fraction(b, *den)) if den else (a, b)
         out.append((label, diff))
     return out
 
@@ -561,15 +568,15 @@ class _Layer:
     diagonal q, acting through eta.
     """
 
-    def __init__(self, tf, index, name, own, act, layer, unit_vector, inner, corner):
-        ts = tf.ts
+    def __init__(self, bank, index, name, own, act, layer, unit_vector, inner, corner):
+        tf, ts = bank.tf, bank.ts
         self.tf, self.index, self.name, self.own, self.act = tf, index, name, own, act
         self.unit_vector, self.inner, self.corner = unit_vector, inner, corner
         self.edges = ts.edges(layer)
         self.op = {x: creation(tf, name, x) for x in self.edges}
         self.adj = {x: adjoint(op) for x, op in self.op.items()}
         self.diag = {x: left_action_op(tf, act, EdgeElem.basis(ts, x)) for x in self.edges}
-        self.range = {x: self.op[x] @ self.adj[x] for x in self.edges}
+        self.range = {x: bank.product(bank.widest, self.op[x], self.adj[x]) for x in self.edges}
         self.range_proj = graded_projection(tf, act)
         self.vertex = {
             v: left_action_op(tf, act, embed(ts, layer, DiagElem.basis(ts.n_vertices, v)))
@@ -595,9 +602,11 @@ class _Bank:
     def __init__(self, tf: TruncatedFock):
         self.tf = tf
         self.ts = ts = tf.ts
+        # every row that reads the shared products has margin >= 1
+        self.widest = tf.prefix(tf.max_level - 1)
         self.layers = (
-            _Layer(tf, 0, "s", "p", "rho", LAYER_A, top_basis_vector, inner_eta, "alpha"),
-            _Layer(tf, 1, "t", "q", "eta", LAYER_B, left_basis_vector, inner_rho, "a"),
+            _Layer(self, 0, "s", "p", "rho", LAYER_A, top_basis_vector, inner_eta, "alpha"),
+            _Layer(self, 1, "t", "q", "eta", LAYER_B, left_basis_vector, inner_rho, "a"),
         )
         # each layer with its opposite one
         self.mirrored = (self.layers, self.layers[::-1])
@@ -625,6 +634,10 @@ class _Bank:
         cut = SparseOp(self.tf, {c: last.cols[c] for c in range(n) if c in last.cols})
         return reduce(lambda out, op: op @ out, reversed(left), cut)
 
+    def sum(self, n: int, *ops: SparseOp) -> SparseOp:
+        """Columns 0..n-1 of the sum, from each operand cut to them."""
+        return SparseOp.sum(self.tf, (self.product(n, op) for op in ops))
+
     @cached_property
     def quad(self) -> tuple:
         """(A_kappa, B_kappa), indexed by layer."""
@@ -646,29 +659,28 @@ class _Bank:
 
     @cached_property
     def generator_ranges(self) -> dict:
-        """SS* + TT* per corner pair."""
-        s_ops, t_ops = self.generators
+        """SS* + TT* per corner pair, on the widest block."""
         return {
-            pair: s_ops[pair] @ adjoint(s_ops[pair]) + t_ops[pair] @ adjoint(t_ops[pair])
-            for pair in s_ops
+            pair: SparseOp.sum(self.tf, (self.product(self.widest, g[pair], adjoint(g[pair])) for g in self.generators))
+            for pair in self.e
         }
 
 
 # Builders: each yields (case, lhs, rhs) triples for one bank, given the
-# block bound n of the comparison: every product goes through
-# ``bank.product(n, ...)``, so no column past the block is computed.
+# block bound n of the comparison: every side is ``bank.product(n, ...)``
+# or ``bank.sum(n, ...)``, so no column past the block is computed or kept.
 # Mirrored relations loop over the two layers; names in labels come from
 # the layer (s/t for the creation family, p/q for its diagonal).
 
 
 def _creation_range(bank, n):
     for lay in bank.layers:
-        yield f"{lay.name}-family", lay.range_sum, bank.p1 + lay.range_proj
+        yield f"{lay.name}-family", bank.product(n, lay.range_sum), bank.sum(n, bank.p1, lay.range_proj)
 
 
 def _range_partition(bank, n):
     h, v = bank.layers
-    yield "", h.range_sum + v.range_sum + bank.p0, bank.identity + bank.p1
+    yield "", bank.sum(n, h.range_sum, v.range_sum, bank.p0), bank.sum(n, bank.identity, bank.p1)
 
 
 def _co_isometry(bank, n):
@@ -677,7 +689,7 @@ def _co_isometry(bank, n):
         name = lay.name
         for x, z in itertools.product(lay.edges, repeat=2):
             pairing = lay.inner(ts, lay.unit_vector(ts, z), lay.unit_vector(ts, x))
-            lhs = lay.initial[x] if z == x else bank.product(n, lay.adj[z], lay.op[x])
+            lhs = bank.product(n, lay.initial[x]) if z == x else bank.product(n, lay.adj[z], lay.op[x])
             yield f"{name}*[{z.id}]{name}[{x.id}]", lhs, left_action_op(tf, oth.act, pairing, n)
 
 
@@ -685,7 +697,7 @@ def _vertex_sandwich(bank, n):
     for lay, oth in bank.mirrored:
         for x in lay.edges:
             for v, phi in bank.vertex.items():
-                rhs = oth.vertex[x.target] if v == x.source else bank.zero
+                rhs = bank.product(n, oth.vertex[x.target] if v == x.source else bank.zero)
                 yield f"{lay.name}*[{x.id}] E{v} {lay.name}", bank.product(n, lay.adj[x], phi, lay.op[x]), rhs
 
 
@@ -728,7 +740,7 @@ def _same_layer_compression(bank, n):
     for lay, oth in bank.mirrored:
         for x in lay.edges:
             for d, op in lay.diag.items():
-                rhs = oth.vertex[x.target] if d == x else bank.zero
+                rhs = bank.product(n, oth.vertex[x.target] if d == x else bank.zero)
                 label = f"{lay.name}*[{x.id}] {lay.own}[{d.id}] {lay.name}"
                 yield label, bank.product(n, lay.adj[x], op, lay.op[x]), rhs
 
@@ -753,7 +765,7 @@ def _diagonal_reconstruction(bank, n):
                 + bank.product(n, oth.range_proj, op, oth.range_proj)
                 + bank.product(n, bank.p0, op, bank.p0)
             )
-            yield f"{lay.own}[{g.id}]", op, rhs
+            yield f"{lay.own}[{g.id}]", bank.product(n, op), rhs
 
 
 def _rank_one_partition(bank, n, level: int):
@@ -761,38 +773,42 @@ def _rank_one_partition(bank, n, level: int):
     positions = (i for i, lv in enumerate(tf.levels) if lv == level)
     units = ([0] * i + [1] + [0] * (tf.dim - i - 1) for i in positions)
     total = SparseOp.sum(tf, (rank_one(tf, vec, vec) for vec in units))
-    yield "", total, (bank.p0, bank.p1)[level]
+    yield "", bank.product(n, total), bank.product(n, (bank.p0, bank.p1)[level])
 
 
 def _creation_expansion(bank, n):
+    # both sides times the lcm d of xi's denominators, so all entries are ints
     tf, ts = bank.tf, bank.ts
     for tag, xi in _seeded_tile_vectors(ts):
+        d = math.lcm(*(c.denominator for c in xi.coeffs))
+        xi = QuadVector(coeffs=tuple(int(c * d) for c in xi.coeffs))
         for lay, oth in bank.mirrored:
             pairings = ((x, lay.inner(ts, lay.unit_vector(ts, x), xi)) for x in lay.edges)
             terms = (bank.product(n, lay.op[x], left_action_op(tf, oth.act, w, n)) for x, w in pairings)
-            yield f"{lay.name}[{tag}]", creation_from_vector(tf, lay.name, xi), SparseOp.sum(tf, terms)
+            lhs = creation_from_vector(tf, lay.name, xi)
+            yield f"{lay.name}[{tag}]", bank.product(n, lhs), SparseOp.sum(tf, terms), d
 
 
 def _unit_partition(bank, n):
     h, v = bank.layers
-    yield "sum ss* + tt*", h.range_sum + v.range_sum, bank.identity
+    yield "sum ss* + tt*", bank.sum(n, h.range_sum, v.range_sum), bank.product(n, bank.identity)
 
 
 def _edge_sums(bank, n):
     for lay in bank.layers:
-        yield f"sum {lay.own}", SparseOp.sum(bank.tf, lay.diag.values()), bank.identity
+        yield f"sum {lay.own}", bank.sum(n, *lay.diag.values()), bank.product(n, bank.identity)
 
 
 def _embedding_agreement(bank, n):
     h, v = bank.layers
     for k in bank.vertex:
-        yield f"E{k}", h.vertex[k], v.vertex[k]
+        yield f"E{k}", bank.product(n, h.vertex[k]), bank.product(n, v.vertex[k])
 
 
 def _range_proj_support(bank, n):
     for lay in bank.layers:
         for x, rng in lay.range.items():
-            yield f"{lay.name}{lay.name}*[{x.id}] {lay.own}", bank.product(n, rng, lay.diag[x]), rng
+            yield f"{lay.name}{lay.name}*[{x.id}] {lay.own}", bank.product(n, rng, lay.diag[x]), bank.product(n, rng)
 
 
 def _initial_sums(bank, n, cross: bool):
@@ -801,8 +817,8 @@ def _initial_sums(bank, n, cross: bool):
     for lay, oth in bank.mirrored:
         diag = oth.diag if cross else lay.diag
         for x in lay.edges:
-            rhs = SparseOp.sum(bank.tf, (op for d, op in diag.items() if d.source == x.target))
-            yield f"{lay.name}*{lay.name}[{x.id}]", lay.initial[x], rhs
+            rhs = bank.sum(n, *(op for d, op in diag.items() if d.source == x.target))
+            yield f"{lay.name}*{lay.name}[{x.id}]", bank.product(n, lay.initial[x]), rhs
 
 
 def _corner_commutation(bank, n):
@@ -817,11 +833,11 @@ def _shared_range_initials(bank, n):
     for alpha in h.edges:
         for a in v.edges:
             if alpha.target == a.target:
-                yield f"s*s[{alpha.id}] = t*t[{a.id}]", h.initial[alpha], v.initial[a]
+                yield f"s*s[{alpha.id}] = t*t[{a.id}]", bank.product(n, h.initial[alpha]), bank.product(n, v.initial[a])
 
 
 def _corner_partition(bank, n):
-    yield "sum e", SparseOp.sum(bank.tf, bank.e.values()), bank.identity
+    yield "sum e", bank.sum(n, *bank.e.values()), bank.product(n, bank.identity)
 
 
 def _range_proj_corner_refinement(bank, n):
@@ -829,8 +845,8 @@ def _range_proj_corner_refinement(bank, n):
         for x, rng in lay.range.items():
             corners = [e for pair, e in bank.e.items() if lay.edge_of(pair) == x]
             label = f"{lay.name}{lay.name}*[{x.id}] via e"
-            yield f"{label} (right)", rng, SparseOp.sum(bank.tf, (bank.product(n, rng, e) for e in corners))
-            yield f"{label} (left)", rng, SparseOp.sum(bank.tf, (bank.product(n, e, rng) for e in corners))
+            yield f"{label} (right)", bank.product(n, rng), SparseOp.sum(bank.tf, (bank.product(n, rng, e) for e in corners))
+            yield f"{label} (left)", bank.product(n, rng), SparseOp.sum(bank.tf, (bank.product(n, e, rng) for e in corners))
 
 
 def _corner_transition(bank, n):
@@ -838,24 +854,24 @@ def _corner_transition(bank, n):
     for i, (pair, e) in enumerate(bank.e.items()):
         for lay in bank.layers:
             x = lay.edge_of(pair)
-            rhs = SparseOp.sum(bank.tf, (f for f, keep in zip(corners, bank.quad[lay.index][i]) if keep))
+            rhs = bank.sum(n, *(f for f, keep in zip(corners, bank.quad[lay.index][i]) if keep))
             yield f"{lay.name}*[{x.id}] e {lay.name} (row {i})", bank.product(n, lay.adj[x], e, lay.op[x]), rhs
 
 
 def _generator_partition(bank, n):
-    yield "", SparseOp.sum(bank.tf, bank.generator_ranges.values()), bank.identity
+    yield "", bank.sum(n, *bank.generator_ranges.values()), bank.product(n, bank.identity)
 
 
 def _generator_transition(bank, n, index: int):
     ranges = list(bank.generator_ranges.values())
     for i, gen in enumerate(bank.generators[index].values()):
-        rhs = SparseOp.sum(bank.tf, (r for r, keep in zip(ranges, bank.quad[index][i]) if keep))
+        rhs = bank.sum(n, *(r for r, keep in zip(ranges, bank.quad[index][i]) if keep))
         yield f"row {i}", bank.product(n, adjoint(gen), gen), rhs
 
 
 def _corner_decomposition(bank, n):
     for pair, e in bank.e.items():
-        yield f"({pair.alpha.id},{pair.a.id})", e, bank.generator_ranges[pair]
+        yield f"({pair.alpha.id},{pair.a.id})", bank.product(n, e), bank.product(n, bank.generator_ranges[pair])
 
 
 class _Row(NamedTuple):

@@ -720,7 +720,8 @@ def test_block_evaluation_equals_full_evaluation_on_a_broken_bank(exchange_pair,
 def test_no_product_computes_a_column_outside_its_block(exchange_pair, monkeypatch):
     tf = fock_basis(exchange_pair, 5)
     bank = tf._bank
-    # the shared operators are whole by design: build them before watching
+    # the shared operators are built once per bank, on the widest block of
+    # their readers (ss*, SS* + TT*) or whole: build them before watching
     for lay in bank.layers:
         lay.range_sum, lay.initial
     bank.e, bank.generators, bank.generator_ranges, bank.quad
@@ -743,6 +744,44 @@ def test_no_product_computes_a_column_outside_its_block(exchange_pair, monkeypat
     assert sorted(margins) == [0, 1, 2, 4] and all(margins.values())
     assert tf.prefix(tf.max_level) == tf.dim
     assert any(r.identity_id == "corner_projection_commutation" and r.margin == 0 for r in fock._TABLE)
+
+
+def _yielded_sides(tf):
+    """(builder, block bound n, case label, side) for both sides of every case
+    of every distinct builder."""
+    for builder, margin in _distinct_builders():
+        n = tf.prefix(tf.max_level - margin)
+        for label, lhs, rhs, *_ in builder(tf._bank, n):
+            yield builder, n, label, lhs
+            yield builder, n, label, rhs
+
+
+def _block_bases(all_systems, fibonacci_alt):
+    seeded = [specs[0] for specs in _seeded_specifications(3, seed=2718, total_cap=6, per_system=1)]
+    return [fock_basis(ts, level) for ts in all_systems + [fibonacci_alt] + seeded for level in (4, 5)]
+
+
+def test_every_side_and_shared_product_stays_on_its_block(all_systems, fibonacci_alt):
+    for tf in _block_bases(all_systems, fibonacci_alt):
+        for builder, n, label, side in _yielded_sides(tf):
+            assert all(c < n for c in side.cols), (builder, label)
+        # ss* and SS* + TT* keep the columns of levels <= L - 1, and no other
+        widest = tf.prefix(tf.max_level - 1)
+        bank = tf._bank
+        shared = [op for lay in bank.layers for op in (lay.range_sum, *lay.range.values())]
+        shared += bank.generator_ranges.values()
+        assert all(c < widest for op in shared for c in op.cols)
+        assert max(c for lay in bank.layers for c in lay.range_sum.cols) >= tf.prefix(tf.max_level - 2)
+
+
+def test_every_yielded_side_has_int_entries(all_systems, fibonacci_alt):
+    denominators = set()
+    for tf in _block_bases(all_systems, fibonacci_alt):
+        for builder, _, label, side in _yielded_sides(tf):
+            assert {type(v) for _, _, v in side.entries()} <= {int}, (builder, label)
+        denominators.update(d for *_, d in fock._creation_expansion(tf._bank, tf.dim))
+    # creation_expansion scaled rational vectors to get there
+    assert max(denominators) > 1
 
 
 # the witnesses of the doubled-s run at level 4, as the full products gave

@@ -3,10 +3,11 @@
 Any refactor must reproduce the files under ``tests/golden/`` exactly;
 rewrite them only for an intended change of output.  The files cover
 ``analyze`` on the bundled inputs, the exchange family and singular
-presentations; ``verify`` on the bundled inputs at levels 4 and 5 and on
-one-tile and exchange-2x3 at level 6; ``kappa``, ``tiles`` and ``subshift`` on
-the bundled inputs; and ``subshift`` counts at larger sizes: exchange
-[[3]] x [[4]] at 6x6 and 3x7, fibonacci at 10x6 and exchange-2x3 at 8x8.
+presentations; ``verify`` on the bundled inputs at levels 4 and 5, on
+one-tile and exchange-2x3 at level 6 and on fibonacci at levels 6 and 7;
+``kappa``, ``tiles`` and ``subshift`` on the bundled inputs; and
+``subshift`` counts at larger sizes: exchange [[3]] x [[4]] at 6x6 and
+3x7, fibonacci at 10x6 and exchange-2x3 at 8x8.
 """
 
 import json
@@ -42,6 +43,7 @@ BUNDLED = (
         for level in (4, 5)
     ]
     + [(f"verify-{n}-l6", n, ["verify", "--level", "6"]) for n in ("exchange-2x3", "one-tile")]
+    + [(f"verify-fibonacci-l{level}", "fibonacci", ["verify", "--level", str(level)]) for level in (6, 7)]
     + [(f"kappa-{n}", n, ["kappa", "--limit", "10"]) for n in INPUTS]
     + [(f"tiles-{n}", n, ["tiles"]) for n in INPUTS]
     + [(f"subshift-{n}", n, ["subshift", "--rows", "3", "--cols", "3", "--limit", "5"]) for n in INPUTS]

@@ -33,7 +33,6 @@ from .textile import (
 )
 from .algebra import DiagElem, EdgeElem
 from .quadmod import QuadVector
-from .fock import FockWord, SparseOp, TruncatedFock, fock_basis
 from .ktheory import KGroups, SNFResult, k_theory, smith_normal_form, structure_checks
 
 __all__ = [
@@ -64,3 +63,12 @@ __all__ = [
     "smith_normal_form",
     "structure_checks",
 ]
+
+
+def __getattr__(name):
+    # the word-space layer is imported on first use (PEP 562)
+    if name in ("FockWord", "SparseOp", "TruncatedFock", "fock_basis"):
+        from . import fock
+
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,6 @@ import sys
 
 from . import __version__
 from .errors import CrossCheckFailure, QuadtexError, TruncationTooShallow
-from .fock import DEFAULT_BASIS_CAP, ck_generators, fock_basis, verify_fock_identities, verify_relations_hk
 from .ktheory import analyze_system
 from .subshift import DEFAULT_ROW_CAP, count_rectangles, enumerate_rectangles, wang_tile_list
 from .textile import build_system, count_specifications, enumerate_kappas
@@ -100,6 +99,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the word-space layer is imported only by the command that uses it
+    from .fock import DEFAULT_BASIS_CAP, ck_generators, fock_basis, verify_fock_identities, verify_relations_hk
+
     ts = _load_input(args.input, args.kappa)
     cap = int(os.environ.get("QUADTEX_BASIS_CAP", DEFAULT_BASIS_CAP))
     tf = fock_basis(ts, args.level, cap=cap)

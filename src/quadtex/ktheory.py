@@ -4,10 +4,11 @@ The corner pairs (top edge, left edge) of the tiles index two 0/1
 transition matrices: the horizontal one allows (alpha, a) -> (delta, b)
 when a tile has top alpha, left a and right b; the vertical one allows
 (alpha, a) -> (beta, d) when a tile has top alpha, left a and bottom beta.
-Stacking them into the 2x2 block matrix [[A, A], [B, B]] gives the
-defining matrix of the associated Cuntz-Krieger algebra, whose K-groups
-are presented by the integer matrix A + B - I through its invariant
-factors.  Those are computed modulo twice a nonzero maximal minor, so no
+Their 2x2 block stack [[A, A], [B, B]] is the defining matrix of the
+associated Cuntz-Krieger algebra.  A + B = R C factors through the edges,
+so its K-groups are presented by C R - I, of size |E_A| + |E_B|; the block
+stack minus the identity presents them independently, as a cross-check.
+Invariant factors are computed modulo twice a nonzero maximal minor, so no
 coefficient grows; the Smith normal form with its unimodular transforms
 is kept as the reference.  All arithmetic is arbitrary-precision integer.
 """
@@ -19,19 +20,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import CrossCheckFailure
-from .textile import TextileSystem, kappa_indicators
+from .textile import TextileSystem
 
 Matrix = list[list[int]]
 
 
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_add(a: Matrix, b: Matrix, scale_b: int = 1) -> Matrix:
-    return [
-        [x + scale_b * y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)
-    ]
 
 
 def _bareiss(matrix: Matrix) -> tuple[int, int]:
@@ -313,83 +308,81 @@ class KGroups:
     k1_free_rank: int
 
     def describe(self) -> tuple[str, str]:
-        parts = [f"Z/{f}Z" for f in self.k0_torsion]
-        if self.k0_free_rank == 1:
-            parts.append("Z")
-        elif self.k0_free_rank > 1:
-            parts.append(f"Z^{self.k0_free_rank}")
-        k0 = " + ".join(parts) if parts else "0"
-        if self.k1_free_rank == 0:
-            k1 = "0"
-        elif self.k1_free_rank == 1:
-            k1 = "Z"
-        else:
-            k1 = f"Z^{self.k1_free_rank}"
-        return k0, k1
+        def free(rank: int) -> list[str]:
+            return [] if rank == 0 else ["Z" if rank == 1 else f"Z^{rank}"]
+
+        k0 = [f"Z/{f}Z" for f in self.k0_torsion] + free(self.k0_free_rank)
+        return " + ".join(k0) or "0", " + ".join(free(self.k1_free_rank)) or "0"
 
 
 def build_quad_matrices(ts: TextileSystem) -> tuple[Matrix, Matrix, Matrix]:
     """Horizontal and vertical 0/1 transition matrices on the corner pairs,
-    plus their 2x2 block stack [[A, A], [B, B]]."""
-    left_table, bottom_table = kappa_indicators(ts)
+    plus their 2x2 block stack [[A, A], [B, B]], in one pass over the tiles:
+    a tile with top alpha and left a puts into row (alpha, a) of A the pairs
+    whose left edge is its right edge, and of B those whose top edge is its
+    bottom edge."""
     omega = ts.omega
     n = len(omega)
+    row_of = {(pair.alpha, pair.a): i for i, pair in enumerate(omega)}
+    by_left, by_top = {}, {}
+    for j, pair in enumerate(omega):
+        by_left.setdefault(pair.a, []).append(j)
+        by_top.setdefault(pair.alpha, []).append(j)
     a_kappa = [[0] * n for _ in range(n)]
     b_kappa = [[0] * n for _ in range(n)]
-    for i, src in enumerate(omega):
-        for j, dst in enumerate(omega):
-            if left_table.get((src.a, src.alpha, dst.a)):
-                a_kappa[i][j] = 1
-            if bottom_table.get((src.alpha, src.a, dst.alpha)):
-                b_kappa[i][j] = 1
-    h_kappa = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            h_kappa[i][j] = h_kappa[i][n + j] = a_kappa[i][j]
-            h_kappa[n + i][j] = h_kappa[n + i][n + j] = b_kappa[i][j]
-    return a_kappa, b_kappa, h_kappa
+    for tile in ts.tiles:
+        i = row_of[tile.top, tile.left]
+        for j in by_left.get(tile.right, ()):
+            a_kappa[i][j] = 1
+        for j in by_top.get(tile.bottom, ()):
+            b_kappa[i][j] = 1
+    return a_kappa, b_kappa, [row + row for row in a_kappa] + [row + row for row in b_kappa]
 
 
-def _groups_from_presentation(matrix: Matrix) -> KGroups:
-    n = len(matrix)
-    factors = invariant_factors(matrix)
-    return KGroups(
-        k0_torsion=[f for f in factors if f > 1],
-        k0_free_rank=n - len(factors),
-        k1_free_rank=n - len(factors),
-    )
+def edge_matrix(ts: TextileSystem) -> Matrix:
+    """C R for A + B = R C, over the A-edges then the B-edges.
 
-
-def k_groups(a_kappa: Matrix, b_kappa: Matrix, h_kappa: Matrix) -> KGroups:
-    """K-groups presented by A + B - I over the corner pairs.
-
-    Recomputes the same groups from the 2x2 block stack minus the identity
-    and raises CrossCheckFailure if the torsion lists or free ranks differ
-    (they agree for every system; a mismatch means a bug).
+    R sends a corner pair to the right and bottom edges of its tiles, C an
+    edge to the pairs with it as left or top edge; so entry (e, e') counts
+    the tiles with e as left or top edge and e' as right or bottom edge.
     """
-    n = len(a_kappa)
-    small = mat_add(mat_add(a_kappa, b_kappa), identity_matrix(n), scale_b=-1)
-    big = mat_add(h_kappa, identity_matrix(2 * n), scale_b=-1)
-    from_small = _groups_from_presentation(small)
-    from_big = _groups_from_presentation(big)
-    same = (
-        from_small.k0_torsion == from_big.k0_torsion
-        and from_small.k0_free_rank == from_big.k0_free_rank
-    )
-    if not same:
+    index = {e: k for k, e in enumerate(ts.edges_a + ts.edges_b)}
+    m = [[0] * len(index) for _ in index]
+    for tile in ts.tiles:
+        right, bottom = index[tile.right], index[tile.bottom]
+        for e in (tile.left, tile.top):
+            row = m[index[e]]
+            row[right] += 1
+            row[bottom] += 1
+    return m
+
+
+def _groups_of(matrix: Matrix) -> KGroups:
+    """K-groups presented by a square matrix minus the identity."""
+    factors = invariant_factors([[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(matrix)])
+    free_rank = len(matrix) - len(factors)
+    return KGroups([f for f in factors if f > 1], free_rank, free_rank)
+
+
+def k_groups(edges: Matrix, h_kappa: Matrix) -> KGroups:
+    """K-groups presented by M - I, M the edge matrix, recomputed from the
+    block stack minus the identity; CrossCheckFailure if the torsion lists
+    or free ranks differ (they agree for every system; a mismatch is a bug)."""
+    from_edges = _groups_of(edges)
+    from_block = _groups_of(h_kappa)
+    if (from_edges.k0_torsion, from_edges.k0_free_rank) != (
+        from_block.k0_torsion, from_block.k0_free_rank
+    ):
         raise CrossCheckFailure(
-            "K-group presentations disagree between A+B-I and the block stack",
-            details={
-                "small": from_small.__dict__,
-                "big": from_big.__dict__,
-            },
+            "K-group presentations disagree between the edge matrix and the block stack",
+            details={"edges": from_edges.__dict__, "block": from_block.__dict__},
         )
-    return from_small
+    return from_edges
 
 
 def k_theory(ts: TextileSystem) -> KGroups:
     """K-groups of a system, cross-checked between both presentations."""
-    return k_groups(*build_quad_matrices(ts))
+    return k_groups(edge_matrix(ts), build_quad_matrices(ts)[2])
 
 
 def _strong_components(adj: list[list[int]]) -> list[list[int]]:
@@ -481,7 +474,7 @@ def analyze_system(ts: TextileSystem) -> dict:
     from .quadmod import empty_basis_edges
 
     a_kappa, b_kappa, h_kappa = build_quad_matrices(ts)
-    groups = k_groups(a_kappa, b_kappa, h_kappa)
+    groups = k_groups(edge_matrix(ts), h_kappa)
     k0, k1 = groups.describe()
     warnings = []
     for layer in ("A", "B"):

@@ -1,9 +1,12 @@
 """Test oracles and test-only helpers for the exact package.
 
 * K-theory: ``minor_gcd`` (the gcd of all k x k minors, the
-  determinant-divisor oracle for invariant factors), ``int_det`` and
-  ``mat_mul``; ``random_commuting_pair`` and
-  ``presentation_cross_check_pairs`` draw seeded commuting pairs.
+  determinant-divisor oracle for invariant factors), ``int_det``,
+  ``mat_mul`` and ``mat_add``; ``quad_matrices_by_definition``, the
+  corner-pair matrices entry by entry from ``kappa_indicators``, and
+  ``corner_pair_presentation``, A + B - I over the corner pairs;
+  ``random_commuting_pair`` and ``presentation_cross_check_pairs`` draw
+  seeded commuting pairs.
 * Module: the two reconstruction identities through the top- and
   left-edge basis vectors, and ``squared_norms``, the exact squares of
   the vertex, rho and eta norms.
@@ -20,7 +23,7 @@ import random
 from fractions import Fraction
 
 from quadtex.fock import SparseOp
-from quadtex.ktheory import Matrix, _bareiss, identity_matrix, mat_add
+from quadtex.ktheory import Matrix, _bareiss, identity_matrix
 from quadtex.quadmod import (
     QuadVector,
     act_right_eta,
@@ -31,7 +34,7 @@ from quadtex.quadmod import (
     left_basis_vector,
     top_basis_vector,
 )
-from quadtex.textile import IntMatrix, TextileSystem, build_system, check_commuting
+from quadtex.textile import IntMatrix, TextileSystem, build_system, check_commuting, kappa_indicators
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +56,33 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             for j in range(cols):
                 oi[j] += x * bk[j]
     return out
+
+
+def mat_add(a: Matrix, b: Matrix, scale_b: int = 1) -> Matrix:
+    return [
+        [x + scale_b * y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)
+    ]
+
+
+def quad_matrices_by_definition(ts: TextileSystem) -> tuple[Matrix, Matrix]:
+    """A_kappa and B_kappa entry by entry over all pairs of corner pairs."""
+    left_table, bottom_table = kappa_indicators(ts)
+    omega = ts.omega
+    n = len(omega)
+    a_kappa = [[0] * n for _ in range(n)]
+    b_kappa = [[0] * n for _ in range(n)]
+    for i, src in enumerate(omega):
+        for j, dst in enumerate(omega):
+            if left_table.get((src.a, src.alpha, dst.a)):
+                a_kappa[i][j] = 1
+            if bottom_table.get((src.alpha, src.a, dst.alpha)):
+                b_kappa[i][j] = 1
+    return a_kappa, b_kappa
+
+
+def corner_pair_presentation(a_kappa: Matrix, b_kappa: Matrix) -> Matrix:
+    """A + B - I, the presentation of the K-groups over the corner pairs."""
+    return mat_add(mat_add(a_kappa, b_kappa), identity_matrix(len(a_kappa)), scale_b=-1)
 
 
 def int_det(matrix: Matrix) -> int:

@@ -12,12 +12,18 @@ from quadtex.ktheory import (
     build_quad_matrices,
     identity_matrix,
     k_theory,
-    mat_add,
     smith_normal_form,
 )
 from quadtex.subshift import _brute_force_count, count_rectangles
 from conftest import FIB
-from oracles import int_det, mat_mul, minor_gcd, presentation_cross_check_pairs
+from oracles import (
+    corner_pair_presentation,
+    int_det,
+    mat_add,
+    mat_mul,
+    minor_gcd,
+    presentation_cross_check_pairs,
+)
 from row_transfer import row_transfer_count
 
 EXCHANGE_A_KAPPA = [
@@ -80,9 +86,7 @@ def test_criterion_2_presentation_cross_check():
     for ts in systems:
         a_kappa, b_kappa, h_kappa = build_quad_matrices(ts)
         n = len(a_kappa)
-        small = smith_normal_form(
-            mat_add(mat_add(a_kappa, b_kappa), identity_matrix(n), scale_b=-1)
-        )
+        small = smith_normal_form(corner_pair_presentation(a_kappa, b_kappa))
         big = smith_normal_form(mat_add(h_kappa, identity_matrix(2 * n), scale_b=-1))
         torsion_small = [f for f in small.invariant_factors if f > 1]
         torsion_big = [f for f in big.invariant_factors if f > 1]

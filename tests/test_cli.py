@@ -249,6 +249,51 @@ def test_internal_cross_check_maps_to_exit_three(exchange_input, capsys, monkeyp
     assert "cross-check" in capsys.readouterr().err
 
 
+def test_a_perturbed_edge_matrix_fails_the_cross_check(exchange_input, capsys, monkeypatch):
+    from quadtex import ktheory
+
+    real = ktheory.edge_matrix
+
+    def perturbed(ts):
+        m = real(ts)
+        m[0][0] += 1
+        return m
+
+    monkeypatch.setattr(ktheory, "edge_matrix", perturbed)
+    assert main(["analyze", exchange_input]) == 3
+    err = capsys.readouterr().err
+    assert "internal cross-check failure" in err
+    assert "edge matrix" in err and "block stack" in err
+
+
+def test_analyze_does_not_import_the_word_space_layer(exchange_input):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = "\n".join([
+        "import sys",
+        "from quadtex.cli import main",
+        f"assert main(['analyze', {exchange_input!r}, '--format', 'json']) == 0",
+        "assert 'quadtex.fock' not in sys.modules, 'analyze imported quadtex.fock'",
+        "import quadtex",
+        "names = {}",
+        "exec('from quadtex import *', names)",
+        "assert set(quadtex.__all__) <= set(names)",
+        "assert names['SparseOp'] is quadtex.SparseOp is sys.modules['quadtex.fock'].SparseOp",
+        "assert not hasattr(quadtex, 'no_such_name')",
+    ])
+    package_root = str(Path(q.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_parser_is_built_once_and_survives_a_parse_error(exchange_input, capsys):
     import os
     import subprocess

@@ -1,18 +1,30 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import quadtex as q
 from quadtex.ktheory import (
     build_quad_matrices,
+    edge_matrix,
     identity_matrix,
     invariant_factors,
     k_theory,
-    mat_add,
     smith_normal_form,
     structure_checks,
 )
 from conftest import FIB
-from oracles import int_det, mat_mul, minor_gcd, presentation_cross_check_pairs, random_commuting_pair
+from oracles import (
+    corner_pair_presentation,
+    int_det,
+    mat_add,
+    mat_mul,
+    minor_gcd,
+    presentation_cross_check_pairs,
+    quad_matrices_by_definition,
+    random_commuting_pair,
+)
+from test_golden import SINGULAR
 
 
 def test_exchange_pair_matrices(exchange_pair):
@@ -70,7 +82,7 @@ def test_snf_worked_example():
 
 def test_snf_of_exchange_presentation(exchange_pair):
     a_kappa, b_kappa, _ = build_quad_matrices(exchange_pair)
-    m = mat_add(mat_add(a_kappa, b_kappa), identity_matrix(6), scale_b=-1)
+    m = corner_pair_presentation(a_kappa, b_kappa)
     snf = smith_normal_form(m)
     assert snf.invariant_factors == [1, 1, 1, 1, 1, 8]
 
@@ -175,7 +187,7 @@ def test_exchange_six_by_seven_regression():
     assert groups.k0_free_rank == 0 and groups.k1_free_rank == 0
     assert math.prod(groups.k0_torsion) == 1_458_000_000
     a_kappa, b_kappa, _ = build_quad_matrices(ts)
-    small = mat_add(mat_add(a_kappa, b_kappa), identity_matrix(42), scale_b=-1)
+    small = corner_pair_presentation(a_kappa, b_kappa)
     assert abs(int_det(small)) == 1_458_000_000
 
 
@@ -192,7 +204,7 @@ def test_k_theory_values(exchange_pair, one_tile, fibonacci):
     # oracle for the fibonacci presentation: cofactor determinant and
     # 2x2 minor gcd fix the invariant factors as (1, 1, 5)
     a_kappa, b_kappa, _ = build_quad_matrices(fibonacci)
-    m = mat_add(mat_add(a_kappa, b_kappa), identity_matrix(3), scale_b=-1)
+    m = corner_pair_presentation(a_kappa, b_kappa)
     assert int_det(m) == 5
     assert minor_gcd(m, 1) == 1
     assert minor_gcd(m, 2) == 1
@@ -212,6 +224,61 @@ def test_presentation_cross_check_over_enumerated_kappas(one_tile):
 def test_presentation_cross_check_on_random_pairs():
     for ts in presentation_cross_check_pairs(seed=3, count=5):
         k_theory(ts)
+
+
+def _systems_for_the_three_presentations():
+    inputs = Path(__file__).resolve().parent.parent / "inputs"
+    for path in sorted(inputs.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        yield q.build_system(doc["A"], doc["B"], doc.get("kappa", "lex"))
+    yield from presentation_cross_check_pairs(7, 20)
+    rng = random.Random(41)
+    for _ in range(12):
+        a, b = random_commuting_pair(rng)
+        for spec in q.enumerate_kappas(a, b, limit=4):
+            yield q.build_system(a.rows, b.rows, spec)
+    for doc in SINGULAR.values():
+        yield q.build_system(doc["A"], doc["B"], doc.get("kappa", "lex"))
+    for p in range(2, 11):
+        yield q.build_system([[p]], [[p + 1]], "exchange")
+
+
+def _k0(presentation):
+    factors = invariant_factors(presentation)
+    return [f for f in factors if f > 1], len(presentation) - len(factors)
+
+
+def _minus_identity(matrix):
+    return mat_add(matrix, identity_matrix(len(matrix)), scale_b=-1)
+
+
+def test_edge_matrix_block_stack_and_corner_pairs_present_the_same_groups():
+    singular = 0
+    for ts in _systems_for_the_three_presentations():
+        a_kappa, b_kappa, h_kappa = build_quad_matrices(ts)
+        # the one-pass build against the entry-by-entry definition
+        assert (a_kappa, b_kappa) == quad_matrices_by_definition(ts)
+        edges = edge_matrix(ts)
+        assert len(edges) == len(ts.edges_a) + len(ts.edges_b)
+        expected = _k0(corner_pair_presentation(a_kappa, b_kappa))
+        assert _k0(_minus_identity(edges)) == expected
+        assert _k0(_minus_identity(h_kappa)) == expected
+        groups = k_theory(ts)
+        assert (groups.k0_torsion, groups.k0_free_rank) == expected
+        singular += expected[1] > 0
+    # the sweep reaches presentations with free part, not only finite groups
+    assert singular >= 3
+
+
+def test_edge_matrix_counts_tiles_by_edges(exchange_pair):
+    # [[2]] x [[3]] exchange: tile (alpha, b) has left b, top alpha, right b, bottom alpha
+    assert edge_matrix(exchange_pair) == [
+        [3, 0, 1, 1, 1],
+        [0, 3, 1, 1, 1],
+        [1, 1, 2, 0, 0],
+        [1, 1, 0, 2, 0],
+        [1, 1, 0, 0, 2],
+    ]
 
 
 def test_random_commuting_pairs_commute_and_stay_small():

@@ -9,7 +9,7 @@ subshift (rectangle counting).  Input is a JSON document:
 
 where an explicit kappa lists [[alpha_id, b_id], [a_id, beta_id]] pairs.
 Exit codes: 0 success, 1 a verified identity failed, 2 invalid input or
-an exceeded cap, 3 internal cross-check failure.
+an exceeded cap, 3 internal cross-check failure (only analyze checks).
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ def _load_input(path: str, kappa_override: str | None):
         doc = json.load(handle)
     if not isinstance(doc, dict) or "A" not in doc or "B" not in doc:
         raise QuadtexError('input document needs "A" and "B" matrices')
-    kappa = doc.get("kappa", "lex")
-    if kappa_override and kappa_override != "explicit":
-        kappa = kappa_override
+    kappa = kappa_override or doc.get("kappa", "lex")
     if kappa == "explicit":
         kappa = doc.get("kappa")
         if not isinstance(kappa, list):

@@ -216,22 +216,15 @@ def check_commuting(matrix_a: IntMatrix, matrix_b: IntMatrix) -> None:
                 raise NonCommuting((i + 1, j + 1), ab[i, j], ba[i, j])
 
 
-def sigma_blocks(
-    matrix_a: IntMatrix, matrix_b: IntMatrix
-) -> dict[tuple[int, int], tuple[tuple[tuple[Edge, Edge], ...], tuple[tuple[Edge, Edge], ...]]]:
-    """Composable pair sets per (start, end) vertex block.
-
-    Block (i, j) collects the AB pairs (alpha, b) with s(alpha)=i, r(b)=j and
-    the BA pairs (a, beta) with s(a)=i, r(beta)=j; both lists have (A*B)(i,j)
-    elements and are sorted by edge order.
-    """
+def _layers(matrix_a: IntMatrix, matrix_b: IntMatrix):
+    """Check that A and B commute, then build each layer's edges and the
+    sigma-block table over those very edges (see ``sigma_blocks``)."""
     check_commuting(matrix_a, matrix_b)
     edges_a = edges_from_matrix(matrix_a, LAYER_A)
     edges_b = edges_from_matrix(matrix_b, LAYER_B)
+    n = matrix_a.n
     blocks: dict[tuple[int, int], tuple[list, list]] = {
-        (i, j): ([], [])
-        for i in range(1, matrix_a.n + 1)
-        for j in range(1, matrix_a.n + 1)
+        (i, j): ([], []) for i in range(1, n + 1) for j in range(1, n + 1)
     }
     for alpha in edges_a:
         for b in edges_b:
@@ -241,16 +234,23 @@ def sigma_blocks(
         for beta in edges_a:
             if a.target == beta.source:
                 blocks[(a.source, beta.target)][1].append((a, beta))
-    return {
-        key: (tuple(sorted(ab)), tuple(sorted(ba)))
-        for key, (ab, ba) in blocks.items()
-    }
+    table = {key: (tuple(sorted(ab)), tuple(sorted(ba))) for key, (ab, ba) in blocks.items()}
+    return edges_a, edges_b, table
 
 
-def _validate_kappa(
-    matrix_a: IntMatrix, matrix_b: IntMatrix, pairs: list
-) -> Kappa:
-    blocks = sigma_blocks(matrix_a, matrix_b)
+def sigma_blocks(
+    matrix_a: IntMatrix, matrix_b: IntMatrix
+) -> dict[tuple[int, int], tuple[tuple[tuple[Edge, Edge], ...], tuple[tuple[Edge, Edge], ...]]]:
+    """Composable pair sets per (start, end) vertex block.
+
+    Block (i, j) collects the AB pairs (alpha, b) with s(alpha)=i, r(b)=j and
+    the BA pairs (a, beta) with s(a)=i, r(beta)=j; both lists have (A*B)(i,j)
+    elements and are sorted by edge order.
+    """
+    return _layers(matrix_a, matrix_b)[2]
+
+
+def _validate_kappa(blocks: dict, pairs: list) -> Kappa:
     domain = {p for ab, _ in blocks.values() for p in ab}
     codomain = {p for _, ba in blocks.values() for p in ba}
     seen_domain = set()
@@ -274,34 +274,19 @@ def _validate_kappa(
     return Kappa(pairs=tuple(sorted(pairs)))
 
 
-def build_kappa(matrix_a: IntMatrix, matrix_b: IntMatrix, strategy="lex") -> Kappa:
-    """Build a specification.
-
-    ``lex`` pairs the k-th AB pair with the k-th BA pair inside each block.
-    ``exchange`` maps (alpha, b) to (b, alpha); it needs a single vertex,
-    where every edge pair is composable both ways.  An explicit list of
-    ((alpha_id, b_id), (a_id, beta_id)) entries is accepted as-is and fully
-    validated.
-    """
-    blocks = sigma_blocks(matrix_a, matrix_b)
+def _specify(edges: tuple[Edge, ...], blocks: dict, strategy) -> Kappa:
+    """The validated specification of ``strategy`` over one system's edges
+    and sigma-block table (see ``build_kappa``)."""
     if strategy == "lex":
-        pairs = []
-        for key in sorted(blocks):
-            ab, ba = blocks[key]
-            pairs.extend(zip(ab, ba))
-        return _validate_kappa(matrix_a, matrix_b, pairs)
-    if strategy == "exchange":
-        if matrix_a.n != 1:
+        pairs = [pair for key in sorted(blocks) for pair in zip(*blocks[key])]
+    elif strategy == "exchange":
+        if len(blocks) != 1:
             raise ExchangeUnavailable(
-                f"exchange pairing needs a single vertex, system has {matrix_a.n}"
+                f"exchange pairing needs a single vertex, system has {math.isqrt(len(blocks))}"
             )
-        pairs = [((alpha, b), (b, alpha)) for ab, _ in blocks.values() for alpha, b in ab]
-        return _validate_kappa(matrix_a, matrix_b, pairs)
-    if isinstance(strategy, (list, tuple)):
-        by_id = {
-            e.id: e
-            for e in edges_from_matrix(matrix_a, LAYER_A) + edges_from_matrix(matrix_b, LAYER_B)
-        }
+        pairs = [((alpha, b), (b, alpha)) for alpha, b in blocks[(1, 1)][0]]
+    elif isinstance(strategy, (list, tuple)):
+        by_id = {e.id: e for e in edges}
         try:
             pairs = [
                 ((by_id[alpha], by_id[b]), (by_id[a], by_id[beta]))
@@ -313,8 +298,22 @@ def build_kappa(matrix_a: IntMatrix, matrix_b: IntMatrix, strategy="lex") -> Kap
             raise NotABijection(
                 "explicit pairing entries must read [[alpha_id, b_id], [a_id, beta_id]]"
             ) from exc
-        return _validate_kappa(matrix_a, matrix_b, pairs)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return _validate_kappa(blocks, pairs)
+
+
+def build_kappa(matrix_a: IntMatrix, matrix_b: IntMatrix, strategy="lex") -> Kappa:
+    """Build a specification.
+
+    ``lex`` pairs the k-th AB pair with the k-th BA pair inside each block.
+    ``exchange`` maps (alpha, b) to (b, alpha); it needs a single vertex,
+    where every edge pair is composable both ways.  An explicit list of
+    ((alpha_id, b_id), (a_id, beta_id)) entries is accepted as-is and fully
+    validated.
+    """
+    edges_a, edges_b, blocks = _layers(matrix_a, matrix_b)
+    return _specify(edges_a + edges_b, blocks, strategy)
 
 
 def count_specifications(matrix_a: IntMatrix, matrix_b: IntMatrix) -> int:
@@ -356,18 +355,18 @@ def enumerate_kappas(
 
 
 def build_system(a_rows, b_rows, kappa="lex") -> TextileSystem:
-    """Validate matrices, build edges and a specification, return the system."""
+    """Validate the matrices and return the system with its specification.
+
+    Commutation is checked once and each layer's edges and the sigma-block
+    table are built once; every strategy (see ``build_kappa``) reads that
+    table and is validated, so the tiles hold the very edges of
+    ``edges_a`` and ``edges_b``.  A given ``Kappa`` is taken as it is.
+    """
     matrix_a = IntMatrix.from_rows(a_rows)
     matrix_b = IntMatrix.from_rows(b_rows)
-    check_commuting(matrix_a, matrix_b)
-    spec = kappa if isinstance(kappa, Kappa) else build_kappa(matrix_a, matrix_b, kappa)
-    return TextileSystem(
-        matrix_a=matrix_a,
-        matrix_b=matrix_b,
-        edges_a=edges_from_matrix(matrix_a, LAYER_A),
-        edges_b=edges_from_matrix(matrix_b, LAYER_B),
-        kappa=spec,
-    )
+    edges_a, edges_b, blocks = _layers(matrix_a, matrix_b)
+    spec = kappa if isinstance(kappa, Kappa) else _specify(edges_a + edges_b, blocks, kappa)
+    return TextileSystem(matrix_a, matrix_b, edges_a, edges_b, spec)
 
 
 def kappa_indicators(ts: TextileSystem):

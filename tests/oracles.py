@@ -13,6 +13,8 @@
 * Operators: ``entry``, ``apply``, ``scale``, ``restrict`` and
   ``level_shift`` on a ``SparseOp``; they read only its ``cols`` and
   ``tf``.
+* Patches: ``brute_force_count`` counts the h x w patches one tile at a
+  time, the oracle for ``subshift.count_rectangles`` on small shapes.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 from quadtex.fock import SparseOp
 from quadtex.ktheory import Matrix, _bareiss, identity_matrix
@@ -235,3 +238,32 @@ def level_shift(op: SparseOp) -> int | None:
     if len(shifts) == 1:
         return shifts.pop()
     return None
+
+
+# ---------------------------------------------------------------------------
+# patches
+# ---------------------------------------------------------------------------
+
+
+def brute_force_count(ts: TextileSystem, height: int, width: int) -> int:
+    code = {e: k for k, e in enumerate(ts.edges_a + ts.edges_b)}
+    # (left, top) edge codes, None on the patch's left or top border -> the
+    # (right, bottom) codes of every tile that fits there, in tile order
+    fitting: dict[tuple, list[tuple[int, int]]] = {}
+    for t in ts.tiles:
+        for key in product((code[t.left], None), (code[t.top], None)):
+            fitting.setdefault(key, []).append((code[t.right], code[t.bottom]))
+    cells: list = [None] * (height * width)  # (right, bottom) codes, row-major
+
+    def fill(pos: int) -> int:
+        if pos == len(cells):
+            return 1
+        left = cells[pos - 1][0] if pos % width else None
+        top = cells[pos - width][1] if pos >= width else None
+        total = 0
+        for ends in fitting.get((left, top), ()):
+            cells[pos] = ends
+            total += fill(pos + 1)
+        return total
+
+    return fill(0)

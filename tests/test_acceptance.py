@@ -14,9 +14,10 @@ from quadtex.ktheory import (
     k_theory,
     smith_normal_form,
 )
-from quadtex.subshift import _brute_force_count, count_rectangles
+from quadtex.subshift import count_rectangles
 from conftest import FIB
 from oracles import (
+    brute_force_count,
     corner_pair_presentation,
     int_det,
     mat_add,
@@ -212,7 +213,7 @@ def test_criterion_8_subshift_consistency(all_systems):
                 if height * width > 9:
                     continue
                 count = count_rectangles(ts, height, width)
-                if count != _brute_force_count(ts, height, width):
+                if count != brute_force_count(ts, height, width):
                     ok = False
                 if count != row_transfer_count(ts, height, width):
                     ok = False

@@ -179,6 +179,18 @@ def test_explicit_kappa_from_document(write_input, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 4
     assert payload["K0"] == {"torsion": [2, 10], "free_rank": 0}
+    assert main(["analyze", path, "--kappa", "explicit", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == payload
+
+
+@pytest.mark.parametrize("kappa", [None, "lex", "exchange", "explicit"])
+def test_explicit_flag_needs_a_pair_list(write_input, capsys, kappa):
+    doc = {"A": [[2]], "B": [[3]]} if kappa is None else {"A": [[2]], "B": [[3]], "kappa": kappa}
+    path = write_input("y.json", doc)
+    assert main(["tiles", path, "--kappa", "explicit"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert 'error: kappa "explicit" needs a pair list in the input document' in captured.err
 
 
 def test_kappa_override_flag(write_input, capsys):

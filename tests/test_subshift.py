@@ -1,7 +1,6 @@
 import itertools
 import random
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,16 +14,13 @@ from quadtex.subshift import (
     enumerate_rectangles,
     glue,
     wang_tile_list,
-    _brute_force_count,
 )
 from conftest import by_id
-from oracles import random_commuting_pair
+from oracles import brute_force_count, random_commuting_pair
 import row_transfer
 from row_transfer import cell_transfer_count, listing_order, row_transfer_count, rows_of_width
 
-ROOT = Path(__file__).resolve().parent.parent
-
-# h < w, h = w and h > w, with and without the brute-force re-count
+# h < w, h = w and h > w, with and without the brute-force oracle
 ORACLE_SHAPES = [
     (1, 5), (2, 4), (3, 3), (4, 2), (5, 1), (9, 1),
     (2, 6), (3, 4), (4, 4), (4, 3), (6, 2), (3, 5), (5, 3),
@@ -91,12 +87,10 @@ def test_transfer_equals_brute_force(all_systems):
             for width in range(1, 4):
                 if height * width > 9:
                     continue
-                # count_rectangles already cross-checks internally; assert
-                # against the oracle explicitly as well
-                assert count_rectangles(ts, height, width) == _brute_force_count(
+                assert count_rectangles(ts, height, width) == brute_force_count(
                     ts, height, width
                 )
-    assert count_rectangles(all_systems[1], 9, 1) == _brute_force_count(
+    assert count_rectangles(all_systems[1], 9, 1) == brute_force_count(
         all_systems[1], 9, 1
     )
 
@@ -168,9 +162,7 @@ def _assert_counts_agree(ts):
         assert count == row_transfer_count(ts, height, width), (height, width)
         assert count == cell_transfer_count(ts, height, width), (height, width)
         if height * width <= 9:
-            assert count == _brute_force_count(ts, height, width), (height, width)
-            # and count_rectangles re-counted it too
-            assert count * len(ts.tiles) <= subshift.BRUTE_FORCE_WORK, (height, width)
+            assert count == brute_force_count(ts, height, width), (height, width)
 
 
 def test_counts_match_row_oracle_on_bundled_systems(all_systems, fibonacci_alt):
@@ -265,7 +257,7 @@ def test_counts_agree_over_every_kappa(all_systems):
                 assert row_transfer_count(variant, height, width) == count, shape
                 assert cell_transfer_count(variant, height, width) == count, shape
                 if height * width <= 9:
-                    assert _brute_force_count(variant, height, width) == count, shape
+                    assert brute_force_count(variant, height, width) == count, shape
 
 
 def test_listing_matches_the_order_oracle():
@@ -322,35 +314,27 @@ def _subshift(path, rows, cols) -> list[str]:
     return ["subshift", str(path), "--rows", str(rows), "--cols", str(cols)]
 
 
-def test_a_disagreeing_brute_force_count_exits_three(monkeypatch, capsys):
-    # every bundled input is re-counted at 3x3, 2x4 and 1x9
+def test_exchange_8x8_counts_at_3x3(tmp_path, capsys):
+    # 8**6 patches of 64 tiles, from the closed form
     from quadtex.cli import main
 
-    seen = []
-    monkeypatch.setattr(
-        subshift, "_brute_force_count", lambda ts, h, w: seen.append((h, w)) or -1
-    )
-    inputs = sorted((ROOT / "inputs").glob("*.json"))
-    for path in inputs:
-        for rows, cols in ((3, 3), (2, 4), (1, 9)):
-            assert main(_subshift(path, rows, cols)) == 3, (path.name, rows, cols)
-    assert len(seen) == 3 * len(inputs)
-    assert "brute-force count -1" in capsys.readouterr().err
-
-
-def test_the_re_count_stays_within_its_work_budget(tmp_path, monkeypatch, capsys):
-    # 8**6 patches of 64 tiles: 2**24 candidate tiles, over the budget
-    from quadtex.cli import main
-
-    def unexpected(ts, height, width):
-        raise AssertionError("brute force called over its budget")
-
-    monkeypatch.setattr(subshift, "_brute_force_count", unexpected)
     path = tmp_path / "exchange-8x8.json"
     path.write_text('{"A": [[8]], "B": [[8]], "kappa": "exchange"}', encoding="utf-8")
     assert main(_subshift(path, 3, 3)) == 0
     assert capsys.readouterr().out == "3x3 patches: 262144\n"
-    assert 262144 * 64 > subshift.BRUTE_FORCE_WORK
+
+
+def test_the_count_reads_no_tile(all_systems, monkeypatch):
+    systems = all_systems + _seeded_systems(5, seed=5) + _dead_end_systems()
+    shapes = [(1, 1), (3, 3), (1, 9), (9, 1), (2, 4), (6, 6)]
+    expected = [[cell_transfer_count(ts, h, w) for h, w in shapes] for ts in systems]
+
+    def unread(ts):
+        raise AssertionError("count_rectangles read the tiles")
+
+    monkeypatch.setattr(q.TextileSystem, "tiles", property(unread))
+    counts = [[count_rectangles(ts, h, w) for h, w in shapes] for ts in systems]
+    assert counts == expected
 
 
 def test_subalphabet_monotonicity(fibonacci, exchange_pair):

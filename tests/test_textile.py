@@ -224,8 +224,47 @@ def test_every_enumerated_specification_is_valid():
     for a, b in cases:
         specs = list(q.enumerate_kappas(a, b))
         assert len(specs) == q.count_specifications(a, b)
+        blocks = q.sigma_blocks(a, b)
         for spec in specs:
-            assert _validate_kappa(a, b, list(spec.pairs)) == spec
+            assert _validate_kappa(blocks, list(spec.pairs)) == spec
+
+
+def test_build_system_builds_each_layer_once(fibonacci, monkeypatch):
+    from quadtex import textile
+
+    calls = []
+
+    def counted(name):
+        real = getattr(textile, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(textile, name, wrapper)
+
+    for name in ("check_commuting", "edges_from_matrix", "_layers", "sigma_blocks", "build_kappa"):
+        counted(name)
+    listing = [
+        [[pre[0].id, pre[1].id], [img[0].id, img[1].id]] for pre, img in fibonacci.kappa.pairs
+    ]
+    cases = [
+        ([[2]], [[3]], "exchange"),
+        ([[2]], [[3]], "lex"),
+        (FIB, FIB, "lex"),
+        (FIB, FIB, listing),
+        ([[1, 1], [1, 1]], [[2, 1], [1, 2]], "lex"),
+    ]
+    for a_rows, b_rows, kappa in cases:
+        calls.clear()
+        ts = q.build_system(a_rows, b_rows, kappa)
+        # one commutation check, two edge lists, one sigma-block table
+        assert sorted(calls) == ["_layers", "check_commuting", "edges_from_matrix", "edges_from_matrix"]
+        in_a = {id(e) for e in ts.edges_a}
+        in_b = {id(e) for e in ts.edges_b}
+        for t in ts.tiles:
+            assert id(t.top) in in_a and id(t.bottom) in in_a
+            assert id(t.left) in in_b and id(t.right) in in_b
 
 
 def test_enumeration_is_lazy_on_a_huge_block():

@@ -28,7 +28,14 @@ left from its last factor cut to them, exactly, as column c of F1 ... Fk is
 F1 (... (Fk[:, c])).  Every compared side holds only these columns.  The
 shared products ss* and SS* + TT* keep the columns of levels <= L - 1: each
 row that reads them has margin >= 1 and puts them at most left of a
-diagonal.  Creations, adjoints, diagonals, e, S and T stay whole.
+diagonal.  Creations, adjoints, diagonals, e, S and T stay whole; a
+diagonal last factor is cut to a diagonal.
+
+Diagonal operators (edge and vertex actions, range and level projections,
+the identity and e) store one value per word behind a read-only mapping
+that reads as the column dict ``{c: {c: v}}``.  A product with a diagonal
+scales the rows or columns of the other factor, a product of two
+diagonals is a diagonal, and a diagonal is its own transpose.
 
 Identity checks: every checked identity of the three reports (word-space
 identities, universal relations, corner generators) is one row of the
@@ -69,6 +76,7 @@ import itertools
 import math
 import weakref
 from bisect import bisect_right
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -238,13 +246,76 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
     )
 
 
+class _Diagonal(Mapping):
+    """The columns of a diagonal operator, read-only: ``d[c] == {c: v}``.
+
+    Stores one value per word, ``{c: v}`` with no zero, and answers every
+    read of a column-major dict ``{c: {c: v}}`` (equal to it, too).
+    """
+
+    __slots__ = ("scalars",)
+
+    def __init__(self, scalars: dict[int, object]):
+        self.scalars = scalars
+
+    def __getitem__(self, c):
+        return {c: self.scalars[c]}
+
+    def get(self, c, default=None):
+        v = self.scalars.get(c)
+        return default if v is None else {c: v}
+
+    def __contains__(self, c):
+        return c in self.scalars
+
+    def __iter__(self):
+        return iter(self.scalars)
+
+    def __len__(self):
+        return len(self.scalars)
+
+    def items(self):
+        return _DiagonalItems(self)
+
+    def values(self):
+        return _DiagonalValues(self)
+
+    def __eq__(self, other):
+        if type(other) is _Diagonal:
+            return self.scalars == other.scalars
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        # column by column, without building the {c: {c: v}} dict
+        return len(other) == len(self.scalars) and all(
+            (col := other.get(c)) is not None and len(col) == 1 and col.get(c) == v
+            for c, v in self.scalars.items()
+        )
+
+
+class _DiagonalItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return ((c, {c: v}) for c, v in self._mapping.scalars.items())
+
+
+class _DiagonalValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return ({c: v} for c, v in self._mapping.scalars.items())
+
+
 class SparseOp:
-    """Exact sparse matrix over a truncated word basis (column-major dict,
-    stored as given: no empty column and no zero entry)."""
+    """Exact sparse matrix over a truncated word basis: a column-major dict
+    ``{col: {row: value}}`` with no empty column and no zero entry, or, for a
+    diagonal, a read-only ``_Diagonal`` that stores ``{col: value}`` and reads
+    the same.  Products with a diagonal scale rows (on the left) or columns
+    (on the right), and diagonals times diagonals stay diagonal."""
 
     __slots__ = ("tf", "cols")
 
-    def __init__(self, tf: TruncatedFock, cols: dict[int, dict[int, object]] | None = None):
+    def __init__(self, tf: TruncatedFock, cols: Mapping[int, dict[int, object]] | None = None):
         self.tf = tf
         self.cols = {} if cols is None else cols
 
@@ -254,12 +325,12 @@ class SparseOp:
 
     @staticmethod
     def identity(tf: TruncatedFock) -> "SparseOp":
-        return SparseOp(tf, {i: {i: 1} for i in range(tf.dim)})
+        return SparseOp(tf, _Diagonal(dict.fromkeys(range(tf.dim), 1)))
 
     @staticmethod
     def diagonal(tf: TruncatedFock, values) -> "SparseOp":
         """Diagonal operator from one value per basis word."""
-        return SparseOp(tf, {i: {i: v} for i, v in enumerate(values) if v})
+        return SparseOp(tf, _Diagonal({i: v for i, v in enumerate(values) if v}))
 
     def entries(self):
         for c, col in self.cols.items():
@@ -288,11 +359,31 @@ class SparseOp:
         return SparseOp.sum(self.tf, (self, other))
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
+        # a product with a diagonal factor multiplies nonzero entries only,
+        # so nothing cancels on those paths
+        left, right = self.cols, other.cols
+        if type(right) is _Diagonal:
+            if type(left) is _Diagonal:
+                scalars = left.scalars
+                values = {c: scalars[c] * bv for c, bv in right.scalars.items() if c in scalars}
+                return SparseOp(self.tf, _Diagonal(values))
+            cols = {
+                c: {r: av * bv for r, av in left_col.items()}
+                for c, bv in right.scalars.items()
+                if (left_col := left.get(c))
+            }
+            return SparseOp(self.tf, cols)
         cols: dict[int, dict[int, object]] = {}
-        for c, col in other.cols.items():
+        if type(left) is _Diagonal:
+            scalars = left.scalars
+            for c, col in right.items():
+                if acc := {r: scalars[r] * bv for r, bv in col.items() if r in scalars}:
+                    cols[c] = acc
+            return SparseOp(self.tf, cols)
+        for c, col in right.items():
             acc: dict[int, object] = {}
             for k, bv in col.items():
-                left_col = self.cols.get(k)
+                left_col = left.get(k)
                 if not left_col:
                     continue
                 for r, av in left_col.items():
@@ -304,6 +395,8 @@ class SparseOp:
         return SparseOp(self.tf, cols)
 
     def transpose(self) -> "SparseOp":
+        if type(self.cols) is _Diagonal:
+            return self
         cols: dict[int, dict[int, object]] = {}
         for r, c, v in self.entries():
             cols.setdefault(r, {})[c] = v
@@ -631,7 +724,12 @@ class _Bank:
     def product(self, n: int, *factors: SparseOp) -> SparseOp:
         """Columns 0..n-1 of F1 ... Fk, right to left from Fk cut to them: F1 (... (Fk[:, c]))."""
         *left, last = factors
-        cut = SparseOp(self.tf, {c: last.cols[c] for c in range(n) if c in last.cols})
+        cols = last.cols
+        if type(cols) is _Diagonal:  # the cut of a diagonal stays diagonal
+            scalars = cols.scalars
+            cut = SparseOp(self.tf, _Diagonal({c: scalars[c] for c in range(n) if c in scalars}))
+        else:
+            cut = SparseOp(self.tf, {c: cols[c] for c in range(n) if c in cols})
         return reduce(lambda out, op: op @ out, reversed(left), cut)
 
     def sum(self, n: int, *ops: SparseOp) -> SparseOp:

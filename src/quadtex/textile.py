@@ -360,12 +360,16 @@ def build_system(a_rows, b_rows, kappa="lex") -> TextileSystem:
     Commutation is checked once and each layer's edges and the sigma-block
     table are built once; every strategy (see ``build_kappa``) reads that
     table and is validated, so the tiles hold the very edges of
-    ``edges_a`` and ``edges_b``.  A given ``Kappa`` is taken as it is.
+    ``edges_a`` and ``edges_b``.  A given ``Kappa`` is read by its edge ids
+    like an explicit pairing: validated against the table and mapped onto
+    this system's edges.
     """
     matrix_a = IntMatrix.from_rows(a_rows)
     matrix_b = IntMatrix.from_rows(b_rows)
     edges_a, edges_b, blocks = _layers(matrix_a, matrix_b)
-    spec = kappa if isinstance(kappa, Kappa) else _specify(edges_a + edges_b, blocks, kappa)
+    if isinstance(kappa, Kappa):
+        kappa = [((alpha.id, b.id), (a.id, beta.id)) for (alpha, b), (a, beta) in kappa.pairs]
+    spec = _specify(edges_a + edges_b, blocks, kappa)
     return TextileSystem(matrix_a, matrix_b, edges_a, edges_b, spec)
 
 

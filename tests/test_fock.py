@@ -1,8 +1,10 @@
 import gc
+import itertools
 import random
 import re
 import weakref
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -12,6 +14,8 @@ import quadtex.fock as fock
 from quadtex.algebra import DiagElem, EdgeElem, pullback_along_kappa
 from quadtex.errors import BasisTooLarge, LayerMismatch, TruncationTooShallow, UnknownEdge
 from quadtex.fock import (
+    SEP_ETA,
+    SEP_RHO,
     FockWord,
     SparseOp,
     adjoint,
@@ -782,6 +786,134 @@ def test_every_yielded_side_has_int_entries(all_systems, fibonacci_alt):
         denominators.update(d for *_, d in fock._creation_expansion(tf._bank, tf.dim))
     # creation_expansion scaled rational vectors to get there
     assert max(denominators) > 1
+
+
+def _plain(op):
+    """An operator's columns as a plain dict of dicts."""
+    return {c: dict(col) for c, col in op.cols.items()}
+
+
+def _old_diagonal(tf, value, n=None):
+    """{i: {i: v}} for the nonzero value(word) of the first n words: a diagonal
+    as every diagonal used to be stored."""
+    return {i: {i: v} for i, w in enumerate(tf.words[:n]) if (v := value(w))}
+
+
+def _assert_diagonal(op, old):
+    assert isinstance(op.cols, fock._Diagonal)
+    assert op.cols == old and old == op.cols and not op.cols != old
+    assert _plain(op) == old
+    assert len(op.cols) == len(old) and op.nnz() == len(old)
+    assert all(op.cols[c] == op.cols.get(c) == col and c in op.cols for c, col in old.items())
+    assert list(op.cols.values()) == list(old.values())
+
+
+def _reads(w, side):
+    """The edge a layer's diagonals read: the first tile's top or left edge,
+    or the level-0 marker's edge."""
+    return getattr(w.tiles[0], side) if w.tiles else w.base
+
+
+# (layer, side its diagonals read, first separator of its range projection)
+_LAYER_READS = (("A", "top", SEP_ETA), ("B", "left", SEP_RHO))
+
+
+def test_the_banks_diagonals_stay_diagonal(all_systems, fibonacci_alt):
+    rng = random.Random(1729)
+    for tf in _block_bases(all_systems, fibonacci_alt):
+        reports = (verify_fock_identities(tf, headroom=2), verify_relations_hk(tf), ck_generators(tf)[2])
+        assert all(r.passed for r in reports)
+        bank, ts = tf._bank, tf.ts
+        for lay, (layer, side, sep) in zip(bank.layers, _LAYER_READS):
+            for x, op in lay.diag.items():
+                _assert_diagonal(op, _old_diagonal(tf, lambda w: int(_reads(w, side) == x)))
+            for v, op in lay.vertex.items():
+                old = _old_diagonal(tf, lambda w: int(_reads(w, side).layer == layer and _reads(w, side).source == v))
+                _assert_diagonal(op, old)
+            _assert_diagonal(lay.range_proj, _old_diagonal(tf, lambda w: int(w.level >= 2 and w.seps[0] == sep)))
+            # an edge vector with negative and fractional coefficients, on a block
+            values = [rng.choice([-3, -1, 0, 2, Fraction(1, 2), Fraction(-4, 3)]) for _ in ts.edges(layer)]
+            elem = EdgeElem.from_values(ts, layer, values)
+            coeff = dict(zip(ts.edges(layer), elem.coeffs))
+            for n in (tf.prefix(tf.max_level - 2), tf.dim):
+                op = left_action_op(tf, lay.act, elem, n)
+                _assert_diagonal(op, _old_diagonal(tf, lambda w: coeff.get(_reads(w, side), 0), n))
+        for v, op in bank.vertex.items():
+            _assert_diagonal(op, _old_diagonal(tf, lambda w: int(_reads(w, "top").source == v)))
+        _assert_diagonal(bank.identity, _old_diagonal(tf, lambda w: 1))
+        _assert_diagonal(bank.p0, _old_diagonal(tf, lambda w: int(w.level == 0)))
+        _assert_diagonal(bank.p1, _old_diagonal(tf, lambda w: int(w.level == 1)))
+        assert list(bank.e) == list(ts.omega)
+        for pair, op in bank.e.items():
+            corner = (pair.alpha, pair.a)
+            _assert_diagonal(op, _old_diagonal(tf, lambda w: int(bool(w.tiles) and (w.tiles[0].top, w.tiles[0].left) == corner)))
+
+
+def _plain_product(left, right):
+    """left @ right over plain dicts of dicts, by the general rule."""
+    out = {}
+    for c, col in right.items():
+        acc = {}
+        for k, bv in col.items():
+            for r, av in left.get(k, {}).items():
+                acc[r] = acc.get(r, 0) + av * bv
+        if acc := {r: v for r, v in acc.items() if v}:
+            out[c] = acc
+    return out
+
+
+def _plain_transpose(cols):
+    out = {}
+    for c, col in cols.items():
+        for r, v in col.items():
+            out.setdefault(r, {})[c] = v
+    return out
+
+
+def test_products_with_a_diagonal_equal_the_plain_products(all_systems, fibonacci_alt):
+    rng = random.Random(2357)
+    for tf in _block_bases(all_systems, fibonacci_alt):
+        bank = tf._bank
+        h, v = bank.layers
+        signed = SparseOp.diagonal(tf, [rng.choice([-2, -1, 0, 1, 3, Fraction(2, 3), Fraction(-1, 2)]) for _ in range(tf.dim)])
+        diagonals = [bank.identity, bank.p1, h.range_proj, *h.diag.values(), *v.vertex.values(), *bank.e.values()]
+        generals = [*h.op.values(), *v.adj.values(), *h.range.values()]
+        diagonals = [signed, *rng.sample(diagonals, 5)]
+        generals = [scale(next(iter(v.op.values())), Fraction(-3, 2)), *rng.sample(generals, 3)]
+        plain = {id(op): _plain(op) for op in diagonals + generals}
+        for left, right in itertools.chain(
+            itertools.product(diagonals, generals),
+            itertools.product(generals, diagonals),
+            itertools.product(diagonals, repeat=2),
+        ):
+            product = left @ right
+            expected = _plain_product(plain[id(left)], plain[id(right)])
+            assert product.cols == expected and _plain(product) == expected
+            assert product.nnz() == sum(len(col) for col in expected.values())
+            assert all(product.cols.values()) and all(x for col in product.cols.values() for x in col.values())
+            both = isinstance(left.cols, fock._Diagonal) and isinstance(right.cols, fock._Diagonal)
+            assert isinstance(product.cols, fock._Diagonal) == both
+        for op in diagonals + generals:
+            assert _plain(adjoint(op)) == _plain_transpose(plain[id(op)])
+            assert op.nnz() == sum(len(col) for col in plain[id(op)].values())
+        mixed = diagonals[:3] + [scale(d, -1) for d in diagonals[:2]] + generals[:2]
+        total = {}
+        for op in mixed:
+            for c, col in _plain(op).items():
+                target = total.setdefault(c, {})
+                for r, x in col.items():
+                    target[r] = target.get(r, 0) + x
+        total = {c: kept for c, col in total.items() if (kept := {r: x for r, x in col.items() if x})}
+        assert _plain(SparseOp.sum(tf, mixed)) == total
+        # the block bound n cuts the last factor; its columns are the full product's
+        d, d2, g, g2 = diagonals[0], diagonals[1], generals[0], generals[1]
+        for factors in ((d, g), (g, d, g2), (g, d), (d, d2), (d, g, d2), (g, g2, d)):
+            full = reduce(_plain_product, (plain[id(f)] for f in factors))
+            for n in (tf.prefix(1), tf.prefix(tf.max_level - 2), tf.dim):
+                cut = bank.product(n, *factors)
+                assert _plain(cut) == {c: col for c, col in full.items() if c < n}, (factors, n)
+                diagonal = all(isinstance(f.cols, fock._Diagonal) for f in factors)
+                assert isinstance(cut.cols, fock._Diagonal) == diagonal
 
 
 # the witnesses of the doubled-s run at level 4, as the full products gave

@@ -7,7 +7,9 @@ presentations; ``verify`` on the bundled inputs at levels 4 and 5, on
 one-tile and exchange-2x3 at level 6 and on fibonacci at levels 6 and 7;
 ``kappa``, ``tiles`` and ``subshift`` on the bundled inputs; and
 ``subshift`` counts at larger sizes: exchange [[3]] x [[4]] at 6x6 and
-3x7, fibonacci at 10x6 and exchange-2x3 at 8x8.
+3x7, fibonacci at 10x6 and exchange-2x3 at 8x8.  ``verify`` on
+exchange-2x3 at level 7 (``verify-exchange-2x3-l7.json``) takes seconds,
+so only CI compares it.
 """
 
 import json

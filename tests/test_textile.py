@@ -253,6 +253,8 @@ def test_build_system_builds_each_layer_once(fibonacci, monkeypatch):
         ([[2]], [[3]], "lex"),
         (FIB, FIB, "lex"),
         (FIB, FIB, listing),
+        # a Kappa of another build: equal edges, but not this system's objects
+        (FIB, FIB, fibonacci.kappa),
         ([[1, 1], [1, 1]], [[2, 1], [1, 2]], "lex"),
     ]
     for a_rows, b_rows, kappa in cases:
@@ -265,6 +267,35 @@ def test_build_system_builds_each_layer_once(fibonacci, monkeypatch):
         for t in ts.tiles:
             assert id(t.top) in in_a and id(t.bottom) in in_a
             assert id(t.left) in in_b and id(t.right) in in_b
+        if isinstance(kappa, q.Kappa):
+            assert ts.tiles == fibonacci.tiles
+
+
+def test_build_system_validates_a_given_kappa(fibonacci):
+    fib = q.IntMatrix.from_rows(FIB)
+    foreign = next(q.enumerate_kappas(fib, fib))
+    # fibonacci edges such as A:1->2#1 are not edges of a one-vertex system
+    with pytest.raises((BlockViolation, NotABijection)):
+        q.build_system([[2]], [[3]], foreign)
+    # a Kappa of the right edges that pairs across sigma-blocks
+    pairs = list(fibonacci.kappa.pairs)
+    (pre0, img0), (pre1, img1) = pairs[0], pairs[-1]
+    pairs[0], pairs[-1] = (pre0, img1), (pre1, img0)
+    with pytest.raises((BlockViolation, NotABijection)):
+        q.build_system(FIB, FIB, q.Kappa(pairs=tuple(sorted(pairs))))
+    # one pairing short of a bijection
+    with pytest.raises(NotABijection):
+        q.build_system(FIB, FIB, q.Kappa(pairs=fibonacci.kappa.pairs[:-1]))
+
+
+def test_a_given_valid_kappa_builds_its_own_tiles():
+    # every specification the acceptance criteria build from, taken as a Kappa
+    for a_rows, b_rows in (([[1]], [[1]]), ([[2]], [[3]]), (FIB, FIB)):
+        a, b = q.IntMatrix.from_rows(a_rows), q.IntMatrix.from_rows(b_rows)
+        for spec in q.enumerate_kappas(a, b):
+            ts = q.build_system(a_rows, b_rows, spec)
+            assert ts.kappa == spec
+            assert sorted(((t.top, t.right), (t.left, t.bottom)) for t in ts.tiles) == list(spec.pairs)
 
 
 def test_enumeration_is_lazy_on_a_huge_block():

@@ -19,12 +19,13 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .errors import CrossCheckFailure, QuadtexError, TruncationTooShallow
 from .ktheory import analyze_system
 from .subshift import DEFAULT_ROW_CAP, count_rectangles, enumerate_rectangles, wang_tile_list
-from .textile import build_system, count_specifications, enumerate_kappas
+from .textile import block_kappas, build_system, count_specifications
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -57,9 +58,39 @@ def _load_input(path: str, kappa_override: str | None):
     return build_system(doc["A"], doc["B"], kappa)
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    That call runs every value through json's pure-Python encoder, which
+    it uses whenever ``indent`` is set.  Here dicts, lists and tuples are
+    laid out by hand, strings and keys go to the C string encoder, a list
+    of plain ints is joined in one step, and any other scalar is encoded
+    by the compact ``json.dumps``.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        # a key that is not a str is coerced (or refused) as json itself does
+        items = [
+            (_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": " + _dumps(v, inner)
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            items = map(str, value)
+        else:
+            items = (_dumps(x, inner) for x in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    return str(value) if type(value) is int else json.dumps(value)
+
+
 def _emit(payload: dict, fmt: str, render_text) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         render_text(payload)
 
@@ -135,7 +166,7 @@ def cmd_kappa(args) -> int:
     ts = _load_input(args.input, args.kappa)
     total = count_specifications(ts.matrix_a, ts.matrix_b)
     shown = []
-    for spec in enumerate_kappas(ts.matrix_a, ts.matrix_b, limit=args.limit):
+    for spec in block_kappas(ts.blocks, limit=args.limit):
         shown.append(
             [[[pre[0].id, pre[1].id], [img[0].id, img[1].id]] for pre, img in spec.pairs]
         )
@@ -160,7 +191,7 @@ def cmd_tiles(args) -> int:
     ts = _load_input(args.input, args.kappa)
     records = wang_tile_list(ts)
     if args.emit == "wang":
-        text = json.dumps(records, indent=2, sort_keys=True)
+        text = _dumps(records)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")

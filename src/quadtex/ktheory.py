@@ -9,13 +9,15 @@ associated Cuntz-Krieger algebra.  A + B = R C factors through the edges,
 so its K-groups are presented by C R - I, of size |E_A| + |E_B|; the block
 stack minus the identity presents them independently, as a cross-check.
 Invariant factors are computed modulo twice a nonzero maximal minor, so no
-coefficient grows; the Smith normal form with its unimodular transforms
-is kept as the reference.  All arithmetic is arbitrary-precision integer.
+coefficient grows; both eliminations run on sparse rows {column: entry},
+taking each pivot in a shortest row, so a step touches only the rows with
+a nonzero in its column.  The Smith normal form with its unimodular
+transforms is kept as the reference.  All arithmetic is
+arbitrary-precision integer.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,67 +25,69 @@ from .errors import CrossCheckFailure
 from .textile import TextileSystem
 
 Matrix = list[list[int]]
+Rows = list[dict[int, int]]
 
 
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _bareiss(matrix: Matrix) -> tuple[int, int]:
-    """Rank r and a nonzero r x r minor, by fraction-free (Bareiss) elimination.
+def _bareiss(rows: Rows) -> tuple[int, int]:
+    """Rank r and a nonzero r x r minor of sparse rows, by fraction-free
+    (Bareiss) elimination; the rows are consumed.
 
-    Pivots are searched over the whole remaining submatrix, so the returned
-    minor is the leading one of the row- and column-permuted matrix; its
-    sign is that of the unpermuted minor on the same rows and columns.  A
-    pivot equal to the previous one up to sign is preferred: it is made
-    equal by negating its row, and then the step touches only the rows
-    with a nonzero in the pivot column, and in them only the columns where
-    the pivot row is nonzero.  A zero matrix has rank 0 and minor 1 (the
-    empty minor).
+    Each pivot is taken in the shortest live row: an entry equal to the
+    previous pivot up to sign if the row has one, else its first entry.  A
+    pivot equal to the previous one (made so by negating its row) leaves
+    every row with a zero in its column unchanged, so the step touches only
+    the rows with a nonzero there, and in them only the pivot row's
+    support; any other pivot rescales every live row exactly.  Zero entries
+    and empty rows are dropped.  The sign of the minor follows the parity
+    of the pivot row order and of the pivot column order, read off as the
+    number of live rows and columns ahead of each pivot; on a square matrix
+    of full rank it is the determinant.  A zero matrix has rank 0 and
+    minor 1 (the empty minor).
     """
-    m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    sign = 1
-    prev = 1
-    for k in range(min(rows, cols)):
-        cells = ((i, j) for i in range(k, rows) for j in range(k, cols) if m[i][j])
-        first = next(cells, None)
-        if first is None:
-            return k, sign * prev
-        i, j = next(
-            (ij for ij in itertools.chain([first], cells) if abs(m[ij[0]][ij[1]]) == abs(prev)),
-            first,
-        )
-        if i != k:
-            m[k], m[i] = m[i], m[k]
+    live = [row for row in rows if row]
+    cols = sorted({j for row in live for j in row})
+    rank = 0
+    sign = prev = 1
+    while live:
+        lengths = list(map(len, live))
+        k = lengths.index(min(lengths))
+        top = live.pop(k)
+        c = next((j for j, x in top.items() if abs(x) == abs(prev)), next(iter(top)))
+        t = cols.index(c)
+        del cols[t]
+        sign *= (-1) ** (k + t)
+        rank += 1
+        p = top.pop(c)
+        if p == -prev:
+            p = prev
+            top = {j: -y for j, y in top.items()}
             sign = -sign
-        if j != k:
-            for row in m:
-                row[k], row[j] = row[j], row[k]
-            sign = -sign
-        top = m[k]
-        if top[k] == -prev:
-            top[:] = [-x for x in top]
-            sign = -sign
-        p = top[k]
         if p == prev:
-            # (x*p - a*y) / p = x - a*y/p: only the pivot row's support moves
-            support = [(j, y) for j, y in enumerate(top) if y and j > k]
-            for row in m[k + 1:]:
-                a = row[k]
-                if a:
-                    for j, y in support:
-                        row[j] -= a * y // p
-                    row[k] = 0
+            # (x*p - a*y) / p = x - a*y/p: rows with a = 0 keep their entries
+            for row in [row for row in live if c in row]:
+                a = row.pop(c)
+                for j, y in top.items():
+                    x = row.get(j, 0) - a * y // p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
         else:
-            tail = top[k + 1:]
-            for row in m[k + 1:]:
-                a = row[k]
-                row[k + 1:] = [(x * p - a * y) // prev for x, y in zip(row[k + 1:], tail)]
-                row[k] = 0
+            for row in live:
+                a = row.pop(c, 0)
+                new = {j: x * p for j, x in row.items()}
+                if a:
+                    for j, y in top.items():
+                        new[j] = new.get(j, 0) - a * y
+                row.clear()
+                row.update((j, x // prev) for j, x in new.items() if x)
+        live = [row for row in live if row]
         prev = p
-    return min(rows, cols), sign * prev
+    return rank, sign * prev
 
 
 @dataclass
@@ -203,30 +207,32 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _diagonalize_mod(m: Matrix, modulus: int) -> list[int]:
-    """Diagonal entries of an elimination of ``m`` over Z/modulus.
+def _diagonalize_mod(rows: Rows, modulus: int) -> list[int]:
+    """Diagonal of an elimination of sparse rows over Z/modulus.
 
-    ``m`` is consumed; its entries must already lie in [0, modulus).  Units
-    are taken as pivots first: they divide every entry, so each row of
-    their column is cleared by one subtraction and their row needs no
-    column step at all, the column being zero elsewhere.  Once no unit is
-    left, the entry sharing the fewest factors with the modulus is the
-    pivot, and extended-gcd row and column steps shrink it until it
-    divides its whole cross.  Finished pivot rows and columns are dropped,
-    and so are zero rows; the diagonal entries are returned in order.
+    The rows are consumed; their entries must already lie in (0, modulus).
+    Units are taken as pivots first, each in the shortest row that holds
+    one: a unit divides every entry, so each row with a nonzero in its
+    column is cleared by one subtraction, and its own row needs no column
+    step, the column being zero elsewhere.  Once no unit is left, the entry
+    sharing the fewest factors with the modulus is the pivot, and
+    extended-gcd row and column steps shrink it until it divides its whole
+    cross.  Zero entries, finished pivot rows and empty rows are dropped;
+    each diagonal entry is returned as its gcd with the modulus, in order.
     """
     n = modulus
-    rows = [row for row in m if any(row)]
+    rows = [row for row in rows if row]
     diagonal = []
     while rows:
+        lengths = list(map(len, rows))
         pivot = next(
-            ((i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
-             if x and math.gcd(x, n) == 1),
+            ((i, j) for i in sorted(range(len(rows)), key=lengths.__getitem__)
+             for j, x in rows[i].items() if math.gcd(x, n) == 1),
             None,
         )
         if pivot is None:
             pivot = min(
-                ((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x),
+                ((i, j) for i, row in enumerate(rows) for j in row),
                 key=lambda ij: math.gcd(rows[ij[0]][ij[1]], n),
             )
         i, c = pivot
@@ -236,43 +242,64 @@ def _diagonalize_mod(m: Matrix, modulus: int) -> list[int]:
             p = top[c]
             g = math.gcd(p, n)
             inv = pow(p // g, -1, n // g)
-            support = [(j, y) for j, y in enumerate(top) if y]
-            for row in rows:
+            for row in [row for row in rows if c in row]:
                 a = row[c]
-                if not a:
-                    continue
                 if a % g == 0:
                     q = a // g * inv % (n // g)
-                    for j, y in support:
-                        row[j] = (row[j] - q * y) % n
+                    for j, y in top.items():
+                        x = (row.get(j, 0) - q * y) % n
+                        if x:
+                            row[j] = x
+                        else:
+                            row.pop(j, None)
                     continue
                 d, s, t = _xgcd(p, a)
                 u, v = p // d, a // d
-                top, row[:] = (
-                    [(s * y + t * x) % n for x, y in zip(row, top)],
-                    [(u * x - v * y) % n for x, y in zip(row, top)],
-                )
+                old, keys = top, top.keys() | row.keys()
+                top = {j: z for j in keys if (z := (s * old.get(j, 0) + t * row.get(j, 0)) % n)}
+                new = {j: z for j in keys if (z := (u * row.get(j, 0) - v * old.get(j, 0)) % n)}
+                row.clear()
+                row.update(new)
                 p = d
                 g = math.gcd(p, n)
                 inv = pow(p // g, -1, n // g)
-                support = [(j, y) for j, y in enumerate(top) if y]
             # the column is clear below the pivot, so a column step that
             # divides out only touches the pivot row; one that does not
             # pushes entries back into the column, which is cleared again
-            j = next((j for j, b in enumerate(top) if b % g), None)
+            j = next((j for j, b in top.items() if b % g), None)
             if j is None:
                 break
             d, s, t = _xgcd(p, top[j])
             u, v = p // d, top[j] // d
-            for row in rows:
-                x, y = row[c], row[j]
-                row[c], row[j] = (s * x + t * y) % n, (u * y - v * x) % n
-            top[c], top[j] = d, 0
-        diagonal.append(p)
-        for row in rows:
-            del row[c]
-        rows = [row for row in rows if any(row)]
+            for row in [row for row in rows if j in row]:
+                y = row.pop(j)
+                for k, z in ((c, t * y % n), (j, u * y % n)):
+                    if z:
+                        row[k] = z
+            top[c] = d
+            del top[j]
+        diagonal.append(g)
+        rows = [row for row in rows if row]
     return diagonal
+
+
+def _factors(rows: Rows) -> list[int]:
+    """``invariant_factors`` of sparse rows, which are left as they are."""
+    rank, minor = _bareiss([dict(row) for row in rows])
+    if rank == 0:
+        return []
+    n = 2 * abs(minor)
+    reduced = [{j: r for j, x in row.items() if (r := x % n)} for row in rows]
+    gcds = _diagonalize_mod(reduced, n)
+    # unique divisor chain of the diagonal: gcd/lcm swaps, smallest first;
+    # a unit only moves ahead, so the chain runs over the others
+    chain = [g for g in gcds if g != 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            g = math.gcd(a, b)
+            chain[i], chain[j] = g, a // g * b
+    return [1] * (len(gcds) - len(chain)) + [g for g in chain if g != n]
 
 
 def invariant_factors(matrix: Matrix) -> list[int]:
@@ -283,20 +310,10 @@ def invariant_factors(matrix: Matrix) -> list[int]:
     r and a nonzero r x r minor D; every invariant factor divides D, so the
     elimination runs modulo N = 2|D|, where the k-th one is recovered as
     gcd(t, N) over a divisor chain of the diagonal.  The factor 2 keeps a
-    factor equal to |D| apart from the zeros, which read as N.
+    factor equal to |D| apart from the zeros, which read as N.  Both passes
+    run on sparse rows.
     """
-    rank, minor = _bareiss(matrix)
-    if rank == 0:
-        return []
-    n = 2 * abs(minor)
-    gcds = [math.gcd(t, n) for t in _diagonalize_mod([[x % n for x in row] for row in matrix], n)]
-    # unique divisor chain of the diagonal: gcd/lcm swaps, smallest first
-    for i in range(len(gcds)):
-        for j in range(i + 1, len(gcds)):
-            a, b = gcds[i], gcds[j]
-            g = math.gcd(a, b)
-            gcds[i], gcds[j] = g, a // g * b
-    return [g for g in gcds if g != n]
+    return _factors([{j: x for j, x in enumerate(row) if x} for row in matrix])
 
 
 @dataclass
@@ -359,7 +376,7 @@ def edge_matrix(ts: TextileSystem) -> Matrix:
 
 def _groups_of(matrix: Matrix) -> KGroups:
     """K-groups presented by a square matrix minus the identity."""
-    factors = invariant_factors([[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(matrix)])
+    factors = _factors([{j: x - (i == j) for j, x in enumerate(r) if x != (i == j)} for i, r in enumerate(matrix)])
     free_rank = len(matrix) - len(factors)
     return KGroups([f for f in factors if f > 1], free_rank, free_rank)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
@@ -153,13 +153,15 @@ class Kappa:
 
 @dataclass(frozen=True)
 class TextileSystem:
-    """Two commuting matrices, their edge lists and a validated specification."""
+    """Two commuting matrices, their edge lists, a validated specification
+    and the sigma-block table over those very edges (see ``sigma_blocks``)."""
 
     matrix_a: IntMatrix
     matrix_b: IntMatrix
     edges_a: tuple[Edge, ...]
     edges_b: tuple[Edge, ...]
     kappa: Kappa
+    blocks: dict = field(compare=False, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -329,7 +331,12 @@ def count_specifications(matrix_a: IntMatrix, matrix_b: IntMatrix) -> int:
 def enumerate_kappas(
     matrix_a: IntMatrix, matrix_b: IntMatrix, limit: int | None = None
 ) -> Iterator[Kappa]:
-    """Yield every specification in a fixed order.
+    """Yield every specification in a fixed order (see ``block_kappas``)."""
+    yield from block_kappas(sigma_blocks(matrix_a, matrix_b), limit)
+
+
+def block_kappas(blocks: dict, limit: int | None = None) -> Iterator[Kappa]:
+    """Yield every specification of a sigma-block table in a fixed order.
 
     Within each block the BA side runs through its permutations in
     lexicographic order; blocks combine by (i, j) order with the last block
@@ -337,7 +344,6 @@ def enumerate_kappas(
     Each yield pairs the AB and BA lists of every block one to one, so it
     is a specification by construction and is not validated again.
     """
-    blocks = sigma_blocks(matrix_a, matrix_b)
     keys = sorted(key for key in blocks if blocks[key][0])
 
     def pairings(k: int, prefix: list):
@@ -362,7 +368,8 @@ def build_system(a_rows, b_rows, kappa="lex") -> TextileSystem:
     table and is validated, so the tiles hold the very edges of
     ``edges_a`` and ``edges_b``.  A given ``Kappa`` is read by its edge ids
     like an explicit pairing: validated against the table and mapped onto
-    this system's edges.
+    this system's edges.  The system keeps the table (``blocks``), so its
+    specifications are listed by ``block_kappas`` without building it again.
     """
     matrix_a = IntMatrix.from_rows(a_rows)
     matrix_b = IntMatrix.from_rows(b_rows)
@@ -370,7 +377,7 @@ def build_system(a_rows, b_rows, kappa="lex") -> TextileSystem:
     if isinstance(kappa, Kappa):
         kappa = [((alpha.id, b.id), (a.id, beta.id)) for (alpha, b), (a, beta) in kappa.pairs]
     spec = _specify(edges_a + edges_b, blocks, kappa)
-    return TextileSystem(matrix_a, matrix_b, edges_a, edges_b, spec)
+    return TextileSystem(matrix_a, matrix_b, edges_a, edges_b, spec, blocks)
 
 
 def kappa_indicators(ts: TextileSystem):

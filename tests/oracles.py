@@ -2,7 +2,11 @@
 
 * K-theory: ``minor_gcd`` (the gcd of all k x k minors, the
   determinant-divisor oracle for invariant factors), ``int_det``,
-  ``mat_mul`` and ``mat_add``; ``quad_matrices_by_definition``, the
+  ``mat_mul`` and ``mat_add``; ``dense_bareiss`` and
+  ``dense_diagonalize_mod``, the dense-row kernels that the sparse ones
+  in ``quadtex.ktheory`` replaced, kept as references, and
+  ``sparse_rows``, a dense matrix as the sparse kernels' input;
+  ``quad_matrices_by_definition``, the
   corner-pair matrices entry by entry from ``kappa_indicators``, and
   ``corner_pair_presentation``, A + B - I over the corner pairs;
   ``random_commuting_pair`` and ``presentation_cross_check_pairs`` draw
@@ -26,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 
 from quadtex.fock import SparseOp
-from quadtex.ktheory import Matrix, _bareiss, identity_matrix
+from quadtex.ktheory import Matrix, Rows, _bareiss, _xgcd, identity_matrix
 from quadtex.quadmod import (
     QuadVector,
     act_right_eta,
@@ -88,11 +92,145 @@ def corner_pair_presentation(a_kappa: Matrix, b_kappa: Matrix) -> Matrix:
     return mat_add(mat_add(a_kappa, b_kappa), identity_matrix(len(a_kappa)), scale_b=-1)
 
 
+def sparse_rows(matrix: Matrix) -> Rows:
+    """The {column: entry} rows of a dense matrix, zeros left out."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
 def int_det(matrix: Matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(matrix)
-    rank, minor = _bareiss(matrix)
+    rank, minor = _bareiss(sparse_rows(matrix))
     return minor if rank == n else 0
+
+
+def dense_bareiss(matrix: Matrix) -> tuple[int, int]:
+    """Rank r and a nonzero r x r minor, by fraction-free (Bareiss) elimination.
+
+    Pivots are searched over the whole remaining submatrix, so the returned
+    minor is the leading one of the row- and column-permuted matrix; its
+    sign is that of the unpermuted minor on the same rows and columns.  A
+    pivot equal to the previous one up to sign is preferred: it is made
+    equal by negating its row, and then the step touches only the rows
+    with a nonzero in the pivot column, and in them only the columns where
+    the pivot row is nonzero.  A zero matrix has rank 0 and minor 1 (the
+    empty minor).
+    """
+    m = [list(row) for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    sign = 1
+    prev = 1
+    for k in range(min(rows, cols)):
+        cells = ((i, j) for i in range(k, rows) for j in range(k, cols) if m[i][j])
+        first = next(cells, None)
+        if first is None:
+            return k, sign * prev
+        i, j = next(
+            (ij for ij in itertools.chain([first], cells) if abs(m[ij[0]][ij[1]]) == abs(prev)),
+            first,
+        )
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        if j != k:
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            sign = -sign
+        top = m[k]
+        if top[k] == -prev:
+            top[:] = [-x for x in top]
+            sign = -sign
+        p = top[k]
+        if p == prev:
+            # (x*p - a*y) / p = x - a*y/p: only the pivot row's support moves
+            support = [(j, y) for j, y in enumerate(top) if y and j > k]
+            for row in m[k + 1:]:
+                a = row[k]
+                if a:
+                    for j, y in support:
+                        row[j] -= a * y // p
+                    row[k] = 0
+        else:
+            tail = top[k + 1:]
+            for row in m[k + 1:]:
+                a = row[k]
+                row[k + 1:] = [(x * p - a * y) // prev for x, y in zip(row[k + 1:], tail)]
+                row[k] = 0
+        prev = p
+    return min(rows, cols), sign * prev
+
+
+def dense_diagonalize_mod(m: Matrix, modulus: int) -> list[int]:
+    """Diagonal entries of an elimination of ``m`` over Z/modulus.
+
+    ``m`` is consumed; its entries must already lie in [0, modulus).  Units
+    are taken as pivots first: they divide every entry, so each row of
+    their column is cleared by one subtraction and their row needs no
+    column step at all, the column being zero elsewhere.  Once no unit is
+    left, the entry sharing the fewest factors with the modulus is the
+    pivot, and extended-gcd row and column steps shrink it until it
+    divides its whole cross.  Finished pivot rows and columns are dropped,
+    and so are zero rows; the diagonal entries are returned in order.
+    """
+    n = modulus
+    rows = [row for row in m if any(row)]
+    diagonal = []
+    while rows:
+        pivot = next(
+            ((i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
+             if x and math.gcd(x, n) == 1),
+            None,
+        )
+        if pivot is None:
+            pivot = min(
+                ((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x),
+                key=lambda ij: math.gcd(rows[ij[0]][ij[1]], n),
+            )
+        i, c = pivot
+        top = rows.pop(i)
+        while True:
+            # p divides a in Z/n exactly when g = gcd(p, n) divides a
+            p = top[c]
+            g = math.gcd(p, n)
+            inv = pow(p // g, -1, n // g)
+            support = [(j, y) for j, y in enumerate(top) if y]
+            for row in rows:
+                a = row[c]
+                if not a:
+                    continue
+                if a % g == 0:
+                    q = a // g * inv % (n // g)
+                    for j, y in support:
+                        row[j] = (row[j] - q * y) % n
+                    continue
+                d, s, t = _xgcd(p, a)
+                u, v = p // d, a // d
+                top, row[:] = (
+                    [(s * y + t * x) % n for x, y in zip(row, top)],
+                    [(u * x - v * y) % n for x, y in zip(row, top)],
+                )
+                p = d
+                g = math.gcd(p, n)
+                inv = pow(p // g, -1, n // g)
+                support = [(j, y) for j, y in enumerate(top) if y]
+            # the column is clear below the pivot, so a column step that
+            # divides out only touches the pivot row; one that does not
+            # pushes entries back into the column, which is cleared again
+            j = next((j for j, b in enumerate(top) if b % g), None)
+            if j is None:
+                break
+            d, s, t = _xgcd(p, top[j])
+            u, v = p // d, top[j] // d
+            for row in rows:
+                x, y = row[c], row[j]
+                row[c], row[j] = (s * x + t * y) % n, (u * y - v * x) % n
+            top[c], top[j] = d, 0
+        diagonal.append(p)
+        for row in rows:
+            del row[c]
+        rows = [row for row in rows if any(row)]
+    return diagonal
 
 
 def minor_gcd(matrix: Matrix, k: int) -> int:

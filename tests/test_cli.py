@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import quadtex as q
-from quadtex.cli import main
+from quadtex.cli import _dumps, main
 from conftest import FIB
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture()
@@ -103,6 +106,49 @@ def test_kappa_command(exchange_input, capsys):
     assert out.startswith("720 specifications")
     listed = [line for line in out.splitlines() if line.lstrip().startswith("#")]
     assert len(listed) == 3
+
+
+def test_kappa_builds_the_sigma_block_table_once(fib_input, capsys, monkeypatch):
+    from quadtex import textile
+
+    calls = []
+    real = textile._layers
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(textile, "_layers", counted)
+    assert main(["kappa", fib_input, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["listed"] == 2
+    assert len(calls) == 1
+
+
+def test_dumps_is_json_dumps_with_indent_two():
+    values = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(GOLDEN.glob("*.json"))]
+    assert len(values) > 20
+    values += [
+        [],
+        {},
+        [[], [[]], {}],
+        {"a": [], "b": {}, "c": [{}], "d": {"e": []}},
+        [1, True, 2, False],
+        [True, False],
+        None,
+        [None, 1],
+        {"none": None},
+        2**64 + 1,
+        -(2**70),
+        [3, -(2**80), 0, -1],
+        'tab\t "quote" back\\slash \u0000 caf\u00e9 \u2603 \U0001d11e',
+        {"\u00fc": "\u00df", "line\nbreak": 1, "a": 0},
+        (1, 2),
+        [(1, ("a", 2.5)), ()],
+        1.5,
+        [0.1, -2.0, 1e300, float("inf"), float("nan")],
+    ]
+    for value in values:
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_tiles_command(write_input, capsys):

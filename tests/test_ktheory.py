@@ -5,6 +5,7 @@ from pathlib import Path
 
 import quadtex as q
 from quadtex.ktheory import (
+    _bareiss,
     build_quad_matrices,
     edge_matrix,
     identity_matrix,
@@ -16,6 +17,8 @@ from quadtex.ktheory import (
 from conftest import FIB
 from oracles import (
     corner_pair_presentation,
+    dense_bareiss,
+    dense_diagonalize_mod,
     int_det,
     mat_add,
     mat_mul,
@@ -23,6 +26,7 @@ from oracles import (
     presentation_cross_check_pairs,
     quad_matrices_by_definition,
     random_commuting_pair,
+    sparse_rows,
 )
 from test_golden import SINGULAR
 
@@ -177,6 +181,72 @@ def test_invariant_factors_edge_cases():
     assert invariant_factors([[3, 0, 0]]) == [3]
     assert invariant_factors([[0], [0], [-5]]) == [5]
     assert invariant_factors(identity_matrix(4)) == [1, 1, 1, 1]
+
+
+def _kernel_cases():
+    """3,000 seeded matrices of sizes 1-6 x 1-6, a quarter of each kind:
+    plain, with a dependent row, with a zero row and column, and scaled so
+    that every pivot is a non-unit.  Entries include negatives."""
+    rng = random.Random(1729)
+    for k in range(3000):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        matrix = [[rng.choice([0, 0, 1, -1, 2, -2, 3, -4, 6]) for _ in range(cols)] for _ in range(rows)]
+        if k % 4 == 1 and rows > 2:
+            s, t = rng.choice([1, -1, 2]), rng.choice([1, -3])
+            matrix[rng.randrange(2, rows)] = [s * x + t * y for x, y in zip(matrix[0], matrix[1])]
+        elif k % 4 == 2:
+            matrix[rng.randrange(rows)] = [0] * cols
+            for row in matrix:
+                row[rng.randrange(cols)] = 0
+        elif k % 4 == 3:
+            factor = rng.choice([2, -3, 6])
+            matrix = [[factor * x for x in row] for row in matrix]
+        yield matrix
+
+
+def _reference_factors(matrix):
+    """The invariant factors by the dense reference kernels."""
+    rank, minor = dense_bareiss(matrix)
+    if rank == 0:
+        return []
+    n = 2 * abs(minor)
+    gcds = [math.gcd(t, n) for t in dense_diagonalize_mod([[x % n for x in row] for row in matrix], n)]
+    for i in range(len(gcds)):
+        for j in range(i + 1, len(gcds)):
+            a, b = gcds[i], gcds[j]
+            g = math.gcd(a, b)
+            gcds[i], gcds[j] = g, a // g * b
+    return [g for g in gcds if g != n]
+
+
+def test_sparse_bareiss_matches_the_dense_reference():
+    full_rank = 0
+    for matrix in _kernel_cases():
+        rank, minor = _bareiss(sparse_rows(matrix))
+        reference_rank, reference_minor = dense_bareiss(matrix)
+        assert rank == reference_rank and minor != 0
+        if rank == len(matrix) == len(matrix[0]):
+            # the determinant, sign included
+            assert minor == reference_minor
+            full_rank += 1
+    assert full_rank >= 200
+
+
+def test_sparse_kernels_give_the_normal_form_and_the_reference_factors():
+    for matrix in _kernel_cases():
+        factors = invariant_factors(matrix)
+        assert factors == smith_normal_form(matrix).invariant_factors
+        assert factors == _reference_factors(matrix)
+
+
+def test_block_stack_factors_match_the_reference_kernels():
+    for p in range(2, 11):
+        ts = q.build_system([[p]], [[p + 1]], "exchange")
+        presentation = _minus_identity(build_quad_matrices(ts)[2])
+        factors = invariant_factors(presentation)
+        assert factors == _reference_factors(presentation)
+        if p <= 4:
+            assert factors == smith_normal_form(presentation).invariant_factors
 
 
 def test_exchange_six_by_seven_regression():

@@ -10,6 +10,7 @@ from quadtex.errors import (
     NonCommuting,
     NotABijection,
 )
+from quadtex.textile import block_kappas
 from conftest import FIB, by_id
 
 
@@ -269,6 +270,16 @@ def test_build_system_builds_each_layer_once(fibonacci, monkeypatch):
             assert id(t.left) in in_b and id(t.right) in in_b
         if isinstance(kappa, q.Kappa):
             assert ts.tiles == fibonacci.tiles
+
+
+def test_block_kappas_list_the_systems_own_edges(fibonacci):
+    fib = q.IntMatrix.from_rows(FIB)
+    own = {id(e) for e in fibonacci.edges_a + fibonacci.edges_b}
+    listed = list(block_kappas(fibonacci.blocks, limit=5))
+    assert listed == list(q.enumerate_kappas(fib, fib, limit=5))
+    assert listed[0] == fibonacci.kappa
+    for spec in listed:
+        assert all(id(e) in own for pair in spec.pairs for half in pair for e in half)
 
 
 def test_build_system_validates_a_given_kappa(fibonacci):

@@ -13,62 +13,51 @@ and offers three computation layers on top of it:
 The ``quadtex`` console script drives all of it from a JSON input document.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .textile import (
-    IntMatrix,
-    Edge,
-    Kappa,
-    OmegaPair,
-    TextileSystem,
-    Tile,
-    build_kappa,
-    build_system,
-    check_commuting,
-    count_specifications,
-    edges_from_matrix,
-    enumerate_kappas,
-    kappa_indicators,
-    sigma_blocks,
-)
-from .algebra import DiagElem, EdgeElem
-from .quadmod import QuadVector
-from .ktheory import KGroups, SNFResult, k_theory, smith_normal_form, structure_checks
+# each exported name is imported from its layer on first use (PEP 562), so
+# a process compiles only the layers it runs
+_LAYER = {
+    "IntMatrix": "textile",
+    "Edge": "textile",
+    "Kappa": "textile",
+    "OmegaPair": "textile",
+    "TextileSystem": "textile",
+    "Tile": "textile",
+    "DiagElem": "algebra",
+    "EdgeElem": "algebra",
+    "QuadVector": "quadmod",
+    "FockWord": "fock",
+    "SparseOp": "fock",
+    "TruncatedFock": "fock",
+    "KGroups": "ktheory",
+    "SNFResult": "ktheory",
+    "build_kappa": "textile",
+    "build_system": "textile",
+    "check_commuting": "textile",
+    "count_specifications": "textile",
+    "edges_from_matrix": "textile",
+    "enumerate_kappas": "textile",
+    "fock_basis": "fock",
+    "k_theory": "ktheory",
+    "kappa_indicators": "textile",
+    "sigma_blocks": "textile",
+    "smith_normal_form": "ktheory",
+    "structure_checks": "ktheory",
+}
 
-__all__ = [
-    "IntMatrix",
-    "Edge",
-    "Kappa",
-    "OmegaPair",
-    "TextileSystem",
-    "Tile",
-    "DiagElem",
-    "EdgeElem",
-    "QuadVector",
-    "FockWord",
-    "SparseOp",
-    "TruncatedFock",
-    "KGroups",
-    "SNFResult",
-    "build_kappa",
-    "build_system",
-    "check_commuting",
-    "count_specifications",
-    "edges_from_matrix",
-    "enumerate_kappas",
-    "fock_basis",
-    "k_theory",
-    "kappa_indicators",
-    "sigma_blocks",
-    "smith_normal_form",
-    "structure_checks",
-]
+__all__ = list(_LAYER)
 
 
 def __getattr__(name):
-    # the word-space layer is imported on first use (PEP 562)
-    if name in ("FockWord", "SparseOp", "TruncatedFock", "fock_basis"):
-        from . import fock
-
-        return getattr(fock, name)
+    if name in _LAYER:
+        return getattr(importlib.import_module(f".{_LAYER[name]}", __name__), name)
+    if name in ("textile", "errors", "algebra", "quadmod", "ktheory"):
+        return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | set(__all__))

@@ -22,8 +22,8 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
+# a layer that one command alone uses is imported inside that command
 from .errors import CrossCheckFailure, QuadtexError, TruncationTooShallow
-from .ktheory import analyze_system
 from .subshift import DEFAULT_ROW_CAP, count_rectangles, enumerate_rectangles, wang_tile_list
 from .textile import block_kappas, build_system, count_specifications
 
@@ -103,6 +103,8 @@ def _matrix_lines(name: str, matrix) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
+    from .ktheory import analyze_system
+
     ts = _load_input(args.input, args.kappa)
     payload = analyze_system(ts)
     payload["command"] = "analyze"
@@ -128,7 +130,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the word-space layer is imported only by the command that uses it
     from .fock import DEFAULT_BASIS_CAP, ck_generators, fock_basis, verify_fock_identities, verify_relations_hk
 
     ts = _load_input(args.input, args.kappa)

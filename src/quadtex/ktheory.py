@@ -265,8 +265,9 @@ def _diagonalize_mod(rows: Rows, modulus: int) -> list[int]:
                 inv = pow(p // g, -1, n // g)
             # the column is clear below the pivot, so a column step that
             # divides out only touches the pivot row; one that does not
-            # pushes entries back into the column, which is cleared again
-            j = next((j for j, b in top.items() if b % g), None)
+            # pushes entries back into the column, which is cleared again.
+            # A unit pivot (g = 1) divides every entry: no step is needed
+            j = next((j for j, b in top.items() if b % g), None) if g > 1 else None
             if j is None:
                 break
             d, s, t = _xgcd(p, top[j])

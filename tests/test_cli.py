@@ -296,13 +296,13 @@ def test_kappa_limit_one_on_sixteen_factorial(write_input, capsys):
 
 
 def test_internal_cross_check_maps_to_exit_three(exchange_input, capsys, monkeypatch):
-    from quadtex import cli
+    from quadtex import ktheory
     from quadtex.errors import CrossCheckFailure
 
     def explode(ts):
         raise CrossCheckFailure("forced disagreement")
 
-    monkeypatch.setattr(cli, "analyze_system", explode)
+    monkeypatch.setattr(ktheory, "analyze_system", explode)
     assert main(["analyze", exchange_input]) == 3
     assert "cross-check" in capsys.readouterr().err
 
@@ -324,32 +324,81 @@ def test_a_perturbed_edge_matrix_fails_the_cross_check(exchange_input, capsys, m
     assert "edge matrix" in err and "block stack" in err
 
 
-def test_analyze_does_not_import_the_word_space_layer(exchange_input):
+def _run_fresh(*lines):
+    """Run a script in a fresh interpreter that sees only the package."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    script = "\n".join([
-        "import sys",
-        "from quadtex.cli import main",
-        f"assert main(['analyze', {exchange_input!r}, '--format', 'json']) == 0",
-        "assert 'quadtex.fock' not in sys.modules, 'analyze imported quadtex.fock'",
-        "import quadtex",
-        "names = {}",
-        "exec('from quadtex import *', names)",
-        "assert set(quadtex.__all__) <= set(names)",
-        "assert names['SparseOp'] is quadtex.SparseOp is sys.modules['quadtex.fock'].SparseOp",
-        "assert not hasattr(quadtex, 'no_such_name')",
-    ])
     package_root = str(Path(q.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", "\n".join(lines)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=package_root),
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+SHARED_LAYERS = {"quadtex", "quadtex.cli", "quadtex.errors", "quadtex.textile", "quadtex.subshift"}
+# analyze_system takes its two warnings from algebra and quadmod
+ANALYZE_LAYERS = {"quadtex.ktheory", "quadtex.algebra", "quadtex.quadmod"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["subshift", "--rows", "2", "--cols", "2", "--limit", "3"], set()),
+        (["tiles"], set()),
+        (["kappa"], set()),
+        (["analyze"], ANALYZE_LAYERS),
+        (["verify", "--level", "4"], ANALYZE_LAYERS | {"quadtex.fock"}),
+    ],
+    ids=["subshift", "tiles", "kappa", "analyze", "verify"],
+)
+def test_each_subcommand_loads_only_its_layers(exchange_input, argv, extra):
+    argv = [argv[0], exchange_input, *argv[1:], "--format", "json"]
+    out = _run_fresh(
+        "import contextlib, io, json, sys",
+        "from quadtex.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert main({argv!r}) == 0",
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'quadtex']))",
+    )
+    assert set(json.loads(out)) == SHARED_LAYERS | extra
+
+
+def test_a_bare_import_loads_no_layer_and_resolves_every_name():
+    exported = {
+        "textile": [
+            "IntMatrix", "Edge", "Kappa", "OmegaPair", "TextileSystem", "Tile", "build_kappa",
+            "build_system", "check_commuting", "count_specifications", "edges_from_matrix",
+            "enumerate_kappas", "kappa_indicators", "sigma_blocks",
+        ],
+        "algebra": ["DiagElem", "EdgeElem"],
+        "quadmod": ["QuadVector"],
+        "fock": ["FockWord", "SparseOp", "TruncatedFock", "fock_basis"],
+        "ktheory": ["KGroups", "SNFResult", "k_theory", "smith_normal_form", "structure_checks"],
+    }
+    _run_fresh(
+        "import sys",
+        "import quadtex",
+        "assert [m for m in sys.modules if m.split('.')[0] == 'quadtex'] == ['quadtex']",
+        "assert set(quadtex.__all__) <= set(dir(quadtex))",
+        "for name in ('textile', 'errors', 'algebra', 'quadmod', 'ktheory'):",
+        "    assert getattr(quadtex, name) is sys.modules['quadtex.' + name], name",
+        "names = {}",
+        "exec('from quadtex import *', names)",
+        f"exported = {exported!r}",
+        "assert sorted(quadtex.__all__) == sorted(n for ns in exported.values() for n in ns)",
+        "for module, ns in exported.items():",
+        "    for name in ns:",
+        "        home = sys.modules['quadtex.' + module]",
+        "        assert names[name] is getattr(quadtex, name) is getattr(home, name), name",
+        "assert not hasattr(quadtex, 'no_such_name')",
+    )
 
 
 def test_parser_is_built_once_and_survives_a_parse_error(exchange_input, capsys):

@@ -15,7 +15,10 @@ same terminal vertex, which makes the transpose the adjoint for the
 vertex-valued pairing.  The basis records each word as (first tile,
 first separator, tail) (``TruncatedFock.splits``), so a creation operator
 is one pass over the target words: a tile word comes from a level-0
-marker, a deeper one from its tail.
+marker, a deeper one from its tail.  The basis is these flat per-word
+columns alone (level, split, first tile, terminal vertex): no word object
+is built, and ``TruncatedFock.words`` rebuilds a ``FockWord`` from the
+splits when one is read (witness labels, tests).
 
 Truncation semantics: a product of operators computed on the truncated
 basis agrees with the untruncated product on any column whose intermediate
@@ -24,18 +27,22 @@ margin m and is compared only on the block of rows and columns at levels
 <= L - m (identity suite) or on interior levels [2, L - m] (relation
 suite), where the level-0/1 corrections are provably absent.  Levels never
 decrease, so levels <= L - m are the first n words; each product runs right to
-left from its last factor cut to them, exactly, as column c of F1 ... Fk is
-F1 (... (Fk[:, c])).  Every compared side holds only these columns.  The
+left from the columns of its last factor below n, exactly, as column c of
+F1 ... Fk is F1 (... (Fk[:, c])).  The first multiplication reads those
+columns off Fk itself (``SparseOp.times``), so no cut of Fk is built; only a
+lone factor is cut.  Every compared side holds only these columns.  The
 shared products ss* and SS* + TT* keep the columns of levels <= L - 1: each
 row that reads them has margin >= 1 and puts them at most left of a
 diagonal.  Creations, adjoints, diagonals, e, S and T stay whole; a
-diagonal last factor is cut to a diagonal.
+diagonal lone factor is cut to a diagonal.
 
 Diagonal operators (edge and vertex actions, range and level projections,
 the identity and e) store one value per word behind a read-only mapping
-that reads as the column dict ``{c: {c: v}}``.  A product with a diagonal
-scales the rows or columns of the other factor, a product of two
-diagonals is a diagonal, and a diagonal is its own transpose.
+that reads as the column dict ``{c: {c: v}}``.  They are read off the
+basis columns: an edge action off each word's first tile (``heads``), a
+level-0 marker off the edge lists.  A product with a diagonal scales the
+rows or columns of the other factor, a product or sum of diagonals is a
+diagonal, and a diagonal is its own transpose.
 
 Identity checks: every checked identity of the three reports (word-space
 identities, universal relations, corner generators) is one row of the
@@ -74,9 +81,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from bisect import bisect_right
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -134,21 +142,30 @@ class FockWord:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFock:
-    """Basis of all glued words up to a top level, with index maps.
+    """Basis of all glued words up to a top level, stored as per-word columns.
 
     ``splits[i]`` is word i split as (first tile's index in ``ts.tiles``,
     first separator, tail index); None on level 0, (k, None, None) on level 1.
+    ``heads[i]`` is the first tile's index (None on level 0) and
+    ``vertices[i]`` the terminal vertex.  ``words`` rebuilds each word from
+    ``splits`` when it is read.
     """
 
     ts: TextileSystem
     max_level: int
-    words: tuple[FockWord, ...]
     levels: tuple[int, ...] = field(repr=False)
     splits: tuple[tuple[int, str | None, int | None] | None, ...] = field(repr=False)
+    heads: tuple[int | None, ...] = field(repr=False)
+    vertices: tuple[int, ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.words)
+        return len(self.levels)
+
+    @property
+    def words(self) -> "_Words":
+        """The words, read-only; each is built from ``splits`` on access."""
+        return _Words(self)
 
     def count_at(self, level: int) -> int:
         return self.prefix(level) - self.prefix(level - 1)
@@ -171,6 +188,49 @@ class TruncatedFock:
         dropped, without waiting for the cycle collector.
         """
         return _Bank(weakref.proxy(self))
+
+
+class _Words(Sequence):
+    """The words of a basis as a read-only sequence, rebuilt from the splits
+    on each read: word i is its first tile, then the word at its tail."""
+
+    __slots__ = ("tf",)
+
+    def __init__(self, tf: TruncatedFock):
+        self.tf = tf
+
+    def __len__(self):
+        return self.tf.dim
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._word, range(*i.indices(self.tf.dim))))
+        i = operator.index(i)
+        if i < 0:
+            i += self.tf.dim
+        if not 0 <= i < self.tf.dim:
+            raise IndexError("word index out of range")
+        return self._word(i)
+
+    def __iter__(self):
+        return map(self._word, range(self.tf.dim))
+
+    def _word(self, i: int) -> FockWord:
+        ts, splits = self.tf.ts, self.tf.splits
+        split = splits[i]
+        if split is None:  # the q markers, then the p markers
+            q = len(ts.edges_b)
+            if i < q:
+                return FockWord(base_kind="q", base=ts.edges_b[i])
+            return FockWord(base_kind="p", base=ts.edges_a[i - q])
+        tiles, seps = [], []
+        while True:
+            head, sep, tail = split
+            tiles.append(ts.tiles[head])
+            if sep is None:
+                return FockWord(tiles=tuple(tiles), seps=tuple(seps))
+            seps.append(sep)
+            split = splits[tail]
 
 
 def _extensions(tiles) -> list[list[tuple[str, int]]]:
@@ -203,8 +263,10 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
 
     Words at each level are generated in order: level 0 lists the B-edge
     markers then the A-edge markers; level n+1 extends each level-n word in
-    order by (separator, tile), eta before rho.  Raises BasisTooLarge when
-    a level from 2 on would exceed ``cap`` words, before any word is built.
+    order by (separator, tile), eta before rho.  Only the per-word columns
+    are built (levels, splits, first tiles and terminal vertices), no word.
+    Raises BasisTooLarge when a level from 2 on would exceed ``cap`` words,
+    before any of them is built.
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
@@ -212,37 +274,42 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
         if n >= 2 and size > cap:
             raise BasisTooLarge(f"level {n} would hold {size} words (cap {cap})")
     tiles = ts.tiles
-    words = [FockWord(base_kind="q", base=a) for a in ts.edges_b]
-    words.extend(FockWord(base_kind="p", base=alpha) for alpha in ts.edges_a)
-    start = len(words)
-    words.extend(FockWord(tiles=(t,), seps=()) for t in tiles)
+    start = len(ts.edges_a) + len(ts.edges_b)
+    levels = [0] * start + [1] * len(tiles)
     splits: list = [None] * start + [(k, None, None) for k in range(len(tiles))]
+    heads: list = [None] * start + list(range(len(tiles)))
+    vertices = [e.target for e in ts.edges_b + ts.edges_a] + [t.vertex for t in tiles]
     follow = _extensions(tiles)
+    # the terminal vertex of every extension of a word ending in tile k
+    follow_vertices = [[tiles[u].vertex for _, u in ext] for ext in follow]
     # a word and its tail end in the same tile, so both have the same
     # extensions in the same order: the tail of the k-th extension of a
     # word is the k-th extension of its tail
     first_child: dict[int, int] = {}
     level = [(start + k, k) for k in range(len(tiles))]  # (word index, last tile index)
-    for _ in range(2, max_level + 1):
+    for depth in range(2, max_level + 1):
         nxt = []
         for i, last in level:
-            first_child[i] = len(words)
-            word = words[i]
+            first_child[i] = len(splits)
             head, first_sep, tail = splits[i]
-            for k, (sep, u) in enumerate(follow[last]):
-                nxt.append((len(words), u))
-                words.append(FockWord(tiles=word.tiles + (tiles[u],), seps=word.seps + (sep,)))
+            ext = follow[last]
+            for k, (sep, u) in enumerate(ext):
+                nxt.append((len(splits), u))
                 if tail is None:
                     splits.append((head, sep, start + u))
                 else:
                     splits.append((head, first_sep, first_child[tail] + k))
+            heads.extend([head] * len(ext))
+            vertices.extend(follow_vertices[last])
+        levels.extend([depth] * len(nxt))
         level = nxt
     return TruncatedFock(
         ts=ts,
         max_level=max_level,
-        words=tuple(words),
-        levels=tuple(w.level for w in words),
+        levels=tuple(levels),
         splits=tuple(splits),
+        heads=tuple(heads),
+        vertices=tuple(vertices),
     )
 
 
@@ -330,7 +397,7 @@ class SparseOp:
     @staticmethod
     def diagonal(tf: TruncatedFock, values) -> "SparseOp":
         """Diagonal operator from one value per basis word."""
-        return SparseOp(tf, _Diagonal({i: v for i, v in enumerate(values) if v}))
+        return SparseOp(tf, _Diagonal(dict(itertools.compress(enumerate(values), values))))
 
     def entries(self):
         for c, col in self.cols.items():
@@ -339,9 +406,21 @@ class SparseOp:
 
     @staticmethod
     def sum(tf: TruncatedFock, ops) -> "SparseOp":
-        """Sum in one pass: a column is copied when first met, cancelled entries dropped."""
-        cols: dict[int, dict[int, object]] = {}
+        """Sum in one pass: a column is copied when first met, cancelled entries
+        dropped.  A sum of diagonals is a diagonal."""
+        scalars: dict[int, object] = {}
+        cols: dict[int, dict[int, object]] | None = None
         for op in ops:
+            if cols is None:
+                if type(op.cols) is _Diagonal:
+                    for c, v in op.cols.scalars.items():
+                        if total := scalars.get(c, 0) + v:
+                            scalars[c] = total
+                        else:
+                            del scalars[c]
+                    continue
+                # an operand that is not diagonal: go on by columns from the sum so far
+                cols = {c: {c: v} for c, v in scalars.items()}
             for c, col in op.cols.items():
                 if (target := cols.get(c)) is None:
                     cols[c] = dict(col)
@@ -353,34 +432,47 @@ class SparseOp:
                         del target[r]
                 if not target:
                     del cols[c]
-        return SparseOp(tf, cols)
+        return SparseOp(tf, _Diagonal(scalars) if cols is None else cols)
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
         return SparseOp.sum(self.tf, (self, other))
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
+        return self.times(other)
+
+    def times(self, other: "SparseOp", n: int | None = None) -> "SparseOp":
+        """self @ other, or its columns 0..n-1 read off other's columns below
+        n; no cut of other is built."""
         # a product with a diagonal factor multiplies nonzero entries only,
         # so nothing cancels on those paths
         left, right = self.cols, other.cols
-        if type(right) is _Diagonal:
+        diagonal = type(right) is _Diagonal
+        if diagonal:
+            right = right.scalars
+        if n is None:
+            items = right.items()
+        else:  # the columns below n, found and read in C
+            kept = [*filter(right.__contains__, range(n))]
+            items = zip(kept, map(right.__getitem__, kept))
+        if diagonal:
             if type(left) is _Diagonal:
                 scalars = left.scalars
-                values = {c: scalars[c] * bv for c, bv in right.scalars.items() if c in scalars}
+                values = {c: scalars[c] * bv for c, bv in items if c in scalars}
                 return SparseOp(self.tf, _Diagonal(values))
             cols = {
                 c: {r: av * bv for r, av in left_col.items()}
-                for c, bv in right.scalars.items()
+                for c, bv in items
                 if (left_col := left.get(c))
             }
             return SparseOp(self.tf, cols)
         cols: dict[int, dict[int, object]] = {}
         if type(left) is _Diagonal:
             scalars = left.scalars
-            for c, col in right.items():
+            for c, col in items:
                 if acc := {r: scalars[r] * bv for r, bv in col.items() if r in scalars}:
                     cols[c] = acc
             return SparseOp(self.tf, cols)
-        for c, col in right.items():
+        for c, col in items:
             acc: dict[int, object] = {}
             for k, bv in col.items():
                 left_col = left.get(k)
@@ -470,12 +562,11 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _by_first_tile(tf: TruncatedFock, marker_value, tile_values, n: int | None = None) -> list:
-    """Per word of the first n: ``marker_value(word)`` on level 0, else its first tile's value."""
-    return [
-        marker_value(word) if split is None else tile_values[split[0]]
-        for word, split in itertools.islice(zip(tf.words, tf.splits), n)
-    ]
+def _by_first_tile(tf: TruncatedFock, marker_values, tile_values, n: int | None = None) -> list:
+    """Per word of the first n: its value in ``marker_values`` on level 0 (the
+    q markers, then the p markers), else its first tile's value."""
+    start = len(marker_values)
+    return marker_values[:n] + list(map(tile_values.__getitem__, itertools.islice(tf.heads, start, n)))
 
 
 def left_action_op(tf: TruncatedFock, kind: str, elem: EdgeElem, n: int | None = None) -> SparseOp:
@@ -488,20 +579,16 @@ def left_action_op(tf: TruncatedFock, kind: str, elem: EdgeElem, n: int | None =
     if kind == "rho":
         if elem.layer != LAYER_A:
             raise LayerMismatch("rho action takes an A-layer vector")
-        marker_kind, side = "p", "top"
+        side = "top"
     elif kind == "eta":
         if elem.layer != LAYER_B:
             raise LayerMismatch("eta action takes a B-layer vector")
-        marker_kind, side = "q", "left"
+        side = "left"
     else:
         raise ValueError(f"kind must be 'rho' or 'eta', got {kind!r}")
     coeff = {e: _exact(c) for e, c in zip(ts.edges(elem.layer), elem.coeffs)}
-    values = _by_first_tile(
-        tf,
-        lambda word: coeff[word.base] if word.base_kind == marker_kind else 0,
-        [coeff[getattr(t, side)] for t in ts.tiles],
-        n,
-    )
+    markers = [coeff.get(e, 0) for e in ts.edges_b + ts.edges_a]
+    values = _by_first_tile(tf, markers, [coeff[getattr(t, side)] for t in ts.tiles], n)
     return SparseOp.diagonal(tf, values)
 
 
@@ -514,10 +601,10 @@ def vertex_action_op(tf: TruncatedFock, y: DiagElem) -> SparseOp:
     factors vanish on level 0, where the two level-0 conventions cannot
     disagree.
     """
+    ts = tf.ts
     at = [None] + [_exact(c) for c in y.coeffs]  # 1-based vertices
-    values = _by_first_tile(
-        tf, lambda word: at[word.base.source], [at[t.top.source] for t in tf.ts.tiles]
-    )
+    markers = [at[e.source] for e in ts.edges_b + ts.edges_a]
+    values = _by_first_tile(tf, markers, [at[t.top.source] for t in ts.tiles])
     return SparseOp.diagonal(tf, values)
 
 
@@ -541,17 +628,16 @@ def rank_one(tf: TruncatedFock, xi, zeta) -> SparseOp:
     ``xi`` and ``zeta`` are vectors over the truncated basis (any indexable).
     Sends basis word W to sum_W' xi(W') zeta(W) [vertex(W') == vertex(W)] W'.
     """
-    xi_support = [
-        (i, v, tf.words[i].vertex) for i, v in enumerate(xi) if v != 0
-    ]
+    vertices = tf.vertices
+    # the supports, found by a scan in C, and xi's grouped by terminal vertex
+    xi_at: dict[int, list] = {}
+    for i in itertools.compress(itertools.count(), xi):
+        xi_at.setdefault(vertices[i], []).append((i, xi[i]))
     cols: dict[int, dict[int, object]] = {}
-    for j, z in enumerate(zeta):
-        if z == 0:
-            continue
-        vertex = tf.words[j].vertex
-        col = {i: v * z for i, v, vx in xi_support if vx == vertex}
-        if col:
-            cols[j] = col
+    for j in itertools.compress(itertools.count(), zeta):
+        if same := xi_at.get(vertices[j]):
+            z = zeta[j]
+            cols[j] = {i: v * z for i, v in same}
     return SparseOp(tf, cols)
 
 
@@ -722,15 +808,16 @@ class _Bank:
         return self._differences[key]
 
     def product(self, n: int, *factors: SparseOp) -> SparseOp:
-        """Columns 0..n-1 of F1 ... Fk, right to left from Fk cut to them: F1 (... (Fk[:, c]))."""
+        """Columns 0..n-1 of F1 ... Fk, right to left from the columns of Fk below n:
+        F1 (... (Fk[:, c])).  A lone factor is cut to them (a diagonal stays diagonal)."""
         *left, last = factors
+        if left:
+            return reduce(lambda out, op: op @ out, reversed(left[:-1]), left[-1].times(last, n))
         cols = last.cols
-        if type(cols) is _Diagonal:  # the cut of a diagonal stays diagonal
+        if type(cols) is _Diagonal:
             scalars = cols.scalars
-            cut = SparseOp(self.tf, _Diagonal({c: scalars[c] for c in range(n) if c in scalars}))
-        else:
-            cut = SparseOp(self.tf, {c: cols[c] for c in range(n) if c in cols})
-        return reduce(lambda out, op: op @ out, reversed(left), cut)
+            return SparseOp(self.tf, _Diagonal({c: scalars[c] for c in range(n) if c in scalars}))
+        return SparseOp(self.tf, {c: cols[c] for c in range(n) if c in cols})
 
     def sum(self, n: int, *ops: SparseOp) -> SparseOp:
         """Columns 0..n-1 of the sum, from each operand cut to them."""
@@ -868,7 +955,7 @@ def _diagonal_reconstruction(bank, n):
 
 def _rank_one_partition(bank, n, level: int):
     tf = bank.tf
-    positions = (i for i, lv in enumerate(tf.levels) if lv == level)
+    positions = range(tf.prefix(level - 1), tf.prefix(level))
     units = ([0] * i + [1] + [0] * (tf.dim - i - 1) for i in positions)
     total = SparseOp.sum(tf, (rank_one(tf, vec, vec) for vec in units))
     yield "", bank.product(n, total), bank.product(n, (bank.p0, bank.p1)[level])

@@ -487,20 +487,25 @@ def structure_checks(h_matrix: Matrix) -> dict:
 
 
 def analyze_system(ts: TextileSystem) -> dict:
-    """Full invariant report: matrices, K-groups, structure and warnings."""
-    from .algebra import is_essential
-    from .quadmod import empty_basis_edges
+    """Full invariant report: matrices, K-groups, structure and warnings.
 
+    The warnings are read off ``ts`` alone: a layer is not essential when a
+    column of its matrix sums to zero (``algebra.is_essential``), and an edge
+    has no tile when no tile's top or left is it
+    (``quadmod.empty_basis_edges``).
+    """
     a_kappa, b_kappa, h_kappa = build_quad_matrices(ts)
     groups = k_groups(edge_matrix(ts), h_kappa)
     k0, k1 = groups.describe()
     warnings = []
-    for layer in ("A", "B"):
-        if not is_essential(ts, layer):
+    for layer, matrix in (("A", ts.matrix_a), ("B", ts.matrix_b)):
+        if not all(map(any, zip(*matrix.rows))):
             warnings.append(
                 f"layer {layer} is not essential (some vertex has no incoming edge)"
             )
-    empty = empty_basis_edges(ts)
+    tops = {t.top for t in ts.tiles}
+    lefts = {t.left for t in ts.tiles}
+    empty = [e for e in ts.edges_a if e not in tops] + [e for e in ts.edges_b if e not in lefts]
     if empty:
         warnings.append(
             "edges without a tile over them: " + ", ".join(e.id for e in empty)

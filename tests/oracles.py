@@ -14,6 +14,8 @@
 * Module: the two reconstruction identities through the top- and
   left-edge basis vectors, and ``squared_norms``, the exact squares of
   the vertex, rho and eta norms.
+* Words: ``eager_words``, every basis word built whole, the reference
+  for the words ``TruncatedFock`` rebuilds on each read.
 * Operators: ``entry``, ``apply``, ``scale``, ``restrict`` and
   ``level_shift`` on a ``SparseOp``; they read only its ``cols`` and
   ``tf``.
@@ -29,7 +31,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from quadtex.fock import SparseOp
+from quadtex.fock import SEP_ETA, SEP_RHO, FockWord, SparseOp
 from quadtex.ktheory import Matrix, Rows, _bareiss, _xgcd, identity_matrix
 from quadtex.quadmod import (
     QuadVector,
@@ -333,6 +335,27 @@ def squared_norms(ts: TextileSystem, xi: QuadVector) -> tuple[Fraction, Fraction
 # ---------------------------------------------------------------------------
 # operators on the truncated word basis
 # ---------------------------------------------------------------------------
+
+
+def eager_words(ts: TextileSystem, max_level: int) -> tuple[FockWord, ...]:
+    """Every basis word up to ``max_level``, each built whole with its own tile
+    and separator tuples, in the basis order: the q markers, the p markers,
+    then each level extending every word of the one below by (separator,
+    tile), eta before rho.  The reference for ``TruncatedFock.words``."""
+    words = [FockWord(base_kind="q", base=b) for b in ts.edges_b]
+    words.extend(FockWord(base_kind="p", base=alpha) for alpha in ts.edges_a)
+    level = [FockWord(tiles=(t,), seps=()) for t in ts.tiles]
+    words.extend(level)
+    for _ in range(1, max_level):
+        level = [
+            FockWord(tiles=w.tiles + (u,), seps=w.seps + (sep,))
+            for w in level
+            for sep, glued in ((SEP_ETA, "left"), (SEP_RHO, "top"))
+            for u in ts.tiles
+            if getattr(u, glued) == (w.tiles[-1].right if sep == SEP_ETA else w.tiles[-1].bottom)
+        ]
+        words.extend(level)
+    return tuple(words)
 
 
 def entry(op: SparseOp, row: int, col: int):

@@ -2,6 +2,8 @@ import gc
 import itertools
 import random
 import re
+import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from functools import reduce
@@ -33,7 +35,7 @@ from quadtex.fock import (
 )
 from conftest import by_id
 import creation_oracle
-from oracles import apply, entry, level_shift, random_commuting_pair, restrict, scale
+from oracles import apply, eager_words, entry, level_shift, random_commuting_pair, restrict, scale
 
 
 @pytest.fixture(scope="module")
@@ -396,13 +398,57 @@ def test_basis_cap_is_checked_before_any_word_is_built(exchange_pair, monkeypatc
             built.append(self)
 
     monkeypatch.setattr(fock, "FockWord", CountingWord)
-    with pytest.raises(BasisTooLarge, match="level 3 would hold 150 words"):
-        fock_basis(exchange_pair, 12, cap=100)
+    # levels 0..4 hold 5 + 6 + 30 + 150 + 750 = 941 words, level 5 would hold 3750
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(BasisTooLarge, match="level 5 would hold 3750 words"):
+            fock_basis(exchange_pair, 12, cap=1000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the refused call holds less memory at its peak than the split records
+    # of the words below the refused level would take
+    assert peak < 941 * sys.getsizeof((0, SEP_ETA, 0))
     assert built == []
-    assert fock_basis(exchange_pair, 2).dim == len(built) == 5 + 6 + 30
+    # the basis holds columns only; reading the words builds each one once
+    tf = fock_basis(exchange_pair, 4)
+    assert built == [] and tf.dim == 941
+    words = list(tf.words)
+    assert len(built) == tf.dim and words == built
     # the prediction stops at the first level over the cap
     with pytest.raises(BasisTooLarge, match="level 9 would hold 2343750 words"):
         fock_basis(exchange_pair, 10**6, cap=10**6)
+
+
+def test_words_are_rebuilt_equal_to_the_eager_reference(all_systems, fibonacci_alt):
+    for ts in all_systems + [fibonacci_alt]:
+        tf = fock_basis(ts, 4)
+        eager = eager_words(ts, 4)
+        words = tf.words
+        assert len(words) == tf.dim == len(eager)
+        assert tuple(words) == eager
+        for i in range(tf.dim):
+            assert words[i] == eager[i] and words[i - tf.dim] == eager[i - tf.dim]
+        slices = (
+            slice(None), slice(3, None), slice(None, -2), slice(-5, -1),
+            slice(1, 40, 3), slice(None, None, -7), slice(tf.dim, None),
+        )
+        for sl in slices:
+            assert words[sl] == eager[sl], sl
+        for bad in (tf.dim, -tf.dim - 1):
+            with pytest.raises(IndexError):
+                words[bad]
+        with pytest.raises(TypeError):
+            words["0"]
+        assert all(tf.index[w] == i for i, w in enumerate(eager))
+        assert [w.level for w in eager] == list(tf.levels)
+        assert [w.vertex for w in eager] == list(tf.vertices)
+        assert [ts.tiles.index(w.tiles[0]) if w.tiles else None for w in eager] == list(tf.heads)
+        # words are read-only
+        with pytest.raises(TypeError):
+            words[0] = eager[0]
 
 
 def test_one_bank_and_one_evaluation_per_twin(fibonacci, monkeypatch):
@@ -729,23 +775,34 @@ def test_no_product_computes_a_column_outside_its_block(exchange_pair, monkeypat
     for lay in bank.layers:
         lay.range_sum, lay.initial
     bank.e, bank.generators, bank.generator_ranges, bank.quad
-    right_columns = []
-    real = SparseOp.__matmul__
+    right_columns, fused = [], []
+    real = SparseOp.times
 
-    def watched(left, right):
-        right_columns.extend(right.cols)
-        return real(left, right)
+    def watched(left, right, n=None):
+        out = real(left, right, n)
+        if n is None:
+            right_columns.extend(right.cols)
+        else:
+            # the first step of a product takes the whole right-hand factor
+            # and the column range 0..n-1: watch the columns it computed
+            fused.append(n)
+            right_columns.extend(out.cols)
+        return out
 
-    monkeypatch.setattr(SparseOp, "__matmul__", watched)
-    margins = {}
+    monkeypatch.setattr(SparseOp, "times", watched)
+    margins, steps = {}, 0
     for builder, margin in _distinct_builders():
         n = tf.prefix(tf.max_level - margin)
         right_columns.clear()
+        fused.clear()
         bank.differences(builder, margin)
         assert all(c < n for c in right_columns), (builder, margin, n)
+        assert all(m == n for m in fused), (builder, margin, n)
         margins[margin] = margins.get(margin, 0) + len(right_columns)
-    # every margin of the table made products; margin 0 is the whole basis
-    assert sorted(margins) == [0, 1, 2, 4] and all(margins.values())
+        steps += len(fused)
+    # every margin of the table made products, each from a fused first step;
+    # margin 0 is the whole basis
+    assert sorted(margins) == [0, 1, 2, 4] and all(margins.values()) and steps
     assert tf.prefix(tf.max_level) == tf.dim
     assert any(r.identity_id == "corner_projection_commutation" and r.margin == 0 for r in fock._TABLE)
 
@@ -870,6 +927,17 @@ def _plain_transpose(cols):
     return out
 
 
+def _plain_sum(ops):
+    """The sum of operators over plain dicts of dicts, cancelled entries dropped."""
+    total = {}
+    for op in ops:
+        for c, col in _plain(op).items():
+            target = total.setdefault(c, {})
+            for r, x in col.items():
+                target[r] = target.get(r, 0) + x
+    return {c: kept for c, col in total.items() if (kept := {r: x for r, x in col.items() if x})}
+
+
 def test_products_with_a_diagonal_equal_the_plain_products(all_systems, fibonacci_alt):
     rng = random.Random(2357)
     for tf in _block_bases(all_systems, fibonacci_alt):
@@ -897,14 +965,13 @@ def test_products_with_a_diagonal_equal_the_plain_products(all_systems, fibonacc
             assert _plain(adjoint(op)) == _plain_transpose(plain[id(op)])
             assert op.nnz() == sum(len(col) for col in plain[id(op)].values())
         mixed = diagonals[:3] + [scale(d, -1) for d in diagonals[:2]] + generals[:2]
-        total = {}
-        for op in mixed:
-            for c, col in _plain(op).items():
-                target = total.setdefault(c, {})
-                for r, x in col.items():
-                    target[r] = target.get(r, 0) + x
-        total = {c: kept for c, col in total.items() if (kept := {r: x for r, x in col.items() if x})}
-        assert _plain(SparseOp.sum(tf, mixed)) == total
+        assert _plain(SparseOp.sum(tf, mixed)) == _plain_sum(mixed)
+        # a sum of diagonals alone stays diagonal, cancelled values dropped
+        minus = SparseOp.diagonal(tf, [-1] * tf.dim)
+        only = diagonals[:3] + [minus @ d for d in diagonals[:2]]
+        summed = SparseOp.sum(tf, iter(only))
+        assert isinstance(summed.cols, fock._Diagonal) and _plain(summed) == _plain_sum(only)
+        assert all(summed.cols.scalars.values())
         # the block bound n cuts the last factor; its columns are the full product's
         d, d2, g, g2 = diagonals[0], diagonals[1], generals[0], generals[1]
         for factors in ((d, g), (g, d, g2), (g, d), (d, d2), (d, g, d2), (g, g2, d)):

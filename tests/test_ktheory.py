@@ -351,6 +351,29 @@ def test_edge_matrix_counts_tiles_by_edges(exchange_pair):
     ]
 
 
+def test_analyze_warnings_agree_with_the_library_checks(all_systems, fibonacci_alt):
+    from quadtex.algebra import is_essential
+    from quadtex.ktheory import analyze_system
+    from quadtex.quadmod import empty_basis_edges
+
+    rng = random.Random(4242)
+    seeded = [q.build_system(a.rows, b.rows, "lex") for a, b in (random_commuting_pair(rng) for _ in range(30))]
+    bridge = q.build_system([[0, 1], [0, 0]], [[0, 1], [0, 0]], "lex")  # no tiles at all
+    seen = set()
+    for ts in all_systems + [fibonacci_alt, bridge] + seeded:
+        expected = [
+            f"layer {layer} is not essential (some vertex has no incoming edge)"
+            for layer in ("A", "B")
+            if not is_essential(ts, layer)
+        ]
+        if empty := empty_basis_edges(ts):
+            expected.append("edges without a tile over them: " + ", ".join(e.id for e in empty))
+        assert analyze_system(ts)["warnings"] == expected
+        seen.update(w.split(" ")[0] for w in expected)
+    # both warnings occur among these systems
+    assert seen == {"layer", "edges"}
+
+
 def test_random_commuting_pairs_commute_and_stay_small():
     rng = random.Random(1)
     for _ in range(10):

@@ -17,8 +17,8 @@ first separator, tail) (``TruncatedFock.splits``), so a creation operator
 is one pass over the target words: a tile word comes from a level-0
 marker, a deeper one from its tail.  The basis is these flat per-word
 columns alone (level, split, first tile, terminal vertex): no word object
-is built, and ``TruncatedFock.words`` rebuilds a ``FockWord`` from the
-splits when one is read (witness labels, tests).
+is built, and ``TruncatedFock.word`` rebuilds a ``FockWord`` from the
+splits when one is read (witness labels; ``words`` for tests).
 
 Truncation semantics: a product of operators computed on the truncated
 basis agrees with the untruncated product on any column whose intermediate
@@ -30,17 +30,16 @@ decrease, so levels <= L - m are the first n words; each product runs right to
 left from the columns of its last factor below n, exactly, as column c of
 F1 ... Fk is F1 (... (Fk[:, c])).  The first multiplication reads those
 columns off Fk itself (``SparseOp.times``), so no cut of Fk is built; only a
-lone factor is cut.  Every compared side holds only these columns.  The
-shared products ss* and SS* + TT* keep the columns of levels <= L - 1: each
-row that reads them has margin >= 1 and puts them at most left of a
-diagonal.  Creations, adjoints, diagonals, e, S and T stay whole; a
-diagonal lone factor is cut to a diagonal.
+lone factor is cut, unless n spans the basis.  Every compared side holds only
+these columns.  The shared products ss* and SS* + TT* keep the columns of
+levels <= L - 1: each row that reads them has margin >= 1 and puts them at
+most left of a diagonal.  Creations, adjoints, diagonals, e, S and T stay
+whole; a diagonal lone factor is cut to a diagonal.
 
 Diagonal operators (edge and vertex actions, range and level projections,
-the identity and e) store one value per word behind a read-only mapping
-that reads as the column dict ``{c: {c: v}}``.  They are read off the
-basis columns: an edge action off each word's first tile (``heads``), a
-level-0 marker off the edge lists.  A product with a diagonal scales the
+the identity and e) are ``_DiagonalOp``s: one value per word, read off the
+basis columns (an edge action off each word's first tile, ``heads``; a
+level-0 marker off the edge lists).  A product with a diagonal scales the
 rows or columns of the other factor, a product or sum of diagonals is a
 diagonal, and a diagonal is its own transpose.
 
@@ -81,10 +80,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import weakref
 from bisect import bisect_right
-from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -147,8 +144,8 @@ class TruncatedFock:
     ``splits[i]`` is word i split as (first tile's index in ``ts.tiles``,
     first separator, tail index); None on level 0, (k, None, None) on level 1.
     ``heads[i]`` is the first tile's index (None on level 0) and
-    ``vertices[i]`` the terminal vertex.  ``words`` rebuilds each word from
-    ``splits`` when it is read.
+    ``vertices[i]`` the terminal vertex.  ``word(i)`` rebuilds word i from
+    ``splits``; ``words`` builds them all on first read.
     """
 
     ts: TextileSystem
@@ -161,11 +158,6 @@ class TruncatedFock:
     @property
     def dim(self) -> int:
         return len(self.levels)
-
-    @property
-    def words(self) -> "_Words":
-        """The words, read-only; each is built from ``splits`` on access."""
-        return _Words(self)
 
     def count_at(self, level: int) -> int:
         return self.prefix(level) - self.prefix(level - 1)
@@ -189,40 +181,18 @@ class TruncatedFock:
         """
         return _Bank(weakref.proxy(self))
 
+    @cached_property
+    def words(self) -> tuple[FockWord, ...]:
+        """Every word, rebuilt from ``splits`` on first read; ``verify`` reads none."""
+        return tuple(map(self.word, range(self.dim)))
 
-class _Words(Sequence):
-    """The words of a basis as a read-only sequence, rebuilt from the splits
-    on each read: word i is its first tile, then the word at its tail."""
-
-    __slots__ = ("tf",)
-
-    def __init__(self, tf: TruncatedFock):
-        self.tf = tf
-
-    def __len__(self):
-        return self.tf.dim
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._word, range(*i.indices(self.tf.dim))))
-        i = operator.index(i)
-        if i < 0:
-            i += self.tf.dim
-        if not 0 <= i < self.tf.dim:
-            raise IndexError("word index out of range")
-        return self._word(i)
-
-    def __iter__(self):
-        return map(self._word, range(self.tf.dim))
-
-    def _word(self, i: int) -> FockWord:
-        ts, splits = self.tf.ts, self.tf.splits
+    def word(self, i: int) -> FockWord:
+        """Word i (0 <= i < dim): its first tile, then the word at its tail."""
+        ts, splits = self.ts, self.splits
         split = splits[i]
         if split is None:  # the q markers, then the p markers
-            q = len(ts.edges_b)
-            if i < q:
-                return FockWord(base_kind="q", base=ts.edges_b[i])
-            return FockWord(base_kind="p", base=ts.edges_a[i - q])
+            kind = "q" if i < len(ts.edges_b) else "p"
+            return FockWord(base_kind=kind, base=(ts.edges_b + ts.edges_a)[i])
         tiles, seps = [], []
         while True:
             head, sep, tail = split
@@ -313,76 +283,15 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
     )
 
 
-class _Diagonal(Mapping):
-    """The columns of a diagonal operator, read-only: ``d[c] == {c: v}``.
-
-    Stores one value per word, ``{c: v}`` with no zero, and answers every
-    read of a column-major dict ``{c: {c: v}}`` (equal to it, too).
-    """
-
-    __slots__ = ("scalars",)
-
-    def __init__(self, scalars: dict[int, object]):
-        self.scalars = scalars
-
-    def __getitem__(self, c):
-        return {c: self.scalars[c]}
-
-    def get(self, c, default=None):
-        v = self.scalars.get(c)
-        return default if v is None else {c: v}
-
-    def __contains__(self, c):
-        return c in self.scalars
-
-    def __iter__(self):
-        return iter(self.scalars)
-
-    def __len__(self):
-        return len(self.scalars)
-
-    def items(self):
-        return _DiagonalItems(self)
-
-    def values(self):
-        return _DiagonalValues(self)
-
-    def __eq__(self, other):
-        if type(other) is _Diagonal:
-            return self.scalars == other.scalars
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        # column by column, without building the {c: {c: v}} dict
-        return len(other) == len(self.scalars) and all(
-            (col := other.get(c)) is not None and len(col) == 1 and col.get(c) == v
-            for c, v in self.scalars.items()
-        )
-
-
-class _DiagonalItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return ((c, {c: v}) for c, v in self._mapping.scalars.items())
-
-
-class _DiagonalValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return ({c: v} for c, v in self._mapping.scalars.items())
-
-
 class SparseOp:
     """Exact sparse matrix over a truncated word basis: a column-major dict
-    ``{col: {row: value}}`` with no empty column and no zero entry, or, for a
-    diagonal, a read-only ``_Diagonal`` that stores ``{col: value}`` and reads
-    the same.  Products with a diagonal scale rows (on the left) or columns
-    (on the right), and diagonals times diagonals stay diagonal."""
+    ``{col: {row: value}}`` with no empty column and no zero entry; a diagonal
+    is a ``_DiagonalOp``.  Products with a diagonal scale rows (on the left)
+    or columns (on the right), and diagonals times diagonals stay diagonal."""
 
     __slots__ = ("tf", "cols")
 
-    def __init__(self, tf: TruncatedFock, cols: Mapping[int, dict[int, object]] | None = None):
+    def __init__(self, tf: TruncatedFock, cols: dict[int, dict[int, object]] | None = None):
         self.tf = tf
         self.cols = {} if cols is None else cols
 
@@ -391,13 +300,17 @@ class SparseOp:
         return SparseOp(tf)
 
     @staticmethod
-    def identity(tf: TruncatedFock) -> "SparseOp":
-        return SparseOp(tf, _Diagonal(dict.fromkeys(range(tf.dim), 1)))
+    def identity(tf: TruncatedFock) -> "_DiagonalOp":
+        return _DiagonalOp(tf, dict.fromkeys(range(tf.dim), 1))
 
     @staticmethod
-    def diagonal(tf: TruncatedFock, values) -> "SparseOp":
+    def diagonal(tf: TruncatedFock, values) -> "_DiagonalOp":
         """Diagonal operator from one value per basis word."""
-        return SparseOp(tf, _Diagonal(dict(itertools.compress(enumerate(values), values))))
+        return _DiagonalOp(tf, dict(itertools.compress(enumerate(values), values)))
+
+    def column(self, c: int) -> dict[int, object]:
+        """Column c, ``{}`` where it has no entry."""
+        return self.cols.get(c, {})
 
     def entries(self):
         for c, col in self.cols.items():
@@ -408,19 +321,19 @@ class SparseOp:
     def sum(tf: TruncatedFock, ops) -> "SparseOp":
         """Sum in one pass: a column is copied when first met, cancelled entries
         dropped.  A sum of diagonals is a diagonal."""
-        scalars: dict[int, object] = {}
+        values: dict[int, object] = {}
         cols: dict[int, dict[int, object]] | None = None
         for op in ops:
             if cols is None:
-                if type(op.cols) is _Diagonal:
-                    for c, v in op.cols.scalars.items():
-                        if total := scalars.get(c, 0) + v:
-                            scalars[c] = total
+                if type(op) is _DiagonalOp:
+                    for c, v in op.values.items():
+                        if total := values.get(c, 0) + v:
+                            values[c] = total
                         else:
-                            del scalars[c]
+                            del values[c]
                     continue
                 # an operand that is not diagonal: go on by columns from the sum so far
-                cols = {c: {c: v} for c, v in scalars.items()}
+                cols = {c: {c: v} for c, v in values.items()}
             for c, col in op.cols.items():
                 if (target := cols.get(c)) is None:
                     cols[c] = dict(col)
@@ -432,7 +345,7 @@ class SparseOp:
                         del target[r]
                 if not target:
                     del cols[c]
-        return SparseOp(tf, _Diagonal(scalars) if cols is None else cols)
+        return _DiagonalOp(tf, values) if cols is None else SparseOp(tf, cols)
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
         return SparseOp.sum(self.tf, (self, other))
@@ -445,33 +358,31 @@ class SparseOp:
         n; no cut of other is built."""
         # a product with a diagonal factor multiplies nonzero entries only,
         # so nothing cancels on those paths
-        left, right = self.cols, other.cols
-        diagonal = type(right) is _Diagonal
-        if diagonal:
-            right = right.scalars
+        diagonal = type(other) is _DiagonalOp
+        right = other.values if diagonal else other.cols
         if n is None:
             items = right.items()
         else:  # the columns below n, found and read in C
             kept = [*filter(right.__contains__, range(n))]
             items = zip(kept, map(right.__getitem__, kept))
+        if type(self) is _DiagonalOp:
+            scalars = self.values
+            if diagonal:
+                return _DiagonalOp(self.tf, {c: scalars[c] * bv for c, bv in items if c in scalars})
+            cols = {}
+            for c, col in items:
+                if acc := {r: scalars[r] * bv for r, bv in col.items() if r in scalars}:
+                    cols[c] = acc
+            return SparseOp(self.tf, cols)
+        left = self.cols
         if diagonal:
-            if type(left) is _Diagonal:
-                scalars = left.scalars
-                values = {c: scalars[c] * bv for c, bv in items if c in scalars}
-                return SparseOp(self.tf, _Diagonal(values))
             cols = {
                 c: {r: av * bv for r, av in left_col.items()}
                 for c, bv in items
                 if (left_col := left.get(c))
             }
             return SparseOp(self.tf, cols)
-        cols: dict[int, dict[int, object]] = {}
-        if type(left) is _Diagonal:
-            scalars = left.scalars
-            for c, col in items:
-                if acc := {r: scalars[r] * bv for r, bv in col.items() if r in scalars}:
-                    cols[c] = acc
-            return SparseOp(self.tf, cols)
+        cols = {}
         for c, col in items:
             acc: dict[int, object] = {}
             for k, bv in col.items():
@@ -487,15 +398,13 @@ class SparseOp:
         return SparseOp(self.tf, cols)
 
     def transpose(self) -> "SparseOp":
-        if type(self.cols) is _Diagonal:
-            return self
         cols: dict[int, dict[int, object]] = {}
         for r, c, v in self.entries():
             cols.setdefault(r, {})[c] = v
         return SparseOp(self.tf, cols)
 
     def is_zero(self) -> bool:
-        return not self.cols
+        return not self.nnz()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOp):
@@ -504,6 +413,46 @@ class SparseOp:
 
     def nnz(self) -> int:
         return sum(len(col) for col in self.cols.values())
+
+
+class _DiagonalOp(SparseOp):
+    """A diagonal operator, stored as ``values = {col: value}`` with no zero;
+    ``cols`` builds ``{c: {c: v}}`` on each read (tests, mixed sums)."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, tf: TruncatedFock, values: dict[int, object]):
+        self.tf = tf
+        self.values = values
+
+    @property
+    def cols(self) -> dict[int, dict[int, object]]:
+        return {c: {c: v} for c, v in self.values.items()}
+
+    def column(self, c: int) -> dict[int, object]:
+        v = self.values.get(c)
+        return {} if v is None else {c: v}
+
+    def entries(self):
+        return ((c, c, v) for c, v in self.values.items())
+
+    def transpose(self) -> "_DiagonalOp":
+        return self
+
+    def __eq__(self, other) -> bool:
+        if type(other) is _DiagonalOp:
+            return self.values == other.values
+        if not isinstance(other, SparseOp):
+            return NotImplemented
+        # column by column, without building the {c: {c: v}} dict
+        cols = other.cols
+        return len(cols) == len(self.values) and all(
+            (col := cols.get(c)) is not None and len(col) == 1 and col.get(c) == v
+            for c, v in self.values.items()
+        )
+
+    def nnz(self) -> int:
+        return len(self.values)
 
 
 def adjoint(op: SparseOp) -> SparseOp:
@@ -707,9 +656,11 @@ def _differences(tf: TruncatedFock, cases, high: int) -> list:
     out = []
     for label, lhs, rhs, *den in cases:
         diff = {}
-        walked = range(n) if lhs.cols != rhs.cols else ()  # sides equal as wholes agree on the block
+        walked = range(n) if lhs != rhs else ()  # sides equal as wholes agree on the block
+        # each side's column reader, bound once: None or {} where it has no entry
+        left_at, right_at = (op.column if type(op) is _DiagonalOp else op.cols.get for op in (lhs, rhs))
         for c in walked:
-            left, right = lhs.cols.get(c, {}), rhs.cols.get(c, {})
+            left, right = left_at(c) or {}, right_at(c) or {}
             if left == right:
                 continue
             for r in left.keys() | right.keys():
@@ -731,8 +682,8 @@ def _witness(tf: TruncatedFock, cases, low: int) -> dict | None:
             lhs, rhs = diff[row, col]
             return {
                 "case": label,
-                "row": tf.words[row].label(),
-                "col": tf.words[col].label(),
+                "row": tf.word(row).label(),
+                "col": tf.word(col).label(),
                 "lhs": str(lhs),
                 "rhs": str(rhs),
             }
@@ -809,14 +760,17 @@ class _Bank:
 
     def product(self, n: int, *factors: SparseOp) -> SparseOp:
         """Columns 0..n-1 of F1 ... Fk, right to left from the columns of Fk below n:
-        F1 (... (Fk[:, c])).  A lone factor is cut to them (a diagonal stays diagonal)."""
+        F1 (... (Fk[:, c])).  A lone factor is cut to them (a diagonal stays
+        diagonal), or returned itself when n spans the basis."""
         *left, last = factors
         if left:
             return reduce(lambda out, op: op @ out, reversed(left[:-1]), left[-1].times(last, n))
+        if n >= self.tf.dim:
+            return last
+        if type(last) is _DiagonalOp:
+            values = last.values
+            return _DiagonalOp(self.tf, {c: values[c] for c in range(n) if c in values})
         cols = last.cols
-        if type(cols) is _Diagonal:
-            scalars = cols.scalars
-            return SparseOp(self.tf, _Diagonal({c: scalars[c] for c in range(n) if c in scalars}))
         return SparseOp(self.tf, {c: cols[c] for c in range(n) if c in cols})
 
     def sum(self, n: int, *ops: SparseOp) -> SparseOp:

@@ -430,7 +430,7 @@ def test_words_are_rebuilt_equal_to_the_eager_reference(all_systems, fibonacci_a
         assert len(words) == tf.dim == len(eager)
         assert tuple(words) == eager
         for i in range(tf.dim):
-            assert words[i] == eager[i] and words[i - tf.dim] == eager[i - tf.dim]
+            assert tf.word(i) == words[i] == eager[i] and words[i - tf.dim] == eager[i - tf.dim]
         slices = (
             slice(None), slice(3, None), slice(None, -2), slice(-5, -1),
             slice(1, 40, 3), slice(None, None, -7), slice(tf.dim, None),
@@ -718,7 +718,7 @@ def test_verify_builds_no_word_index(exchange_pair):
     assert verify_fock_identities(tf, headroom=2).passed
     assert verify_relations_hk(tf).passed
     assert ck_generators(tf)[2].passed
-    assert "index" not in vars(tf)
+    assert "index" not in vars(tf) and "words" not in vars(tf)
     for i, word in enumerate(tf.words):
         vec = basis_vector(tf, word)
         assert vec[i] == 1 and sum(vec) == 1
@@ -856,13 +856,33 @@ def _old_diagonal(tf, value, n=None):
     return {i: {i: v} for i, w in enumerate(tf.words[:n]) if (v := value(w))}
 
 
+def _near_misses(op):
+    """Operators one entry off the diagonal ``op``: a value changed and a
+    column dropped (as diagonals and as column dicts), and an off-diagonal
+    entry added to a column of ``op`` and, where it has an empty one, to that."""
+    tf, values = op.tf, op.values
+    c = next(iter(values))
+    changed = {**values, c: 2 * values[c]}
+    dropped = {k: v for k, v in values.items() if k != c}
+    near = [fock._DiagonalOp(tf, changed), fock._DiagonalOp(tf, dropped)]
+    near += [SparseOp(tf, {k: {k: v} for k, v in vals.items()}) for vals in (changed, dropped)]
+    near.append(SparseOp(tf, {**op.cols, c: {c: values[c], (c + 1) % tf.dim: 1}}))
+    if (empty := next((k for k in range(tf.dim) if k not in values), None)) is not None:
+        near.append(SparseOp(tf, {**op.cols, empty: {c: 1}}))
+    return near
+
+
 def _assert_diagonal(op, old):
-    assert isinstance(op.cols, fock._Diagonal)
-    assert op.cols == old and old == op.cols and not op.cols != old
-    assert _plain(op) == old
-    assert len(op.cols) == len(old) and op.nnz() == len(old)
-    assert all(op.cols[c] == op.cols.get(c) == col and c in op.cols for c, col in old.items())
-    assert list(op.cols.values()) == list(old.values())
+    assert isinstance(op, fock._DiagonalOp)
+    cols = op.cols  # built on each read
+    assert cols == old and _plain(op) == old
+    assert len(cols) == len(old) and op.nnz() == len(old)
+    assert list(cols.values()) == list(old.values())
+    assert all(op.column(c) == cols.get(c, {}) for c in range(op.tf.dim))
+    same = SparseOp(op.tf, old)
+    assert op == same and same == op and not op != same and not same != op
+    for other in _near_misses(op) if old else ():
+        assert op != other and other != op and not op == other and not other == op
 
 
 def _reads(w, side):
@@ -956,22 +976,27 @@ def test_products_with_a_diagonal_equal_the_plain_products(all_systems, fibonacc
         ):
             product = left @ right
             expected = _plain_product(plain[id(left)], plain[id(right)])
-            assert product.cols == expected and _plain(product) == expected
+            cols = product.cols
+            assert cols == expected and _plain(product) == expected
             assert product.nnz() == sum(len(col) for col in expected.values())
-            assert all(product.cols.values()) and all(x for col in product.cols.values() for x in col.values())
-            both = isinstance(left.cols, fock._Diagonal) and isinstance(right.cols, fock._Diagonal)
-            assert isinstance(product.cols, fock._Diagonal) == both
+            assert all(cols.values()) and all(x for col in cols.values() for x in col.values())
+            both = isinstance(left, fock._DiagonalOp) and isinstance(right, fock._DiagonalOp)
+            assert isinstance(product, fock._DiagonalOp) == both
         for op in diagonals + generals:
             assert _plain(adjoint(op)) == _plain_transpose(plain[id(op)])
             assert op.nnz() == sum(len(col) for col in plain[id(op)].values())
+            cols = op.cols
+            assert all(op.column(c) == cols.get(c, {}) for c in range(tf.dim))
+            # a lone factor at full width is the operator itself
+            assert bank.product(tf.dim, op) is op
         mixed = diagonals[:3] + [scale(d, -1) for d in diagonals[:2]] + generals[:2]
         assert _plain(SparseOp.sum(tf, mixed)) == _plain_sum(mixed)
         # a sum of diagonals alone stays diagonal, cancelled values dropped
         minus = SparseOp.diagonal(tf, [-1] * tf.dim)
         only = diagonals[:3] + [minus @ d for d in diagonals[:2]]
         summed = SparseOp.sum(tf, iter(only))
-        assert isinstance(summed.cols, fock._Diagonal) and _plain(summed) == _plain_sum(only)
-        assert all(summed.cols.scalars.values())
+        assert isinstance(summed, fock._DiagonalOp) and _plain(summed) == _plain_sum(only)
+        assert all(summed.values.values())
         # the block bound n cuts the last factor; its columns are the full product's
         d, d2, g, g2 = diagonals[0], diagonals[1], generals[0], generals[1]
         for factors in ((d, g), (g, d, g2), (g, d), (d, d2), (d, g, d2), (g, g2, d)):
@@ -979,8 +1004,8 @@ def test_products_with_a_diagonal_equal_the_plain_products(all_systems, fibonacc
             for n in (tf.prefix(1), tf.prefix(tf.max_level - 2), tf.dim):
                 cut = bank.product(n, *factors)
                 assert _plain(cut) == {c: col for c, col in full.items() if c < n}, (factors, n)
-                diagonal = all(isinstance(f.cols, fock._Diagonal) for f in factors)
-                assert isinstance(cut.cols, fock._Diagonal) == diagonal
+                diagonal = all(isinstance(f, fock._DiagonalOp) for f in factors)
+                assert isinstance(cut, fock._DiagonalOp) == diagonal
 
 
 # the witnesses of the doubled-s run at level 4, as the full products gave

@@ -43,6 +43,12 @@ level-0 marker off the edge lists).  A product with a diagonal scales the
 rows or columns of the other factor, a product or sum of diagonals is a
 diagonal, and a diagonal is its own transpose.
 
+Operators are values, never changed once built, so they may share column
+dicts.  Every composable pair is the corner of exactly one tile, so s_x,
+t_a and their adjoints are partial permutations (one entry per column):
+most product columns are an operand's column, kept or scaled once, and
+``SparseOp.sum`` copies a column only when a second operand adds to it.
+
 Identity checks: every checked identity of the three reports (word-space
 identities, universal relations, corner generators) is one row of the
 table ``_TABLE``: report, id, formula, margin m, lowest compared level and
@@ -283,11 +289,18 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
     )
 
 
+def _below(d: dict, n: int):
+    """The items of d whose key is below n, found and read in C."""
+    kept = [*filter(d.__contains__, range(n))]
+    return zip(kept, map(d.__getitem__, kept))
+
+
 class SparseOp:
     """Exact sparse matrix over a truncated word basis: a column-major dict
     ``{col: {row: value}}`` with no empty column and no zero entry; a diagonal
     is a ``_DiagonalOp``.  Products with a diagonal scale rows (on the left)
-    or columns (on the right), and diagonals times diagonals stay diagonal."""
+    or columns (on the right), and diagonals times diagonals stay diagonal.
+    Never changed once built: its column dicts may be other operators' too."""
 
     __slots__ = ("tf", "cols")
 
@@ -319,8 +332,8 @@ class SparseOp:
 
     @staticmethod
     def sum(tf: TruncatedFock, ops) -> "SparseOp":
-        """Sum in one pass: a column is copied when first met, cancelled entries
-        dropped.  A sum of diagonals is a diagonal."""
+        """Sum in one pass, cancelled entries dropped; a column met first is the
+        operand's own until a second operand adds to it.  Diagonals sum to one."""
         values: dict[int, object] = {}
         cols: dict[int, dict[int, object]] | None = None
         for op in ops:
@@ -334,17 +347,23 @@ class SparseOp:
                     continue
                 # an operand that is not diagonal: go on by columns from the sum so far
                 cols = {c: {c: v} for c, v in values.items()}
+                owned = set(cols)  # the columns this sum made, free to add into
             for c, col in op.cols.items():
                 if (target := cols.get(c)) is None:
-                    cols[c] = dict(col)
+                    cols[c] = col  # shared with the operand until added to
                     continue
+                if c not in owned:
+                    cols[c] = target = dict(target)
+                    owned.add(c)
                 for r, v in col.items():
                     if total := target.get(r, 0) + v:
                         target[r] = total
                     else:
                         del target[r]
                 if not target:
+                    # a later operand may bring this column back shared
                     del cols[c]
+                    owned.discard(c)
         return _DiagonalOp(tf, values) if cols is None else SparseOp(tf, cols)
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
@@ -354,39 +373,46 @@ class SparseOp:
         return self.times(other)
 
     def times(self, other: "SparseOp", n: int | None = None) -> "SparseOp":
-        """self @ other, or its columns 0..n-1 read off other's columns below
-        n; no cut of other is built."""
+        """self @ other, or its columns 0..n-1 read off other's columns below n
+        (no cut of other is built); a column equal to an operand's is that one."""
         # a product with a diagonal factor multiplies nonzero entries only,
         # so nothing cancels on those paths
         diagonal = type(other) is _DiagonalOp
         right = other.values if diagonal else other.cols
-        if n is None:
-            items = right.items()
-        else:  # the columns below n, found and read in C
-            kept = [*filter(right.__contains__, range(n))]
-            items = zip(kept, map(right.__getitem__, kept))
+        items = right.items() if n is None else _below(right, n)
         if type(self) is _DiagonalOp:
             scalars = self.values
             if diagonal:
                 return _DiagonalOp(self.tf, {c: scalars[c] * bv for c, bv in items if c in scalars})
+            scalar_at = scalars.get
             cols = {}
             for c, col in items:
-                if acc := {r: scalars[r] * bv for r, bv in col.items() if r in scalars}:
+                if len(col) == 1:  # a partial permutation's column
+                    ((r, bv),) = col.items()
+                    if (a := scalar_at(r)) is not None:
+                        cols[c] = col if a == 1 else {r: a * bv}
+                elif acc := {r: scalars[r] * bv for r, bv in col.items() if r in scalars}:
                     cols[c] = acc
             return SparseOp(self.tf, cols)
         left = self.cols
         if diagonal:
             cols = {
-                c: {r: av * bv for r, av in left_col.items()}
+                c: left_col if bv == 1 else {r: av * bv for r, av in left_col.items()}
                 for c, bv in items
                 if (left_col := left.get(c))
             }
             return SparseOp(self.tf, cols)
+        left_at = left.get
         cols = {}
         for c, col in items:
+            if len(col) == 1:  # one left column, scaled
+                ((k, bv),) = col.items()
+                if left_col := left_at(k):
+                    cols[c] = left_col if bv == 1 else {r: av * bv for r, av in left_col.items()}
+                continue
             acc: dict[int, object] = {}
             for k, bv in col.items():
-                left_col = left.get(k)
+                left_col = left_at(k)
                 if not left_col:
                     continue
                 for r, av in left_col.items():
@@ -399,8 +425,9 @@ class SparseOp:
 
     def transpose(self) -> "SparseOp":
         cols: dict[int, dict[int, object]] = {}
-        for r, c, v in self.entries():
-            cols.setdefault(r, {})[c] = v
+        for c, col in self.cols.items():
+            for r, v in col.items():
+                cols.setdefault(r, {})[c] = v
         return SparseOp(self.tf, cols)
 
     def is_zero(self) -> bool:
@@ -444,11 +471,12 @@ class _DiagonalOp(SparseOp):
             return self.values == other.values
         if not isinstance(other, SparseOp):
             return NotImplemented
-        # column by column, without building the {c: {c: v}} dict
-        cols = other.cols
-        return len(cols) == len(self.values) and all(
-            (col := cols.get(c)) is not None and len(col) == 1 and col.get(c) == v
-            for c, v in self.values.items()
+        # the same columns, one entry each, on the diagonal
+        cols, values = other.cols, self.values
+        return (
+            cols.keys() == values.keys()
+            and set(map(len, cols.values())) <= {1}
+            and {c: col.get(c) for c, col in cols.items()} == values
         )
 
     def nnz(self) -> int:
@@ -656,10 +684,13 @@ def _differences(tf: TruncatedFock, cases, high: int) -> list:
     out = []
     for label, lhs, rhs, *den in cases:
         diff = {}
-        walked = range(n) if lhs != rhs else ()  # sides equal as wholes agree on the block
-        # each side's column reader, bound once: None or {} where it has no entry
-        left_at, right_at = (op.column if type(op) is _DiagonalOp else op.cols.get for op in (lhs, rhs))
-        for c in walked:
+        out.append((label, diff))
+        if lhs == rhs:  # sides equal as wholes agree on the block
+            continue
+        # each side's column reader, bound once per walked case (a diagonal
+        # builds its column dict here): None where it has no entry
+        left_at, right_at = lhs.cols.get, rhs.cols.get
+        for c in range(n):
             left, right = left_at(c) or {}, right_at(c) or {}
             if left == right:
                 continue
@@ -667,7 +698,6 @@ def _differences(tf: TruncatedFock, cases, high: int) -> list:
                 a, b = left.get(r, 0), right.get(r, 0)
                 if r < n and a != b:
                     diff[r, c] = (Fraction(a, *den), Fraction(b, *den)) if den else (a, b)
-        out.append((label, diff))
     return out
 
 
@@ -768,10 +798,8 @@ class _Bank:
         if n >= self.tf.dim:
             return last
         if type(last) is _DiagonalOp:
-            values = last.values
-            return _DiagonalOp(self.tf, {c: values[c] for c in range(n) if c in values})
-        cols = last.cols
-        return SparseOp(self.tf, {c: cols[c] for c in range(n) if c in cols})
+            return _DiagonalOp(self.tf, dict(_below(last.values, n)))
+        return SparseOp(self.tf, dict(_below(last.cols, n)))
 
     def sum(self, n: int, *ops: SparseOp) -> SparseOp:
         """Columns 0..n-1 of the sum, from each operand cut to them."""
@@ -797,10 +825,16 @@ class _Bank:
         )
 
     @cached_property
+    def generator_adjoints(self) -> tuple[dict, dict]:
+        """S* and T* per corner pair."""
+        return tuple({pair: adjoint(g) for pair, g in gens.items()} for gens in self.generators)
+
+    @cached_property
     def generator_ranges(self) -> dict:
         """SS* + TT* per corner pair, on the widest block."""
+        pairs = tuple(zip(self.generators, self.generator_adjoints))
         return {
-            pair: SparseOp.sum(self.tf, (self.product(self.widest, g[pair], adjoint(g[pair])) for g in self.generators))
+            pair: SparseOp.sum(self.tf, (self.product(self.widest, g[pair], g_adj[pair]) for g, g_adj in pairs))
             for pair in self.e
         }
 
@@ -1003,9 +1037,10 @@ def _generator_partition(bank, n):
 
 def _generator_transition(bank, n, index: int):
     ranges = list(bank.generator_ranges.values())
-    for i, gen in enumerate(bank.generators[index].values()):
+    gens = zip(bank.generator_adjoints[index].values(), bank.generators[index].values())
+    for i, (adj, gen) in enumerate(gens):
         rhs = bank.sum(n, *(r for r, keep in zip(ranges, bank.quad[index][i]) if keep))
-        yield f"row {i}", bank.product(n, adjoint(gen), gen), rhs
+        yield f"row {i}", bank.product(n, adj, gen), rhs
 
 
 def _corner_decomposition(bank, n):

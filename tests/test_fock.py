@@ -1047,3 +1047,102 @@ def test_doubled_s_witnesses_are_pinned(exchange_pair, monkeypatch):
     assert set(DOUBLED_S_WITNESSES) == BROKEN_BY_DOUBLED_S
     keys = ("case", "row", "col", "lhs", "rhs")
     assert witnesses == {i: dict(zip(keys, w)) for i, w in DOUBLED_S_WITNESSES.items()}
+
+
+def test_each_generator_adjoint_is_built_once(fibonacci, monkeypatch):
+    calls = []
+    real = fock.adjoint
+    monkeypatch.setattr(fock, "adjoint", lambda op: calls.append(op) or real(op))
+    tf = fock_basis(fibonacci, 4)
+    reports = [verify_fock_identities(tf, headroom=2), verify_relations_hk(tf), ck_generators(tf)[2]]
+    assert all(r.passed for r in reports)
+    bank = tf._bank
+    generators = [g for gens in bank.generators for g in gens.values()]
+    creations = [op for lay in bank.layers for op in lay.op.values()]
+    # one transpose per creation operator (the layers' adj) and one per generator
+    assert sorted(map(id, calls)) == sorted(map(id, generators + creations))
+    for gens, adjs in zip(bank.generators, bank.generator_adjoints):
+        assert list(adjs) == list(gens)
+        assert all(_plain(adjs[pair]) == _plain_transpose(_plain(g)) for pair, g in gens.items())
+
+
+def test_a_sum_copies_a_shared_column_before_adding_into_it(tf_exchange):
+    tf = tf_exchange
+    shared = {5: 1, 6: Fraction(1, 2)}
+    # column 0 cancels to empty, comes back as the column ``other`` also
+    # holds, and a further operand adds into it
+    first, cancel = SparseOp(tf, {0: {1: 2}}), SparseOp(tf, {0: {1: -2}})
+    readd, other = SparseOp(tf, {0: shared, 2: {2: 1}}), SparseOp(tf, {3: shared})
+    further = SparseOp(tf, {0: {5: 2, 7: Fraction(-1, 3)}, 3: {5: -1}})
+    for lead in ([], [SparseOp.diagonal(tf, [0, 0, 3])]):
+        ops = [*lead, first, cancel, readd, other, further]
+        before = [_plain(op) for op in ops]
+        total = SparseOp.sum(tf, ops)
+        expected = {0: {5: 3, 6: Fraction(1, 2), 7: Fraction(-1, 3)}, 2: {2: 4 if lead else 1}, 3: {6: Fraction(1, 2)}}
+        assert total.cols == expected == _plain_sum(ops)
+        assert [_plain(op) for op in ops] == before  # operands untouched
+        assert shared == {5: 1, 6: Fraction(1, 2)} and readd.cols[0] is shared is other.cols[3]
+        # the sum's columns are in turn left alone by a sum that reads them
+        SparseOp.sum(tf, [total, total, readd])
+        assert total.cols == expected and [_plain(op) for op in ops] == before
+
+
+def test_products_leave_both_operands_unchanged(tf_exchange, exchange_pair):
+    tf = tf_exchange
+    bank = tf._bank
+    h, v = bank.layers
+    xi = fock._seeded_tile_vectors(exchange_pair)[0][1]
+    diagonals = [
+        bank.identity,  # unit scales
+        h.diag[by_id(exchange_pair, "A:1->1#1")],
+        SparseOp.diagonal(tf, [(-2, 1, 3, Fraction(2, 3), 0)[i % 5] for i in range(tf.dim)]),
+    ]
+    generals = [
+        h.op[by_id(exchange_pair, "A:1->1#1")],  # one unit entry per column
+        v.adj[by_id(exchange_pair, "B:1->1#2")],
+        scale(h.op[by_id(exchange_pair, "A:1->1#2")], Fraction(-3, 2)),  # one scaled entry
+        creation_from_vector(tf, "s", xi),  # several Fraction entries per column
+        h.range_sum,
+    ]
+    assert {len(col) for op in generals for col in op.cols.values()} > {1}
+    ops = diagonals + generals
+    plain = {id(op): _plain(op) for op in ops}
+    n = tf.prefix(tf.max_level - 2)
+    for left, right in itertools.product(ops, repeat=2):
+        expected = _plain_product(plain[id(left)], plain[id(right)])
+        cut = {c: col for c, col in expected.items() if c < n}
+        for product, want in ((left @ right, expected), (left.times(right, n), cut)):
+            assert _plain(product) == want
+            # a sum that adds into the product's columns, which may be the operands'
+            twice = SparseOp.sum(tf, [product, product, product])
+            assert _plain(twice) == {c: {r: 3 * x for r, x in col.items()} for c, col in _plain(product).items()}
+        assert _plain(left) == plain[id(left)] and _plain(right) == plain[id(right)]
+    assert all(_plain(op) == plain[id(op)] for op in ops)
+
+
+def _bank_operators(bank) -> dict:
+    """Every operator the bank holds, by a key naming it."""
+    ops = {name: getattr(bank, name) for name in ("identity", "p0", "p1")}
+    for lay in bank.layers:
+        for name in ("op", "adj", "diag", "range", "vertex", "initial"):
+            ops.update(((lay.name, name, x), op) for x, op in getattr(lay, name).items())
+        ops[lay.name, "range_proj"], ops[lay.name, "range_sum"] = lay.range_proj, lay.range_sum
+    ops.update((("vertex", k), op) for k, op in bank.vertex.items())
+    ops.update((("e", pair), op) for pair, op in bank.e.items())
+    for k, (gens, adjs) in enumerate(zip(bank.generators, bank.generator_adjoints)):
+        ops.update((("generator", k, pair), op) for pair, op in gens.items())
+        ops.update((("generator_adjoint", k, pair), op) for pair, op in adjs.items())
+    ops.update((("generator_range", pair), op) for pair, op in bank.generator_ranges.items())
+    return ops
+
+
+def test_the_suites_change_no_bank_operator(exchange_pair, fibonacci):
+    # products and sums share the operands' columns: none may be written to
+    for ts, level in ((exchange_pair, 4), (fibonacci, 5)):
+        tf = fock_basis(ts, level)
+        ops = _bank_operators(tf._bank)
+        before = {key: _plain(op) for key, op in ops.items()}
+        reports = (verify_fock_identities(tf, headroom=2), verify_relations_hk(tf), ck_generators(tf)[2])
+        assert all(r.passed for r in reports)
+        assert all(op is ops[key] for key, op in _bank_operators(tf._bank).items())
+        assert {key: _plain(op) for key, op in ops.items()} == before

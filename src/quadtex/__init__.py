@@ -14,6 +14,7 @@ The ``quadtex`` console script drives all of it from a JSON input document.
 """
 
 import importlib
+import importlib.util
 
 __version__ = "0.1.0"
 
@@ -54,7 +55,7 @@ __all__ = list(_LAYER)
 def __getattr__(name):
     if name in _LAYER:
         return getattr(importlib.import_module(f".{_LAYER[name]}", __name__), name)
-    if name in ("textile", "errors", "algebra", "quadmod", "ktheory"):
+    if importlib.util.find_spec(f"{__name__}.{name}"):  # any submodule
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

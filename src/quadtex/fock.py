@@ -15,10 +15,11 @@ same terminal vertex, which makes the transpose the adjoint for the
 vertex-valued pairing.  The basis records each word as (first tile,
 first separator, tail) (``TruncatedFock.splits``), so a creation operator
 is one pass over the target words: a tile word comes from a level-0
-marker, a deeper one from its tail.  The basis is these flat per-word
-columns alone (level, split, first tile, terminal vertex): no word object
-is built, and ``TruncatedFock.word`` rebuilds a ``FockWord`` from the
-splits when one is read (witness labels; ``words`` for tests).
+marker, a deeper one from its tail.  The basis is these split records and
+the index where each level starts (``TruncatedFock.starts``): no word
+object is built, and ``TruncatedFock.word`` rebuilds a ``FockWord`` from
+the splits when one is read (witness labels, ``rank_one``; ``words`` for
+tests).  An operator is its entries alone and holds no basis.
 
 Truncation semantics: a product of operators computed on the truncated
 basis agrees with the untruncated product on any column whose intermediate
@@ -38,8 +39,8 @@ whole; a diagonal lone factor is cut to a diagonal.
 
 Diagonal operators (edge and vertex actions, range and level projections,
 the identity and e) are ``_DiagonalOp``s: one value per word, read off the
-basis columns (an edge action off each word's first tile, ``heads``; a
-level-0 marker off the edge lists).  A product with a diagonal scales the
+basis (an edge action off each word's first tile, the head of its split;
+a level-0 marker off the edge lists).  A product with a diagonal scales the
 rows or columns of the other factor, a product or sum of diagonals is a
 diagonal, and a diagonal is its own transpose.
 
@@ -91,6 +92,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .algebra import DiagElem, EdgeElem, embed, pullback_along_kappa
@@ -145,32 +147,35 @@ class FockWord:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedFock:
-    """Basis of all glued words up to a top level, stored as per-word columns.
+    """Basis of all glued words up to a top level: one split record per word
+    and the index where each level starts.
 
     ``splits[i]`` is word i split as (first tile's index in ``ts.tiles``,
     first separator, tail index); None on level 0, (k, None, None) on level 1.
-    ``heads[i]`` is the first tile's index (None on level 0) and
-    ``vertices[i]`` the terminal vertex.  ``word(i)`` rebuilds word i from
-    ``splits``; ``words`` builds them all on first read.
+    Levels never decrease along the basis: ``starts[n]`` is the index of the
+    first word of level n, and ``starts[max_level + 1] == dim``.  ``word(i)``
+    rebuilds word i from ``splits``; ``words`` builds them all on first read.
     """
 
     ts: TextileSystem
     max_level: int
-    levels: tuple[int, ...] = field(repr=False)
+    starts: tuple[int, ...]
     splits: tuple[tuple[int, str | None, int | None] | None, ...] = field(repr=False)
-    heads: tuple[int | None, ...] = field(repr=False)
-    vertices: tuple[int, ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.levels)
+        return self.starts[-1]
 
     def count_at(self, level: int) -> int:
         return self.prefix(level) - self.prefix(level - 1)
 
     def prefix(self, level: int) -> int:
-        """Number of words of level <= ``level``: the first ones, as levels never decrease."""
-        return bisect_right(self.levels, level)
+        """Number of words of level <= ``level``: the first ones."""
+        return self.starts[min(max(level + 1, 0), self.max_level + 1)]
+
+    def level(self, i: int) -> int:
+        """The level of word i (0 <= i < dim)."""
+        return bisect_right(self.starts, i) - 1
 
     @cached_property
     def index(self) -> dict[FockWord, int]:
@@ -239,8 +244,8 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
 
     Words at each level are generated in order: level 0 lists the B-edge
     markers then the A-edge markers; level n+1 extends each level-n word in
-    order by (separator, tile), eta before rho.  Only the per-word columns
-    are built (levels, splits, first tiles and terminal vertices), no word.
+    order by (separator, tile), eta before rho.  Only the split records and
+    the level starts are built, no word.
     Raises BasisTooLarge when a level from 2 on would exceed ``cap`` words,
     before any of them is built.
     """
@@ -251,19 +256,15 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
             raise BasisTooLarge(f"level {n} would hold {size} words (cap {cap})")
     tiles = ts.tiles
     start = len(ts.edges_a) + len(ts.edges_b)
-    levels = [0] * start + [1] * len(tiles)
     splits: list = [None] * start + [(k, None, None) for k in range(len(tiles))]
-    heads: list = [None] * start + list(range(len(tiles)))
-    vertices = [e.target for e in ts.edges_b + ts.edges_a] + [t.vertex for t in tiles]
+    starts = [0, start, len(splits)]
     follow = _extensions(tiles)
-    # the terminal vertex of every extension of a word ending in tile k
-    follow_vertices = [[tiles[u].vertex for _, u in ext] for ext in follow]
     # a word and its tail end in the same tile, so both have the same
     # extensions in the same order: the tail of the k-th extension of a
     # word is the k-th extension of its tail
     first_child: dict[int, int] = {}
     level = [(start + k, k) for k in range(len(tiles))]  # (word index, last tile index)
-    for depth in range(2, max_level + 1):
+    for _ in range(2, max_level + 1):
         nxt = []
         for i, last in level:
             first_child[i] = len(splits)
@@ -275,18 +276,9 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
                     splits.append((head, sep, start + u))
                 else:
                     splits.append((head, first_sep, first_child[tail] + k))
-            heads.extend([head] * len(ext))
-            vertices.extend(follow_vertices[last])
-        levels.extend([depth] * len(nxt))
+        starts.append(len(splits))
         level = nxt
-    return TruncatedFock(
-        ts=ts,
-        max_level=max_level,
-        levels=tuple(levels),
-        splits=tuple(splits),
-        heads=tuple(heads),
-        vertices=tuple(vertices),
-    )
+    return TruncatedFock(ts=ts, max_level=max_level, starts=tuple(starts), splits=tuple(splits))
 
 
 def _below(d: dict, n: int):
@@ -302,24 +294,19 @@ class SparseOp:
     or columns (on the right), and diagonals times diagonals stay diagonal.
     Never changed once built: its column dicts may be other operators' too."""
 
-    __slots__ = ("tf", "cols")
+    __slots__ = ("cols",)
 
-    def __init__(self, tf: TruncatedFock, cols: dict[int, dict[int, object]] | None = None):
-        self.tf = tf
+    def __init__(self, cols: dict[int, dict[int, object]] | None = None):
         self.cols = {} if cols is None else cols
 
     @staticmethod
-    def zero(tf: TruncatedFock) -> "SparseOp":
-        return SparseOp(tf)
-
-    @staticmethod
     def identity(tf: TruncatedFock) -> "_DiagonalOp":
-        return _DiagonalOp(tf, dict.fromkeys(range(tf.dim), 1))
+        return _DiagonalOp(dict.fromkeys(range(tf.dim), 1))
 
     @staticmethod
-    def diagonal(tf: TruncatedFock, values) -> "_DiagonalOp":
+    def diagonal(values) -> "_DiagonalOp":
         """Diagonal operator from one value per basis word."""
-        return _DiagonalOp(tf, dict(itertools.compress(enumerate(values), values)))
+        return _DiagonalOp(dict(itertools.compress(enumerate(values), values)))
 
     def column(self, c: int) -> dict[int, object]:
         """Column c, ``{}`` where it has no entry."""
@@ -331,7 +318,7 @@ class SparseOp:
                 yield r, c, v
 
     @staticmethod
-    def sum(tf: TruncatedFock, ops) -> "SparseOp":
+    def sum(ops) -> "SparseOp":
         """Sum in one pass, cancelled entries dropped; a column met first is the
         operand's own until a second operand adds to it.  Diagonals sum to one."""
         values: dict[int, object] = {}
@@ -364,10 +351,10 @@ class SparseOp:
                     # a later operand may bring this column back shared
                     del cols[c]
                     owned.discard(c)
-        return _DiagonalOp(tf, values) if cols is None else SparseOp(tf, cols)
+        return _DiagonalOp(values) if cols is None else SparseOp(cols)
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
-        return SparseOp.sum(self.tf, (self, other))
+        return SparseOp.sum((self, other))
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
         return self.times(other)
@@ -383,7 +370,7 @@ class SparseOp:
         if type(self) is _DiagonalOp:
             scalars = self.values
             if diagonal:
-                return _DiagonalOp(self.tf, {c: scalars[c] * bv for c, bv in items if c in scalars})
+                return _DiagonalOp({c: scalars[c] * bv for c, bv in items if c in scalars})
             scalar_at = scalars.get
             cols = {}
             for c, col in items:
@@ -393,7 +380,7 @@ class SparseOp:
                         cols[c] = col if a == 1 else {r: a * bv}
                 elif acc := {r: scalars[r] * bv for r, bv in col.items() if r in scalars}:
                     cols[c] = acc
-            return SparseOp(self.tf, cols)
+            return SparseOp(cols)
         left = self.cols
         if diagonal:
             cols = {
@@ -401,7 +388,7 @@ class SparseOp:
                 for c, bv in items
                 if (left_col := left.get(c))
             }
-            return SparseOp(self.tf, cols)
+            return SparseOp(cols)
         left_at = left.get
         cols = {}
         for c, col in items:
@@ -421,14 +408,14 @@ class SparseOp:
                 acc = {r: v for r, v in acc.items() if v}
             if acc:
                 cols[c] = acc
-        return SparseOp(self.tf, cols)
+        return SparseOp(cols)
 
     def transpose(self) -> "SparseOp":
         cols: dict[int, dict[int, object]] = {}
         for c, col in self.cols.items():
             for r, v in col.items():
                 cols.setdefault(r, {})[c] = v
-        return SparseOp(self.tf, cols)
+        return SparseOp(cols)
 
     def is_zero(self) -> bool:
         return not self.nnz()
@@ -448,8 +435,7 @@ class _DiagonalOp(SparseOp):
 
     __slots__ = ("values",)
 
-    def __init__(self, tf: TruncatedFock, values: dict[int, object]):
-        self.tf = tf
+    def __init__(self, values: dict[int, object]):
         self.values = values
 
     @property
@@ -514,7 +500,7 @@ def creation_from_vector(tf: TruncatedFock, kind: str, xi: QuadVector) -> Sparse
             cols.setdefault(markers[head], {})[j] = c
         elif first_sep == sep:
             cols.setdefault(tail, {})[j] = c
-    return SparseOp(tf, cols)
+    return SparseOp(cols)
 
 
 def creation(tf: TruncatedFock, kind: str, edge: Edge) -> SparseOp:
@@ -542,8 +528,8 @@ def _exact(c):
 def _by_first_tile(tf: TruncatedFock, marker_values, tile_values, n: int | None = None) -> list:
     """Per word of the first n: its value in ``marker_values`` on level 0 (the
     q markers, then the p markers), else its first tile's value."""
-    start = len(marker_values)
-    return marker_values[:n] + list(map(tile_values.__getitem__, itertools.islice(tf.heads, start, n)))
+    heads = map(itemgetter(0), itertools.islice(tf.splits, len(marker_values), n))
+    return marker_values[:n] + list(map(tile_values.__getitem__, heads))
 
 
 def left_action_op(tf: TruncatedFock, kind: str, elem: EdgeElem, n: int | None = None) -> SparseOp:
@@ -566,7 +552,7 @@ def left_action_op(tf: TruncatedFock, kind: str, elem: EdgeElem, n: int | None =
     coeff = {e: _exact(c) for e, c in zip(ts.edges(elem.layer), elem.coeffs)}
     markers = [coeff.get(e, 0) for e in ts.edges_b + ts.edges_a]
     values = _by_first_tile(tf, markers, [coeff[getattr(t, side)] for t in ts.tiles], n)
-    return SparseOp.diagonal(tf, values)
+    return SparseOp.diagonal(values)
 
 
 def vertex_action_op(tf: TruncatedFock, y: DiagElem) -> SparseOp:
@@ -582,7 +568,7 @@ def vertex_action_op(tf: TruncatedFock, y: DiagElem) -> SparseOp:
     at = [None] + [_exact(c) for c in y.coeffs]  # 1-based vertices
     markers = [at[e.source] for e in ts.edges_b + ts.edges_a]
     values = _by_first_tile(tf, markers, [at[t.top.source] for t in ts.tiles])
-    return SparseOp.diagonal(tf, values)
+    return SparseOp.diagonal(values)
 
 
 def graded_projection(tf: TruncatedFock, which, n: int | None = None) -> SparseOp:
@@ -592,10 +578,10 @@ def graded_projection(tf: TruncatedFock, which, n: int | None = None) -> SparseO
     range of the s-family above level 1); 'eta' keeps first separator rho.
     """
     if which == "level":
-        return SparseOp.diagonal(tf, [int(lv == n) for lv in tf.levels])
+        return _DiagonalOp(dict.fromkeys(range(tf.prefix(n - 1), tf.prefix(n)), 1))
     if which in ("rho", "eta"):
         sep = SEP_ETA if which == "rho" else SEP_RHO
-        return SparseOp.diagonal(tf, [1 if split and split[1] == sep else 0 for split in tf.splits])
+        return SparseOp.diagonal([1 if split and split[1] == sep else 0 for split in tf.splits])
     raise ValueError(f"which must be 'level', 'rho' or 'eta', got {which!r}")
 
 
@@ -604,18 +590,19 @@ def rank_one(tf: TruncatedFock, xi, zeta) -> SparseOp:
 
     ``xi`` and ``zeta`` are vectors over the truncated basis (any indexable).
     Sends basis word W to sum_W' xi(W') zeta(W) [vertex(W') == vertex(W)] W'.
+    Each support word is rebuilt to read its vertex, cheap on the levels 0
+    and 1 ``verify`` uses.
     """
-    vertices = tf.vertices
     # the supports, found by a scan in C, and xi's grouped by terminal vertex
     xi_at: dict[int, list] = {}
     for i in itertools.compress(itertools.count(), xi):
-        xi_at.setdefault(vertices[i], []).append((i, xi[i]))
+        xi_at.setdefault(tf.word(i).vertex, []).append((i, xi[i]))
     cols: dict[int, dict[int, object]] = {}
     for j in itertools.compress(itertools.count(), zeta):
-        if same := xi_at.get(vertices[j]):
+        if same := xi_at.get(tf.word(j).vertex):
             z = zeta[j]
             cols[j] = {i: v * z for i, v in same}
-    return SparseOp(tf, cols)
+    return SparseOp(cols)
 
 
 def basis_vector(tf: TruncatedFock, word: FockWord):
@@ -633,7 +620,6 @@ def basis_vector(tf: TruncatedFock, word: FockWord):
 class IdentityCheck:
     identity_id: str
     formula: str
-    margin: int
     levels_checked: tuple[int, int] | None
     status: str  # 'pass' | 'fail' | 'skipped'
     notice: str | None = None
@@ -704,9 +690,9 @@ def _differences(tf: TruncatedFock, cases, high: int) -> list:
 def _witness(tf: TruncatedFock, cases, low: int) -> dict | None:
     """The first differing entry, by column then row, of the first case
     that differs on levels >= low; None when every case agrees there."""
-    levels = tf.levels
+    first = tf.prefix(low - 1)  # the first word of level >= low
     for label, diff in cases:
-        block = [(c, r) for r, c in diff if min(levels[r], levels[c]) >= low]
+        block = [(c, r) for r, c in diff if min(r, c) >= first]
         if block:
             col, row = min(block)
             lhs, rhs = diff[row, col]
@@ -730,7 +716,7 @@ class _Layer:
 
     def __init__(self, bank, index, name, own, act, layer, unit_vector, inner, corner):
         tf, ts = bank.tf, bank.ts
-        self.tf, self.index, self.name, self.own, self.act = tf, index, name, own, act
+        self.index, self.name, self.own, self.act = index, name, own, act
         self.unit_vector, self.inner, self.corner = unit_vector, inner, corner
         self.edges = ts.edges(layer)
         self.op = {x: creation(tf, name, x) for x in self.edges}
@@ -745,7 +731,7 @@ class _Layer:
 
     @cached_property
     def range_sum(self) -> SparseOp:
-        return SparseOp.sum(self.tf, self.range.values())
+        return SparseOp.sum(self.range.values())
 
     @cached_property
     def initial(self) -> dict[Edge, SparseOp]:
@@ -770,7 +756,7 @@ class _Bank:
         )
         # each layer with its opposite one
         self.mirrored = (self.layers, self.layers[::-1])
-        self.zero = SparseOp.zero(tf)
+        self.zero = SparseOp()
         self.identity = SparseOp.identity(tf)
         self.p0 = graded_projection(tf, "level", 0)
         self.p1 = graded_projection(tf, "level", 1)
@@ -798,12 +784,12 @@ class _Bank:
         if n >= self.tf.dim:
             return last
         if type(last) is _DiagonalOp:
-            return _DiagonalOp(self.tf, dict(_below(last.values, n)))
-        return SparseOp(self.tf, dict(_below(last.cols, n)))
+            return _DiagonalOp(dict(_below(last.values, n)))
+        return SparseOp(dict(_below(last.cols, n)))
 
     def sum(self, n: int, *ops: SparseOp) -> SparseOp:
         """Columns 0..n-1 of the sum, from each operand cut to them."""
-        return SparseOp.sum(self.tf, (self.product(n, op) for op in ops))
+        return SparseOp.sum(self.product(n, op) for op in ops)
 
     @cached_property
     def quad(self) -> tuple:
@@ -834,7 +820,7 @@ class _Bank:
         """SS* + TT* per corner pair, on the widest block."""
         pairs = tuple(zip(self.generators, self.generator_adjoints))
         return {
-            pair: SparseOp.sum(self.tf, (self.product(self.widest, g[pair], g_adj[pair]) for g, g_adj in pairs))
+            pair: SparseOp.sum(self.product(self.widest, g[pair], g_adj[pair]) for g, g_adj in pairs)
             for pair in self.e
         }
 
@@ -945,7 +931,7 @@ def _rank_one_partition(bank, n, level: int):
     tf = bank.tf
     positions = range(tf.prefix(level - 1), tf.prefix(level))
     units = ([0] * i + [1] + [0] * (tf.dim - i - 1) for i in positions)
-    total = SparseOp.sum(tf, (rank_one(tf, vec, vec) for vec in units))
+    total = SparseOp.sum(rank_one(tf, vec, vec) for vec in units)
     yield "", bank.product(n, total), bank.product(n, (bank.p0, bank.p1)[level])
 
 
@@ -959,7 +945,7 @@ def _creation_expansion(bank, n):
             pairings = ((x, lay.inner(ts, lay.unit_vector(ts, x), xi)) for x in lay.edges)
             terms = (bank.product(n, lay.op[x], left_action_op(tf, oth.act, w, n)) for x, w in pairings)
             lhs = creation_from_vector(tf, lay.name, xi)
-            yield f"{lay.name}[{tag}]", bank.product(n, lhs), SparseOp.sum(tf, terms), d
+            yield f"{lay.name}[{tag}]", bank.product(n, lhs), SparseOp.sum(terms), d
 
 
 def _unit_partition(bank, n):
@@ -1018,8 +1004,8 @@ def _range_proj_corner_refinement(bank, n):
         for x, rng in lay.range.items():
             corners = [e for pair, e in bank.e.items() if lay.edge_of(pair) == x]
             label = f"{lay.name}{lay.name}*[{x.id}] via e"
-            yield f"{label} (right)", bank.product(n, rng), SparseOp.sum(bank.tf, (bank.product(n, rng, e) for e in corners))
-            yield f"{label} (left)", bank.product(n, rng), SparseOp.sum(bank.tf, (bank.product(n, e, rng) for e in corners))
+            yield f"{label} (right)", bank.product(n, rng), SparseOp.sum(bank.product(n, rng, e) for e in corners)
+            yield f"{label} (left)", bank.product(n, rng), SparseOp.sum(bank.product(n, e, rng) for e in corners)
 
 
 def _corner_transition(bank, n):
@@ -1131,7 +1117,7 @@ def _run(tf: TruncatedFock, report: str, identities=None, headroom: int = 1) -> 
                 )
             notice = f"{needs}, basis has {tf.max_level}"
             checks.append(
-                IdentityCheck(row.identity_id, row.formula, row.margin, None, "skipped", notice)
+                IdentityCheck(row.identity_id, row.formula, None, "skipped", notice)
             )
             continue
         cases = itertools.chain.from_iterable(
@@ -1142,7 +1128,6 @@ def _run(tf: TruncatedFock, report: str, identities=None, headroom: int = 1) -> 
             IdentityCheck(
                 row.identity_id,
                 row.formula,
-                row.margin,
                 (row.low, high),
                 "fail" if witness else "pass",
                 witness=witness,
@@ -1200,9 +1185,5 @@ def ck_generators(tf: TruncatedFock):
     levels [2, L-2].  Returns ({pair: S}, {pair: T}, report).
     """
     report = _run(tf, GENERATORS)
-    # the bank's operators refer to the basis weakly; hand out ones that
-    # keep it alive
-    s_ops, t_ops = (
-        {pair: SparseOp(tf, op.cols) for pair, op in ops.items()} for ops in tf._bank.generators
-    )
+    s_ops, t_ops = tf._bank.generators
     return s_ops, t_ops, report

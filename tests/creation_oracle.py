@@ -58,4 +58,4 @@ def creation_from_vector(tf: TruncatedFock, kind: str, xi: QuadVector) -> Sparse
                 col[j] = col.get(j, 0) + c
         if col:
             cols[i] = col
-    return SparseOp(tf, cols)
+    return SparseOp(cols)

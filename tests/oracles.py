@@ -17,8 +17,8 @@
 * Words: ``eager_words``, every basis word built whole, the reference
   for the words ``TruncatedFock`` rebuilds on each read.
 * Operators: ``entry``, ``apply``, ``scale``, ``restrict`` and
-  ``level_shift`` on a ``SparseOp``; they read only its ``cols`` and
-  ``tf``.
+  ``level_shift`` on a ``SparseOp``; they read only its ``cols``, and
+  ``apply``, ``restrict`` and ``level_shift`` take its basis ``tf``.
 * Patches: ``brute_force_count`` counts the h x w patches one tile at a
   time, the oracle for ``subshift.count_rectangles`` on small shapes.
 """
@@ -31,7 +31,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from quadtex.fock import SEP_ETA, SEP_RHO, FockWord, SparseOp
+from quadtex.fock import SEP_ETA, SEP_RHO, FockWord, SparseOp, TruncatedFock
 from quadtex.ktheory import Matrix, Rows, _bareiss, _xgcd, identity_matrix
 from quadtex.quadmod import (
     QuadVector,
@@ -362,9 +362,9 @@ def entry(op: SparseOp, row: int, col: int):
     return op.cols.get(col, {}).get(row, 0)
 
 
-def apply(op: SparseOp, vec):
+def apply(tf: TruncatedFock, op: SparseOp, vec):
     """Matrix-vector product; vec is indexable by basis position."""
-    out = [Fraction(0)] * op.tf.dim
+    out = [Fraction(0)] * tf.dim
     for c, col in op.cols.items():
         x = vec[c]
         if x == 0:
@@ -376,26 +376,25 @@ def apply(op: SparseOp, vec):
 
 def scale(op: SparseOp, c) -> SparseOp:
     if c == 0:
-        return SparseOp(op.tf)
-    return SparseOp(op.tf, {j: {r: c * v for r, v in col.items()} for j, col in op.cols.items()})
+        return SparseOp()
+    return SparseOp({j: {r: c * v for r, v in col.items()} for j, col in op.cols.items()})
 
 
-def restrict(op: SparseOp, low_level: int, high_level: int) -> SparseOp:
+def restrict(tf: TruncatedFock, op: SparseOp, low_level: int, high_level: int) -> SparseOp:
     """Cut rows and columns to words with level in [low_level, high_level]."""
-    levels = op.tf.levels
     cols = {}
     for c, col in op.cols.items():
-        if not low_level <= levels[c] <= high_level:
+        if not low_level <= tf.level(c) <= high_level:
             continue
-        kept = {r: v for r, v in col.items() if low_level <= levels[r] <= high_level}
+        kept = {r: v for r, v in col.items() if low_level <= tf.level(r) <= high_level}
         if kept:
             cols[c] = kept
-    return SparseOp(op.tf, cols)
+    return SparseOp(cols)
 
 
-def level_shift(op: SparseOp) -> int | None:
+def level_shift(tf: TruncatedFock, op: SparseOp) -> int | None:
     """The uniform level shift of all entries, or None if mixed/empty."""
-    shifts = {op.tf.levels[r] - op.tf.levels[c] for r, c, _ in op.entries()}
+    shifts = {tf.level(r) - tf.level(c) for r, c, _ in op.entries()}
     if len(shifts) == 1:
         return shifts.pop()
     return None

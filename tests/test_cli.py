@@ -387,8 +387,12 @@ def test_a_bare_import_loads_no_layer_and_resolves_every_name():
         "import quadtex",
         "assert [m for m in sys.modules if m.split('.')[0] == 'quadtex'] == ['quadtex']",
         "assert set(quadtex.__all__) <= set(dir(quadtex))",
-        "for name in ('textile', 'errors', 'algebra', 'quadmod', 'ktheory'):",
+        "import pkgutil",
+        "layers = [m.name for m in pkgutil.iter_modules(quadtex.__path__)]",
+        "assert {'fock', 'subshift', 'cli'} < set(layers), layers",
+        "for name in layers:",
         "    assert getattr(quadtex, name) is sys.modules['quadtex.' + name], name",
+        "assert quadtex.fock.fock_basis and quadtex.subshift.count_rectangles",
         "names = {}",
         "exec('from quadtex import *', names)",
         f"exported = {exported!r}",

@@ -122,13 +122,13 @@ def test_adjoint_involution_and_level_shifts(tf_exchange, exchange_pair):
         for edge in edges:
             op = creation(tf_exchange, kind, edge)
             assert adjoint(adjoint(op)) == op
-            assert level_shift(op) == 1
-            assert level_shift(adjoint(op)) == -1
+            assert level_shift(tf_exchange, op) == 1
+            assert level_shift(tf_exchange, adjoint(op)) == -1
             # partial permutation: no column carries two entries
             assert all(len(col) == 1 for col in op.cols.values())
             assert all(v == 1 for _, _, v in op.entries())
     diag = left_action_op(tf_exchange, "rho", EdgeElem.unit(exchange_pair, "A"))
-    assert level_shift(diag) == 0
+    assert level_shift(tf_exchange, diag) == 0
 
 
 def test_adjoint_of_creation_sends_tiles_to_markers(tf_exchange, exchange_pair):
@@ -146,12 +146,12 @@ def test_adjoint_of_creation_sends_tiles_to_markers(tf_exchange, exchange_pair):
 def test_co_isometry_on_markers(tf_exchange, exchange_pair):
     alpha1 = by_id(exchange_pair, "A:1->1#1")
     s1 = creation(tf_exchange, "s", alpha1)
-    block = restrict(adjoint(s1) @ s1, 0, 0)
+    block = restrict(tf_exchange, adjoint(s1) @ s1, 0, 0)
     expected = {}
     for b in exchange_pair.edges_b:
         i = tf_exchange.index[FockWord(base_kind="q", base=b)]
         expected[i] = {i: 1}
-    assert block == SparseOp(tf_exchange, expected)
+    assert block == SparseOp(expected)
 
 
 def test_adjoint_is_adjoint_for_word_pairing(tf_fib):
@@ -170,8 +170,8 @@ def test_adjoint_is_adjoint_for_word_pairing(tf_fib):
         star = adjoint(op)
         for _ in range(25):
             zeta, w = vec(), vec()
-            assert word_inner(tf_fib, apply(star, zeta), w) == word_inner(
-                tf_fib, zeta, apply(op, w)
+            assert word_inner(tf_fib, apply(tf_fib, star, zeta), w) == word_inner(
+                tf_fib, zeta, apply(tf_fib, op, w)
             )
 
 
@@ -197,7 +197,7 @@ def test_embeddings_agree_above_level_zero(tf_fib, fibonacci):
         y = DiagElem.basis(2, v)
         lhs = left_action_op(tf_fib, "rho", embed(fibonacci, "A", y))
         rhs = left_action_op(tf_fib, "eta", embed(fibonacci, "B", y))
-        assert restrict(lhs, 1, 4) == restrict(rhs, 1, 4)
+        assert restrict(tf_fib, lhs, 1, 4) == restrict(tf_fib, rhs, 1, 4)
 
 
 def test_graded_projection_partition(tf_exchange):
@@ -215,7 +215,7 @@ def test_graded_projection_partition(tf_exchange):
 
 
 def test_rank_one_partitions(tf_exchange, exchange_pair):
-    total = SparseOp.zero(tf_exchange)
+    total = SparseOp()
     for a in exchange_pair.edges_b:
         marker = basis_vector(tf_exchange, FockWord(base_kind="q", base=a))
         total = total + rank_one(tf_exchange, marker, marker)
@@ -224,7 +224,7 @@ def test_rank_one_partitions(tf_exchange, exchange_pair):
         total = total + rank_one(tf_exchange, marker, marker)
     assert total == graded_projection(tf_exchange, "level", 0)
 
-    total = SparseOp.zero(tf_exchange)
+    total = SparseOp()
     for tile in exchange_pair.tiles:
         vec = basis_vector(tf_exchange, FockWord(tiles=(tile,), seps=()))
         total = total + rank_one(tf_exchange, vec, vec)
@@ -255,6 +255,28 @@ def test_rank_one_off_diagonal(tf_exchange, tf_fib):
                 basis_vector(tf_fib, FockWord(tiles=(second,), seps=())),
             )
             assert op.nnz() == (1 if first.vertex == second.vertex else 0)
+
+
+def test_rank_one_above_level_one_matches_the_vertex_pairing(tf_fib):
+    # theta_{xi,zeta}(gamma) = xi scaled, per word, by <zeta|gamma> at the
+    # word's terminal vertex; supports on levels 2..4 over both vertices
+    rng = random.Random(1123)
+    tf = tf_fib
+    above = range(tf.prefix(1), tf.dim)
+    values = [-2, -1, 1, 3, Fraction(1, 2)]
+    for _ in range(4):
+        xi, zeta = [0] * tf.dim, [0] * tf.dim
+        for vec in (xi, zeta):
+            for i in rng.sample(above, 15):
+                vec[i] = rng.choice(values)
+        op = rank_one(tf, xi, zeta)
+        assert op.nnz() and all(tf.level(i) >= 2 for r, c, _ in op.entries() for i in (r, c))
+        for _ in range(3):
+            gamma = [rng.choice(values + [0, 0]) for _ in range(tf.dim)]
+            pairing = word_inner(tf, zeta, gamma)
+            expected = [x * pairing[w.vertex - 1] for x, w in zip(xi, tf.words)]
+            assert apply(tf, op, gamma) == expected
+    assert {tf.word(i).vertex for i in above} == {1, 2}
 
 
 def test_identity_suite_passes(tf_exchange):
@@ -351,7 +373,7 @@ def test_tile_word_identity_with_content_at_depth(fibonacci):
     content = 0
     for tile in fibonacci.tiles:
         word_op = t.op[tile.left] @ s.op[tile.bottom] @ t.adj[tile.right] @ s.adj[tile.top]
-        content += restrict(word_op, 0, 3).nnz()
+        content += restrict(tf, word_op, 0, 3).nnz()
     assert content > 0
 
 
@@ -443,9 +465,6 @@ def test_words_are_rebuilt_equal_to_the_eager_reference(all_systems, fibonacci_a
         with pytest.raises(TypeError):
             words["0"]
         assert all(tf.index[w] == i for i, w in enumerate(eager))
-        assert [w.level for w in eager] == list(tf.levels)
-        assert [w.vertex for w in eager] == list(tf.vertices)
-        assert [ts.tiles.index(w.tiles[0]) if w.tiles else None for w in eager] == list(tf.heads)
         # words are read-only
         with pytest.raises(TypeError):
             words[0] = eager[0]
@@ -579,11 +598,12 @@ def test_basis_and_bank_are_freed_without_the_cycle_collector(fibonacci):
         assert verify_relations_hk(tf).passed
         basis, bank = weakref.ref(tf), weakref.ref(tf._bank)
         del tf
-        # the generators handed out keep their basis alive and usable
-        assert basis() is not None
-        assert sum(restrict(op, 2, 3).nnz() for op in s_ops.values()) > 0
-        del s_ops, t_ops
+        # no operator holds its basis: the generators handed out keep
+        # neither the basis nor the bank alive, and stay usable
         assert basis() is None and bank() is None
+        again = fock_basis(fibonacci, 4)
+        assert (s_ops, t_ops) == ck_generators(again)[:2]
+        assert sum(restrict(again, adjoint(op) @ op, 2, 3).nnz() for op in s_ops.values()) > 0
     finally:
         gc.enable()
 
@@ -639,12 +659,12 @@ def test_splits_decompose_every_word(all_systems, fibonacci_alt):
 
 
 def test_cancelling_sums_and_products_store_no_zero(tf_exchange, exchange_pair):
-    zero = SparseOp.zero(tf_exchange)
-    a = SparseOp(tf_exchange, {0: {0: 1, 1: Fraction(2, 3)}, 2: {3: -4}})
+    zero = SparseOp()
+    a = SparseOp({0: {0: 1, 1: Fraction(2, 3)}, 2: {3: -4}})
     cancelled = [a + scale(a, -1), scale(a, -1) + a]
     # left @ right adds 1 * 1 and 1 * (-1) in the single entry of column 2
-    left = SparseOp(tf_exchange, {0: {0: 1}, 1: {0: 1}})
-    right = SparseOp(tf_exchange, {2: {0: 1, 1: -1}})
+    left = SparseOp({0: {0: 1}, 1: {0: 1}})
+    right = SparseOp({2: {0: 1, 1: -1}})
     cancelled.append(left @ right)
     # s s* is a projection, so s s* (1 - s s*) cancels in every column
     s1 = creation(tf_exchange, "s", by_id(exchange_pair, "A:1->1#1"))
@@ -655,9 +675,9 @@ def test_cancelling_sums_and_products_store_no_zero(tf_exchange, exchange_pair):
     with pytest.raises(TypeError):
         hash(zero)
     # a partial cancellation keeps only the surviving entries
-    partial = a + SparseOp(tf_exchange, {0: {1: Fraction(-2, 3)}, 2: {3: 4, 5: 1}})
+    partial = a + SparseOp({0: {1: Fraction(-2, 3)}, 2: {3: 4, 5: 1}})
     assert partial.cols == {0: {0: 1}, 2: {5: 1}}
-    assert (left @ SparseOp(tf_exchange, {2: {0: 1, 1: 1}})).cols == {2: {0: 2}}
+    assert (left @ SparseOp({2: {0: 1, 1: 1}})).cols == {2: {0: 2}}
 
 
 def test_corner_selection_tables_equal_the_pullback(all_systems, fibonacci_alt):
@@ -687,7 +707,7 @@ def test_one_pass_sum_equals_pairwise_sums_and_stores_no_zero(tf_exchange):
             cols.setdefault(rng.randrange(8), {})[rng.randrange(8)] = rng.choice(
                 [-2, -1, 1, 2, Fraction(1, 3)]
             )
-        return SparseOp(tf_exchange, cols)
+        return SparseOp(cols)
 
     for trial in range(300):
         ops = [signed_op() for _ in range(rng.randint(0, 5))]
@@ -696,8 +716,8 @@ def test_one_pass_sum_equals_pairwise_sums_and_stores_no_zero(tf_exchange):
             ops += [scale(op, -1) for op in ops]
         rng.shuffle(ops)
         before = [{c: dict(col) for c, col in op.cols.items()} for op in ops]
-        total = SparseOp.sum(tf_exchange, ops)
-        chain = SparseOp.zero(tf_exchange)
+        total = SparseOp.sum(ops)
+        chain = SparseOp()
         for op in ops:
             chain = chain + op
         dense = {}
@@ -731,14 +751,24 @@ def _distinct_builders():
 
 def test_levels_never_decrease_and_prefixes_count_them(all_systems, fibonacci_alt):
     # the block of levels <= h is the first prefix(h) words only because
-    # levels never decrease along the basis
+    # levels never decrease along the basis; the level starts, level(i),
+    # prefix and count_at all agree with the predicted sizes and the words
     seeded = [specs[0] for specs in _seeded_specifications(6, seed=3141, total_cap=6, per_system=1)]
+    top = 5
     for ts in all_systems + [fibonacci_alt] + seeded:
-        tf = fock_basis(ts, 5)
-        assert list(tf.levels) == sorted(tf.levels)
-        sizes = list(level_sizes(ts, 5))
-        assert [tf.count_at(n) for n in range(6)] == sizes
-        assert [tf.prefix(n) for n in range(-1, 6)] == [sum(sizes[: n + 1]) for n in range(-1, 6)]
+        tf = fock_basis(ts, top)
+        levels = [tf.word(i).level for i in range(tf.dim)]
+        assert levels == sorted(levels)
+        assert [tf.level(i) for i in range(tf.dim)] == levels
+        sizes = list(level_sizes(ts, top))
+        assert [tf.count_at(n) for n in range(top + 1)] == sizes == [levels.count(n) for n in range(top + 1)]
+        assert tf.count_at(-1) == tf.count_at(top + 1) == 0
+        below = [sum(lv < n for lv in levels) for n in range(top + 2)]
+        assert list(tf.starts) == below == [sum(sizes[:n]) for n in range(top + 2)]
+        assert tf.starts[top + 1] == tf.dim
+        prefixes = [sum(sizes[: max(n + 1, 0)]) for n in range(-3, top + 4)]
+        assert [tf.prefix(n) for n in range(-3, top + 4)] == prefixes
+        assert tf.prefix(-1) == 0 and tf.prefix(top + 3) == tf.dim
 
 
 def _assert_block_equals_full(tf):
@@ -856,32 +886,33 @@ def _old_diagonal(tf, value, n=None):
     return {i: {i: v} for i, w in enumerate(tf.words[:n]) if (v := value(w))}
 
 
-def _near_misses(op):
-    """Operators one entry off the diagonal ``op``: a value changed and a
-    column dropped (as diagonals and as column dicts), and an off-diagonal
-    entry added to a column of ``op`` and, where it has an empty one, to that."""
-    tf, values = op.tf, op.values
+def _near_misses(tf, op):
+    """Operators one entry off the diagonal ``op`` over ``tf``: a value changed
+    and a column dropped (as diagonals and as column dicts), and an
+    off-diagonal entry added to a column of ``op`` and, where it has an
+    empty one, to that."""
+    values = op.values
     c = next(iter(values))
     changed = {**values, c: 2 * values[c]}
     dropped = {k: v for k, v in values.items() if k != c}
-    near = [fock._DiagonalOp(tf, changed), fock._DiagonalOp(tf, dropped)]
-    near += [SparseOp(tf, {k: {k: v} for k, v in vals.items()}) for vals in (changed, dropped)]
-    near.append(SparseOp(tf, {**op.cols, c: {c: values[c], (c + 1) % tf.dim: 1}}))
+    near = [fock._DiagonalOp(changed), fock._DiagonalOp(dropped)]
+    near += [SparseOp({k: {k: v} for k, v in vals.items()}) for vals in (changed, dropped)]
+    near.append(SparseOp({**op.cols, c: {c: values[c], (c + 1) % tf.dim: 1}}))
     if (empty := next((k for k in range(tf.dim) if k not in values), None)) is not None:
-        near.append(SparseOp(tf, {**op.cols, empty: {c: 1}}))
+        near.append(SparseOp({**op.cols, empty: {c: 1}}))
     return near
 
 
-def _assert_diagonal(op, old):
+def _assert_diagonal(tf, op, old):
     assert isinstance(op, fock._DiagonalOp)
     cols = op.cols  # built on each read
     assert cols == old and _plain(op) == old
     assert len(cols) == len(old) and op.nnz() == len(old)
     assert list(cols.values()) == list(old.values())
-    assert all(op.column(c) == cols.get(c, {}) for c in range(op.tf.dim))
-    same = SparseOp(op.tf, old)
+    assert all(op.column(c) == cols.get(c, {}) for c in range(tf.dim))
+    same = SparseOp(old)
     assert op == same and same == op and not op != same and not same != op
-    for other in _near_misses(op) if old else ():
+    for other in _near_misses(tf, op) if old else ():
         assert op != other and other != op and not op == other and not other == op
 
 
@@ -903,27 +934,27 @@ def test_the_banks_diagonals_stay_diagonal(all_systems, fibonacci_alt):
         bank, ts = tf._bank, tf.ts
         for lay, (layer, side, sep) in zip(bank.layers, _LAYER_READS):
             for x, op in lay.diag.items():
-                _assert_diagonal(op, _old_diagonal(tf, lambda w: int(_reads(w, side) == x)))
+                _assert_diagonal(tf, op, _old_diagonal(tf, lambda w: int(_reads(w, side) == x)))
             for v, op in lay.vertex.items():
                 old = _old_diagonal(tf, lambda w: int(_reads(w, side).layer == layer and _reads(w, side).source == v))
-                _assert_diagonal(op, old)
-            _assert_diagonal(lay.range_proj, _old_diagonal(tf, lambda w: int(w.level >= 2 and w.seps[0] == sep)))
+                _assert_diagonal(tf, op, old)
+            _assert_diagonal(tf, lay.range_proj, _old_diagonal(tf, lambda w: int(w.level >= 2 and w.seps[0] == sep)))
             # an edge vector with negative and fractional coefficients, on a block
             values = [rng.choice([-3, -1, 0, 2, Fraction(1, 2), Fraction(-4, 3)]) for _ in ts.edges(layer)]
             elem = EdgeElem.from_values(ts, layer, values)
             coeff = dict(zip(ts.edges(layer), elem.coeffs))
             for n in (tf.prefix(tf.max_level - 2), tf.dim):
                 op = left_action_op(tf, lay.act, elem, n)
-                _assert_diagonal(op, _old_diagonal(tf, lambda w: coeff.get(_reads(w, side), 0), n))
+                _assert_diagonal(tf, op, _old_diagonal(tf, lambda w: coeff.get(_reads(w, side), 0), n))
         for v, op in bank.vertex.items():
-            _assert_diagonal(op, _old_diagonal(tf, lambda w: int(_reads(w, "top").source == v)))
-        _assert_diagonal(bank.identity, _old_diagonal(tf, lambda w: 1))
-        _assert_diagonal(bank.p0, _old_diagonal(tf, lambda w: int(w.level == 0)))
-        _assert_diagonal(bank.p1, _old_diagonal(tf, lambda w: int(w.level == 1)))
+            _assert_diagonal(tf, op, _old_diagonal(tf, lambda w: int(_reads(w, "top").source == v)))
+        _assert_diagonal(tf, bank.identity, _old_diagonal(tf, lambda w: 1))
+        _assert_diagonal(tf, bank.p0, _old_diagonal(tf, lambda w: int(w.level == 0)))
+        _assert_diagonal(tf, bank.p1, _old_diagonal(tf, lambda w: int(w.level == 1)))
         assert list(bank.e) == list(ts.omega)
         for pair, op in bank.e.items():
             corner = (pair.alpha, pair.a)
-            _assert_diagonal(op, _old_diagonal(tf, lambda w: int(bool(w.tiles) and (w.tiles[0].top, w.tiles[0].left) == corner)))
+            _assert_diagonal(tf, op, _old_diagonal(tf, lambda w: int(bool(w.tiles) and (w.tiles[0].top, w.tiles[0].left) == corner)))
 
 
 def _plain_product(left, right):
@@ -963,7 +994,7 @@ def test_products_with_a_diagonal_equal_the_plain_products(all_systems, fibonacc
     for tf in _block_bases(all_systems, fibonacci_alt):
         bank = tf._bank
         h, v = bank.layers
-        signed = SparseOp.diagonal(tf, [rng.choice([-2, -1, 0, 1, 3, Fraction(2, 3), Fraction(-1, 2)]) for _ in range(tf.dim)])
+        signed = SparseOp.diagonal([rng.choice([-2, -1, 0, 1, 3, Fraction(2, 3), Fraction(-1, 2)]) for _ in range(tf.dim)])
         diagonals = [bank.identity, bank.p1, h.range_proj, *h.diag.values(), *v.vertex.values(), *bank.e.values()]
         generals = [*h.op.values(), *v.adj.values(), *h.range.values()]
         diagonals = [signed, *rng.sample(diagonals, 5)]
@@ -990,11 +1021,11 @@ def test_products_with_a_diagonal_equal_the_plain_products(all_systems, fibonacc
             # a lone factor at full width is the operator itself
             assert bank.product(tf.dim, op) is op
         mixed = diagonals[:3] + [scale(d, -1) for d in diagonals[:2]] + generals[:2]
-        assert _plain(SparseOp.sum(tf, mixed)) == _plain_sum(mixed)
+        assert _plain(SparseOp.sum(mixed)) == _plain_sum(mixed)
         # a sum of diagonals alone stays diagonal, cancelled values dropped
-        minus = SparseOp.diagonal(tf, [-1] * tf.dim)
+        minus = SparseOp.diagonal([-1] * tf.dim)
         only = diagonals[:3] + [minus @ d for d in diagonals[:2]]
-        summed = SparseOp.sum(tf, iter(only))
+        summed = SparseOp.sum(iter(only))
         assert isinstance(summed, fock._DiagonalOp) and _plain(summed) == _plain_sum(only)
         assert all(summed.values.values())
         # the block bound n cuts the last factor; its columns are the full product's
@@ -1071,19 +1102,19 @@ def test_a_sum_copies_a_shared_column_before_adding_into_it(tf_exchange):
     shared = {5: 1, 6: Fraction(1, 2)}
     # column 0 cancels to empty, comes back as the column ``other`` also
     # holds, and a further operand adds into it
-    first, cancel = SparseOp(tf, {0: {1: 2}}), SparseOp(tf, {0: {1: -2}})
-    readd, other = SparseOp(tf, {0: shared, 2: {2: 1}}), SparseOp(tf, {3: shared})
-    further = SparseOp(tf, {0: {5: 2, 7: Fraction(-1, 3)}, 3: {5: -1}})
-    for lead in ([], [SparseOp.diagonal(tf, [0, 0, 3])]):
+    first, cancel = SparseOp({0: {1: 2}}), SparseOp({0: {1: -2}})
+    readd, other = SparseOp({0: shared, 2: {2: 1}}), SparseOp({3: shared})
+    further = SparseOp({0: {5: 2, 7: Fraction(-1, 3)}, 3: {5: -1}})
+    for lead in ([], [SparseOp.diagonal([0, 0, 3])]):
         ops = [*lead, first, cancel, readd, other, further]
         before = [_plain(op) for op in ops]
-        total = SparseOp.sum(tf, ops)
+        total = SparseOp.sum(ops)
         expected = {0: {5: 3, 6: Fraction(1, 2), 7: Fraction(-1, 3)}, 2: {2: 4 if lead else 1}, 3: {6: Fraction(1, 2)}}
         assert total.cols == expected == _plain_sum(ops)
         assert [_plain(op) for op in ops] == before  # operands untouched
         assert shared == {5: 1, 6: Fraction(1, 2)} and readd.cols[0] is shared is other.cols[3]
         # the sum's columns are in turn left alone by a sum that reads them
-        SparseOp.sum(tf, [total, total, readd])
+        SparseOp.sum([total, total, readd])
         assert total.cols == expected and [_plain(op) for op in ops] == before
 
 
@@ -1095,7 +1126,7 @@ def test_products_leave_both_operands_unchanged(tf_exchange, exchange_pair):
     diagonals = [
         bank.identity,  # unit scales
         h.diag[by_id(exchange_pair, "A:1->1#1")],
-        SparseOp.diagonal(tf, [(-2, 1, 3, Fraction(2, 3), 0)[i % 5] for i in range(tf.dim)]),
+        SparseOp.diagonal([(-2, 1, 3, Fraction(2, 3), 0)[i % 5] for i in range(tf.dim)]),
     ]
     generals = [
         h.op[by_id(exchange_pair, "A:1->1#1")],  # one unit entry per column
@@ -1114,7 +1145,7 @@ def test_products_leave_both_operands_unchanged(tf_exchange, exchange_pair):
         for product, want in ((left @ right, expected), (left.times(right, n), cut)):
             assert _plain(product) == want
             # a sum that adds into the product's columns, which may be the operands'
-            twice = SparseOp.sum(tf, [product, product, product])
+            twice = SparseOp.sum([product, product, product])
             assert _plain(twice) == {c: {r: 3 * x for r, x in col.items()} for c, col in _plain(product).items()}
         assert _plain(left) == plain[id(left)] and _plain(right) == plain[id(right)]
     assert all(_plain(op) == plain[id(op)] for op in ops)

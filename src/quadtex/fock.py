@@ -40,7 +40,10 @@ whole; a diagonal lone factor is cut to a diagonal.
 Diagonal operators (edge and vertex actions, range and level projections,
 the identity and e) are ``_DiagonalOp``s: one value per word, read off the
 basis (an edge action off each word's first tile, the head of its split;
-a level-0 marker off the edge lists).  A product with a diagonal scales the
+a level-0 marker off the edge lists).  The bank's vertex action phi(y) is
+layer A's (rho of the source embedding).  It differs from layer B's only on
+level 0, which no product that reads it reaches: s and t map into level
+>= 1, and s* and t* vanish there.  A product with a diagonal scales the
 rows or columns of the other factor, a product or sum of diagonals is a
 diagonal, and a diagonal is its own transpose.
 
@@ -555,22 +558,6 @@ def left_action_op(tf: TruncatedFock, kind: str, elem: EdgeElem, n: int | None =
     return SparseOp.diagonal(values)
 
 
-def vertex_action_op(tf: TruncatedFock, y: DiagElem) -> SparseOp:
-    """Diagonal action of a vertex vector through the first tile's source.
-
-    On words it scales by y at the source of the first tile's top edge (equal
-    to the source of its left edge); level-0 markers are scaled by y at their
-    edge's source on each summand.  Only used inside identities whose other
-    factors vanish on level 0, where the two level-0 conventions cannot
-    disagree.
-    """
-    ts = tf.ts
-    at = [None] + [_exact(c) for c in y.coeffs]  # 1-based vertices
-    markers = [at[e.source] for e in ts.edges_b + ts.edges_a]
-    values = _by_first_tile(tf, markers, [at[t.top.source] for t in ts.tiles])
-    return SparseOp.diagonal(values)
-
-
 def graded_projection(tf: TruncatedFock, which, n: int | None = None) -> SparseOp:
     """P_n ('level', n), or the first-separator projections 'rho' / 'eta'.
 
@@ -747,7 +734,7 @@ class _Bank:
 
     def __init__(self, tf: TruncatedFock):
         self.tf = tf
-        self.ts = ts = tf.ts
+        self.ts = tf.ts
         # every row that reads the shared products has margin >= 1
         self.widest = tf.prefix(tf.max_level - 1)
         self.layers = (
@@ -760,10 +747,9 @@ class _Bank:
         self.identity = SparseOp.identity(tf)
         self.p0 = graded_projection(tf, "level", 0)
         self.p1 = graded_projection(tf, "level", 1)
-        self.vertex = {
-            v: vertex_action_op(tf, DiagElem.basis(ts.n_vertices, v))
-            for v in range(1, ts.n_vertices + 1)
-        }
+        # phi(y) is layer A's vertex action; the products that read it
+        # never reach level 0, where the two layers' actions differ
+        self.vertex = self.layers[0].vertex
         self._differences: dict = {}
 
     def differences(self, builder, margin: int) -> list:

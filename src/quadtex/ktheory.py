@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import CrossCheckFailure
 from .textile import TextileSystem
@@ -403,86 +404,50 @@ def k_theory(ts: TextileSystem) -> KGroups:
     return k_groups(edge_matrix(ts), build_quad_matrices(ts)[2])
 
 
-def _strong_components(adj: list[list[int]]) -> list[list[int]]:
-    """Tarjan's strongly connected components, sinks first.
-
-    Iterative, so deep graphs do not hit the recursion limit.  Every edge
-    out of a component leads to one listed before it.
-    """
-    index = [-1] * len(adj)
-    low = [0] * len(adj)
-    on_stack = [False] * len(adj)
-    stack: list[int] = []
-    components = []
-    counter = 0
-    for root in range(len(adj)):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(adj[root]))]
-        while work:
-            v, successors = work[-1]
-            w = next(successors, None)
-            if w is None:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                        if w == v:
-                            break
-                    components.append(component)
-            elif index[w] < 0:
-                index[w] = low[w] = counter
-                counter += 1
-                stack.append(w)
-                on_stack[w] = True
-                work.append((w, iter(adj[w])))
-            elif on_stack[w]:
-                low[v] = min(low[v], index[w])
-    return components
-
-
 def structure_checks(h_matrix: Matrix) -> dict:
-    """Graph-level diagnostics of a 0/1 matrix, from one SCC pass.
+    """Graph-level diagnostics of a 0/1 matrix, read straight off its rows.
 
-    irreducible: the directed graph is strongly connected.  condition_I:
-    every vertex reaches a cycle and no cycle runs entirely through
-    vertices of out-degree one (every cycle has an exit).  has_zero_row:
-    some row is identically zero.  A cycle without an exit is a whole
-    cyclic component of out-degree-one vertices, and a vertex reaches a
-    cycle exactly when its component reaches a cyclic component.
+    irreducible: the directed graph is strongly connected, so vertex 0
+    reaches every vertex and every vertex reaches vertex 0 (False for the
+    empty matrix).  condition_I: every vertex reaches a cycle and every
+    cycle has an exit.  has_zero_row: some row is identically zero.  A
+    vertex with an edge out has an endless walk, which repeats a vertex, so
+    every vertex reaches a cycle exactly when no row is zero.  A cycle
+    without an exit runs only through vertices of out-degree one: following
+    each such vertex's one edge until the walk leaves them or meets a
+    vertex already walked, a walk that meets itself closes one.
     """
-    adj = [[j for j, v in enumerate(row) if v] for row in h_matrix]
-    components = _strong_components(adj)
-    component_of = [0] * len(adj)
-    for k, component in enumerate(components):
-        for v in component:
-            component_of[v] = k
-    reaches_cycle: list[bool] = []
-    exitless_cycle = False
-    for component in components:
-        cyclic = len(component) > 1 or component[0] in adj[component[0]]
-        if cyclic and all(len(adj[v]) == 1 for v in component):
-            exitless_cycle = True
-        # an acyclic component is one loopless vertex: its edges all lead
-        # out, to components listed earlier
-        reaches_cycle.append(
-            cyclic
-            or any(reaches_cycle[component_of[w]] for v in component for w in adj[v])
-        )
+    n = len(h_matrix)
+    adj = [list(compress(range(n), row)) for row in h_matrix]
+    reverse: list[list[int]] = [[] for _ in adj]
+    for i, outs in enumerate(adj):
+        for j in outs:
+            reverse[j].append(i)
+
+    def reaches_all(graph: list[list[int]]) -> bool:
+        seen = [False] * n
+        seen[0] = True
+        todo = [0]
+        while todo:
+            for w in graph[todo.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    todo.append(w)
+        return all(seen)
+
+    walked = [-1] * n  # the start of the walk that met each vertex
+    exitless = False
+    for start in range(n):
+        v = start
+        while walked[v] < 0 and len(adj[v]) == 1:
+            walked[v] = start
+            v = adj[v][0]
+        exitless = exitless or walked[v] == start
+    has_zero_row = not all(adj)
     return {
-        "irreducible": len(components) == 1,
-        "condition_I": all(reaches_cycle) and not exitless_cycle,
-        "has_zero_row": any(not outs for outs in adj),
+        "irreducible": n > 0 and reaches_all(adj) and reaches_all(reverse),
+        "condition_I": not has_zero_row and not exitless,
+        "has_zero_row": has_zero_row,
     }
 
 

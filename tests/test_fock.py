@@ -946,8 +946,7 @@ def test_the_banks_diagonals_stay_diagonal(all_systems, fibonacci_alt):
             for n in (tf.prefix(tf.max_level - 2), tf.dim):
                 op = left_action_op(tf, lay.act, elem, n)
                 _assert_diagonal(tf, op, _old_diagonal(tf, lambda w: coeff.get(_reads(w, side), 0), n))
-        for v, op in bank.vertex.items():
-            _assert_diagonal(tf, op, _old_diagonal(tf, lambda w: int(_reads(w, "top").source == v)))
+        assert bank.vertex is bank.layers[0].vertex
         _assert_diagonal(tf, bank.identity, _old_diagonal(tf, lambda w: 1))
         _assert_diagonal(tf, bank.p0, _old_diagonal(tf, lambda w: int(w.level == 0)))
         _assert_diagonal(tf, bank.p1, _old_diagonal(tf, lambda w: int(w.level == 1)))
@@ -955,6 +954,51 @@ def test_the_banks_diagonals_stay_diagonal(all_systems, fibonacci_alt):
         for pair, op in bank.e.items():
             corner = (pair.alpha, pair.a)
             _assert_diagonal(tf, op, _old_diagonal(tf, lambda w: int(bool(w.tiles) and (w.tiles[0].top, w.tiles[0].left) == corner)))
+
+
+# the builders whose products read the bank's vertex actions phi(y)
+_VERTEX_BUILDERS = (fock._vertex_sandwich, fock._vertex_commutation, fock._tile_word_commutation)
+
+
+def _vertex_cases(tf):
+    """(builder, margin, cases, differences) of every builder that reads
+    ``bank.vertex``, at each margin the table compares it with."""
+    out = []
+    for builder, margin in _distinct_builders():
+        if builder in _VERTEX_BUILDERS:
+            high = tf.max_level - margin
+            cases = list(builder(tf._bank, tf.prefix(high)))
+            out.append((builder, margin, cases, fock._differences(tf, cases, high)))
+    return out
+
+
+def _assert_vertex_rows_skip_level_zero(tf, rng):
+    # phi(y) with arbitrary nonzero values on the level-0 markers and
+    # layer A's values above them leaves every side and difference as it was
+    bank = tf._bank
+    before = _vertex_cases(tf)
+    markers = tf.count_at(0)
+    bank.vertex = {
+        v: fock._DiagonalOp(
+            {c: rng.choice([-7, -2, 1, 3, 5]) for c in range(markers)}
+            | {c: x for c, x in op.values.items() if c >= markers}
+        )
+        for v, op in bank.layers[0].vertex.items()
+    }
+    assert _vertex_cases(tf) == before
+    return before
+
+
+def test_the_vertex_rows_never_read_level_zero(all_systems, exchange_pair, monkeypatch):
+    rng = random.Random(271)
+    for ts in all_systems:
+        for level in (4, 5):
+            _assert_vertex_rows_skip_level_zero(fock_basis(ts, level), rng)
+    _double_s(monkeypatch, exchange_pair)
+    for level in (4, 5):
+        cases = _assert_vertex_rows_skip_level_zero(fock_basis(exchange_pair, level), rng)
+        # the doubled s breaks the sandwich, so not every difference is empty
+        assert any(diff for builder, _, _, diffs in cases for _, diff in diffs if builder is fock._vertex_sandwich)
 
 
 def _plain_product(left, right):
@@ -1158,7 +1202,6 @@ def _bank_operators(bank) -> dict:
         for name in ("op", "adj", "diag", "range", "vertex", "initial"):
             ops.update(((lay.name, name, x), op) for x, op in getattr(lay, name).items())
         ops[lay.name, "range_proj"], ops[lay.name, "range_sum"] = lay.range_proj, lay.range_sum
-    ops.update((("vertex", k), op) for k, op in bank.vertex.items())
     ops.update((("e", pair), op) for pair, op in bank.e.items())
     for k, (gens, adjs) in enumerate(zip(bank.generators, bank.generator_adjoints)):
         ops.update((("generator", k, pair), op) for pair, op in gens.items())

@@ -448,6 +448,23 @@ def test_structure_checks_match_brute_force():
         density = rng.choice([0.15, 0.3, 0.5])
         matrix = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
         assert structure_checks(matrix) == brute_structure(matrix), matrix
+    # functional graphs: one 1 per row, so every walk closes a cycle of
+    # out-degree-one vertices or merges into an earlier walk; a second 1
+    # in some rows gives those cycles exits
+    for _ in range(600):
+        n = rng.randint(0, 9)
+        matrix = [[0] * n for _ in range(n)]
+        for row in matrix:
+            row[rng.randrange(n)] = 1
+        for row in matrix:
+            if rng.random() < rng.choice([0, 0.1, 0.3]):
+                row[rng.randrange(n)] = 1
+        assert structure_checks(matrix) == brute_structure(matrix), matrix
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        density = rng.choice([0.1, 0.2, 0.35])
+        matrix = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+        assert structure_checks(matrix) == brute_structure(matrix), matrix
     assert structure_checks([]) == {
         "irreducible": False,
         "condition_I": True,

@@ -9,19 +9,38 @@ exact rationals throughout; every map in this module is linear and sends
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import LayerMismatch, UnknownEdge
-from .textile import LAYER_A, LAYER_B, Edge, TextileSystem
+from .textile import LAYER_B, Edge, TextileSystem
 
 
 def _as_fractions(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
+def _indicator(keys, hit) -> tuple[Fraction, ...]:
+    """The 0/1 coefficients that are 1 exactly at the keys equal to ``hit``."""
+    return tuple(Fraction(1 if key == hit else 0) for key in keys)
+
+
+class _Vector:
+    """Coefficient-wise ``+`` and ``scale``: a copy of the left operand with new ``coeffs``."""
+
+    def __add__(self, other):
+        return replace(self, coeffs=tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+
+    def scale(self, c):
+        c = Fraction(c)
+        return replace(self, coeffs=tuple(c * x for x in self.coeffs))
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for x in self.coeffs)
+
+
 @dataclass(frozen=True)
-class DiagElem:
+class DiagElem(_Vector):
     """Rational vector indexed by vertices 1..N."""
 
     coeffs: tuple[Fraction, ...]
@@ -37,9 +56,7 @@ class DiagElem:
     @staticmethod
     def basis(n: int, vertex: int) -> "DiagElem":
         """The projection onto one vertex (1-based)."""
-        return DiagElem(
-            coeffs=tuple(Fraction(1) if v == vertex else Fraction(0) for v in range(1, n + 1))
-        )
+        return DiagElem(coeffs=_indicator(range(1, n + 1), vertex))
 
     @staticmethod
     def from_values(values) -> "DiagElem":
@@ -48,19 +65,9 @@ class DiagElem:
     def __getitem__(self, vertex: int) -> Fraction:
         return self.coeffs[vertex - 1]
 
-    def __add__(self, other: "DiagElem") -> "DiagElem":
-        return DiagElem(coeffs=tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c) -> "DiagElem":
-        c = Fraction(c)
-        return DiagElem(coeffs=tuple(c * x for x in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
 
 @dataclass(frozen=True)
-class EdgeElem:
+class EdgeElem(_Vector):
     """Rational vector indexed by one layer's edges, in canonical edge order."""
 
     layer: str
@@ -77,13 +84,8 @@ class EdgeElem:
     @staticmethod
     def basis(ts: TextileSystem, edge: Edge) -> "EdgeElem":
         """The projection p_alpha / q_a onto one edge."""
-        edges = ts.edges(edge.layer)
-        if edge not in edges:
-            raise UnknownEdge(f"{edge.id} is not an edge of the system")
-        return EdgeElem(
-            layer=edge.layer,
-            coeffs=tuple(Fraction(1) if e == edge else Fraction(0) for e in edges),
-        )
+        _check_edge(ts, edge)
+        return EdgeElem(layer=edge.layer, coeffs=_indicator(ts.edges(edge.layer), edge))
 
     @staticmethod
     def from_values(ts: TextileSystem, layer: str, values) -> "EdgeElem":
@@ -98,16 +100,7 @@ class EdgeElem:
     def __add__(self, other: "EdgeElem") -> "EdgeElem":
         if self.layer != other.layer:
             raise LayerMismatch(f"cannot add layer {self.layer} to layer {other.layer}")
-        return EdgeElem(
-            layer=self.layer, coeffs=tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    def scale(self, c) -> "EdgeElem":
-        c = Fraction(c)
-        return EdgeElem(layer=self.layer, coeffs=tuple(c * x for x in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
+        return super().__add__(other)
 
 
 def _check_edge(ts: TextileSystem, edge: Edge) -> None:
@@ -115,36 +108,33 @@ def _check_edge(ts: TextileSystem, edge: Edge) -> None:
         raise UnknownEdge(f"{edge.id} is not an edge of the system")
 
 
+def _at_ranges(ts: TextileSystem, edges, values) -> DiagElem:
+    """Sum each edge's value into its range vertex."""
+    out = [Fraction(0)] * ts.n_vertices
+    for e, c in zip(edges, values):
+        out[e.target - 1] += c
+    return DiagElem(coeffs=tuple(out))
+
+
 def apply_edge(ts: TextileSystem, edge: Edge, x: DiagElem) -> DiagElem:
     """One edge's endomorphism: moves the coefficient at s(e) to r(e)."""
     _check_edge(ts, edge)
-    n = ts.n_vertices
-    out = [Fraction(0)] * n
-    out[edge.target - 1] = x[edge.source]
-    return DiagElem(coeffs=tuple(out))
+    return _at_ranges(ts, [edge], [x[edge.source]])
 
 
 def embed(ts: TextileSystem, layer: str, y: DiagElem) -> EdgeElem:
     """Source-wise embedding of a vertex vector into a layer's edge algebra."""
-    return EdgeElem(
-        layer=layer, coeffs=tuple(y[e.source] for e in ts.edges(layer))
-    )
+    return EdgeElem(layer=layer, coeffs=tuple(y[e.source] for e in ts.edges(layer)))
 
 
 def range_embed(ts: TextileSystem, layer: str, y: DiagElem) -> EdgeElem:
     """Range-wise spreading of a vertex vector over a layer's edges."""
-    return EdgeElem(
-        layer=layer, coeffs=tuple(y[e.target] for e in ts.edges(layer))
-    )
+    return EdgeElem(layer=layer, coeffs=tuple(y[e.target] for e in ts.edges(layer)))
 
 
 def range_sum(ts: TextileSystem, w: EdgeElem) -> DiagElem:
     """Collapse an edge vector to vertices: sum the coefficients at each range."""
-    n = ts.n_vertices
-    out = [Fraction(0)] * n
-    for e, c in zip(ts.edges(w.layer), w.coeffs):
-        out[e.target - 1] += c
-    return DiagElem(coeffs=tuple(out))
+    return _at_ranges(ts, ts.edges(w.layer), w.coeffs)
 
 
 def compress(ts: TextileSystem, edge: Edge, w: EdgeElem) -> DiagElem:
@@ -152,10 +142,7 @@ def compress(ts: TextileSystem, edge: Edge, w: EdgeElem) -> DiagElem:
     _check_edge(ts, edge)
     if w.layer != edge.layer:
         raise LayerMismatch(f"edge {edge.id} is in layer {edge.layer}, vector in {w.layer}")
-    n = ts.n_vertices
-    out = [Fraction(0)] * n
-    out[edge.target - 1] = w.coeff(ts, edge)
-    return DiagElem(coeffs=tuple(out))
+    return _at_ranges(ts, [edge], [w.coeff(ts, edge)])
 
 
 def pullback_along_kappa(ts: TextileSystem, edge: Edge, w: EdgeElem) -> EdgeElem:
@@ -169,31 +156,19 @@ def pullback_along_kappa(ts: TextileSystem, edge: Edge, w: EdgeElem) -> EdgeElem
     """
     _check_edge(ts, edge)
     if w.layer == edge.layer:
-        raise LayerMismatch(
-            f"edge {edge.id} must lie opposite to the vector's layer {w.layer}"
-        )
-    if edge.layer == LAYER_B:
-        # result over layer A at beta: w(alpha) via the inverse lookup
-        result = []
-        for beta in ts.edges_a:
-            pre = ts.kappa.inverse.get((edge, beta))
-            result.append(w.coeff(ts, pre[0]) if pre is not None else Fraction(0))
-        return EdgeElem(layer=LAYER_A, coeffs=tuple(result))
-    # edge in layer A, vector over layer B: result at b is z(a) via forward lookup
-    result = []
-    for b in ts.edges_b:
-        image = ts.kappa.forward.get((edge, b))
-        result.append(w.coeff(ts, image[0]) if image is not None else Fraction(0))
-    return EdgeElem(layer=LAYER_B, coeffs=tuple(result))
+        raise LayerMismatch(f"edge {edge.id} must lie opposite to the vector's layer {w.layer}")
+    # the result lies over w's layer: a B-edge finds (alpha, b) by the
+    # inverse lookup of (edge, beta), an A-edge (a, beta) by the forward one
+    # of (edge, b); either way the pair's first edge is where w is read
+    lookup = ts.kappa.inverse if edge.layer == LAYER_B else ts.kappa.forward
+    pairs = (lookup.get((edge, x)) for x in ts.edges(w.layer))
+    return EdgeElem(layer=w.layer, coeffs=tuple(w.coeff(ts, p[0]) if p else Fraction(0) for p in pairs))
 
 
 def layer_unit_vector(ts: TextileSystem, layer: str) -> DiagElem:
     """Sum over the layer's edges of apply_edge(e, 1): counts in-edges per vertex."""
-    total = DiagElem.zeros(ts.n_vertices)
-    unit = DiagElem.unit(ts.n_vertices)
-    for e in ts.edges(layer):
-        total = total + apply_edge(ts, e, unit)
-    return total
+    edges = ts.edges(layer)
+    return _at_ranges(ts, edges, [Fraction(1)] * len(edges))
 
 
 def is_essential(ts: TextileSystem, layer: str) -> bool:

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 # a layer that one command alone uses is imported inside that command
-from .errors import CrossCheckFailure, QuadtexError, TruncationTooShallow
+from .errors import CrossCheckFailure, QuadtexError
 from .subshift import DEFAULT_ROW_CAP, count_rectangles, enumerate_rectangles, wang_tile_list
 from .textile import block_kappas, build_system, count_specifications
 
@@ -296,9 +296,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TruncationTooShallow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except CrossCheckFailure as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK

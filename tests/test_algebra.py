@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -195,3 +196,37 @@ def test_range_sum_after_range_embed_scales_by_indegree(fibonacci):
     assert collapsed == DiagElem(
         coeffs=tuple(a * b for a, b in zip(y.coeffs, indegree.coeffs))
     )
+
+
+def test_edge_vectors_of_two_layers_do_not_add(exchange_pair):
+    with pytest.raises(LayerMismatch, match="cannot add layer A to layer B"):
+        EdgeElem.unit(exchange_pair, "A") + EdgeElem.unit(exchange_pair, "B")
+
+
+def test_edge_basis_rejects_a_foreign_edge(fibonacci):
+    with pytest.raises(UnknownEdge, match="A:5->5#1 is not an edge of the system"):
+        EdgeElem.basis(fibonacci, Edge("A", 5, 5, 1))
+
+
+def test_edge_values_need_one_per_edge(fibonacci):
+    with pytest.raises(LayerMismatch, match="expected 3 coefficients for layer B"):
+        EdgeElem.from_values(fibonacci, "B", [1, 2])
+
+
+def test_arithmetic_keeps_the_class_fields_and_layer(fibonacci):
+    y = DiagElem.from_values([1, Fraction(-1, 2)])
+    w = EdgeElem.from_values(fibonacci, "B", [1, -2, 3])
+    for v in (y + y, y.scale(2)):
+        assert type(v) is DiagElem and v == DiagElem.from_values([2, -1])
+    for v in (w + w, w.scale(2)):
+        assert type(v) is EdgeElem and v == EdgeElem.from_values(fibonacci, "B", [2, -4, 6])
+    assert (w + w.scale(-1)).is_zero() and not w.is_zero()
+    # scaling by an int still gives exact rationals
+    assert all(type(c) is Fraction for c in w.scale(3).coeffs + y.scale(3).coeffs)
+    assert [f.name for f in dataclasses.fields(EdgeElem)] == ["layer", "coeffs"]
+    assert repr(EdgeElem.basis(fibonacci, by_id(fibonacci, "A:1->2#1"))) == (
+        "EdgeElem(layer='A', coeffs=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)))"
+    )
+    assert repr(DiagElem.basis(2, 2)) == "DiagElem(coeffs=(Fraction(0, 1), Fraction(1, 1)))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.layer = "A"

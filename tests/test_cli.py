@@ -274,6 +274,15 @@ def test_missing_file_and_bad_json(tmp_path, capsys):
         ({"A": [[True]], "B": [[1]]}, "entry True"),
         ({"A": [[1.0]], "B": [[1]]}, "entry 1.0"),
         ({"A": [[1]], "B": [[1]], "kappa": [1]}, "explicit pairing"),
+        (
+            {"A": FIB, "B": FIB, "kappa": [[["A:1->2#1", "B:1->1#1"], ["B:1->1#1", "A:1->1#1"]]]},
+            "domain pair not composable",
+        ),
+        (
+            {"A": FIB, "B": FIB, "kappa": [[["A:1->1#1", "B:1->1#1"], ["B:1->2#1", "A:1->1#1"]]]},
+            "image pair not composable",
+        ),
+        ({"A": [[1]], "B": [[1]], "kappa": "spiral"}, "unknown strategy 'spiral'"),
     ],
 )
 def test_malformed_documents_exit_two(write_input, capsys, doc, message):
@@ -430,3 +439,27 @@ def test_parser_is_built_once_and_survives_a_parse_error(exchange_input, capsys)
         env=dict(os.environ, PYTHONPATH=package_root),
     )
     assert fresh.stdout == in_process
+
+
+def test_verify_reports_a_broken_operator_with_its_witnesses(exchange_pair, capsys, monkeypatch):
+    from test_fock import DOUBLED_S_WITNESSES, _double_s
+
+    _double_s(monkeypatch, exchange_pair)
+    path = str(GOLDEN.parent.parent / "inputs" / "exchange-2x3.json")
+    assert main(["verify", path, "--level", "4", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    checks = [c for r in payload["reports"] for c in r["identities"]]
+    failed = [c["identity_id"] for c in checks if c["status"] == "fail"]
+    # the CLI's headroom skips no identity that the doubled s breaks
+    assert sorted(failed) == sorted(DOUBLED_S_WITNESSES)
+    keys = ("case", "row", "col", "lhs", "rhs")
+    expected = {i: dict(zip(keys, w)) for i, w in DOUBLED_S_WITNESSES.items()}
+    assert {c["identity_id"]: c.get("witness") for c in checks if c["status"] == "fail"} == expected
+    assert not any("witness" in c for c in checks if c["status"] != "fail")
+
+    assert main(["verify", path, "--level", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    witnesses = [line.strip() for line in lines if line.lstrip().startswith("witness:")]
+    assert witnesses == [f"witness: {expected[i]}" for i in failed]
+    assert lines[-1] == "FAILURES above"

@@ -10,6 +10,7 @@ from quadtex.quadmod import (
     act_left_eta,
     act_left_rho,
     act_right_eta,
+    act_right_rho,
     act_right_vertex,
     inner_eta,
     inner_rho,
@@ -187,3 +188,42 @@ def test_zero_support_basis_vectors_are_flagged():
         assert top_basis_vector(ts, alpha).is_zero()
     flagged = empty_basis_edges(ts)
     assert set(flagged) == set(ts.edges_a + ts.edges_b)
+
+
+def test_quad_values_need_one_per_tile(fibonacci):
+    with pytest.raises(ValueError, match="expected 5 coefficients"):
+        QuadVector.from_values(fibonacci, [1, 2])
+
+
+def test_quad_arithmetic_keeps_the_class(fibonacci):
+    xi = QuadVector.from_values(fibonacci, [1, -2, 0, Fraction(1, 3), 4])
+    half = xi.scale(Fraction(1, 2))
+    assert type(half) is QuadVector
+    assert half.coeffs == (Fraction(1, 2), -1, 0, Fraction(1, 6), 2)
+    assert type(half + half) is QuadVector and half + half == xi
+    assert xi.scale(0).is_zero() and xi.scale(0) == QuadVector.zeros(fibonacci)
+    assert repr(QuadVector.basis(fibonacci, fibonacci.tiles[0])).startswith(
+        "QuadVector(coeffs=(Fraction(1, 1), Fraction(0, 1),"
+    )
+
+
+def test_every_action_checks_its_layer(exchange_pair):
+    xi = QuadVector.zeros(exchange_pair)
+    a_unit, b_unit = EdgeElem.unit(exchange_pair, "A"), EdgeElem.unit(exchange_pair, "B")
+    for act, wrong, message in (
+        (act_right_rho, b_unit, "right rho action takes an A-layer vector"),
+        (act_right_eta, a_unit, "right eta action takes a B-layer vector"),
+        (act_left_rho, b_unit, "left rho action takes an A-layer vector"),
+        (act_left_eta, a_unit, "left eta action takes a B-layer vector"),
+    ):
+        with pytest.raises(LayerMismatch) as exc:
+            act(exchange_pair, xi, wrong)
+        assert str(exc.value) == message
+
+
+def test_left_basis_vector_rejects_a_foreign_edge(fibonacci):
+    with pytest.raises(UnknownEdge, match="B:9->9#1 is not a B-layer edge of the system"):
+        left_basis_vector(fibonacci, Edge("B", 9, 9, 1))
+    # an A-edge is not a B-edge either
+    with pytest.raises(UnknownEdge, match="A:1->1#1 is not a B-layer edge"):
+        left_basis_vector(fibonacci, by_id(fibonacci, "A:1->1#1"))

@@ -399,3 +399,23 @@ def test_indicator_row_sums(all_systems):
             for b in ts.edges_b:
                 total = sum(left_table.get((a, alpha, b), 0) for a in ts.edges_b)
                 assert total == (1 if alpha.target == b.source else 0)
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        # A:1->2#1 ends at vertex 2, B:1->1#1 starts at vertex 1
+        ([["A:1->2#1", "B:1->1#1"], ["B:1->1#1", "A:1->1#1"]], "domain pair not composable"),
+        ([["A:1->1#1", "B:1->1#1"], ["B:1->2#1", "A:1->1#1"]], "image pair not composable"),
+    ],
+)
+def test_explicit_pairs_must_compose(entry, reason):
+    with pytest.raises(BlockViolation) as exc:
+        q.build_system(FIB, FIB, [entry])
+    assert exc.value.pair == tuple(map(tuple, entry))
+    assert str(exc.value) == f"pairing violates block constraints for {exc.value.pair}: {reason}"
+
+
+def test_unknown_strategy_is_refused():
+    with pytest.raises(ValueError, match="unknown strategy 'spiral'"):
+        q.build_system(FIB, FIB, "spiral")

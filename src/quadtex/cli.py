@@ -8,8 +8,10 @@ subshift (rectangle counting).  Input is a JSON document:
     {"A": [[...]], "B": [[...]], "kappa": "lex" | "exchange" | [[[...]]]}
 
 where an explicit kappa lists [[alpha_id, b_id], [a_id, beta_id]] pairs.
-Exit codes: 0 success, 1 a verified identity failed, 2 invalid input or
-an exceeded cap, 3 internal cross-check failure (only analyze checks).
+Each ``cmd_*(args, ts)`` returns its payload and a text renderer; ``main``
+loads the input, prints the payload and picks the exit code: 0 success, 1
+a verified identity failed, 2 invalid input or an exceeded cap, 3 internal
+cross-check failure (only analyze checks).
 """
 
 from __future__ import annotations
@@ -88,13 +90,6 @@ def _dumps(value, indent: str = "\n") -> str:
     return str(value) if type(value) is int else json.dumps(value)
 
 
-def _emit(payload: dict, fmt: str, render_text) -> None:
-    if fmt == "json":
-        print(_dumps(payload))
-    else:
-        render_text(payload)
-
-
 def _matrix_lines(name: str, matrix) -> list[str]:
     lines = [f"{name} ="]
     for row in matrix:
@@ -102,19 +97,13 @@ def _matrix_lines(name: str, matrix) -> list[str]:
     return lines
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, ts):
     from .ktheory import analyze_system
-
-    ts = _load_input(args.input, args.kappa)
-    payload = analyze_system(ts)
-    payload["command"] = "analyze"
 
     def render(p):
         print(f"corner pairs: n = {p['n']}")
-        for line in _matrix_lines("A_kappa", p["A_kappa"]):
-            print(line)
-        for line in _matrix_lines("B_kappa", p["B_kappa"]):
-            print(line)
+        for name in ("A_kappa", "B_kappa"):
+            print(*_matrix_lines(name, p[name]), sep="\n")
         print(f"K0 = {p['K0_text']}, K1 = {p['K1_text']}")
         structure = p["structure"]
         print(
@@ -125,14 +114,12 @@ def cmd_analyze(args) -> int:
         for warning in p["warnings"]:
             print(f"warning: {warning}")
 
-    _emit(payload, args.format, render)
-    return EXIT_OK
+    return analyze_system(ts), render
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, ts):
     from .fock import DEFAULT_BASIS_CAP, ck_generators, fock_basis, verify_fock_identities, verify_relations_hk
 
-    ts = _load_input(args.input, args.kappa)
     cap = int(os.environ.get("QUADTEX_BASIS_CAP", DEFAULT_BASIS_CAP))
     tf = fock_basis(ts, args.level, cap=cap)
     reports = [
@@ -141,7 +128,6 @@ def cmd_verify(args) -> int:
         ck_generators(tf)[2],
     ]
     payload = {
-        "command": "verify",
         "max_level": args.level,
         "reports": [r.to_jsonable() for r in reports],
         "passed": all(r.passed for r in reports),
@@ -159,24 +145,16 @@ def cmd_verify(args) -> int:
                     print(f"           witness: {check['witness']}")
         print("all passed" if p["passed"] else "FAILURES above")
 
-    _emit(payload, args.format, render)
-    return EXIT_OK if payload["passed"] else EXIT_FAIL
+    return payload, render
 
 
-def cmd_kappa(args) -> int:
-    ts = _load_input(args.input, args.kappa)
+def cmd_kappa(args, ts):
     total = count_specifications(ts.matrix_a, ts.matrix_b)
-    shown = []
-    for spec in block_kappas(ts.blocks, limit=args.limit):
-        shown.append(
-            [[[pre[0].id, pre[1].id], [img[0].id, img[1].id]] for pre, img in spec.pairs]
-        )
-    payload = {
-        "command": "kappa",
-        "count": total,
-        "listed": len(shown),
-        "specifications": shown,
-    }
+    shown = [
+        [[[pre[0].id, pre[1].id], [img[0].id, img[1].id]] for pre, img in spec.pairs]
+        for spec in block_kappas(ts.blocks, limit=args.limit)
+    ]
+    payload = {"count": total, "listed": len(shown), "specifications": shown}
 
     def render(p):
         print(f"{p['count']} specifications")
@@ -184,22 +162,19 @@ def cmd_kappa(args) -> int:
             pairs = ", ".join(f"({a},{b})->({c},{d})" for (a, b), (c, d) in spec)
             print(f"  #{i}: {pairs}")
 
-    _emit(payload, args.format, render)
-    return EXIT_OK
+    return payload, render
 
 
-def cmd_tiles(args) -> int:
-    ts = _load_input(args.input, args.kappa)
+def cmd_tiles(args, ts):
     records = wang_tile_list(ts)
-    if args.emit == "wang":
+    if args.emit == "wang":  # the bare record list, written here: no payload
         text = _dumps(records)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         else:
             print(text)
-        return EXIT_OK
-    payload = {"command": "tiles", "count": len(records), "tiles": records}
+        return None, None
 
     def render(p):
         print(f"{p['count']} tiles")
@@ -209,40 +184,30 @@ def cmd_tiles(args) -> int:
                 "vertex={vertex}".format(**record)
             )
 
-    _emit(payload, args.format, render)
-    return EXIT_OK
+    return {"count": len(records), "tiles": records}, render
 
 
-def cmd_subshift(args) -> int:
-    ts = _load_input(args.input, args.kappa)
+def cmd_subshift(args, ts):
     count = count_rectangles(ts, args.rows, args.cols, cap=args.cap)
-    payload = {
-        "command": "subshift",
-        "rows": args.rows,
-        "cols": args.cols,
-        "count": count,
-    }
+    payload = {"rows": args.rows, "cols": args.cols, "count": count}
     if args.limit:
-        patches = []
-        for rect in enumerate_rectangles(ts, args.rows, args.cols, limit=args.limit, cap=args.cap):
-            patches.append(
-                [[ts.tile_index[t] for t in row] for row in rect.cells]
-            )
-        payload["patches"] = patches
+        rects = enumerate_rectangles(ts, args.rows, args.cols, limit=args.limit, cap=args.cap)
+        payload["patches"] = [[[ts.tile_index[t] for t in row] for row in r.cells] for r in rects]
 
     def render(p):
         print(f"{p['rows']}x{p['cols']} patches: {p['count']}")
         for patch in p.get("patches", []):
             print("  " + "; ".join(" ".join(str(t) for t in row) for row in patch))
 
-    _emit(payload, args.format, render)
-    return EXIT_OK
+    return payload, render
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built once per process, binding ``cmd_*`` then: patching ``cli.cmd_*``
-    later does not reach it, patching the names those commands call does."""
+    """Built once per process: one subparser per command, taking the shared
+    options from one parent parser and binding its ``cmd_*`` as ``func``.
+    Patching ``cli.cmd_*`` after the first build does not reach ``main``;
+    patching the names those commands call does."""
     parser = argparse.ArgumentParser(
         prog="quadtex",
         description="Invariants and operator identity checks for commuting-matrix tile systems.",
@@ -250,38 +215,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"quadtex {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("input", help="path to the JSON input document")
-        p.add_argument(
-            "--kappa",
-            choices=["lex", "exchange", "explicit"],
-            default=None,
-            help="override the specification strategy from the input document",
-        )
-        p.add_argument("--format", choices=["text", "json"], default="text")
+    shared = argparse.ArgumentParser(add_help=False)  # every subcommand's options
+    shared.add_argument("input", help="path to the JSON input document")
+    shared.add_argument(
+        "--kappa",
+        choices=["lex", "exchange", "explicit"],
+        default=None,
+        help="override the specification strategy from the input document",
+    )
+    shared.add_argument("--format", choices=["text", "json"], default="text")
+    add = functools.partial(sub.add_parser, parents=[shared])
 
-    p = sub.add_parser("analyze", help="transition matrices, K-groups, structure checks")
-    common(p)
+    p = add("analyze", help="transition matrices, K-groups, structure checks")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("verify", help="operator identity suites on the truncated word basis")
-    common(p)
+    p = add("verify", help="operator identity suites on the truncated word basis")
     p.add_argument("--level", type=int, default=4, help="truncation level (default 4)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("kappa", help="count and enumerate specifications")
-    common(p)
+    p = add("kappa", help="count and enumerate specifications")
     p.add_argument("--limit", type=nonnegative, default=10, help="how many to list (default 10)")
     p.set_defaults(func=cmd_kappa)
 
-    p = sub.add_parser("tiles", help="list the tile alphabet")
-    common(p)
+    p = add("tiles", help="list the tile alphabet")
     p.add_argument("--emit", choices=["wang"], default=None, help="emit Wang-tile JSON records")
     p.add_argument("--out", default=None, help="write the emitted JSON to a file")
     p.set_defaults(func=cmd_tiles)
 
-    p = sub.add_parser("subshift", help="count admissible rectangular patches")
-    common(p)
+    p = add("subshift", help="count admissible rectangular patches")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--limit", type=nonnegative, default=0, help="also list up to this many patches")
@@ -292,16 +253,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Load the input, run the subcommand and print its payload as JSON or
+    through its renderer; exit with 1 exactly when it holds ``"passed": false``."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, render = args.func(args, _load_input(args.input, args.kappa))
+        if payload is None:  # tiles --emit wang wrote its own output
+            return EXIT_OK
+        payload["command"] = args.command
+        if args.format == "json":
+            print(_dumps(payload))
+        else:
+            render(payload)
     except CrossCheckFailure as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK
     except (QuadtexError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return EXIT_FAIL if payload.get("passed") is False else EXIT_OK
 
 
 if __name__ == "__main__":

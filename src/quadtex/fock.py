@@ -227,19 +227,22 @@ def _extensions(tiles) -> list[list[tuple[str, int]]]:
 
 
 def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
-    """Yield the number of words at each level 0..max_level, without
-    building them.
+    """Yield the number of words at each level 0..max_level, from the two
+    matrices alone: no word is built and no tile is read.
 
-    Words are counted by their last tile: a level-n word ending in tile i
-    extends to one level-(n+1) word per eta- or rho-gluing of i to a tile.
+    A word of level n >= 1 is fixed by its separators and its top-right
+    boundary path: the first tile's top A-edge, an A-edge per eta, a B-edge
+    per rho and the last tile's right B-edge, and every such path bounds
+    one word, by the unique factorization ``subshift`` counts patches by.
+    So level n holds 1^T A (A+B)^(n-1) B 1 words.
     """
-    n = len(ts.tiles)
-    gluing = [[sum(k == u for _, k in ext) for u in range(n)] for ext in _extensions(ts.tiles)]
+    a, b = ts.matrix_a, ts.matrix_b
     yield len(ts.edges_a) + len(ts.edges_b)
-    ending = [1] * n
-    for _ in range(1, max_level + 1):
-        yield sum(ending)
-        ending = [sum(c * row[j] for c, row in zip(ending, gluing)) for j in range(n)]
+    paths = b.times([1] * ts.n_vertices)  # paths[v]: the paths (A+B)^k B from vertex v
+    for _ in range(max_level):
+        ahead = a.times(paths)
+        yield sum(ahead)
+        paths = [x + y for x, y in zip(ahead, b.times(paths))]
 
 
 def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) -> TruncatedFock:
@@ -483,16 +486,19 @@ def creation_from_vector(tf: TruncatedFock, kind: str, xi: QuadVector) -> Sparse
 
     ``s`` prepends with an eta separator and consumes the level-0 B-edge
     summand; ``t`` prepends with a rho separator and consumes the A-edge
-    summand.  Words pushed past the top level are dropped (truncation).
+    summand.  Words pushed past the top level are dropped (truncation);
+    an integral coefficient enters as an int.
     """
     ts = tf.ts
     # the level-0 marker each tile word comes from: q[right] for s, p[bottom] for t
     if kind == "s":
         sep, markers = SEP_ETA, [ts.edges_b.index(t.right) for t in ts.tiles]
-    else:
+    elif kind == "t":
         first_p = len(ts.edges_b)  # the p markers follow the q markers
         sep, markers = SEP_RHO, [first_p + ts.edges_a.index(t.bottom) for t in ts.tiles]
-    coeffs = xi.coeffs
+    else:
+        raise ValueError(f"kind must be 's' or 't', got {kind!r}")
+    coeffs = [*map(_exact, xi.coeffs)]
     cols: dict[int, dict[int, object]] = {}
     for j in range(len(ts.edges_a) + len(ts.edges_b), tf.dim):
         head, first_sep, tail = tf.splits[j]
@@ -510,17 +516,16 @@ def creation(tf: TruncatedFock, kind: str, edge: Edge) -> SparseOp:
     """s_alpha (kind 's', A-edge) or t_a (kind 't', B-edge)."""
     ts = tf.ts
     if kind == "s":
-        own, other, side, layer = ts.edges_a, ts.edges_b, "top", "an A"
+        own, other, unit_vector, layer = ts.edges_a, ts.edges_b, top_basis_vector, "an A"
     elif kind == "t":
-        own, other, side, layer = ts.edges_b, ts.edges_a, "left", "a B"
+        own, other, unit_vector, layer = ts.edges_b, ts.edges_a, left_basis_vector, "a B"
     else:
         raise ValueError(f"kind must be 's' or 't', got {kind!r}")
     if edge not in own:
         raise (LayerMismatch if edge in other else UnknownEdge)(
             f"{edge.id} is not {layer}-layer edge"
         )
-    xi = QuadVector(coeffs=tuple(int(getattr(t, side) == edge) for t in ts.tiles))
-    return creation_from_vector(tf, kind, xi)
+    return creation_from_vector(tf, kind, unit_vector(ts, edge))
 
 
 def _exact(c):

@@ -50,13 +50,9 @@ class Rectangle:
                 raise ValueError(f"{direction} gluing fails between {first!r} and {second!r}")
 
 
-def _times(matrix: IntMatrix, vector: list) -> list[int]:
-    return [sum(m * x for m, x in zip(row, vector)) for row in matrix.rows]
-
-
 def _power(matrix: IntMatrix, steps: int, vector: list[int]) -> list[int]:
     for _ in range(steps):
-        vector = _times(matrix, vector)
+        vector = matrix.times(vector)
     return vector
 
 
@@ -64,16 +60,16 @@ def _reachable(matrix: IntMatrix, steps: int) -> list[list[bool]]:
     """reach[k][v]: some path of length k starts at vertex v, for k = 0..steps."""
     reach = [[True] * matrix.n]
     for _ in range(steps):
-        reach.append([x > 0 for x in _times(matrix, reach[-1])])
+        reach.append([x > 0 for x in matrix.times(reach[-1])])
     return reach
 
 
 def _check_shape(ts: TextileSystem, height: int, width: int, cap: int) -> None:
     if height < 1 or width < 1:
         raise ValueError("rectangle sides must be positive")
-    rows = _times(ts.matrix_a, _times(ts.matrix_b, [1] * ts.n_vertices))  # by left vertex
+    rows = ts.matrix_a.times(ts.matrix_b.times([1] * ts.n_vertices))  # by left vertex
     for _ in range(width - 1):
-        rows = _times(ts.matrix_a, rows)
+        rows = ts.matrix_a.times(rows)
         if sum(rows) > cap:
             raise PatternSpaceTooLarge(f"more than {cap} admissible rows of width {width}")
 

@@ -82,6 +82,10 @@ class IntMatrix:
             )
         )
 
+    def times(self, vector) -> list[int]:
+        """The product M v of this matrix with a column vector."""
+        return [sum(m * x for m, x in zip(row, vector)) for row in self.rows]
+
 
 @dataclass(frozen=True, order=True)
 class Edge:
@@ -168,7 +172,8 @@ class TextileSystem:
         return self.matrix_a.n
 
     def edges(self, layer: str) -> tuple[Edge, ...]:
-        return self.edges_a if layer == LAYER_A else self.edges_b
+        """The edges of layer "A" or "B"; any other name is a ValueError."""
+        return self.edges_a if _known_layer(layer) == LAYER_A else self.edges_b
 
     @cached_property
     def tiles(self) -> tuple[Tile, ...]:
@@ -193,10 +198,15 @@ class TextileSystem:
         return tuple(OmegaPair(alpha=alpha, a=a) for alpha, a in seen)
 
 
-def edges_from_matrix(matrix: IntMatrix, layer: str) -> tuple[Edge, ...]:
-    """M(i,j) parallel edges i -> j, ordered by (source, target, multiplicity)."""
+def _known_layer(layer: str) -> str:
     if layer not in (LAYER_A, LAYER_B):
         raise ValueError(f"layer must be {LAYER_A!r} or {LAYER_B!r}, got {layer!r}")
+    return layer
+
+
+def edges_from_matrix(matrix: IntMatrix, layer: str) -> tuple[Edge, ...]:
+    """M(i,j) parallel edges i -> j, ordered by (source, target, multiplicity)."""
+    _known_layer(layer)
     out = []
     n = matrix.n
     for i in range(1, n + 1):

@@ -208,6 +208,24 @@ def test_edge_basis_rejects_a_foreign_edge(fibonacci):
         EdgeElem.basis(fibonacci, Edge("A", 5, 5, 1))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ts: EdgeElem.from_values(ts, "X", [1, 2, 3]),
+        lambda ts: EdgeElem.zeros(ts, "X"),
+        lambda ts: embed(ts, "X", DiagElem.unit(ts.n_vertices)),
+        lambda ts: range_embed(ts, "X", DiagElem.unit(ts.n_vertices)),
+        lambda ts: EdgeElem.basis(ts, Edge("X", 1, 1, 1)),
+        lambda ts: ts.edges("X"),
+    ],
+    ids=["from_values", "zeros", "embed", "range_embed", "basis", "edges"],
+)
+def test_an_unknown_layer_name_is_refused(fibonacci, build):
+    # "X" is neither layer, so no vector over it is built
+    with pytest.raises(ValueError, match="layer must be 'A' or 'B', got 'X'"):
+        build(fibonacci)
+
+
 def test_edge_values_need_one_per_edge(fibonacci):
     with pytest.raises(LayerMismatch, match="expected 3 coefficients for layer B"):
         EdgeElem.from_values(fibonacci, "B", [1, 2])

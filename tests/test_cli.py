@@ -257,6 +257,15 @@ def test_basis_cap_env_override(exchange_input, capsys, monkeypatch):
     assert "cap 100" in capsys.readouterr().err
 
 
+def test_basis_cap_refuses_a_thousand_tiles_at_once(write_input, capsys):
+    # level 2 of 1,001 tiles is counted, not built: the refusal is immediate
+    path = write_input("thousand.json", {"A": [[1]], "B": [[1001]]})
+    assert main(["verify", path, "--level", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level 2 would hold 1003002 words (cap 1000000)\n"
+
+
 def test_missing_file_and_bad_json(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()

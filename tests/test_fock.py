@@ -117,6 +117,16 @@ def test_creation_argument_checks(tf_exchange, exchange_pair):
         creation(tf_exchange, "x", by_id(exchange_pair, "A:1->1#1"))
 
 
+def test_creation_refuses_an_unknown_kind_and_keeps_int_entries(tf_exchange, exchange_pair):
+    # every kind other than s and t is refused, not read as t
+    xi = q.QuadVector.from_values(exchange_pair, [1] * len(exchange_pair.tiles))
+    with pytest.raises(ValueError, match="kind must be 's' or 't', got 'x'"):
+        creation_from_vector(tf_exchange, "x", xi)
+    for lay in tf_exchange._bank.layers:
+        for op in lay.op.values():
+            assert op.nnz() and all(type(v) is int for _, _, v in op.entries())
+
+
 def test_adjoint_involution_and_level_shifts(tf_exchange, exchange_pair):
     for kind, edges in (("s", exchange_pair.edges_a), ("t", exchange_pair.edges_b)):
         for edge in edges:
@@ -391,24 +401,38 @@ def test_detects_a_broken_identity(tf_exchange, exchange_pair):
 
 
 def test_level_sizes_predict_the_basis_and_the_cap():
+    # lex on every pair and, on one vertex, the exchange specification too
     rng = random.Random(2718)
-    checked = 0
-    while checked < 6:
+    checked = {"lex": 0, "exchange": 0}
+    while checked["lex"] < 6 or checked["exchange"] < 3:
         a, b = random_commuting_pair(rng, total_cap=6)
-        ts = q.build_system(a.rows, b.rows, "lex")
-        if not ts.tiles:
+        if not any(map(any, a.mul(b).rows)):  # no tile
             continue
-        tf = fock_basis(ts, 4)
-        sizes = list(level_sizes(ts, 4))
-        assert sizes == [tf.count_at(n) for n in range(5)]
-        # the cap is met exactly at the largest predicted level above 1
-        top = max(sizes[2:])
-        assert fock_basis(ts, 4, cap=top).dim == tf.dim
-        first = next(n for n in range(2, 5) if sizes[n] > top - 1)
-        message = f"level {first} would hold {sizes[first]} words (cap {top - 1})"
-        with pytest.raises(BasisTooLarge, match=re.escape(message)):
-            fock_basis(ts, 4, cap=top - 1)
-        checked += 1
+        for kappa in ("lex", "exchange") if a.n == 1 else ("lex",):
+            _check_level_sizes(q.build_system(a.rows, b.rows, kappa))
+            checked[kappa] += 1
+
+
+def _check_level_sizes(ts):
+    sizes = list(level_sizes(ts, 4))
+    assert "tiles" not in vars(ts)  # counted from the matrices alone
+    tf = fock_basis(ts, 4)
+    assert sizes == [tf.count_at(n) for n in range(5)]
+    # the cap is met exactly at the largest predicted level above 1
+    top = max(sizes[2:])
+    assert fock_basis(ts, 4, cap=top).dim == tf.dim
+    first = next(n for n in range(2, 5) if sizes[n] > top - 1)
+    message = f"level {first} would hold {sizes[first]} words (cap {top - 1})"
+    with pytest.raises(BasisTooLarge, match=re.escape(message)):
+        fock_basis(ts, 4, cap=top - 1)
+
+
+def test_level_sizes_of_a_thousand_tiles_read_no_tile():
+    ts = q.build_system([[1]], [[1001]], "lex")
+    assert list(level_sizes(ts, 3)) == [1002, 1001, 1002 * 1001, 1002**2 * 1001]
+    with pytest.raises(BasisTooLarge, match=re.escape("level 2 would hold 1003002 words (cap 1000000)")):
+        fock_basis(ts, 2)
+    assert "tiles" not in vars(ts)
 
 
 def test_basis_cap_is_checked_before_any_word_is_built(exchange_pair, monkeypatch):

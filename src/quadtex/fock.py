@@ -13,12 +13,13 @@ operators read an edge of the first tile, and adjoints are transposes:
 every primitive operator here maps basis words to basis words with the
 same terminal vertex, which makes the transpose the adjoint for the
 vertex-valued pairing.  The basis records each word as (first tile,
-first separator, tail) (``TruncatedFock.splits``), so a creation operator
-is one pass over the target words: a tile word comes from a level-0
-marker, a deeper one from its tail.  The basis is these split records and
-the index where each level starts (``TruncatedFock.starts``): no word
-object is built, and ``TruncatedFock.word`` rebuilds a ``FockWord`` from
-the splits when one is read (witness labels, ``rank_one``; ``words`` for
+first separator, tail) (``TruncatedFock.splits``) and is built that way,
+prepending tiles to runs of the level below.  So a creation operator is
+one pass over the target words: a tile word comes from a level-0 marker,
+a deeper one from its tail.  The basis is these split records and the
+index where each level starts (``TruncatedFock.starts``): no word object
+is built, and ``TruncatedFock.word`` rebuilds a ``FockWord`` from the
+splits when one is read (witness labels, ``rank_one``; ``words`` for
 tests).  An operator is its entries alone and holds no basis.
 
 Truncation semantics: a product of operators computed on the truncated
@@ -217,15 +218,6 @@ class TruncatedFock:
             split = splits[tail]
 
 
-def _extensions(tiles) -> list[list[tuple[str, int]]]:
-    """Per tile, the (separator, index) of every tile that may follow it, eta first."""
-    return [
-        [(SEP_ETA, k) for k, u in enumerate(tiles) if u.left == t.right]
-        + [(SEP_RHO, k) for k, u in enumerate(tiles) if u.top == t.bottom]
-        for t in tiles
-    ]
-
-
 def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
     """Yield the number of words at each level 0..max_level, from the two
     matrices alone: no word is built and no tile is read.
@@ -248,10 +240,13 @@ def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
 def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) -> TruncatedFock:
     """Enumerate the graded basis up to ``max_level``.
 
-    Words at each level are generated in order: level 0 lists the B-edge
-    markers then the A-edge markers; level n+1 extends each level-n word in
-    order by (separator, tile), eta before rho.  Only the split records and
-    the level starts are built, no word.
+    Level 0 lists the B-edge markers then the A-edge markers, level 1 the
+    tiles.  For each tile k in order and each tile u that may follow it
+    (eta, then rho; tiles in order within each), level n takes the run of
+    level-(n-1) words that start with u as tails of k.  So every level is
+    in lexicographic order of (tile, separator, tile, ...), and one run per
+    tile carries it to the next.  Only the split records and the level
+    starts are built, no word.
     Raises BasisTooLarge when a level from 2 on would exceed ``cap`` words,
     before any of them is built.
     """
@@ -261,35 +256,33 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
         if n >= 2 and size > cap:
             raise BasisTooLarge(f"level {n} would hold {size} words (cap {cap})")
     tiles = ts.tiles
+    # per edge, in order, the tiles whose left edge (a B-edge) or top edge (an A-edge) it is
+    opening: dict[Edge, list[int]] = {}
+    for k, u in enumerate(tiles):
+        opening.setdefault(u.left, []).append(k)
+        opening.setdefault(u.top, []).append(k)
     start = len(ts.edges_a) + len(ts.edges_b)
     splits: list = [None] * start + [(k, None, None) for k in range(len(tiles))]
     starts = [0, start, len(splits)]
-    follow = _extensions(tiles)
-    # a word and its tail end in the same tile, so both have the same
-    # extensions in the same order: the tail of the k-th extension of a
-    # word is the k-th extension of its tail
-    first_child: dict[int, int] = {}
-    level = [(start + k, k) for k in range(len(tiles))]  # (word index, last tile index)
+    # the words of the top level so far, one run per first tile
+    runs = [range(i, i + 1) for i in range(start, len(splits))]
     for _ in range(2, max_level + 1):
-        nxt = []
-        for i, last in level:
-            first_child[i] = len(splits)
-            head, first_sep, tail = splits[i]
-            ext = follow[last]
-            for k, (sep, u) in enumerate(ext):
-                nxt.append((len(splits), u))
-                if tail is None:
-                    splits.append((head, sep, start + u))
-                else:
-                    splits.append((head, first_sep, first_child[tail] + k))
+        level = []
+        for k, t in enumerate(tiles):
+            first = len(splits)
+            for sep, edge in ((SEP_ETA, t.right), (SEP_RHO, t.bottom)):
+                for u in opening.get(edge, ()):
+                    splits.extend((k, sep, tail) for tail in runs[u])
+            level.append(range(first, len(splits)))
+        runs = level
         starts.append(len(splits))
-        level = nxt
     return TruncatedFock(ts=ts, max_level=max_level, starts=tuple(starts), splits=tuple(splits))
 
 
 def _below(d: dict, n: int):
-    """The items of d whose key is below n, found and read in C."""
-    kept = [*filter(d.__contains__, range(n))]
+    """The items of d whose key is below n, found and read in C: by walking
+    d's keys when d holds fewer than n, else by probing range(n)."""
+    kept = [*filter(n.__gt__, d)] if len(d) < n else [*filter(d.__contains__, range(n))]
     return zip(kept, map(d.__getitem__, kept))
 
 
@@ -492,12 +485,13 @@ def creation_from_vector(tf: TruncatedFock, kind: str, xi: QuadVector) -> Sparse
     ts = tf.ts
     # the level-0 marker each tile word comes from: q[right] for s, p[bottom] for t
     if kind == "s":
-        sep, markers = SEP_ETA, [ts.edges_b.index(t.right) for t in ts.tiles]
+        sep, side = SEP_ETA, "right"
     elif kind == "t":
-        first_p = len(ts.edges_b)  # the p markers follow the q markers
-        sep, markers = SEP_RHO, [first_p + ts.edges_a.index(t.bottom) for t in ts.tiles]
+        sep, side = SEP_RHO, "bottom"
     else:
         raise ValueError(f"kind must be 's' or 't', got {kind!r}")
+    marker = {e: i for i, e in enumerate(ts.edges_b + ts.edges_a)}
+    markers = [marker[getattr(t, side)] for t in ts.tiles]
     coeffs = [*map(_exact, xi.coeffs)]
     cols: dict[int, dict[int, object]] = {}
     for j in range(len(ts.edges_a) + len(ts.edges_b), tf.dim):

@@ -468,10 +468,25 @@ def test_basis_cap_is_checked_before_any_word_is_built(exchange_pair, monkeypatc
         fock_basis(exchange_pair, 10**6, cap=10**6)
 
 
-def test_words_are_rebuilt_equal_to_the_eager_reference(all_systems, fibonacci_alt):
-    for ts in all_systems + [fibonacci_alt]:
-        tf = fock_basis(ts, 4)
-        eager = eager_words(ts, 4)
+@pytest.fixture(scope="module")
+def run_order_systems(all_systems, fibonacci_alt):
+    """The bundled systems, two with no tile at all, and exchange [[3]]x[[4]]:
+    12 tiles, four with each A-edge on top and three with each B-edge on the
+    left, so the followers of a tile come from groups of several."""
+    tileless = [
+        q.build_system([[0, 1], [0, 0]], [[0, 1], [0, 0]], "lex"),
+        q.build_system([[0]], [[1]], "lex"),
+    ]
+    assert not any(ts.tiles for ts in tileless)
+    return all_systems + [fibonacci_alt] + tileless + [q.build_system([[3]], [[4]], "exchange")]
+
+
+def test_words_are_rebuilt_equal_to_the_eager_reference(run_order_systems):
+    # the basis prepends tiles to runs of the level below, the reference
+    # appends tiles to whole words: both must give one order
+    for level, ts in itertools.product(range(1, 6), run_order_systems):
+        tf = fock_basis(ts, level)
+        eager = eager_words(ts, level)
         words = tf.words
         assert len(words) == tf.dim == len(eager)
         assert tuple(words) == eager

@@ -171,11 +171,6 @@ def layer_unit_vector(ts: TextileSystem, layer: str) -> DiagElem:
     return _at_ranges(ts, edges, [Fraction(1)] * len(edges))
 
 
-def is_essential(ts: TextileSystem, layer: str) -> bool:
-    """Every vertex receives at least one edge of the layer."""
-    return all(c >= 1 for c in layer_unit_vector(ts, layer).coeffs)
-
-
 def sup_norm(elem) -> Fraction:
     """Max |coefficient|; the operator norm of a diagonal element."""
     return max((abs(c) for c in elem.coeffs), default=Fraction(0))

@@ -166,6 +166,8 @@ def cmd_kappa(args, ts):
 
 
 def cmd_tiles(args, ts):
+    if args.out is not None and args.emit != "wang":
+        raise QuadtexError("--out writes only the records of --emit wang; add --emit wang")
     records = wang_tile_list(ts)
     if args.emit == "wang":  # the bare record list, written here: no payload
         text = _dumps(records)

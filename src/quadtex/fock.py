@@ -1,11 +1,11 @@
 """Graded word spaces of glued tiles, creation operators, identity checks.
 
 The graded space has the two edge algebras at level 0 (one basis word per
-B-edge, then one per A-edge), the tiles at level 1, and at level n the
-length-n tile words glued by a separator sequence: an ``eta`` separator
-demands left(next) == right(previous), a ``rho`` separator demands
-top(next) == bottom(previous).  Everything is truncated at a chosen top
-level L.
+B-edge, then one per A-edge, laid out once in ``TruncatedFock.markers``),
+the tiles at level 1, and at level n the length-n tile words glued by a
+separator sequence: an ``eta`` separator demands left(next) ==
+right(previous), a ``rho`` separator demands top(next) == bottom(previous).
+Everything is truncated at a chosen top level L.
 
 Operators are exact integer sparse matrices over that basis.  The two
 creation families prepend a tile (raising the level by one), diagonal
@@ -106,9 +106,8 @@ from .errors import (
     TruncationTooShallow,
     UnknownEdge,
 )
-from .ktheory import build_quad_matrices
 from .quadmod import QuadVector, inner_eta, inner_rho, left_basis_vector, top_basis_vector
-from .textile import LAYER_A, LAYER_B, Edge, TextileSystem, Tile
+from .textile import LAYER_A, LAYER_B, Edge, TextileSystem, Tile, build_quad_matrices
 
 SEP_ETA = "eta"
 SEP_RHO = "rho"
@@ -182,6 +181,11 @@ class TruncatedFock:
         return bisect_right(self.starts, i) - 1
 
     @cached_property
+    def markers(self) -> tuple[Edge, ...]:
+        """The edge of each level-0 word: the B-edges (q markers), then the A-edges (p markers)."""
+        return self.ts.edges_b + self.ts.edges_a
+
+    @cached_property
     def index(self) -> dict[FockWord, int]:
         """Position of each word, hashed on first use; ``verify`` needs none."""
         return {w: i for i, w in enumerate(self.words)}
@@ -205,9 +209,9 @@ class TruncatedFock:
         """Word i (0 <= i < dim): its first tile, then the word at its tail."""
         ts, splits = self.ts, self.splits
         split = splits[i]
-        if split is None:  # the q markers, then the p markers
-            kind = "q" if i < len(ts.edges_b) else "p"
-            return FockWord(base_kind=kind, base=(ts.edges_b + ts.edges_a)[i])
+        if split is None:
+            edge = self.markers[i]
+            return FockWord(base_kind="q" if edge.layer == LAYER_B else "p", base=edge)
         tiles, seps = [], []
         while True:
             head, sep, tail = split
@@ -240,7 +244,7 @@ def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
 def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) -> TruncatedFock:
     """Enumerate the graded basis up to ``max_level``.
 
-    Level 0 lists the B-edge markers then the A-edge markers, level 1 the
+    Level 0 holds the edge markers (``TruncatedFock.markers``), level 1 the
     tiles.  For each tile k in order and each tile u that may follow it
     (eta, then rho; tiles in order within each), level n takes the run of
     level-(n-1) words that start with u as tails of k.  So every level is
@@ -252,7 +256,9 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    for n, size in enumerate(level_sizes(ts, max_level)):
+    sizes = level_sizes(ts, max_level)
+    start = next(sizes)  # the level-0 markers
+    for n, size in enumerate(sizes, 1):
         if n >= 2 and size > cap:
             raise BasisTooLarge(f"level {n} would hold {size} words (cap {cap})")
     tiles = ts.tiles
@@ -261,7 +267,6 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
     for k, u in enumerate(tiles):
         opening.setdefault(u.left, []).append(k)
         opening.setdefault(u.top, []).append(k)
-    start = len(ts.edges_a) + len(ts.edges_b)
     splits: list = [None] * start + [(k, None, None) for k in range(len(tiles))]
     starts = [0, start, len(splits)]
     # the words of the top level so far, one run per first tile
@@ -490,11 +495,11 @@ def creation_from_vector(tf: TruncatedFock, kind: str, xi: QuadVector) -> Sparse
         sep, side = SEP_RHO, "bottom"
     else:
         raise ValueError(f"kind must be 's' or 't', got {kind!r}")
-    marker = {e: i for i, e in enumerate(ts.edges_b + ts.edges_a)}
+    marker = {e: i for i, e in enumerate(tf.markers)}
     markers = [marker[getattr(t, side)] for t in ts.tiles]
     coeffs = [*map(_exact, xi.coeffs)]
     cols: dict[int, dict[int, object]] = {}
-    for j in range(len(ts.edges_a) + len(ts.edges_b), tf.dim):
+    for j in range(tf.starts[1], tf.dim):
         head, first_sep, tail = tf.splits[j]
         c = coeffs[head]
         if not c:
@@ -528,8 +533,8 @@ def _exact(c):
 
 
 def _by_first_tile(tf: TruncatedFock, marker_values, tile_values, n: int | None = None) -> list:
-    """Per word of the first n: its value in ``marker_values`` on level 0 (the
-    q markers, then the p markers), else its first tile's value."""
+    """Per word of the first n: its value in ``marker_values`` on level 0 (in
+    ``tf.markers`` order), else its first tile's value."""
     heads = map(itemgetter(0), itertools.islice(tf.splits, len(marker_values), n))
     return marker_values[:n] + list(map(tile_values.__getitem__, heads))
 
@@ -552,7 +557,7 @@ def left_action_op(tf: TruncatedFock, kind: str, elem: EdgeElem, n: int | None =
     else:
         raise ValueError(f"kind must be 'rho' or 'eta', got {kind!r}")
     coeff = {e: _exact(c) for e, c in zip(ts.edges(elem.layer), elem.coeffs)}
-    markers = [coeff.get(e, 0) for e in ts.edges_b + ts.edges_a]
+    markers = [coeff.get(e, 0) for e in tf.markers]
     values = _by_first_tile(tf, markers, [coeff[getattr(t, side)] for t in ts.tiles], n)
     return SparseOp.diagonal(values)
 

@@ -1,19 +1,19 @@
-"""Transition matrices on corner pairs, Smith normal form, K-groups.
+"""K-groups, structure checks and the Smith normal form reference.
 
 The corner pairs (top edge, left edge) of the tiles index two 0/1
-transition matrices: the horizontal one allows (alpha, a) -> (delta, b)
-when a tile has top alpha, left a and right b; the vertical one allows
-(alpha, a) -> (beta, d) when a tile has top alpha, left a and bottom beta.
-Their 2x2 block stack [[A, A], [B, B]] is the defining matrix of the
-associated Cuntz-Krieger algebra.  A + B = R C factors through the edges,
-so its K-groups are presented by C R - I, of size |E_A| + |E_B|; the block
-stack minus the identity presents them independently, as a cross-check.
-Invariant factors are computed modulo twice a nonzero maximal minor, so no
-coefficient grows; both eliminations run on sparse rows {column: entry},
-taking each pivot in a shortest row, so a step touches only the rows with
-a nonzero in its column.  The Smith normal form with its unimodular
-transforms is kept as the reference.  All arithmetic is
-arbitrary-precision integer.
+transition matrices, built in ``textile`` (``build_quad_matrices``): the
+horizontal one allows (alpha, a) -> (delta, b) when a tile has top alpha,
+left a and right b; the vertical one allows (alpha, a) -> (beta, d) when a
+tile has top alpha, left a and bottom beta.  Their 2x2 block stack
+[[A, A], [B, B]] is the defining matrix of the associated Cuntz-Krieger
+algebra.  A + B = R C factors through the edges, so its K-groups are
+presented by C R - I, of size |E_A| + |E_B|; the block stack minus the
+identity presents them independently, as a cross-check.  Invariant factors
+are computed modulo twice a nonzero maximal minor, so no coefficient
+grows; both eliminations run on sparse rows {column: entry}, taking each
+pivot in a shortest row, so a step touches only the rows with a nonzero
+in its column.  The Smith normal form with its unimodular transforms is
+kept as the reference.  All arithmetic is arbitrary-precision integer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import CrossCheckFailure
-from .textile import TextileSystem
+from .textile import LAYER_A, LAYER_B, TextileSystem, build_quad_matrices, empty_basis_edges, is_essential
 
 Matrix = list[list[int]]
 Rows = list[dict[int, int]]
@@ -34,8 +34,8 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def _bareiss(rows: Rows) -> tuple[int, int]:
-    """Rank r and a nonzero r x r minor of sparse rows, by fraction-free
-    (Bareiss) elimination; the rows are consumed.
+    """Rank r and |D| for a nonzero r x r minor D of sparse rows, by
+    fraction-free (Bareiss) elimination; the rows are consumed.
 
     Each pivot is taken in the shortest live row: an entry equal to the
     previous pivot up to sign if the row has one, else its first entry.  A
@@ -43,30 +43,21 @@ def _bareiss(rows: Rows) -> tuple[int, int]:
     every row with a zero in its column unchanged, so the step touches only
     the rows with a nonzero there, and in them only the pivot row's
     support; any other pivot rescales every live row exactly.  Zero entries
-    and empty rows are dropped.  The sign of the minor follows the parity
-    of the pivot row order and of the pivot column order, read off as the
-    number of live rows and columns ahead of each pivot; on a square matrix
-    of full rank it is the determinant.  A zero matrix has rank 0 and
-    minor 1 (the empty minor).
+    and empty rows are dropped.  A zero matrix has rank 0 and minor 1 (the
+    empty minor).
     """
     live = [row for row in rows if row]
-    cols = sorted({j for row in live for j in row})
     rank = 0
-    sign = prev = 1
+    prev = 1
     while live:
         lengths = list(map(len, live))
-        k = lengths.index(min(lengths))
-        top = live.pop(k)
+        top = live.pop(lengths.index(min(lengths)))
         c = next((j for j, x in top.items() if abs(x) == abs(prev)), next(iter(top)))
-        t = cols.index(c)
-        del cols[t]
-        sign *= (-1) ** (k + t)
         rank += 1
         p = top.pop(c)
         if p == -prev:
             p = prev
             top = {j: -y for j, y in top.items()}
-            sign = -sign
         if p == prev:
             # (x*p - a*y) / p = x - a*y/p: rows with a = 0 keep their entries
             for row in [row for row in live if c in row]:
@@ -88,7 +79,7 @@ def _bareiss(rows: Rows) -> tuple[int, int]:
                 row.update((j, x // prev) for j, x in new.items() if x)
         live = [row for row in live if row]
         prev = p
-    return rank, sign * prev
+    return rank, abs(prev)
 
 
 @dataclass
@@ -290,7 +281,7 @@ def _factors(rows: Rows) -> list[int]:
     rank, minor = _bareiss([dict(row) for row in rows])
     if rank == 0:
         return []
-    n = 2 * abs(minor)
+    n = 2 * minor
     reduced = [{j: r for j, x in row.items() if (r := x % n)} for row in rows]
     gcds = _diagonalize_mod(reduced, n)
     # unique divisor chain of the diagonal: gcd/lcm swaps, smallest first;
@@ -332,30 +323,6 @@ class KGroups:
 
         k0 = [f"Z/{f}Z" for f in self.k0_torsion] + free(self.k0_free_rank)
         return " + ".join(k0) or "0", " + ".join(free(self.k1_free_rank)) or "0"
-
-
-def build_quad_matrices(ts: TextileSystem) -> tuple[Matrix, Matrix, Matrix]:
-    """Horizontal and vertical 0/1 transition matrices on the corner pairs,
-    plus their 2x2 block stack [[A, A], [B, B]], in one pass over the tiles:
-    a tile with top alpha and left a puts into row (alpha, a) of A the pairs
-    whose left edge is its right edge, and of B those whose top edge is its
-    bottom edge."""
-    omega = ts.omega
-    n = len(omega)
-    row_of = {(pair.alpha, pair.a): i for i, pair in enumerate(omega)}
-    by_left, by_top = {}, {}
-    for j, pair in enumerate(omega):
-        by_left.setdefault(pair.a, []).append(j)
-        by_top.setdefault(pair.alpha, []).append(j)
-    a_kappa = [[0] * n for _ in range(n)]
-    b_kappa = [[0] * n for _ in range(n)]
-    for tile in ts.tiles:
-        i = row_of[tile.top, tile.left]
-        for j in by_left.get(tile.right, ()):
-            a_kappa[i][j] = 1
-        for j in by_top.get(tile.bottom, ()):
-            b_kappa[i][j] = 1
-    return a_kappa, b_kappa, [row + row for row in a_kappa] + [row + row for row in b_kappa]
 
 
 def edge_matrix(ts: TextileSystem) -> Matrix:
@@ -455,26 +422,19 @@ def analyze_system(ts: TextileSystem) -> dict:
     """Full invariant report: matrices, K-groups, structure and warnings.
 
     The warnings are read off ``ts`` alone: a layer is not essential when a
-    column of its matrix sums to zero (``algebra.is_essential``), and an edge
-    has no tile when no tile's top or left is it
-    (``quadmod.empty_basis_edges``).
+    column of its matrix is zero (``textile.is_essential``), and an edge has
+    no tile when no tile's top or left is it (``textile.empty_basis_edges``).
     """
     a_kappa, b_kappa, h_kappa = build_quad_matrices(ts)
     groups = k_groups(edge_matrix(ts), h_kappa)
     k0, k1 = groups.describe()
-    warnings = []
-    for layer, matrix in (("A", ts.matrix_a), ("B", ts.matrix_b)):
-        if not all(map(any, zip(*matrix.rows))):
-            warnings.append(
-                f"layer {layer} is not essential (some vertex has no incoming edge)"
-            )
-    tops = {t.top for t in ts.tiles}
-    lefts = {t.left for t in ts.tiles}
-    empty = [e for e in ts.edges_a if e not in tops] + [e for e in ts.edges_b if e not in lefts]
-    if empty:
-        warnings.append(
-            "edges without a tile over them: " + ", ".join(e.id for e in empty)
-        )
+    warnings = [
+        f"layer {layer} is not essential (some vertex has no incoming edge)"
+        for layer in (LAYER_A, LAYER_B)
+        if not is_essential(ts, layer)
+    ]
+    if empty := empty_basis_edges(ts):
+        warnings.append("edges without a tile over them: " + ", ".join(e.id for e in empty))
     return {
         "n": len(ts.omega),
         "omega": [[pair.alpha.id, pair.a.id] for pair in ts.omega],

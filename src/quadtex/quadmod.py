@@ -115,12 +115,3 @@ def left_basis_vector(ts: TextileSystem, a: Edge) -> QuadVector:
         raise UnknownEdge(f"{a.id} is not a B-layer edge of the system")
     return QuadVector(coeffs=_indicator(_sides(ts, "left"), a))
 
-
-def empty_basis_edges(ts: TextileSystem) -> list[Edge]:
-    """Edges whose basis vector has empty support (no tile over them)."""
-    tops = {t.top for t in ts.tiles}
-    lefts = {t.left for t in ts.tiles}
-    return [e for e in ts.edges_a if e not in tops] + [
-        e for e in ts.edges_b if e not in lefts
-    ]
-

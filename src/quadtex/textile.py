@@ -15,6 +15,10 @@ square
 
 and those squares are the tile alphabet of everything downstream: the quad
 module basis, the graded word spaces, and the two-dimensional subshift.
+The facts that more than one layer reads off a system live here too: the
+corner-pair transition matrices A_kappa, B_kappa and their block stack
+H_kappa (``build_quad_matrices``), the edges no tile lies over
+(``empty_basis_edges``), and whether a layer is essential (``is_essential``).
 
 All orderings are fixed here (edges by (source, target, multiplicity),
 tiles by (top, right), corner pairs by (alpha, a)) so every derived matrix
@@ -196,6 +200,44 @@ class TextileSystem:
     def omega(self) -> tuple[OmegaPair, ...]:
         seen = sorted({(t.top, t.left) for t in self.tiles})
         return tuple(OmegaPair(alpha=alpha, a=a) for alpha, a in seen)
+
+
+def build_quad_matrices(ts: TextileSystem) -> tuple[list[list[int]], ...]:
+    """Horizontal and vertical 0/1 transition matrices on the corner pairs
+    ``ts.omega``, plus their 2x2 block stack [[A, A], [B, B]], in one pass
+    over the tiles: a tile with top alpha and left a puts into row
+    (alpha, a) of A the pairs whose left edge is its right edge, and of B
+    those whose top edge is its bottom edge."""
+    omega = ts.omega
+    n = len(omega)
+    row_of = {(pair.alpha, pair.a): i for i, pair in enumerate(omega)}
+    by_left, by_top = {}, {}
+    for j, pair in enumerate(omega):
+        by_left.setdefault(pair.a, []).append(j)
+        by_top.setdefault(pair.alpha, []).append(j)
+    a_kappa = [[0] * n for _ in range(n)]
+    b_kappa = [[0] * n for _ in range(n)]
+    for tile in ts.tiles:
+        i = row_of[tile.top, tile.left]
+        for j in by_left.get(tile.right, ()):
+            a_kappa[i][j] = 1
+        for j in by_top.get(tile.bottom, ()):
+            b_kappa[i][j] = 1
+    return a_kappa, b_kappa, [row + row for row in a_kappa] + [row + row for row in b_kappa]
+
+
+def empty_basis_edges(ts: TextileSystem) -> list[Edge]:
+    """The edges no tile lies over, whose quad-module basis vectors are zero:
+    the A-edges that are no tile's top, then the B-edges that are no tile's left."""
+    tops = {t.top for t in ts.tiles}
+    lefts = {t.left for t in ts.tiles}
+    return [e for e in ts.edges_a if e not in tops] + [e for e in ts.edges_b if e not in lefts]
+
+
+def is_essential(ts: TextileSystem, layer: str) -> bool:
+    """Every vertex receives at least one edge of the layer: no column of its matrix is zero."""
+    matrix = ts.matrix_a if _known_layer(layer) == LAYER_A else ts.matrix_b
+    return all(map(any, zip(*matrix.rows)))
 
 
 def _known_layer(layer: str) -> str:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 
 from quadtex.fock import SEP_ETA, SEP_RHO, FockWord, SparseOp, TruncatedFock
-from quadtex.ktheory import Matrix, Rows, _bareiss, _xgcd, identity_matrix
+from quadtex.ktheory import Matrix, Rows, _xgcd, identity_matrix
 from quadtex.quadmod import (
     QuadVector,
     act_right_eta,
@@ -100,9 +100,9 @@ def sparse_rows(matrix: Matrix) -> Rows:
 
 
 def int_det(matrix: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant, sign included, by the dense Bareiss reference."""
     n = len(matrix)
-    rank, minor = _bareiss(sparse_rows(matrix))
+    rank, minor = dense_bareiss(matrix)
     return minor if rank == n else 0
 
 

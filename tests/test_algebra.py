@@ -10,14 +10,13 @@ from quadtex.algebra import (
     apply_edge,
     compress,
     embed,
-    is_essential,
     layer_unit_vector,
     pullback_along_kappa,
     range_embed,
     range_sum,
 )
 from quadtex.errors import LayerMismatch, UnknownEdge
-from quadtex.textile import Edge
+from quadtex.textile import Edge, is_essential
 from conftest import by_id
 
 

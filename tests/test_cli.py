@@ -169,6 +169,15 @@ def test_tiles_emit_wang(fib_input, capsys, tmp_path):
     assert json.loads(out_file.read_text()) == records
 
 
+def test_tiles_out_without_emit_wang_is_refused(fib_input, capsys, tmp_path):
+    out_file = tmp_path / "tiles.json"
+    assert main(["tiles", fib_input, "--out", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--emit wang" in captured.err
+    assert not out_file.exists()
+
+
 def test_subshift_command(exchange_input, capsys):
     assert main(["subshift", exchange_input, "--rows", "1", "--cols", "2"]) == 0
     assert "1x2 patches: 12" in capsys.readouterr().out
@@ -372,7 +381,7 @@ ANALYZE_LAYERS = {"quadtex.ktheory"}
         (["tiles"], set()),
         (["kappa"], set()),
         (["analyze"], ANALYZE_LAYERS),
-        (["verify", "--level", "4"], ANALYZE_LAYERS | {"quadtex.algebra", "quadtex.quadmod", "quadtex.fock"}),
+        (["verify", "--level", "4"], {"quadtex.algebra", "quadtex.quadmod", "quadtex.fock"}),
     ],
     ids=["subshift", "tiles", "kappa", "analyze", "verify"],
 )

@@ -226,8 +226,8 @@ def test_sparse_bareiss_matches_the_dense_reference():
         reference_rank, reference_minor = dense_bareiss(matrix)
         assert rank == reference_rank and minor != 0
         if rank == len(matrix) == len(matrix[0]):
-            # the determinant, sign included
-            assert minor == reference_minor
+            # the determinant's absolute value
+            assert minor == abs(reference_minor)
             full_rank += 1
     assert full_rank >= 200
 
@@ -352,9 +352,10 @@ def test_edge_matrix_counts_tiles_by_edges(exchange_pair):
 
 
 def test_analyze_warnings_agree_with_the_library_checks(all_systems, fibonacci_alt):
-    from quadtex.algebra import is_essential
+    from quadtex.algebra import layer_unit_vector
     from quadtex.ktheory import analyze_system
-    from quadtex.quadmod import empty_basis_edges
+    from quadtex.quadmod import left_basis_vector, top_basis_vector
+    from quadtex.textile import empty_basis_edges, is_essential
 
     rng = random.Random(4242)
     seeded = [q.build_system(a.rows, b.rows, "lex") for a, b in (random_commuting_pair(rng) for _ in range(30))]
@@ -369,6 +370,12 @@ def test_analyze_warnings_agree_with_the_library_checks(all_systems, fibonacci_a
         if empty := empty_basis_edges(ts):
             expected.append("edges without a tile over them: " + ", ".join(e.id for e in empty))
         assert analyze_system(ts)["warnings"] == expected
+        # both checks agree with their module definitions: in-degree >= 1, and a zero basis vector
+        for layer in ("A", "B"):
+            assert is_essential(ts, layer) == all(c >= 1 for c in layer_unit_vector(ts, layer).coeffs)
+        zero = [e for e in ts.edges_a if top_basis_vector(ts, e).is_zero()]
+        zero += [e for e in ts.edges_b if left_basis_vector(ts, e).is_zero()]
+        assert empty_basis_edges(ts) == zero
         seen.update(w.split(" ")[0] for w in expected)
     # both warnings occur among these systems
     assert seen == {"layer", "edges"}

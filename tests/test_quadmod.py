@@ -178,7 +178,7 @@ def test_sup_norm_helper():
 
 def test_zero_support_basis_vectors_are_flagged():
     import quadtex as q
-    from quadtex.quadmod import empty_basis_edges
+    from quadtex.textile import empty_basis_edges
 
     # both layers share the single bridge 1 -> 2, so nothing composes and
     # there are no tiles at all; every basis vector is empty and reported

@@ -118,15 +118,11 @@ def cmd_analyze(args, ts):
 
 
 def cmd_verify(args, ts):
-    from .fock import DEFAULT_BASIS_CAP, ck_generators, fock_basis, verify_fock_identities, verify_relations_hk
+    from .fock import DEFAULT_BASIS_CAP, verify_level
 
     cap = int(os.environ.get("QUADTEX_BASIS_CAP", DEFAULT_BASIS_CAP))
-    tf = fock_basis(ts, args.level, cap=cap)
-    reports = [
-        verify_fock_identities(tf, headroom=CLI_HEADROOM),
-        verify_relations_hk(tf),
-        ck_generators(tf)[2],
-    ]
+    # decided at args.level, on a basis only as deep as the compared columns reach
+    reports = verify_level(ts, args.level, cap=cap, headroom=CLI_HEADROOM)
     payload = {
         "max_level": args.level,
         "reports": [r.to_jsonable() for r in reports],
@@ -171,7 +167,7 @@ def cmd_tiles(args, ts):
     records = wang_tile_list(ts)
     if args.emit == "wang":  # the bare record list, written here: no payload
         text = _dumps(records)
-        if args.out:
+        if args.out is not None:  # an empty path fails to open like any unwritable one
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         else:

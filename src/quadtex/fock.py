@@ -25,18 +25,45 @@ tests).  An operator is its entries alone and holds no basis.
 Truncation semantics: a product of operators computed on the truncated
 basis agrees with the untruncated product on any column whose intermediate
 images never leave the basis.  Each verified identity therefore carries a
-margin m and is compared only on the block of rows and columns at levels
-<= L - m (identity suite) or on interior levels [2, L - m] (relation
-suite), where the level-0/1 corrections are provably absent.  Levels never
-decrease, so levels <= L - m are the first n words; each product runs right to
-left from the columns of its last factor below n, exactly, as column c of
-F1 ... Fk is F1 (... (Fk[:, c])).  The first multiplication reads those
+margin m and its block is the rows and columns at levels [low, L - m]:
+low = 0 (identity suite) or the interior levels from 2 (relation suite),
+where the level-0/1 corrections are provably absent.
+
+Every bank operator is prefix-local: it acts on a word u.v through u and
+the first tile of v.  Creations, adjoints, edge and vertex actions and the
+range projections read the first tile and separator; P0, P1 and the
+rank-one operators read only whether a word is short.  A row's read depth
+d is the number of leading tiles its products strip before their last
+read, so they send u.v, u of d tiles, to sum c_u' u'.v with coefficients
+fixed by u and the first tile of v.  A difference in a column deeper than
+d + max(1, low) thus also shows in the column of that prefix, at a row of
+level >= low, and that column comes first since levels never decrease.
+So the first differing entry of the block, the witness, lies in a column
+of level <= c = min(L - m, d + max(1, low)), and a row builds and compares
+only those columns, its rows still cut at L - m: its status, witness and
+``levels_checked`` are the whole block's.  Ids that share a builder at one
+margin take it at the widest c among them, each reading its own columns.
+
+The columns of level <= c are the first n words.  Each product runs right
+to left from the columns of its last factor below n, exactly, as column c
+of F1 ... Fk is F1 (... (Fk[:, c])).  The first multiplication reads those
 columns off Fk itself (``SparseOp.times``), so no cut of Fk is built; only a
 lone factor is cut, unless n spans the basis.  Every compared side holds only
 these columns.  The shared products ss* and SS* + TT* keep the columns of
 levels <= L - 1: each row that reads them has margin >= 1 and puts them at
 most left of a diagonal.  Creations, adjoints, diagonals, e, S and T stay
 whole; a diagonal lone factor is cut to a diagonal.
+
+On its columns a row's products climb r <= m - d levels above the column,
+so they read no word above c + r, and none above L0, the largest c + r
+over the rows that run.  Library calls (``verify_fock_identities``,
+``verify_relations_hk``, ``ck_generators``) cut columns on the basis they
+are given, which ``fock_basis(ts, L)`` builds to every level up to L; only
+``verify_level``, which the CLI runs, also builds its basis just
+min(L, L0) deep, while the cap, ``max_level``, ``levels_checked``, skips
+and ``TruncationTooShallow`` are still decided at L.  What it reports on
+levels above L0 rests on prefix-locality alone: those words are never
+built, and a difference there would show at their compared prefixes.
 
 Diagonal operators (edge and vertex actions, range and level projections,
 the identity and e) are ``_DiagonalOp``s: one value per word, read off the
@@ -56,13 +83,13 @@ most product columns are an operand's column, kept or scaled once, and
 
 Identity checks: every checked identity of the three reports (word-space
 identities, universal relations, corner generators) is one row of the
-table ``_TABLE``: report, id, formula, margin m, lowest compared level and
-the builders of its (case, lhs, rhs) triples.  Relations come in mirrored
-pairs, s over the A-edges with diagonal p and t over the B-edges with
-diagonal q; each builder is written once over a ``_Layer`` record and
-loops over both.  ``_run`` is the one runner: it compares the sides of
-every row and reports the first differing entry of the row's block
-[low, L - m] as the witness.
+table ``_TABLE``: report, id, formula, margin m, lowest compared level,
+read depth d and the builders of its (case, lhs, rhs) triples.  Relations
+come in mirrored pairs, s over the A-edges with diagonal p and t over the
+B-edges with diagonal q; each builder is written once over a ``_Layer``
+record and loops over both.  ``_run`` is the one runner: it compares the
+sides of every row and reports the first differing entry of the row's
+block [low, L - m] as the witness.
 
 One ``_Bank`` per basis (``TruncatedFock._bank``) holds the primitive
 operators with integer entries (``creation_expansion`` scales its rational
@@ -198,7 +225,7 @@ class TruncatedFock:
         no reference cycle and are freed together as soon as the basis is
         dropped, without waiting for the cycle collector.
         """
-        return _Bank(weakref.proxy(self))
+        return _Bank(weakref.proxy(self), self.max_level)
 
     @cached_property
     def words(self) -> tuple[FockWord, ...]:
@@ -241,6 +268,18 @@ def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
         paths = [x + y for x, y in zip(ahead, b.times(paths))]
 
 
+def _checked_sizes(ts: TextileSystem, max_level: int, cap: int) -> list[int]:
+    """The word counts of levels 0..max_level, once none from 2 on exceeds ``cap``."""
+    if max_level < 1:
+        raise ValueError("max_level must be at least 1")
+    sizes = []
+    for n, size in enumerate(level_sizes(ts, max_level)):
+        if n >= 2 and size > cap:
+            raise BasisTooLarge(f"level {n} would hold {size} words (cap {cap})")
+        sizes.append(size)
+    return sizes
+
+
 def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) -> TruncatedFock:
     """Enumerate the graded basis up to ``max_level``.
 
@@ -254,13 +293,7 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
     Raises BasisTooLarge when a level from 2 on would exceed ``cap`` words,
     before any of them is built.
     """
-    if max_level < 1:
-        raise ValueError("max_level must be at least 1")
-    sizes = level_sizes(ts, max_level)
-    start = next(sizes)  # the level-0 markers
-    for n, size in enumerate(sizes, 1):
-        if n >= 2 and size > cap:
-            raise BasisTooLarge(f"level {n} would hold {size} words (cap {cap})")
+    start = _checked_sizes(ts, max_level, cap)[0]  # the level-0 markers
     tiles = ts.tiles
     # per edge, in order, the tiles whose left edge (a B-edge) or top edge (an A-edge) it is
     opening: dict[Edge, list[int]] = {}
@@ -596,12 +629,6 @@ def rank_one(tf: TruncatedFock, xi, zeta) -> SparseOp:
     return SparseOp(cols)
 
 
-def basis_vector(tf: TruncatedFock, word: FockWord):
-    vec = [0] * tf.dim
-    vec[tf.index[word]] = 1
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # identity verification
 # ---------------------------------------------------------------------------
@@ -653,11 +680,12 @@ class Report:
         }
 
 
-def _differences(tf: TruncatedFock, cases, high: int) -> list:
-    """(case, {(row, col): (lhs, rhs)}) for the entries on levels <= high, the words
-    0..n-1, where the two sides of a case differ, divided by the case's optional
-    4th item (a denominator of both sides); empty maps when all are equal."""
-    n = tf.prefix(high)
+def _differences(tf: TruncatedFock, cases, high: int, columns: int | None = None) -> list:
+    """(case, {(row, col): (lhs, rhs)}) for the entries in rows of level <= high
+    and columns of level <= ``columns`` (default high) where the two sides of a
+    case differ, divided by the case's optional 4th item (a denominator of both
+    sides); empty maps when all are equal."""
+    n, width = tf.prefix(high), tf.prefix(high if columns is None else columns)
     out = []
     for label, lhs, rhs, *den in cases:
         diff = {}
@@ -667,7 +695,7 @@ def _differences(tf: TruncatedFock, cases, high: int) -> list:
         # each side's column reader, bound once per walked case (a diagonal
         # builds its column dict here): None where it has no entry
         left_at, right_at = lhs.cols.get, rhs.cols.get
-        for c in range(n):
+        for c in range(width):
             left, right = left_at(c) or {}, right_at(c) or {}
             if left == right:
                 continue
@@ -678,12 +706,14 @@ def _differences(tf: TruncatedFock, cases, high: int) -> list:
     return out
 
 
-def _witness(tf: TruncatedFock, cases, low: int) -> dict | None:
-    """The first differing entry, by column then row, of the first case
-    that differs on levels >= low; None when every case agrees there."""
+def _witness(tf: TruncatedFock, cases, low: int, columns: int) -> dict | None:
+    """The first differing entry, by column then row, of the first case that
+    differs on levels >= low, in columns of level <= ``columns``; None when
+    every case agrees there."""
     first = tf.prefix(low - 1)  # the first word of level >= low
+    width = tf.prefix(columns)
     for label, diff in cases:
-        block = [(c, r) for r, c in diff if min(r, c) >= first]
+        block = [(c, r) for r, c in diff if first <= c < width and r >= first]
         if block:
             col, row = min(block)
             lhs, rhs = diff[row, col]
@@ -734,13 +764,16 @@ class _Layer:
 
 class _Bank:
     """The operators of one basis: primitive ones with integer entries, the
-    products several identities share, and each builder's differences."""
+    products several identities share, and each builder's differences, for
+    the rows decided at truncation level ``level`` (the basis's own top
+    level, or above it when the basis reaches every column they compare)."""
 
-    def __init__(self, tf: TruncatedFock):
+    def __init__(self, tf: TruncatedFock, level: int):
         self.tf = tf
         self.ts = tf.ts
+        self.level = level
         # every row that reads the shared products has margin >= 1
-        self.widest = tf.prefix(tf.max_level - 1)
+        self.widest = tf.prefix(level - 1)
         self.layers = (
             _Layer(self, 0, "s", "p", "rho", LAYER_A, top_basis_vector, inner_eta, "alpha"),
             _Layer(self, 1, "t", "q", "eta", LAYER_B, left_basis_vector, inner_rho, "a"),
@@ -757,11 +790,16 @@ class _Bank:
         self._differences: dict = {}
 
     def differences(self, builder, margin: int) -> list:
-        """The builder's cases, given the block bound n, compared on levels <= L - margin, computed once."""
+        """The builder's cases, computed once on the columns of level <= c, the
+        widest c of the rows that take it at this margin, and compared there
+        on rows of level <= L - margin."""
         key = (builder, margin)
         if key not in self._differences:
-            high = self.tf.max_level - margin
-            self._differences[key] = _differences(self.tf, builder(self, self.tf.prefix(high)), high)
+            columns = max(
+                row.columns(self.level) for row in _TABLE if row.margin == margin and builder in row.builders
+            )
+            cases = builder(self, self.tf.prefix(columns))
+            self._differences[key] = _differences(self.tf, cases, self.level - margin, columns)
         return self._differences[key]
 
     def product(self, n: int, *factors: SparseOp) -> SparseOp:
@@ -816,8 +854,8 @@ class _Bank:
 
 
 # Builders: each yields (case, lhs, rhs) triples for one bank, given the
-# block bound n of the comparison: every side is ``bank.product(n, ...)``
-# or ``bank.sum(n, ...)``, so no column past the block is computed or kept.
+# column bound n of the comparison: every side is ``bank.product(n, ...)``
+# or ``bank.sum(n, ...)``, so no column past it is computed or kept.
 # Mirrored relations loop over the two layers; names in labels come from
 # the layer (s/t for the creation family, p/q for its diagonal).
 
@@ -1030,7 +1068,18 @@ class _Row(NamedTuple):
     formula: str
     margin: int
     low: int
+    depth: int  # d: the leading tiles its products strip before their last read
     builders: tuple
+
+    def columns(self, level: int) -> int:
+        """c: the top level of the columns compared at truncation level L,
+        the deepest that can hold the first difference of the block."""
+        return min(level - self.margin, self.depth + max(1, self.low))
+
+    def reach(self, level: int) -> int:
+        """c + r: the top level its products read on those columns, with
+        r <= m - d the levels they climb above a column."""
+        return self.columns(level) + self.margin - self.depth
 
 
 WORDS, RELATIONS, GENERATORS = "identity", "relation", "generator"
@@ -1041,71 +1090,71 @@ _REPORTS = {
     GENERATORS: ("corner generators", 4),
 }
 
-# Every checked identity.  Rows that share a builder are twins: its cases
-# are computed once per basis and compared on each row's own block
-# [low, L - margin].
+# Every checked identity: report, id, formula, margin m, lowest compared
+# level, read depth d and builders.  Rows that share a builder are twins:
+# its cases are computed once per basis and margin and compared on each
+# row's own block [low, L - margin], in its own columns.
 _TABLE = (
-    _Row(WORDS, "creation_range", "sum_a s_a s_a* = P1 + Prho ; sum_b t_b t_b* = P1 + Peta", 1, 0, (_creation_range,)),
-    _Row(WORDS, "range_partition", "sum ss* + sum tt* + P0 = 1 + P1", 1, 0, (_range_partition,)),
-    _Row(WORDS, "co_isometry", "s_z* s_x = act_eta(<z|x>_eta) ; t_z* t_x = act_rho(<z|x>_rho)", 1, 0, (_co_isometry,)),
-    _Row(WORDS, "vertex_sandwich", "s_a* phi(y) s_a = act_eta(edge_map_a(y))", 2, 0, (_vertex_sandwich,)),
-    _Row(WORDS, "vertex_commutation", "s_a s_a* phi(y) = phi(y) s_a s_a*", 1, 0, (_vertex_commutation,)),
-    _Row(WORDS, "tile_word_commutation", "t_a s_beta t_b* s_alpha* phi(y) = phi(y) (same word)", 4, 0, (_tile_word_commutation,)),
-    _Row(WORDS, "compressed_range", "act_rho(p_a) Prho = s_a act_rho(E_{r(a)}) s_a*", 2, 0, (_compressed_range,)),
-    _Row(WORDS, "diagonal_commutation", "s_a s_a* D = D s_a s_a* for diagonal D", 1, 0, (_diagonal_commutation,)),
-    _Row(WORDS, "twisted_sandwich", "s_a* D s_a = act(pullback of D along kappa)", 2, 0, (_same_layer_compression, _cross_layer_pullback)),
-    _Row(WORDS, "diagonal_reconstruction", "act_rho(w) = sum_a s_a act_eta(w_a) s_a* + Peta.. + P0..", 2, 0, (_diagonal_reconstruction,)),
-    _Row(WORDS, "base_rank_one_partition", "sum theta(edge markers) = P0", 0, 0, (partial(_rank_one_partition, level=0),)),
-    _Row(WORDS, "tile_rank_one_partition", "sum theta(tile words) = P1", 0, 0, (partial(_rank_one_partition, level=1),)),
-    _Row(WORDS, "creation_expansion", "s_x = sum_a s_a act_eta(<u_a|x>_eta)", 1, 0, (_creation_expansion,)),
-    _Row(RELATIONS, "unit_partition_interior", "sum uu* + sum vv* = 1", 1, 2, (_unit_partition,)),
-    _Row(RELATIONS, "unit_partition_uncut", "sum ss* + sum tt* + P0 = 1 + P1", 1, 0, (_range_partition,)),
-    _Row(RELATIONS, "range_proj_diag_commutation", "uu* w = w uu*, vv* w = w vv* (w, z diagonal)", 1, 2, (_diagonal_commutation,)),
-    _Row(RELATIONS, "same_layer_compression", "u* w u = compress(w), v* z v = compress(z)", 2, 2, (_same_layer_compression,)),
-    _Row(RELATIONS, "cross_layer_pullback", "u* z u = pullback(z), v* w v = pullback(w)", 2, 2, (_cross_layer_pullback,)),
-    _Row(RELATIONS, "embedding_agreement", "source embedding acts equally through both layers", 0, 2, (_embedding_agreement,)),
-    _Row(RELATIONS, "edge_partitions", "sum p = sum q = sum uu* + vv* = 1", 1, 2, (_edge_sums, _unit_partition)),
-    _Row(RELATIONS, "range_proj_support", "uu* p_u = uu*, vv* q_v = vv*", 1, 2, (_range_proj_support,)),
-    _Row(RELATIONS, "cross_proj_commutation", "[uu*, q] = 0, [vv*, p] = 0", 1, 2, (_diagonal_commutation,)),
-    _Row(RELATIONS, "initial_projections", "u*u = sum of p over following edges (and v*v dually)", 1, 2, (partial(_initial_sums, cross=False),)),
-    _Row(RELATIONS, "corner_selection", "u* q u and v* p v select tiles with the fixed corner", 2, 2, (_cross_layer_pullback,)),
-    _Row(RELATIONS, "corner_projection_commutation", "p and q commute", 0, 2, (_corner_commutation,)),
-    _Row(RELATIONS, "initial_support_by_composability", "u*u = sum of q over composable edges", 1, 2, (partial(_initial_sums, cross=True),)),
-    _Row(RELATIONS, "shared_range_initials", "r(alpha) = r(a) forces u*u = v*v", 1, 2, (_shared_range_initials,)),
-    _Row(RELATIONS, "corner_partition", "sum over corner pairs of e = 1", 1, 2, (_corner_partition,)),
-    _Row(RELATIONS, "range_proj_corner_refinement", "uu* = sum_a uu* e = sum_a e uu*", 1, 2, (_range_proj_corner_refinement,)),
-    _Row(RELATIONS, "corner_transition", "u* e u = row of the horizontal matrix over e (vertical dual)", 2, 2, (_corner_transition,)),
-    _Row(RELATIONS, "vertex_commutation_quotient", "[uu*, y] = [vv*, y] = 0 for vertex y", 1, 2, (_vertex_commutation,)),
-    _Row(RELATIONS, "vertex_compression_quotient", "u* y u and v* y v move vertex masses along edges", 2, 2, (_vertex_sandwich,)),
-    _Row(GENERATORS, "generator_partition", "sum SS* + sum TT* = 1", 2, 2, (_generator_partition,)),
-    _Row(GENERATORS, "horizontal_transition", "S*S = sum A[(row),(col)] (SS* + TT*)", 2, 2, (partial(_generator_transition, index=0),)),
-    _Row(GENERATORS, "vertical_transition", "T*T = sum B[(row),(col)] (SS* + TT*)", 2, 2, (partial(_generator_transition, index=1),)),
-    _Row(GENERATORS, "corner_decomposition", "e = SS* + TT*", 2, 2, (_corner_decomposition,)),
+    _Row(WORDS, "creation_range", "sum_a s_a s_a* = P1 + Prho ; sum_b t_b t_b* = P1 + Peta", 1, 0, 1, (_creation_range,)),
+    _Row(WORDS, "range_partition", "sum ss* + sum tt* + P0 = 1 + P1", 1, 0, 1, (_range_partition,)),
+    _Row(WORDS, "co_isometry", "s_z* s_x = act_eta(<z|x>_eta) ; t_z* t_x = act_rho(<z|x>_rho)", 1, 0, 0, (_co_isometry,)),
+    _Row(WORDS, "vertex_sandwich", "s_a* phi(y) s_a = act_eta(edge_map_a(y))", 2, 0, 0, (_vertex_sandwich,)),
+    _Row(WORDS, "vertex_commutation", "s_a s_a* phi(y) = phi(y) s_a s_a*", 1, 0, 1, (_vertex_commutation,)),
+    _Row(WORDS, "tile_word_commutation", "t_a s_beta t_b* s_alpha* phi(y) = phi(y) (same word)", 4, 0, 2, (_tile_word_commutation,)),
+    _Row(WORDS, "compressed_range", "act_rho(p_a) Prho = s_a act_rho(E_{r(a)}) s_a*", 2, 0, 1, (_compressed_range,)),
+    _Row(WORDS, "diagonal_commutation", "s_a s_a* D = D s_a s_a* for diagonal D", 1, 0, 1, (_diagonal_commutation,)),
+    _Row(WORDS, "twisted_sandwich", "s_a* D s_a = act(pullback of D along kappa)", 2, 0, 0, (_same_layer_compression, _cross_layer_pullback)),
+    _Row(WORDS, "diagonal_reconstruction", "act_rho(w) = sum_a s_a act_eta(w_a) s_a* + Peta.. + P0..", 2, 0, 1, (_diagonal_reconstruction,)),
+    _Row(WORDS, "base_rank_one_partition", "sum theta(edge markers) = P0", 0, 0, 0, (partial(_rank_one_partition, level=0),)),
+    _Row(WORDS, "tile_rank_one_partition", "sum theta(tile words) = P1", 0, 0, 0, (partial(_rank_one_partition, level=1),)),
+    _Row(WORDS, "creation_expansion", "s_x = sum_a s_a act_eta(<u_a|x>_eta)", 1, 0, 0, (_creation_expansion,)),
+    _Row(RELATIONS, "unit_partition_interior", "sum uu* + sum vv* = 1", 1, 2, 1, (_unit_partition,)),
+    _Row(RELATIONS, "unit_partition_uncut", "sum ss* + sum tt* + P0 = 1 + P1", 1, 0, 1, (_range_partition,)),
+    _Row(RELATIONS, "range_proj_diag_commutation", "uu* w = w uu*, vv* w = w vv* (w, z diagonal)", 1, 2, 1, (_diagonal_commutation,)),
+    _Row(RELATIONS, "same_layer_compression", "u* w u = compress(w), v* z v = compress(z)", 2, 2, 0, (_same_layer_compression,)),
+    _Row(RELATIONS, "cross_layer_pullback", "u* z u = pullback(z), v* w v = pullback(w)", 2, 2, 0, (_cross_layer_pullback,)),
+    _Row(RELATIONS, "embedding_agreement", "source embedding acts equally through both layers", 0, 2, 0, (_embedding_agreement,)),
+    _Row(RELATIONS, "edge_partitions", "sum p = sum q = sum uu* + vv* = 1", 1, 2, 1, (_edge_sums, _unit_partition)),
+    _Row(RELATIONS, "range_proj_support", "uu* p_u = uu*, vv* q_v = vv*", 1, 2, 1, (_range_proj_support,)),
+    _Row(RELATIONS, "cross_proj_commutation", "[uu*, q] = 0, [vv*, p] = 0", 1, 2, 1, (_diagonal_commutation,)),
+    _Row(RELATIONS, "initial_projections", "u*u = sum of p over following edges (and v*v dually)", 1, 2, 0, (partial(_initial_sums, cross=False),)),
+    _Row(RELATIONS, "corner_selection", "u* q u and v* p v select tiles with the fixed corner", 2, 2, 0, (_cross_layer_pullback,)),
+    _Row(RELATIONS, "corner_projection_commutation", "p and q commute", 0, 2, 0, (_corner_commutation,)),
+    _Row(RELATIONS, "initial_support_by_composability", "u*u = sum of q over composable edges", 1, 2, 0, (partial(_initial_sums, cross=True),)),
+    _Row(RELATIONS, "shared_range_initials", "r(alpha) = r(a) forces u*u = v*v", 1, 2, 0, (_shared_range_initials,)),
+    _Row(RELATIONS, "corner_partition", "sum over corner pairs of e = 1", 1, 2, 0, (_corner_partition,)),
+    _Row(RELATIONS, "range_proj_corner_refinement", "uu* = sum_a uu* e = sum_a e uu*", 1, 2, 1, (_range_proj_corner_refinement,)),
+    _Row(RELATIONS, "corner_transition", "u* e u = row of the horizontal matrix over e (vertical dual)", 2, 2, 0, (_corner_transition,)),
+    _Row(RELATIONS, "vertex_commutation_quotient", "[uu*, y] = [vv*, y] = 0 for vertex y", 1, 2, 1, (_vertex_commutation,)),
+    _Row(RELATIONS, "vertex_compression_quotient", "u* y u and v* y v move vertex masses along edges", 2, 2, 0, (_vertex_sandwich,)),
+    _Row(GENERATORS, "generator_partition", "sum SS* + sum TT* = 1", 2, 2, 1, (_generator_partition,)),
+    _Row(GENERATORS, "horizontal_transition", "S*S = sum A[(row),(col)] (SS* + TT*)", 2, 2, 1, (partial(_generator_transition, index=0),)),
+    _Row(GENERATORS, "vertical_transition", "T*T = sum B[(row),(col)] (SS* + TT*)", 2, 2, 1, (partial(_generator_transition, index=1),)),
+    _Row(GENERATORS, "corner_decomposition", "e = SS* + TT*", 2, 2, 1, (_corner_decomposition,)),
 )
 
 
-def _run(tf: TruncatedFock, report: str, identities=None, headroom: int = 1) -> Report:
+def _run(bank: _Bank, report: str, identities=None, headroom: int = 1) -> Report:
     """Compare every row of one report on its block; the one comparison runner.
 
-    A row whose top level L - m falls below ``headroom`` is skipped with a
-    named notice, or raises TruncationTooShallow when it was asked for by id.
+    Everything a report states is decided at the bank's level L.  A row
+    whose top level L - m falls below ``headroom`` is skipped with a named
+    notice, or raises TruncationTooShallow when it was asked for by id.
     """
     title, depth = _REPORTS[report]
-    if tf.max_level < depth:
+    level = bank.level
+    if level < depth:
         raise TruncationTooShallow(f"the {report} suite needs max_level >= {depth}")
-    bank = tf._bank
     checks = []
     for row in _TABLE:
         if row.report != report or (identities is not None and row.identity_id not in identities):
             continue
-        high = tf.max_level - row.margin
+        high = level - row.margin
         if high < headroom:
             needs = f"needs max_level >= {row.margin + headroom}"
             if identities is not None:
-                raise TruncationTooShallow(
-                    f"identity {row.identity_id!r} {needs}, basis has {tf.max_level}"
-                )
-            notice = f"{needs}, basis has {tf.max_level}"
+                raise TruncationTooShallow(f"identity {row.identity_id!r} {needs}, basis has {level}")
+            notice = f"{needs}, basis has {level}"
             checks.append(
                 IdentityCheck(row.identity_id, row.formula, None, "skipped", notice)
             )
@@ -1113,7 +1162,7 @@ def _run(tf: TruncatedFock, report: str, identities=None, headroom: int = 1) -> 
         cases = itertools.chain.from_iterable(
             bank.differences(builder, row.margin) for builder in row.builders
         )
-        witness = _witness(tf, cases, row.low)
+        witness = _witness(bank.tf, cases, row.low, row.columns(level))
         checks.append(
             IdentityCheck(
                 row.identity_id,
@@ -1123,7 +1172,7 @@ def _run(tf: TruncatedFock, report: str, identities=None, headroom: int = 1) -> 
                 witness=witness,
             )
         )
-    return Report(title=title, max_level=tf.max_level, checks=checks)
+    return Report(title=title, max_level=level, checks=checks)
 
 
 def _seeded_tile_vectors(ts: TextileSystem, count=2, seed=20240311):
@@ -1142,8 +1191,10 @@ def verify_fock_identities(
 ) -> Report:
     """Check the word-space operator identities on their safe blocks.
 
-    Each identity carries a margin m and is compared on rows and columns of
-    level <= L - m.  Identities with L - m < headroom are skipped with a
+    Each identity carries a margin m and its block is the rows and columns
+    of level <= L - m; it is compared on the columns that can hold the
+    block's first difference (``_Row.columns``), so its status and witness
+    are the block's.  Identities with L - m < headroom are skipped with a
     named notice when running the full default suite; explicitly requesting
     such an identity raises TruncationTooShallow.
     """
@@ -1151,7 +1202,7 @@ def verify_fock_identities(
         unknown = set(identities) - {r.identity_id for r in _TABLE if r.report == WORDS}
         if unknown:
             raise ValueError(f"unknown identity ids: {sorted(unknown)}")
-    return _run(tf, WORDS, identities, headroom)
+    return _run(tf._bank, WORDS, identities, headroom)
 
 
 def verify_relations_hk(tf: TruncatedFock) -> Report:
@@ -1163,7 +1214,7 @@ def verify_relations_hk(tf: TruncatedFock) -> Report:
     corrections of the range partition vanish; the one genuinely uncut
     identity is also checked from level 0.
     """
-    return _run(tf, RELATIONS)
+    return _run(tf._bank, RELATIONS)
 
 
 def ck_generators(tf: TruncatedFock):
@@ -1174,6 +1225,28 @@ def ck_generators(tf: TruncatedFock):
     matrices, and the corner decomposition e = SS* + TT*, all on interior
     levels [2, L-2].  Returns ({pair: S}, {pair: T}, report).
     """
-    report = _run(tf, GENERATORS)
+    report = _run(tf._bank, GENERATORS)
     s_ops, t_ops = tf._bank.generators
     return s_ops, t_ops, report
+
+
+def verify_level(
+    ts: TextileSystem, level: int, cap: int = DEFAULT_BASIS_CAP, headroom: int = 1
+) -> list[Report]:
+    """The three reports at truncation level L (word-space identities with
+    ``headroom``, universal relations, corner generators), as the library
+    calls give them on ``fock_basis(ts, L, cap)``, from a basis only
+    min(L, L0) deep: L0 is the largest c + r of the rows that run, the top
+    level any of their products reads on its compared columns.
+
+    The cap, ``max_level``, ``levels_checked``, skips and
+    TruncationTooShallow are decided at L, as on the full basis.
+    """
+    _checked_sizes(ts, level, cap)
+    running = [
+        row.reach(level)
+        for row in _TABLE
+        if level >= _REPORTS[row.report][1] and level - row.margin >= headroom
+    ]
+    bank = _Bank(fock_basis(ts, min(level, max(running, default=1)), cap), level)
+    return [_run(bank, report, headroom=headroom) for report in (WORDS, RELATIONS, GENERATORS)]

@@ -15,7 +15,13 @@
   left-edge basis vectors, and ``squared_norms``, the exact squares of
   the vertex, rho and eta norms.
 * Words: ``eager_words``, every basis word built whole, the reference
-  for the words ``TruncatedFock`` rebuilds on each read.
+  for the words ``TruncatedFock`` rebuilds on each read, and
+  ``basis_vector``, the unit vector of one word.
+* Identity checks: ``full_block_report`` evaluates every row of a
+  ``verify`` report on every column of its block [low, L - m], as the
+  runner did before it compared only the columns that can hold the
+  block's first difference; ``full_block_differences`` is its per-builder
+  evaluation.
 * Operators: ``entry``, ``apply``, ``scale``, ``restrict`` and
   ``level_shift`` on a ``SparseOp``; they read only its ``cols``, and
   ``apply``, ``restrict`` and ``level_shift`` take its basis ``tf``.
@@ -31,7 +37,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from quadtex.fock import SEP_ETA, SEP_RHO, FockWord, SparseOp, TruncatedFock
+import quadtex.fock as fock
+from quadtex.errors import TruncationTooShallow
+from quadtex.fock import SEP_ETA, SEP_RHO, FockWord, IdentityCheck, Report, SparseOp, TruncatedFock
 from quadtex.ktheory import Matrix, Rows, _xgcd, identity_matrix
 from quadtex.quadmod import (
     QuadVector,
@@ -358,6 +366,12 @@ def eager_words(ts: TextileSystem, max_level: int) -> tuple[FockWord, ...]:
     return tuple(words)
 
 
+def basis_vector(tf: TruncatedFock, word: FockWord):
+    vec = [0] * tf.dim
+    vec[tf.index[word]] = 1
+    return vec
+
+
 def entry(op: SparseOp, row: int, col: int):
     return op.cols.get(col, {}).get(row, 0)
 
@@ -398,6 +412,83 @@ def level_shift(tf: TruncatedFock, op: SparseOp) -> int | None:
     if len(shifts) == 1:
         return shifts.pop()
     return None
+
+
+# ---------------------------------------------------------------------------
+# identity checks on whole blocks
+# ---------------------------------------------------------------------------
+
+
+def full_block_differences(tf: TruncatedFock, builder, margin: int) -> list:
+    """(case, {(row, col): (lhs, rhs)}) of one builder on the bank of ``tf``:
+    its sides on every column of level <= L - m, compared on every entry of
+    rows and columns of level <= L - m, divided by the case's optional 4th
+    item."""
+    high = tf.max_level - margin
+    n = tf.prefix(high)
+    out = []
+    for label, lhs, rhs, *den in builder(tf._bank, n):
+        left, right = lhs.cols, rhs.cols
+        diff = {}
+        for c in range(n):
+            left_col, right_col = left.get(c, {}), right.get(c, {})
+            for r in left_col.keys() | right_col.keys():
+                a, b = left_col.get(r, 0), right_col.get(r, 0)
+                if r < n and a != b:
+                    diff[r, c] = (Fraction(a, *den), Fraction(b, *den)) if den else (a, b)
+        out.append((label, diff))
+    return out
+
+
+def first_difference(tf: TruncatedFock, cases, low: int):
+    """(case, row, col, lhs, rhs) of the first differing entry, by column then
+    row, of the first case that differs on levels >= low; None if none does."""
+    first = tf.prefix(low - 1)
+    for label, diff in cases:
+        block = [(c, r) for r, c in diff if min(r, c) >= first]
+        if block:
+            col, row = min(block)
+            return (label, row, col, *diff[row, col])
+    return None
+
+
+def full_block_report(tf: TruncatedFock, report: str, headroom: int = 1) -> Report:
+    """One ``verify`` report on ``tf``, every row evaluated on its whole block
+    [low, L - m]: what ``verify_fock_identities``, ``verify_relations_hk`` and
+    ``ck_generators`` must report, with the same skips and errors."""
+    title, depth = fock._REPORTS[report]
+    if tf.max_level < depth:
+        raise TruncationTooShallow(f"the {report} suite needs max_level >= {depth}")
+    evaluated: dict = {}
+    checks = []
+    for row in fock._TABLE:
+        if row.report != report:
+            continue
+        high = tf.max_level - row.margin
+        if high < headroom:
+            notice = f"needs max_level >= {row.margin + headroom}, basis has {tf.max_level}"
+            checks.append(IdentityCheck(row.identity_id, row.formula, None, "skipped", notice))
+            continue
+        cases = []
+        for builder in row.builders:
+            key = (builder, row.margin)
+            if key not in evaluated:
+                evaluated[key] = full_block_differences(tf, builder, row.margin)
+            cases += evaluated[key]
+        found = first_difference(tf, cases, row.low)
+        witness = None
+        if found:
+            label, r, c, lhs, rhs = found
+            witness = {
+                "case": label,
+                "row": tf.word(r).label(),
+                "col": tf.word(c).label(),
+                "lhs": str(lhs),
+                "rhs": str(rhs),
+            }
+        status = "fail" if witness else "pass"
+        checks.append(IdentityCheck(row.identity_id, row.formula, (row.low, high), status, witness=witness))
+    return Report(title=title, max_level=tf.max_level, checks=checks)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,14 @@ def test_tiles_out_without_emit_wang_is_refused(fib_input, capsys, tmp_path):
     assert not out_file.exists()
 
 
+def test_tiles_emit_wang_to_an_empty_path_is_refused(fib_input, capsys):
+    # an empty --out is a path that cannot be opened, not a missing --out
+    assert main(["tiles", fib_input, "--emit", "wang", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_subshift_command(exchange_input, capsys):
     assert main(["subshift", exchange_input, "--rows", "1", "--cols", "2"]) == 0
     assert "1x2 patches: 12" in capsys.readouterr().out

@@ -1,0 +1,190 @@
+"""``verify`` compares each identity only on the columns that can hold its
+first difference, and the CLI builds its basis only as deep as they reach.
+
+The oracle (``oracles.full_block_report``) evaluates every row on every
+column of its block [low, L - m]; the library calls on ``fock_basis(ts, L)``
+and ``verify_level`` must report exactly what it reports, on the true
+operator bank and on four broken ones.
+"""
+
+import functools
+import random
+
+import pytest
+
+import quadtex as q
+import quadtex.fock as fock
+from quadtex.cli import CLI_HEADROOM
+from quadtex.errors import BasisTooLarge, TruncationTooShallow
+from quadtex.fock import ck_generators, fock_basis, verify_fock_identities, verify_level, verify_relations_hk
+
+from conftest import FIB
+from oracles import full_block_report, random_commuting_pair
+
+LEVELS = range(2, 7)
+REPORTS = (fock.WORDS, fock.RELATIONS, fock.GENERATORS)
+
+
+def _seeded_systems(count, seed=8, total_cap=8):
+    """Distinct seeded commuting pairs with at least one tile, as lex systems."""
+    rng, seen, out = random.Random(seed), set(), []
+    while len(out) < count:
+        a, b = random_commuting_pair(rng, total_cap=total_cap)
+        ts = q.build_system(a.rows, b.rows, "lex")
+        if ts.tiles and (a.rows, b.rows) not in seen:
+            seen.add((a.rows, b.rows))
+            out.append((f"seeded {a.rows} x {b.rows}", ts))
+    return out
+
+
+# name -> (system, levels): the bundled inputs, exchange [[3]] x [[4]] (12
+# tiles; at level 6 the oracle alone takes over 10 s per bank, so it stops at
+# 5) and seeded pairs
+SYSTEMS = {
+    "exchange-2x3": (q.build_system([[2]], [[3]], "exchange"), LEVELS),
+    "fibonacci": (q.build_system(FIB, FIB, "lex"), LEVELS),
+    "one-tile": (q.build_system([[1]], [[1]], "lex"), LEVELS),
+    "exchange-3x4": (q.build_system([[3]], [[4]], "exchange"), range(2, 6)),
+    **{name: (ts, LEVELS) for name, ts in _seeded_systems(4)},
+}
+
+
+def _break(patch, ts, bank):
+    """Patch ``fock`` so that every bank built from now on is ``bank``: the
+    true one, s tripled on the first A-edge, t tripled on the first B-edge,
+    every eta action doubled, or s tripled on the first A-edge past the
+    markers (on the columns of level >= 1 only).  The last still reads only
+    the first tile and whether a word is a marker, and it moves first
+    differences one level deeper, to where a depth of 1 is needed."""
+    if bank in ("s tripled", "t tripled", "s tripled past the markers"):
+        edge = (ts.edges_b if bank == "t tripled" else ts.edges_a)[0]
+        real = fock.creation
+
+        def tripled(tf, kind, x):
+            op = real(tf, kind, x)
+            if x != edge:
+                return op
+            first = tf.starts[1] if bank == "s tripled past the markers" else 0
+            return fock.SparseOp({c: {r: 3 * v for r, v in col.items()} if c >= first else col for c, col in op.cols.items()})
+
+        patch.setattr(fock, "creation", tripled)
+    elif bank == "eta doubled":
+        real = fock.left_action_op
+
+        def doubled(tf, kind, elem, n=None):
+            op = real(tf, kind, elem, n)
+            return fock._DiagonalOp({c: 2 * v for c, v in op.values.items()}) if kind == "eta" else op
+
+        patch.setattr(fock, "left_action_op", doubled)
+
+
+BANKS = ("true", "s tripled", "t tripled", "eta doubled", "s tripled past the markers")
+
+
+def _outcome(call):
+    """A report as JSON, or the type and message of the error it raised."""
+    try:
+        return call().to_jsonable()
+    except (TruncationTooShallow, BasisTooLarge) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@functools.cache
+def _runs(bank: str, name: str, level: int) -> dict:
+    """The oracle's reports and both production paths' on one system."""
+    ts = SYSTEMS[name][0]
+    with pytest.MonkeyPatch.context() as patch:
+        _break(patch, ts, bank)
+        tf = fock_basis(ts, level)
+        headrooms = {fock.WORDS: CLI_HEADROOM, fock.RELATIONS: 1, fock.GENERATORS: 1}
+        oracle = [_outcome(lambda: full_block_report(tf, r, headrooms[r])) for r in REPORTS]
+        library = [
+            _outcome(lambda: verify_fock_identities(tf, headroom=CLI_HEADROOM)),
+            _outcome(lambda: verify_relations_hk(tf)),
+            _outcome(lambda: ck_generators(tf)[2]),
+        ]
+        try:
+            cli = [r.to_jsonable() for r in verify_level(ts, level, headroom=CLI_HEADROOM)]
+        except TruncationTooShallow as exc:
+            cli = type(exc).__name__, str(exc)
+        # verify_level raises at the first report that does
+        expected_cli = next((o for o in oracle if isinstance(o, tuple)), oracle)
+        return {"oracle": oracle, "library": library, "cli": cli, "expected_cli": expected_cli}
+
+
+def _cases():
+    """(system name, level) of every run."""
+    return [(name, level) for name, (_, levels) in SYSTEMS.items() for level in levels]
+
+
+def _label_level(label: str) -> int:
+    """The level of the word a witness label names."""
+    return label.count("-h-") + label.count("-v-") + 1 if label.startswith("(") else 0
+
+
+@pytest.mark.parametrize("bank", BANKS)
+def test_the_cut_reports_what_the_full_block_reports(bank):
+    failing = 0
+    for name, level in _cases():
+        runs = _runs(bank, name, level)
+        assert runs["library"] == runs["oracle"], (name, level)
+        assert runs["cli"] == runs["expected_cli"], (name, level)
+        failing += sum(
+            c["status"] == "fail" for r in runs["oracle"] if isinstance(r, dict) for c in r["identities"]
+        )
+    # the broken banks break rows on every report; the true one breaks none
+    assert (failing == 0) == (bank == "true")
+
+
+@pytest.mark.parametrize("bank", BANKS[1:])
+def test_each_first_difference_lies_within_the_rows_columns(bank):
+    # a read depth declared too small cuts off the column that holds the
+    # block's first difference: name the row whose depth must grow
+    rows = {r.identity_id: r for r in fock._TABLE}
+    failing = set()
+    for name, level in _cases():
+        for report in _runs(bank, name, level)["oracle"]:
+            if not isinstance(report, dict):
+                continue
+            for check in report["identities"]:
+                if check["status"] != "fail":
+                    continue
+                row = rows[check["identity_id"]]
+                column = _label_level(check["witness"]["col"])
+                assert column <= row.columns(level), (
+                    f"{row.identity_id}: the first difference of its block lies in a column of "
+                    f"level {column} on {name} at level {level}, above c = {row.columns(level)}; "
+                    f"its read depth d = {row.depth} is too small"
+                )
+                failing.add(row.identity_id)
+    assert len(failing) >= 10
+
+
+def test_the_cli_basis_stops_at_the_deepest_compared_reach(exchange_pair, monkeypatch):
+    depths = []
+    real = fock.fock_basis
+    monkeypatch.setattr(fock, "fock_basis", lambda ts, level, cap: depths.append(level) or real(ts, level, cap))
+    for level in range(4, 9):  # level 9 would hold 2,343,750 words, over the cap
+        reports = verify_level(exchange_pair, level, headroom=CLI_HEADROOM)
+        assert [r.max_level for r in reports] == [level] * 3
+        assert all(r.passed for r in reports)
+    # the relation rows of margin 2 reach level 4 from level 4 on, and
+    # tile_word_commutation (d = 2, m = 4) reaches level 5 from level 7 on,
+    # where its columns stop at level 3
+    assert depths == [4, 4, 4, 5, 5]
+    # the library still builds every level it is asked for
+    tf = fock_basis(exchange_pair, 6)
+    assert tf.max_level == 6 and tf.count_at(6) == 6 * 5**5
+    assert verify_fock_identities(tf, headroom=CLI_HEADROOM).max_level == 6
+
+
+def test_the_cap_and_the_depth_errors_are_decided_at_the_level_asked_for(exchange_pair):
+    # level 8 holds 468,750 words; the basis verify_level builds holds 4,691
+    with pytest.raises(BasisTooLarge, match="level 8 would hold 468750 words"):
+        verify_level(exchange_pair, 8, cap=100_000)
+    with pytest.raises(ValueError, match="max_level must be at least 1"):
+        verify_level(exchange_pair, 0)
+    for level, report in ((2, "identity"), (3, "relation")):
+        with pytest.raises(TruncationTooShallow, match=f"the {report} suite needs max_level >= "):
+            verify_level(exchange_pair, level)
+

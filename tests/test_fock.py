@@ -21,7 +21,6 @@ from quadtex.fock import (
     FockWord,
     SparseOp,
     adjoint,
-    basis_vector,
     ck_generators,
     creation,
     creation_from_vector,
@@ -35,7 +34,7 @@ from quadtex.fock import (
 )
 from conftest import by_id
 import creation_oracle
-from oracles import apply, eager_words, entry, level_shift, random_commuting_pair, restrict, scale
+from oracles import apply, basis_vector, eager_words, entry, level_shift, random_commuting_pair, restrict, scale
 
 
 @pytest.fixture(scope="module")
@@ -513,9 +512,9 @@ def test_one_bank_and_one_evaluation_per_twin(fibonacci, monkeypatch):
     banks, quads, evaluated = [], [], []
 
     class CountingBank(fock._Bank):
-        def __init__(self, tf):
+        def __init__(self, tf, level):
             banks.append(tf)
-            super().__init__(tf)
+            super().__init__(tf, level)
 
     real_quad, real_differences = fock.build_quad_matrices, fock._differences
     monkeypatch.setattr(fock, "_Bank", CountingBank)
@@ -523,7 +522,8 @@ def test_one_bank_and_one_evaluation_per_twin(fibonacci, monkeypatch):
     monkeypatch.setattr(
         fock,
         "_differences",
-        lambda tf, cases, high: evaluated.append(cases.__name__) or real_differences(tf, cases, high),
+        lambda tf, cases, high, columns: evaluated.append((cases.__name__, high, columns))
+        or real_differences(tf, cases, high, columns),
     )
     tf = fock_basis(fibonacci, 4)
     reports = [verify_fock_identities(tf, headroom=2), verify_relations_hk(tf), ck_generators(tf)[2]]
@@ -538,8 +538,10 @@ def test_one_bank_and_one_evaluation_per_twin(fibonacci, monkeypatch):
     assert {type(v) for op in primitives for _, _, v in op.entries()} == {int}
     assert len(quads) == 1
     rows = [r for r in fock._TABLE if r.identity_id != "tile_word_commutation"]
-    assert len(evaluated) == len({(b, r.margin) for r in rows for b in r.builders})
+    keys = {(b, r.margin) for r in rows for b in r.builders}
+    assert len(evaluated) == len(keys)
     assert len(evaluated) < sum(len(r.builders) for r in rows)
+    names = [name for name, _, _ in evaluated]
     for twin in (
         "_range_partition",
         "_diagonal_commutation",
@@ -549,7 +551,15 @@ def test_one_bank_and_one_evaluation_per_twin(fibonacci, monkeypatch):
         "_vertex_commutation",
         "_vertex_sandwich",
     ):
-        assert evaluated.count(twin) == 1, twin
+        assert names.count(twin) == 1, twin
+    # each on rows of level <= L - m and on the columns of the widest c of
+    # the rows that take it at that margin
+    expected = [(getattr(b, "func", b).__name__, tf.max_level - m, _widest_columns(tf, b, m)) for b, m in keys]
+    assert sorted(evaluated) == sorted(expected)
+    # diagonal_commutation's own columns stop at level 2, its twins' at 3
+    columns = {name: c for name, _, c in evaluated}
+    own = next(r for r in fock._TABLE if r.identity_id == "diagonal_commutation")
+    assert columns["_diagonal_commutation"] == 3 > own.columns(tf.max_level) == 2
     # rows whose cases are those of a twin's builder, compared on their own block
     builders = {r.identity_id: r.builders for r in fock._TABLE}
     for row, twin in (
@@ -810,12 +820,20 @@ def test_levels_never_decrease_and_prefixes_count_them(all_systems, fibonacci_al
         assert tf.prefix(-1) == 0 and tf.prefix(top + 3) == tf.dim
 
 
+def _widest_columns(tf, builder, margin) -> int:
+    """c of the bank's evaluation of (builder, margin): the widest of the rows that take it."""
+    return max(r.columns(tf.max_level) for r in fock._TABLE if r.margin == margin and builder in r.builders)
+
+
 def _assert_block_equals_full(tf):
+    # the cut's differences are the full block's, restricted to columns <= c
     bank = tf._bank
     for builder, margin in _distinct_builders():
         high = tf.max_level - margin
         full = fock._differences(tf, builder(bank, tf.dim), high)
-        assert bank.differences(builder, margin) == full, (builder, margin)
+        width = tf.prefix(_widest_columns(tf, builder, margin))
+        cut = [(label, {(r, c): v for (r, c), v in diff.items() if c < width}) for label, diff in full]
+        assert bank.differences(builder, margin) == cut, (builder, margin)
 
 
 def test_block_evaluation_equals_full_evaluation(all_systems, fibonacci_alt):
@@ -859,9 +877,10 @@ def test_no_product_computes_a_column_outside_its_block(exchange_pair, monkeypat
         return out
 
     monkeypatch.setattr(SparseOp, "times", watched)
-    margins, steps = {}, 0
+    margins, steps, widths = {}, 0, []
     for builder, margin in _distinct_builders():
-        n = tf.prefix(tf.max_level - margin)
+        n = tf.prefix(_widest_columns(tf, builder, margin))
+        widths.append(n)
         right_columns.clear()
         fused.clear()
         bank.differences(builder, margin)
@@ -869,11 +888,13 @@ def test_no_product_computes_a_column_outside_its_block(exchange_pair, monkeypat
         assert all(m == n for m in fused), (builder, margin, n)
         margins[margin] = margins.get(margin, 0) + len(right_columns)
         steps += len(fused)
-    # every margin of the table made products, each from a fused first step;
-    # margin 0 is the whole basis
+    # every margin of the table made products, each from a fused first step
     assert sorted(margins) == [0, 1, 2, 4] and all(margins.values()) and steps
-    assert tf.prefix(tf.max_level) == tf.dim
     assert any(r.identity_id == "corner_projection_commutation" and r.margin == 0 for r in fock._TABLE)
+    # no builder reads a column of level 4 or 5, which hold most words; margin
+    # 0 compares the whole basis as its block, yet computes levels <= 2 only
+    assert max(widths) == tf.prefix(3) < tf.prefix(tf.max_level - 1) < tf.dim
+    assert max(n for (b, m), n in zip(_distinct_builders(), widths) if m == 0) == tf.prefix(2)
 
 
 def _yielded_sides(tf):
@@ -1161,6 +1182,16 @@ def test_doubled_s_witnesses_are_pinned(exchange_pair, monkeypatch):
     assert set(DOUBLED_S_WITNESSES) == BROKEN_BY_DOUBLED_S
     keys = ("case", "row", "col", "lhs", "rhs")
     assert witnesses == {i: dict(zip(keys, w)) for i, w in DOUBLED_S_WITNESSES.items()}
+
+
+def test_doubled_s_witnesses_are_pinned_on_the_cli_basis(exchange_pair, monkeypatch):
+    # verify_level builds its basis only as deep as the compared columns reach
+    _double_s(monkeypatch, exchange_pair)
+    for level in (4, 8):
+        reports = fock.verify_level(exchange_pair, level)
+        witnesses = {c.identity_id: c.witness for r in reports for c in r.checks if c.status == "fail"}
+        keys = ("case", "row", "col", "lhs", "rhs")
+        assert witnesses == {i: dict(zip(keys, w)) for i, w in DOUBLED_S_WITNESSES.items()}, level
 
 
 def test_each_generator_adjoint_is_built_once(fibonacci, monkeypatch):

@@ -29,20 +29,24 @@ margin m and its block is the rows and columns at levels [low, L - m]:
 low = 0 (identity suite) or the interior levels from 2 (relation suite),
 where the level-0/1 corrections are provably absent.
 
-Every bank operator is prefix-local: it acts on a word u.v through u and
-the first tile of v.  Creations, adjoints, edge and vertex actions and the
-range projections read the first tile and separator; P0, P1 and the
-rank-one operators read only whether a word is short.  A row's read depth
-d is the number of leading tiles its products strip before their last
-read, so they send u.v, u of d tiles, to sum c_u' u'.v with coefficients
-fixed by u and the first tile of v.  A difference in a column deeper than
-d + max(1, low) thus also shows in the column of that prefix, at a row of
-level >= low, and that column comes first since levels never decrease.
-So the first differing entry of the block, the witness, lies in a column
-of level <= c = min(L - m, d + max(1, low)), and a row builds and compares
-only those columns, its rows still cut at L - m: its status, witness and
-``levels_checked`` are the whole block's.  Ids that share a builder at one
-margin take it at the widest c among them, each reading its own columns.
+Every bank operator is prefix-local, with a shape (d, r, s): it sends a word
+u.v, u of d tiles and the separator after them, to sum c u'.v, u' of d - s
+tiles, c fixed by u and the first tile of v, and reads no word over r levels
+above u.v.  The bank sets the shape per kind of primitive: a creation
+(0, 1, -1), its adjoint (1, 0, 1), the first-separator projections
+(1, 0, 0), every other diagonal (0, 0, 0).  P0, P1 and the rank-one sums
+vanish from level 2 on, which holds every column the argument below moves,
+so they count as (0, 0, 0) if no strip acts before them.  F G (G first) has
+shape (max(d_G, d_F + s_G), max(r_G, r_F - s_G), s_F + s_G), a sum the
+largest of each component, and a row's (d, r) is the largest over its
+builders' sides, folded once per process (``_BUILDER_SHAPES``).  A
+difference in a column deeper than d + max(1, low) thus also shows in the
+column of that prefix, at a row of level >= low, and that column comes
+first since levels never decrease.  So the witness (the block's first
+difference) lies in a column of level <= c = min(L - m, d + max(1, low)),
+and a row builds and compares only those columns, its rows still cut at
+L - m: its status, witness and ``levels_checked`` are the whole block's.
+Ids that share a builder at one margin take it at the widest c among them.
 
 The columns of level <= c are the first n words.  Each product runs right
 to left from the columns of its last factor below n, exactly, as column c
@@ -54,9 +58,9 @@ levels <= L - 1: each row that reads them has margin >= 1 and puts them at
 most left of a diagonal.  Creations, adjoints, diagonals, e, S and T stay
 whole; a diagonal lone factor is cut to a diagonal.
 
-On its columns a row's products climb r <= m - d levels above the column,
-so they read no word above c + r, and none above L0, the largest c + r
-over the rows that run.  Library calls (``verify_fock_identities``,
+On its columns a row's products read no word above c + r, and none above
+L0, the largest c + r over the rows that run: 4 from L = 5 on, set by the
+transition rows, d = r = 1.  Library calls (``verify_fock_identities``,
 ``verify_relations_hk``, ``ck_generators``) cut columns on the basis they
 are given, which ``fock_basis(ts, L)`` builds to every level up to L; only
 ``verify_level``, which the CLI runs, also builds its basis just
@@ -83,8 +87,8 @@ most product columns are an operand's column, kept or scaled once, and
 
 Identity checks: every checked identity of the three reports (word-space
 identities, universal relations, corner generators) is one row of the
-table ``_TABLE``: report, id, formula, margin m, lowest compared level,
-read depth d and the builders of its (case, lhs, rhs) triples.  Relations
+table ``_TABLE``: report, id, formula, margin m, lowest compared level
+and the builders of its (case, lhs, rhs) triples.  Relations
 come in mirrored pairs, s over the A-edges with diagonal p and t over the
 B-edges with diagonal q; each builder is written once over a ``_Layer``
 record and loops over both.  ``_run`` is the one runner: it compares the
@@ -134,11 +138,13 @@ from .errors import (
     UnknownEdge,
 )
 from .quadmod import QuadVector, inner_eta, inner_rho, left_basis_vector, top_basis_vector
-from .textile import LAYER_A, LAYER_B, Edge, TextileSystem, Tile, build_quad_matrices
+from .textile import LAYER_A, LAYER_B, Edge, TextileSystem, Tile, build_quad_matrices, build_system
 
 SEP_ETA = "eta"
 SEP_RHO = "rho"
 DEFAULT_BASIS_CAP = 10**6
+# operator shapes (d, r, s): leading tiles read, levels climbed, tiles stripped
+PUSH, STRIP, SEPARATOR, READ = (0, 1, -1), (1, 0, 1), (1, 0, 0), (0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -329,12 +335,14 @@ class SparseOp:
     ``{col: {row: value}}`` with no empty column and no zero entry; a diagonal
     is a ``_DiagonalOp``.  Products with a diagonal scale rows (on the left)
     or columns (on the right), and diagonals times diagonals stay diagonal.
-    Never changed once built: its column dicts may be other operators' too."""
+    Never changed once built: its column dicts may be other operators' too.
+    ``shape`` is its (d, r, s), set by the bank on primitives (default READ)."""
 
-    __slots__ = ("cols",)
+    __slots__ = ("cols", "shape")
 
-    def __init__(self, cols: dict[int, dict[int, object]] | None = None):
+    def __init__(self, cols: dict[int, dict[int, object]] | None = None, shape: tuple = READ):
         self.cols = {} if cols is None else cols
+        self.shape = shape
 
     @staticmethod
     def identity(tf: TruncatedFock) -> "_DiagonalOp":
@@ -357,9 +365,11 @@ class SparseOp:
     @staticmethod
     def sum(ops) -> "SparseOp":
         """Sum in one pass, cancelled entries dropped; a column met first is the
-        operand's own until a second operand adds to it.  Diagonals sum to one."""
+        operand's own until a second operand adds to it.  Diagonals sum to one;
+        the shape is the largest of each component of the operands'."""
         values: dict[int, object] = {}
         cols: dict[int, dict[int, object]] | None = None
+        ops = list(ops)
         for op in ops:
             if cols is None:
                 if type(op) is _DiagonalOp:
@@ -388,7 +398,8 @@ class SparseOp:
                     # a later operand may bring this column back shared
                     del cols[c]
                     owned.discard(c)
-        return _DiagonalOp(values) if cols is None else SparseOp(cols)
+        shape = tuple(map(max, zip(*(op.shape for op in ops)))) or READ
+        return _DiagonalOp(values, shape) if cols is None else SparseOp(cols, shape)
 
     def __add__(self, other: "SparseOp") -> "SparseOp":
         return SparseOp.sum((self, other))
@@ -399,6 +410,10 @@ class SparseOp:
     def times(self, other: "SparseOp", n: int | None = None) -> "SparseOp":
         """self @ other, or its columns 0..n-1 read off other's columns below n
         (no cut of other is built); a column equal to an operand's is that one."""
+        # self @ other has the shape of F G with G = other acting first
+        # (see the module docstring)
+        (df, rf, sf), (dg, rg, sg) = self.shape, other.shape
+        shape = max(dg, df + sg), max(rg, rf - sg), sf + sg
         # a product with a diagonal factor multiplies nonzero entries only,
         # so nothing cancels on those paths
         diagonal = type(other) is _DiagonalOp
@@ -407,7 +422,7 @@ class SparseOp:
         if type(self) is _DiagonalOp:
             scalars = self.values
             if diagonal:
-                return _DiagonalOp({c: scalars[c] * bv for c, bv in items if c in scalars})
+                return _DiagonalOp({c: scalars[c] * bv for c, bv in items if c in scalars}, shape)
             scalar_at = scalars.get
             cols = {}
             for c, col in items:
@@ -417,7 +432,7 @@ class SparseOp:
                         cols[c] = col if a == 1 else {r: a * bv}
                 elif acc := {r: scalars[r] * bv for r, bv in col.items() if r in scalars}:
                     cols[c] = acc
-            return SparseOp(cols)
+            return SparseOp(cols, shape)
         left = self.cols
         if diagonal:
             cols = {
@@ -425,7 +440,7 @@ class SparseOp:
                 for c, bv in items
                 if (left_col := left.get(c))
             }
-            return SparseOp(cols)
+            return SparseOp(cols, shape)
         left_at = left.get
         cols = {}
         for c, col in items:
@@ -445,7 +460,7 @@ class SparseOp:
                 acc = {r: v for r, v in acc.items() if v}
             if acc:
                 cols[c] = acc
-        return SparseOp(cols)
+        return SparseOp(cols, shape)
 
     def transpose(self) -> "SparseOp":
         cols: dict[int, dict[int, object]] = {}
@@ -472,8 +487,9 @@ class _DiagonalOp(SparseOp):
 
     __slots__ = ("values",)
 
-    def __init__(self, values: dict[int, object]):
+    def __init__(self, values: dict[int, object], shape: tuple = READ):
         self.values = values
+        self.shape = shape
 
     @property
     def cols(self) -> dict[int, dict[int, object]]:
@@ -740,11 +756,13 @@ class _Layer:
         self.index, self.name, self.own, self.act = index, name, own, act
         self.unit_vector, self.inner, self.corner = unit_vector, inner, corner
         self.edges = ts.edges(layer)
-        self.op = {x: creation(tf, name, x) for x in self.edges}
-        self.adj = {x: adjoint(op) for x, op in self.op.items()}
+        # each primitive takes the shape of its kind here, whatever the
+        # function that built its entries returned
+        self.op = {x: SparseOp(creation(tf, name, x).cols, PUSH) for x in self.edges}
+        self.adj = {x: SparseOp(adjoint(op).cols, STRIP) for x, op in self.op.items()}
         self.diag = {x: left_action_op(tf, act, EdgeElem.basis(ts, x)) for x in self.edges}
         self.range = {x: bank.product(bank.widest, self.op[x], self.adj[x]) for x in self.edges}
-        self.range_proj = graded_projection(tf, act)
+        self.range_proj = _DiagonalOp(graded_projection(tf, act).values, SEPARATOR)
         self.vertex = {
             v: left_action_op(tf, act, embed(ts, layer, DiagElem.basis(ts.n_vertices, v)))
             for v in range(1, ts.n_vertices + 1)
@@ -812,8 +830,8 @@ class _Bank:
         if n >= self.tf.dim:
             return last
         if type(last) is _DiagonalOp:
-            return _DiagonalOp(dict(_below(last.values, n)))
-        return SparseOp(dict(_below(last.cols, n)))
+            return _DiagonalOp(dict(_below(last.values, n)), last.shape)
+        return SparseOp(dict(_below(last.cols, n)), last.shape)
 
     def sum(self, n: int, *ops: SparseOp) -> SparseOp:
         """Columns 0..n-1 of the sum, from each operand cut to them."""
@@ -841,7 +859,7 @@ class _Bank:
     @cached_property
     def generator_adjoints(self) -> tuple[dict, dict]:
         """S* and T* per corner pair."""
-        return tuple({pair: adjoint(g) for pair, g in gens.items()} for gens in self.generators)
+        return tuple({pair: SparseOp(adjoint(g).cols, STRIP) for pair, g in gens.items()} for gens in self.generators)
 
     @cached_property
     def generator_ranges(self) -> dict:
@@ -972,7 +990,7 @@ def _creation_expansion(bank, n):
         for lay, oth in bank.mirrored:
             pairings = ((x, lay.inner(ts, lay.unit_vector(ts, x), xi)) for x in lay.edges)
             terms = (bank.product(n, lay.op[x], left_action_op(tf, oth.act, w, n)) for x, w in pairings)
-            lhs = creation_from_vector(tf, lay.name, xi)
+            lhs = SparseOp(creation_from_vector(tf, lay.name, xi).cols, PUSH)
             yield f"{lay.name}[{tag}]", bank.product(n, lhs), SparseOp.sum(terms), d
 
 
@@ -1068,18 +1086,21 @@ class _Row(NamedTuple):
     formula: str
     margin: int
     low: int
-    depth: int  # d: the leading tiles its products strip before their last read
     builders: tuple
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(d, r): the deepest read and the highest climb of its builders' sides."""
+        return _ROW_SHAPES[self.identity_id]
 
     def columns(self, level: int) -> int:
         """c: the top level of the columns compared at truncation level L,
         the deepest that can hold the first difference of the block."""
-        return min(level - self.margin, self.depth + max(1, self.low))
+        return min(level - self.margin, self.shape[0] + max(1, self.low))
 
     def reach(self, level: int) -> int:
-        """c + r: the top level its products read on those columns, with
-        r <= m - d the levels they climb above a column."""
-        return self.columns(level) + self.margin - self.depth
+        """c + r: the top level its products read on those columns."""
+        return self.columns(level) + self.shape[1]
 
 
 WORDS, RELATIONS, GENERATORS = "identity", "relation", "generator"
@@ -1091,47 +1112,56 @@ _REPORTS = {
 }
 
 # Every checked identity: report, id, formula, margin m, lowest compared
-# level, read depth d and builders.  Rows that share a builder are twins:
-# its cases are computed once per basis and margin and compared on each
-# row's own block [low, L - margin], in its own columns.
+# level and builders; its read depth d and climb r are derived from the
+# builders (``_Row.shape``).  Rows that share a builder are twins: its cases
+# are computed once per basis and margin and compared on each row's own
+# block [low, L - margin], in its own columns.
 _TABLE = (
-    _Row(WORDS, "creation_range", "sum_a s_a s_a* = P1 + Prho ; sum_b t_b t_b* = P1 + Peta", 1, 0, 1, (_creation_range,)),
-    _Row(WORDS, "range_partition", "sum ss* + sum tt* + P0 = 1 + P1", 1, 0, 1, (_range_partition,)),
-    _Row(WORDS, "co_isometry", "s_z* s_x = act_eta(<z|x>_eta) ; t_z* t_x = act_rho(<z|x>_rho)", 1, 0, 0, (_co_isometry,)),
-    _Row(WORDS, "vertex_sandwich", "s_a* phi(y) s_a = act_eta(edge_map_a(y))", 2, 0, 0, (_vertex_sandwich,)),
-    _Row(WORDS, "vertex_commutation", "s_a s_a* phi(y) = phi(y) s_a s_a*", 1, 0, 1, (_vertex_commutation,)),
-    _Row(WORDS, "tile_word_commutation", "t_a s_beta t_b* s_alpha* phi(y) = phi(y) (same word)", 4, 0, 2, (_tile_word_commutation,)),
-    _Row(WORDS, "compressed_range", "act_rho(p_a) Prho = s_a act_rho(E_{r(a)}) s_a*", 2, 0, 1, (_compressed_range,)),
-    _Row(WORDS, "diagonal_commutation", "s_a s_a* D = D s_a s_a* for diagonal D", 1, 0, 1, (_diagonal_commutation,)),
-    _Row(WORDS, "twisted_sandwich", "s_a* D s_a = act(pullback of D along kappa)", 2, 0, 0, (_same_layer_compression, _cross_layer_pullback)),
-    _Row(WORDS, "diagonal_reconstruction", "act_rho(w) = sum_a s_a act_eta(w_a) s_a* + Peta.. + P0..", 2, 0, 1, (_diagonal_reconstruction,)),
-    _Row(WORDS, "base_rank_one_partition", "sum theta(edge markers) = P0", 0, 0, 0, (partial(_rank_one_partition, level=0),)),
-    _Row(WORDS, "tile_rank_one_partition", "sum theta(tile words) = P1", 0, 0, 0, (partial(_rank_one_partition, level=1),)),
-    _Row(WORDS, "creation_expansion", "s_x = sum_a s_a act_eta(<u_a|x>_eta)", 1, 0, 0, (_creation_expansion,)),
-    _Row(RELATIONS, "unit_partition_interior", "sum uu* + sum vv* = 1", 1, 2, 1, (_unit_partition,)),
-    _Row(RELATIONS, "unit_partition_uncut", "sum ss* + sum tt* + P0 = 1 + P1", 1, 0, 1, (_range_partition,)),
-    _Row(RELATIONS, "range_proj_diag_commutation", "uu* w = w uu*, vv* w = w vv* (w, z diagonal)", 1, 2, 1, (_diagonal_commutation,)),
-    _Row(RELATIONS, "same_layer_compression", "u* w u = compress(w), v* z v = compress(z)", 2, 2, 0, (_same_layer_compression,)),
-    _Row(RELATIONS, "cross_layer_pullback", "u* z u = pullback(z), v* w v = pullback(w)", 2, 2, 0, (_cross_layer_pullback,)),
-    _Row(RELATIONS, "embedding_agreement", "source embedding acts equally through both layers", 0, 2, 0, (_embedding_agreement,)),
-    _Row(RELATIONS, "edge_partitions", "sum p = sum q = sum uu* + vv* = 1", 1, 2, 1, (_edge_sums, _unit_partition)),
-    _Row(RELATIONS, "range_proj_support", "uu* p_u = uu*, vv* q_v = vv*", 1, 2, 1, (_range_proj_support,)),
-    _Row(RELATIONS, "cross_proj_commutation", "[uu*, q] = 0, [vv*, p] = 0", 1, 2, 1, (_diagonal_commutation,)),
-    _Row(RELATIONS, "initial_projections", "u*u = sum of p over following edges (and v*v dually)", 1, 2, 0, (partial(_initial_sums, cross=False),)),
-    _Row(RELATIONS, "corner_selection", "u* q u and v* p v select tiles with the fixed corner", 2, 2, 0, (_cross_layer_pullback,)),
-    _Row(RELATIONS, "corner_projection_commutation", "p and q commute", 0, 2, 0, (_corner_commutation,)),
-    _Row(RELATIONS, "initial_support_by_composability", "u*u = sum of q over composable edges", 1, 2, 0, (partial(_initial_sums, cross=True),)),
-    _Row(RELATIONS, "shared_range_initials", "r(alpha) = r(a) forces u*u = v*v", 1, 2, 0, (_shared_range_initials,)),
-    _Row(RELATIONS, "corner_partition", "sum over corner pairs of e = 1", 1, 2, 0, (_corner_partition,)),
-    _Row(RELATIONS, "range_proj_corner_refinement", "uu* = sum_a uu* e = sum_a e uu*", 1, 2, 1, (_range_proj_corner_refinement,)),
-    _Row(RELATIONS, "corner_transition", "u* e u = row of the horizontal matrix over e (vertical dual)", 2, 2, 0, (_corner_transition,)),
-    _Row(RELATIONS, "vertex_commutation_quotient", "[uu*, y] = [vv*, y] = 0 for vertex y", 1, 2, 1, (_vertex_commutation,)),
-    _Row(RELATIONS, "vertex_compression_quotient", "u* y u and v* y v move vertex masses along edges", 2, 2, 0, (_vertex_sandwich,)),
-    _Row(GENERATORS, "generator_partition", "sum SS* + sum TT* = 1", 2, 2, 1, (_generator_partition,)),
-    _Row(GENERATORS, "horizontal_transition", "S*S = sum A[(row),(col)] (SS* + TT*)", 2, 2, 1, (partial(_generator_transition, index=0),)),
-    _Row(GENERATORS, "vertical_transition", "T*T = sum B[(row),(col)] (SS* + TT*)", 2, 2, 1, (partial(_generator_transition, index=1),)),
-    _Row(GENERATORS, "corner_decomposition", "e = SS* + TT*", 2, 2, 1, (_corner_decomposition,)),
+    _Row(WORDS, "creation_range", "sum_a s_a s_a* = P1 + Prho ; sum_b t_b t_b* = P1 + Peta", 1, 0, (_creation_range,)),
+    _Row(WORDS, "range_partition", "sum ss* + sum tt* + P0 = 1 + P1", 1, 0, (_range_partition,)),
+    _Row(WORDS, "co_isometry", "s_z* s_x = act_eta(<z|x>_eta) ; t_z* t_x = act_rho(<z|x>_rho)", 1, 0, (_co_isometry,)),
+    _Row(WORDS, "vertex_sandwich", "s_a* phi(y) s_a = act_eta(edge_map_a(y))", 2, 0, (_vertex_sandwich,)),
+    _Row(WORDS, "vertex_commutation", "s_a s_a* phi(y) = phi(y) s_a s_a*", 1, 0, (_vertex_commutation,)),
+    _Row(WORDS, "tile_word_commutation", "t_a s_beta t_b* s_alpha* phi(y) = phi(y) (same word)", 4, 0, (_tile_word_commutation,)),
+    _Row(WORDS, "compressed_range", "act_rho(p_a) Prho = s_a act_rho(E_{r(a)}) s_a*", 2, 0, (_compressed_range,)),
+    _Row(WORDS, "diagonal_commutation", "s_a s_a* D = D s_a s_a* for diagonal D", 1, 0, (_diagonal_commutation,)),
+    _Row(WORDS, "twisted_sandwich", "s_a* D s_a = act(pullback of D along kappa)", 2, 0, (_same_layer_compression, _cross_layer_pullback)),
+    _Row(WORDS, "diagonal_reconstruction", "act_rho(w) = sum_a s_a act_eta(w_a) s_a* + Peta.. + P0..", 2, 0, (_diagonal_reconstruction,)),
+    _Row(WORDS, "base_rank_one_partition", "sum theta(edge markers) = P0", 0, 0, (partial(_rank_one_partition, level=0),)),
+    _Row(WORDS, "tile_rank_one_partition", "sum theta(tile words) = P1", 0, 0, (partial(_rank_one_partition, level=1),)),
+    _Row(WORDS, "creation_expansion", "s_x = sum_a s_a act_eta(<u_a|x>_eta)", 1, 0, (_creation_expansion,)),
+    _Row(RELATIONS, "unit_partition_interior", "sum uu* + sum vv* = 1", 1, 2, (_unit_partition,)),
+    _Row(RELATIONS, "unit_partition_uncut", "sum ss* + sum tt* + P0 = 1 + P1", 1, 0, (_range_partition,)),
+    _Row(RELATIONS, "range_proj_diag_commutation", "uu* w = w uu*, vv* w = w vv* (w, z diagonal)", 1, 2, (_diagonal_commutation,)),
+    _Row(RELATIONS, "same_layer_compression", "u* w u = compress(w), v* z v = compress(z)", 2, 2, (_same_layer_compression,)),
+    _Row(RELATIONS, "cross_layer_pullback", "u* z u = pullback(z), v* w v = pullback(w)", 2, 2, (_cross_layer_pullback,)),
+    _Row(RELATIONS, "embedding_agreement", "source embedding acts equally through both layers", 0, 2, (_embedding_agreement,)),
+    _Row(RELATIONS, "edge_partitions", "sum p = sum q = sum uu* + vv* = 1", 1, 2, (_edge_sums, _unit_partition)),
+    _Row(RELATIONS, "range_proj_support", "uu* p_u = uu*, vv* q_v = vv*", 1, 2, (_range_proj_support,)),
+    _Row(RELATIONS, "cross_proj_commutation", "[uu*, q] = 0, [vv*, p] = 0", 1, 2, (_diagonal_commutation,)),
+    _Row(RELATIONS, "initial_projections", "u*u = sum of p over following edges (and v*v dually)", 1, 2, (partial(_initial_sums, cross=False),)),
+    _Row(RELATIONS, "corner_selection", "u* q u and v* p v select tiles with the fixed corner", 2, 2, (_cross_layer_pullback,)),
+    _Row(RELATIONS, "corner_projection_commutation", "p and q commute", 0, 2, (_corner_commutation,)),
+    _Row(RELATIONS, "initial_support_by_composability", "u*u = sum of q over composable edges", 1, 2, (partial(_initial_sums, cross=True),)),
+    _Row(RELATIONS, "shared_range_initials", "r(alpha) = r(a) forces u*u = v*v", 1, 2, (_shared_range_initials,)),
+    _Row(RELATIONS, "corner_partition", "sum over corner pairs of e = 1", 1, 2, (_corner_partition,)),
+    _Row(RELATIONS, "range_proj_corner_refinement", "uu* = sum_a uu* e = sum_a e uu*", 1, 2, (_range_proj_corner_refinement,)),
+    _Row(RELATIONS, "corner_transition", "u* e u = row of the horizontal matrix over e (vertical dual)", 2, 2, (_corner_transition,)),
+    _Row(RELATIONS, "vertex_commutation_quotient", "[uu*, y] = [vv*, y] = 0 for vertex y", 1, 2, (_vertex_commutation,)),
+    _Row(RELATIONS, "vertex_compression_quotient", "u* y u and v* y v move vertex masses along edges", 2, 2, (_vertex_sandwich,)),
+    _Row(GENERATORS, "generator_partition", "sum SS* + sum TT* = 1", 2, 2, (_generator_partition,)),
+    _Row(GENERATORS, "horizontal_transition", "S*S = sum A[(row),(col)] (SS* + TT*)", 2, 2, (partial(_generator_transition, index=0),)),
+    _Row(GENERATORS, "vertical_transition", "T*T = sum B[(row),(col)] (SS* + TT*)", 2, 2, (partial(_generator_transition, index=1),)),
+    _Row(GENERATORS, "corner_decomposition", "e = SS* + TT*", 2, 2, (_corner_decomposition,)),
 )
+
+
+def _derive_shapes() -> dict:
+    """(d, r) per builder: the largest over its cases' sides, built with no column
+    on one bank of the one-tile system, where no case takes ``bank.zero``."""
+    bank = _Bank(fock_basis(build_system([[1]], [[1]]), 1), 1)
+    builders = dict.fromkeys(b for row in _TABLE for b in row.builders)
+    return {b: tuple(map(max, zip(*(side.shape[:2] for _, *sides in b(bank, 0) for side in sides[:2])))) for b in builders}
 
 
 def _run(bank: _Bank, report: str, identities=None, headroom: int = 1) -> Report:
@@ -1250,3 +1280,8 @@ def verify_level(
     ]
     bank = _Bank(fock_basis(ts, min(level, max(running, default=1)), cap), level)
     return [_run(bank, report, headroom=headroom) for report in (WORDS, RELATIONS, GENERATORS)]
+
+
+# every builder and what it calls are defined above
+_BUILDER_SHAPES = _derive_shapes()
+_ROW_SHAPES = {row.identity_id: tuple(map(max, zip(*map(_BUILDER_SHAPES.get, row.builders)))) for row in _TABLE}

@@ -4,7 +4,10 @@ first difference, and the CLI builds its basis only as deep as they reach.
 The oracle (``oracles.full_block_report``) evaluates every row on every
 column of its block [low, L - m]; the library calls on ``fock_basis(ts, L)``
 and ``verify_level`` must report exactly what it reports, on the true
-operator bank and on four broken ones.
+operator bank and on four broken ones.  The cut rests on the shape every
+bank operator carries; the last tests check the derived shapes: pinned per
+row, prefix-local on full bases, within their builders' on every system, and
+the same when the derivation runs on a broken bank.
 """
 
 import functools
@@ -138,8 +141,8 @@ def test_the_cut_reports_what_the_full_block_reports(bank):
 
 @pytest.mark.parametrize("bank", BANKS[1:])
 def test_each_first_difference_lies_within_the_rows_columns(bank):
-    # a read depth declared too small cuts off the column that holds the
-    # block's first difference: name the row whose depth must grow
+    # a read depth derived too small cuts off the column that holds the
+    # block's first difference: name the row, its builders and their shapes
     rows = {r.identity_id: r for r in fock._TABLE}
     failing = set()
     for name, level in _cases():
@@ -154,10 +157,16 @@ def test_each_first_difference_lies_within_the_rows_columns(bank):
                 assert column <= row.columns(level), (
                     f"{row.identity_id}: the first difference of its block lies in a column of "
                     f"level {column} on {name} at level {level}, above c = {row.columns(level)}; "
-                    f"its read depth d = {row.depth} is too small"
+                    f"the read depth d = {row.shape[0]} derived from its builders "
+                    f"{_builder_shapes(row)} is too small"
                 )
                 failing.add(row.identity_id)
     assert len(failing) >= 10
+
+
+def _builder_shapes(row) -> dict:
+    """Each builder of a row by name, with its derived (d, r)."""
+    return {getattr(b, "func", b).__name__: fock._BUILDER_SHAPES[b] for b in row.builders}
 
 
 def test_the_cli_basis_stops_at_the_deepest_compared_reach(exchange_pair, monkeypatch):
@@ -168,10 +177,10 @@ def test_the_cli_basis_stops_at_the_deepest_compared_reach(exchange_pair, monkey
         reports = verify_level(exchange_pair, level, headroom=CLI_HEADROOM)
         assert [r.max_level for r in reports] == [level] * 3
         assert all(r.passed for r in reports)
-    # the relation rows of margin 2 reach level 4 from level 4 on, and
-    # tile_word_commutation (d = 2, m = 4) reaches level 5 from level 7 on,
-    # where its columns stop at level 3
-    assert depths == [4, 4, 4, 5, 5]
+    # at level 4 the relation rows of margin 2 reach level 3 (c = 2, r = 1);
+    # from level 5 on the transition rows (d = r = 1, c = 3) reach level 4,
+    # and tile_word_commutation (d = 2, r = 0) reaches only its columns' 3
+    assert depths == [3, 4, 4, 4, 4]
     # the library still builds every level it is asked for
     tf = fock_basis(exchange_pair, 6)
     assert tf.max_level == 6 and tf.count_at(6) == 6 * 5**5
@@ -179,7 +188,7 @@ def test_the_cli_basis_stops_at_the_deepest_compared_reach(exchange_pair, monkey
 
 
 def test_the_cap_and_the_depth_errors_are_decided_at_the_level_asked_for(exchange_pair):
-    # level 8 holds 468,750 words; the basis verify_level builds holds 4,691
+    # level 8 holds 468,750 words; the basis verify_level builds holds 941
     with pytest.raises(BasisTooLarge, match="level 8 would hold 468750 words"):
         verify_level(exchange_pair, 8, cap=100_000)
     with pytest.raises(ValueError, match="max_level must be at least 1"):
@@ -188,3 +197,118 @@ def test_the_cap_and_the_depth_errors_are_decided_at_the_level_asked_for(exchang
         with pytest.raises(TruncationTooShallow, match=f"the {report} suite needs max_level >= "):
             verify_level(exchange_pair, level)
 
+
+# (d, r) of every row, derived from its builders' sides.  Each d is the read
+# depth the table declared by hand before it was derived; each r is at most
+# m - d, the bound that stood in for it
+DERIVED = {
+    "creation_range": (1, 0),
+    "range_partition": (1, 0),
+    "co_isometry": (0, 1),
+    "vertex_sandwich": (0, 1),
+    "vertex_commutation": (1, 0),
+    "tile_word_commutation": (2, 0),
+    "compressed_range": (1, 0),
+    "diagonal_commutation": (1, 0),
+    "twisted_sandwich": (0, 1),
+    "diagonal_reconstruction": (1, 0),
+    "base_rank_one_partition": (0, 0),
+    "tile_rank_one_partition": (0, 0),
+    "creation_expansion": (0, 1),
+    "unit_partition_interior": (1, 0),
+    "unit_partition_uncut": (1, 0),
+    "range_proj_diag_commutation": (1, 0),
+    "same_layer_compression": (0, 1),
+    "cross_layer_pullback": (0, 1),
+    "embedding_agreement": (0, 0),
+    "edge_partitions": (1, 0),
+    "range_proj_support": (1, 0),
+    "cross_proj_commutation": (1, 0),
+    "initial_projections": (0, 1),
+    "corner_selection": (0, 1),
+    "corner_projection_commutation": (0, 0),
+    "initial_support_by_composability": (0, 1),
+    "shared_range_initials": (0, 1),
+    "corner_partition": (0, 0),
+    "range_proj_corner_refinement": (1, 0),
+    "corner_transition": (0, 1),
+    "vertex_commutation_quotient": (1, 0),
+    "vertex_compression_quotient": (0, 1),
+    "generator_partition": (1, 0),
+    "horizontal_transition": (1, 1),
+    "vertical_transition": (1, 1),
+    "corner_decomposition": (1, 0),
+}
+
+
+def test_each_rows_depth_and_climb_are_derived():
+    assert {row.identity_id: row.shape for row in fock._TABLE} == DERIVED
+    assert all(r <= row.margin - d for row in fock._TABLE for d, r in [row.shape])
+    # tightened below m - d on 13 rows; nothing climbs more than one level
+    assert sum(r < row.margin - d for row in fock._TABLE for d, r in [row.shape]) == 13
+    assert max(r for _, r in DERIVED.values()) == 1
+
+
+def _primitives(bank) -> list:
+    """The primitive operators of a bank, and the corner projections."""
+    ops = [bank.identity, *bank.e.values()]
+    for lay in bank.layers:
+        ops += [*lay.op.values(), *lay.adj.values(), *lay.diag.values(), *lay.vertex.values(), lay.range_proj]
+    return ops
+
+
+def test_primitives_are_prefix_local_at_their_depth():
+    # about 1 s.  A primitive of shape (d, r, s) sends each word u.v, u of d
+    # tiles with the separator after them, to sum c u'.v, u' of d - s tiles,
+    # with c fixed by u and the first tile of v: on the full basis, at every
+    # column whose image stays inside it
+    level = 4
+    for name, (ts, _) in SYSTEMS.items():
+        tf = fock_basis(ts, level)
+        words = tf.words
+        for op in _primitives(tf._bank):
+            d, r, s = op.shape
+            images = {}
+            for i in range(tf.prefix(d), tf.prefix(level - r)):
+                w = words[i]
+                image = {}
+                for j, value in op.column(i).items():
+                    out = words[j]
+                    assert out.level == w.level - s, (name, op.shape, w.label(), out.label())
+                    assert (out.tiles[d - s :], out.seps[d - s :]) == (w.tiles[d:], w.seps[d:])
+                    image[out.tiles[: d - s], out.seps[: d - s]] = value
+                key = w.tiles[: d + 1], w.seps[:d]
+                assert images.setdefault(key, image) == image, (name, op.shape, w.label())
+            assert images, (name, op.shape)
+
+
+def test_short_operators_vanish_above_level_one():
+    # P0, P1 and the rank-one sums count as read-only (0, 0, 0) because
+    # every compared column they act on has level >= 2, where they vanish
+    for ts, _ in SYSTEMS.values():
+        tf = fock_basis(ts, 4)
+        bank = tf._bank
+        sums = [lhs for level in (0, 1) for _, lhs, _ in fock._rank_one_partition(bank, tf.dim, level)]
+        for op in (bank.p0, bank.p1, *sums):
+            assert op.shape == fock.READ
+            assert op.nnz() and all(tf.level(r) <= 1 and tf.level(c) <= 1 for r, c, _ in op.entries())
+
+
+def test_the_derivation_sees_every_branch():
+    # builders take bank.zero on some branches: no system yields a side
+    # deeper or climbing higher than its builder's derived shape
+    for name, (ts, _) in SYSTEMS.items():
+        tf = fock_basis(ts, 3)
+        bank = tf._bank
+        for builder, (d, r) in fock._BUILDER_SHAPES.items():
+            for _, *sides in builder(bank, 0):
+                assert all(side.shape[0] <= d and side.shape[1] <= r for side in sides[:2]), (name, builder)
+
+
+@pytest.mark.parametrize("bank", BANKS[1:])
+def test_the_derivation_is_the_same_on_every_broken_bank(bank):
+    # the bank tags the shapes of the primitives it builds, so a broken
+    # creation or action still folds as a push or a read
+    with pytest.MonkeyPatch.context() as patch:
+        _break(patch, SYSTEMS["one-tile"][0], bank)
+        assert fock._derive_shapes() == fock._BUILDER_SHAPES

@@ -53,21 +53,17 @@ to left from the columns of its last factor below n, exactly, as column c
 of F1 ... Fk is F1 (... (Fk[:, c])).  The first multiplication reads those
 columns off Fk itself (``SparseOp.times``), so no cut of Fk is built; only a
 lone factor is cut, unless n spans the basis.  Every compared side holds only
-these columns.  The shared products ss* and SS* + TT* keep the columns of
-levels <= L - 1: each row that reads them has margin >= 1 and puts them at
-most left of a diagonal.  Creations, adjoints, diagonals, e, S and T stay
-whole; a diagonal lone factor is cut to a diagonal.
+these columns.  Primitives and shared products stay whole on the bank's
+basis; a diagonal lone factor is cut to a diagonal.
 
 On its columns a row's products read no word above c + r, and none above
-L0, the largest c + r over the rows that run: 4 from L = 5 on, set by the
-transition rows, d = r = 1.  Library calls (``verify_fock_identities``,
-``verify_relations_hk``, ``ck_generators``) cut columns on the basis they
-are given, which ``fock_basis(ts, L)`` builds to every level up to L; only
-``verify_level``, which the CLI runs, also builds its basis just
-min(L, L0) deep, while the cap, ``max_level``, ``levels_checked``, skips
-and ``TruncationTooShallow`` are still decided at L.  What it reports on
-levels above L0 rests on prefix-locality alone: those words are never
-built, and a difference there would show at their compared prefixes.
+L0, the largest c + r over the rows that run (``_depth``): 4 from L = 5
+on, set by the transition rows, d = r = 1.  So every entry point decides
+on a bank over the first min(L, L0) levels: ``verify_level`` (the CLI's)
+builds only those, and each library call takes them from the basis it is
+given (``TruncatedFock.up_to``).  The cap, ``max_level``,
+``levels_checked``, skips and errors are decided at L; a difference above
+L0 would show at its compared prefixes.
 
 Diagonal operators (edge and vertex actions, range and level projections,
 the identity and e) are ``_DiagonalOp``s: one value per word, read off the
@@ -95,16 +91,16 @@ record and loops over both.  ``_run`` is the one runner: it compares the
 sides of every row and reports the first differing entry of the row's
 block [low, L - m] as the witness.
 
-One ``_Bank`` per basis (``TruncatedFock._bank``) holds the primitive
-operators with integer entries (``creation_expansion`` scales its rational
-tile vectors by the lcm of their denominators, and only the differing
-entries of a case are divided back into ``Fraction``s for the witness) and
-the products several identities share: sum ss* and sum tt*, s*s and t*t,
-the corner projections e = p q, A_kappa and B_kappa, and per corner pair
-S = e s, T = e t and SS* + TT*.  It keeps, per builder, only the entries
+One ``_Bank`` per decision holds the primitive operators with integer
+entries (``creation_expansion`` scales its rational tile vectors by the
+lcm of their denominators, and only the differing entries of a case are
+divided back into ``Fraction``s for the witness) and the products several
+identities share: sum ss* and sum tt*, s*s and t*t, the corner
+projections e = p q, A_kappa and B_kappa, and per corner pair S = e s,
+T = e t and SS* + TT*.  It keeps, per builder, only the entries
 where the two sides differ (nothing when the identity holds), so ids that
-share a builder are evaluated once per basis and each reports on its own
-block:
+share a builder are evaluated once per bank and each reports on its own
+block (``verify_level``'s three reports share one bank):
 
 * ``range_partition`` and ``unit_partition_uncut``, both on [0, L-1];
 * ``diagonal_commutation`` on [0, L-1], ``range_proj_diag_commutation``
@@ -122,7 +118,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -223,15 +218,12 @@ class TruncatedFock:
         """Position of each word, hashed on first use; ``verify`` needs none."""
         return {w: i for i, w in enumerate(self.words)}
 
-    @cached_property
-    def _bank(self) -> "_Bank":
-        """The one operator bank of this basis, shared by every identity suite.
-
-        The bank reaches the basis only through a weak proxy, so the two form
-        no reference cycle and are freed together as soon as the basis is
-        dropped, without waiting for the cycle collector.
-        """
-        return _Bank(weakref.proxy(self), self.max_level)
+    def up_to(self, level: int) -> "TruncatedFock":
+        """The basis of its words of level <= ``level``, under the same indices
+        and split records; itself when it holds no deeper word."""
+        if level >= self.max_level:
+            return self
+        return TruncatedFock(self.ts, level, self.starts[: level + 2], self.splits[: self.prefix(level)])
 
     @cached_property
     def words(self) -> tuple[FockWord, ...]:
@@ -274,16 +266,17 @@ def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
         paths = [x + y for x, y in zip(ahead, b.times(paths))]
 
 
-def _checked_sizes(ts: TextileSystem, max_level: int, cap: int) -> list[int]:
-    """The word counts of levels 0..max_level, once none from 2 on exceeds ``cap``."""
+def _check_cap(ts: TextileSystem, max_level: int, cap: int) -> None:
+    """Raise BasisTooLarge if a level from 2 to ``max_level`` would hold over
+    ``cap`` words.  The count stops at the first empty level >= 1: each word's
+    tail is a word of the level below, so every later level is empty too."""
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    sizes = []
     for n, size in enumerate(level_sizes(ts, max_level)):
         if n >= 2 and size > cap:
             raise BasisTooLarge(f"level {n} would hold {size} words (cap {cap})")
-        sizes.append(size)
-    return sizes
+        if n and not size:
+            return
 
 
 def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) -> TruncatedFock:
@@ -299,7 +292,8 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
     Raises BasisTooLarge when a level from 2 on would exceed ``cap`` words,
     before any of them is built.
     """
-    start = _checked_sizes(ts, max_level, cap)[0]  # the level-0 markers
+    _check_cap(ts, max_level, cap)
+    start = len(ts.edges_a) + len(ts.edges_b)  # the level-0 markers
     tiles = ts.tiles
     # per edge, in order, the tiles whose left edge (a B-edge) or top edge (an A-edge) it is
     opening: dict[Edge, list[int]] = {}
@@ -761,7 +755,7 @@ class _Layer:
         self.op = {x: SparseOp(creation(tf, name, x).cols, PUSH) for x in self.edges}
         self.adj = {x: SparseOp(adjoint(op).cols, STRIP) for x, op in self.op.items()}
         self.diag = {x: left_action_op(tf, act, EdgeElem.basis(ts, x)) for x in self.edges}
-        self.range = {x: bank.product(bank.widest, self.op[x], self.adj[x]) for x in self.edges}
+        self.range = {x: self.op[x] @ self.adj[x] for x in self.edges}
         self.range_proj = _DiagonalOp(graded_projection(tf, act).values, SEPARATOR)
         self.vertex = {
             v: left_action_op(tf, act, embed(ts, layer, DiagElem.basis(ts.n_vertices, v)))
@@ -790,8 +784,6 @@ class _Bank:
         self.tf = tf
         self.ts = tf.ts
         self.level = level
-        # every row that reads the shared products has margin >= 1
-        self.widest = tf.prefix(level - 1)
         self.layers = (
             _Layer(self, 0, "s", "p", "rho", LAYER_A, top_basis_vector, inner_eta, "alpha"),
             _Layer(self, 1, "t", "q", "eta", LAYER_B, left_basis_vector, inner_rho, "a"),
@@ -863,12 +855,9 @@ class _Bank:
 
     @cached_property
     def generator_ranges(self) -> dict:
-        """SS* + TT* per corner pair, on the widest block."""
+        """SS* + TT* per corner pair."""
         pairs = tuple(zip(self.generators, self.generator_adjoints))
-        return {
-            pair: SparseOp.sum(self.product(self.widest, g[pair], g_adj[pair]) for g, g_adj in pairs)
-            for pair in self.e
-        }
+        return {pair: SparseOp.sum(g[pair] @ g_adj[pair] for g, g_adj in pairs) for pair in self.e}
 
 
 # Builders: each yields (case, lhs, rhs) triples for one bank, given the
@@ -1164,6 +1153,20 @@ def _derive_shapes() -> dict:
     return {b: tuple(map(max, zip(*(side.shape[:2] for _, *sides in b(bank, 0) for side in sides[:2])))) for b in builders}
 
 
+def _depth(level: int, reports, identities=None, headroom: int = 1) -> int:
+    """min(L, L0) for ``reports`` at level L: L0 is the largest c + r of their
+    rows in ``identities`` (all by default) that run, whose L - m is at least
+    ``headroom`` on a word-space row and 1 on any other."""
+    reaches = [
+        row.reach(level)
+        for row in _TABLE
+        if row.report in reports
+        and (identities is None or row.identity_id in identities)
+        and level - row.margin >= (headroom if row.report == WORDS else 1)
+    ]
+    return min(level, max(reaches, default=0))
+
+
 def _run(bank: _Bank, report: str, identities=None, headroom: int = 1) -> Report:
     """Compare every row of one report on its block; the one comparison runner.
 
@@ -1216,6 +1219,13 @@ def _seeded_tile_vectors(ts: TextileSystem, count=2, seed=20240311):
     return out
 
 
+def _decide(tf: TruncatedFock, report: str, identities=None, headroom: int = 1) -> tuple[Report, _Bank]:
+    """One report at ``tf``'s top level L, decided on a bank over its first
+    min(L, L0) levels (``_depth``), and that bank."""
+    bank = _Bank(tf.up_to(_depth(tf.max_level, (report,), identities, headroom)), tf.max_level)
+    return _run(bank, report, identities, headroom), bank
+
+
 def verify_fock_identities(
     tf: TruncatedFock, identities: list[str] | None = None, headroom: int = 1
 ) -> Report:
@@ -1232,7 +1242,7 @@ def verify_fock_identities(
         unknown = set(identities) - {r.identity_id for r in _TABLE if r.report == WORDS}
         if unknown:
             raise ValueError(f"unknown identity ids: {sorted(unknown)}")
-    return _run(tf._bank, WORDS, identities, headroom)
+    return _decide(tf, WORDS, identities, headroom)[0]
 
 
 def verify_relations_hk(tf: TruncatedFock) -> Report:
@@ -1244,7 +1254,7 @@ def verify_relations_hk(tf: TruncatedFock) -> Report:
     corrections of the range partition vanish; the one genuinely uncut
     identity is also checked from level 0.
     """
-    return _run(tf._bank, RELATIONS)
+    return _decide(tf, RELATIONS)[0]
 
 
 def ck_generators(tf: TruncatedFock):
@@ -1253,33 +1263,22 @@ def ck_generators(tf: TruncatedFock):
     Builds S = e u and T = e v for every corner pair, then verifies the
     partition of unity, both transition relations against the block
     matrices, and the corner decomposition e = SS* + TT*, all on interior
-    levels [2, L-2].  Returns ({pair: S}, {pair: T}, report).
+    levels [2, L-2].  Returns ({pair: S}, {pair: T}, report), with the S and
+    T of the bank that decided it, on the first min(L, L0) levels of ``tf``.
     """
-    report = _run(tf._bank, GENERATORS)
-    s_ops, t_ops = tf._bank.generators
-    return s_ops, t_ops, report
+    report, bank = _decide(tf, GENERATORS)
+    return (*bank.generators, report)
 
 
 def verify_level(
     ts: TextileSystem, level: int, cap: int = DEFAULT_BASIS_CAP, headroom: int = 1
 ) -> list[Report]:
-    """The three reports at truncation level L (word-space identities with
-    ``headroom``, universal relations, corner generators), as the library
-    calls give them on ``fock_basis(ts, L, cap)``, from a basis only
-    min(L, L0) deep: L0 is the largest c + r of the rows that run, the top
-    level any of their products reads on its compared columns.
-
-    The cap, ``max_level``, ``levels_checked``, skips and
-    TruncationTooShallow are decided at L, as on the full basis.
-    """
-    _checked_sizes(ts, level, cap)
-    running = [
-        row.reach(level)
-        for row in _TABLE
-        if level >= _REPORTS[row.report][1] and level - row.margin >= headroom
-    ]
-    bank = _Bank(fock_basis(ts, min(level, max(running, default=1)), cap), level)
-    return [_run(bank, report, headroom=headroom) for report in (WORDS, RELATIONS, GENERATORS)]
+    """The three reports at truncation level L, the word-space one with
+    ``headroom``, as the library calls give them on ``fock_basis(ts, L, cap)``:
+    decided on one bank over a basis built only min(L, L0) deep (``_depth``)."""
+    _check_cap(ts, level, cap)
+    bank = _Bank(fock_basis(ts, _depth(level, _REPORTS, headroom=headroom), cap), level)
+    return [_run(bank, WORDS, headroom=headroom), _run(bank, RELATIONS), _run(bank, GENERATORS)]
 
 
 # every builder and what it calls are defined above

@@ -419,15 +419,16 @@ def level_shift(tf: TruncatedFock, op: SparseOp) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def full_block_differences(tf: TruncatedFock, builder, margin: int) -> list:
-    """(case, {(row, col): (lhs, rhs)}) of one builder on the bank of ``tf``:
-    its sides on every column of level <= L - m, compared on every entry of
-    rows and columns of level <= L - m, divided by the case's optional 4th
-    item."""
+def full_block_differences(bank, builder, margin: int) -> list:
+    """(case, {(row, col): (lhs, rhs)}) of one builder on ``bank``, a bank
+    over a whole basis: its sides on every column of level <= L - m,
+    compared on every entry of rows and columns of level <= L - m, divided
+    by the case's optional 4th item."""
+    tf = bank.tf
     high = tf.max_level - margin
     n = tf.prefix(high)
     out = []
-    for label, lhs, rhs, *den in builder(tf._bank, n):
+    for label, lhs, rhs, *den in builder(bank, n):
         left, right = lhs.cols, rhs.cols
         diff = {}
         for c in range(n):
@@ -454,11 +455,13 @@ def first_difference(tf: TruncatedFock, cases, low: int):
 
 def full_block_report(tf: TruncatedFock, report: str, headroom: int = 1) -> Report:
     """One ``verify`` report on ``tf``, every row evaluated on its whole block
-    [low, L - m]: what ``verify_fock_identities``, ``verify_relations_hk`` and
-    ``ck_generators`` must report, with the same skips and errors."""
+    [low, L - m] on a bank over the whole basis: what
+    ``verify_fock_identities``, ``verify_relations_hk`` and ``ck_generators``
+    must report, with the same skips and errors."""
     title, depth = fock._REPORTS[report]
     if tf.max_level < depth:
         raise TruncationTooShallow(f"the {report} suite needs max_level >= {depth}")
+    bank = fock._Bank(tf, tf.max_level)
     evaluated: dict = {}
     checks = []
     for row in fock._TABLE:
@@ -473,7 +476,7 @@ def full_block_report(tf: TruncatedFock, report: str, headroom: int = 1) -> Repo
         for builder in row.builders:
             key = (builder, row.margin)
             if key not in evaluated:
-                evaluated[key] = full_block_differences(tf, builder, row.margin)
+                evaluated[key] = full_block_differences(bank, builder, row.margin)
             cases += evaluated[key]
         found = first_difference(tf, cases, row.low)
         witness = None

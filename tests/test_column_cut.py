@@ -1,5 +1,6 @@
 """``verify`` compares each identity only on the columns that can hold its
-first difference, and the CLI builds its basis only as deep as they reach.
+first difference, and decides on a basis only as deep as they reach: the
+CLI builds just that, and each library call takes that prefix of its basis.
 
 The oracle (``oracles.full_block_report``) evaluates every row on every
 column of its block [low, L - m]; the library calls on ``fock_basis(ts, L)``
@@ -181,10 +182,87 @@ def test_the_cli_basis_stops_at_the_deepest_compared_reach(exchange_pair, monkey
     # from level 5 on the transition rows (d = r = 1, c = 3) reach level 4,
     # and tile_word_commutation (d = 2, r = 0) reaches only its columns' 3
     assert depths == [3, 4, 4, 4, 4]
-    # the library still builds every level it is asked for
+    # fock_basis still builds every level it is asked for
     tf = fock_basis(exchange_pair, 6)
     assert tf.max_level == 6 and tf.count_at(6) == 6 * 5**5
     assert verify_fock_identities(tf, headroom=CLI_HEADROOM).max_level == 6
+
+
+def test_a_prefix_of_a_basis_is_the_shallower_basis(all_systems):
+    for ts in all_systems:
+        tf = fock_basis(ts, 5)
+        assert tf.up_to(5) is tf.up_to(9) is tf
+        for level in range(0, 5):
+            head, built = tf.up_to(level), fock_basis(ts, max(level, 1)).up_to(level)
+            assert (head.max_level, head.starts, head.splits) == (level, built.starts, built.splits)
+            assert head.dim == tf.prefix(level) and head.splits == tf.splits[: head.dim]
+
+
+def _bank_depths(monkeypatch) -> list:
+    """The top level of the basis of every bank built from now on."""
+    depths = []
+
+    class Recorded(fock._Bank):
+        def __init__(self, tf, level):
+            depths.append(tf.max_level)
+            super().__init__(tf, level)
+
+    monkeypatch.setattr(fock, "_Bank", Recorded)
+    return depths
+
+
+def test_each_library_call_decides_on_the_prefix_its_rows_reach(exchange_pair, monkeypatch):
+    # about 0.25 s, most of it building the basis of level 8 (585,941 words)
+    depths = _bank_depths(monkeypatch)
+    for level in range(4, 9):
+        tf = fock_basis(exchange_pair, level)
+        reports = [verify_fock_identities(tf, headroom=CLI_HEADROOM), verify_relations_hk(tf), ck_generators(tf)[2]]
+        assert [r.max_level for r in reports] == [level] * 3
+        assert all(r.passed for r in reports)
+    # (words, relations, generators) per level: tile_word_commutation (d = 2)
+    # reaches level 3 from level 7 on, the relation rows level 3, and the
+    # transition rows (d = r = 1) level 4 from level 5 on
+    assert depths == [2, 3, 3] + [2, 3, 4] * 2 + [3, 3, 4] * 2
+
+
+def test_a_single_identity_uses_only_its_own_rows_reach(exchange_pair, monkeypatch):
+    depths = _bank_depths(monkeypatch)
+    tf = fock_basis(exchange_pair, 7)
+    for identity in ("co_isometry", "tile_word_commutation", "creation_range"):
+        assert verify_fock_identities(tf, identities=[identity]).passed
+    assert verify_fock_identities(tf, identities=[]).checks == []
+    # co_isometry (d = 0, r = 1) and creation_range (d = 1, r = 0) read
+    # level 2, tile_word_commutation (d = 2, r = 0) level 3, where the whole
+    # suite reads 3 as well; no row runs on an empty list
+    assert depths == [2, 3, 2, 0]
+
+
+def test_the_generators_returned_live_on_the_deciding_prefix(exchange_pair, monkeypatch):
+    depths = _bank_depths(monkeypatch)
+    for level in (4, 6):
+        tf = fock_basis(exchange_pair, level)
+        s_ops, t_ops, report = ck_generators(tf)
+        assert report.passed
+        n = tf.prefix(depths[-1])
+        entries = [(r, c) for op in (*s_ops.values(), *t_ops.values()) for r, c, _ in op.entries()]
+        assert entries and all(r < n and c < n for r, c in entries)
+        # whole on that prefix: the top level of it holds images
+        assert max(r for r, _ in entries) >= tf.prefix(depths[-1] - 1)
+    assert depths == [3, 4]
+
+
+def test_verify_level_reports_what_the_library_reports_at_every_headroom(exchange_pair):
+    # the headroom skips word-space rows only, in both paths
+    for level in (4, 5, 6):
+        tf = fock_basis(exchange_pair, level)
+        for headroom in (1, 2, 3):
+            library = [verify_fock_identities(tf, headroom=headroom), verify_relations_hk(tf), ck_generators(tf)[2]]
+            cli = verify_level(exchange_pair, level, headroom=headroom)
+            assert [r.to_jsonable() for r in cli] == [r.to_jsonable() for r in library], (level, headroom)
+    words, relations, generators = verify_level(exchange_pair, 4, headroom=3)
+    # the word-space rows of margin >= 2 are skipped; the 5 relation and 4
+    # generator rows of margin 2 still run
+    assert len(words.skipped) == 5 and not relations.skipped and not generators.skipped
 
 
 def test_the_cap_and_the_depth_errors_are_decided_at_the_level_asked_for(exchange_pair):
@@ -266,7 +344,7 @@ def test_primitives_are_prefix_local_at_their_depth():
     for name, (ts, _) in SYSTEMS.items():
         tf = fock_basis(ts, level)
         words = tf.words
-        for op in _primitives(tf._bank):
+        for op in _primitives(fock._Bank(tf, level)):
             d, r, s = op.shape
             images = {}
             for i in range(tf.prefix(d), tf.prefix(level - r)):
@@ -287,7 +365,7 @@ def test_short_operators_vanish_above_level_one():
     # every compared column they act on has level >= 2, where they vanish
     for ts, _ in SYSTEMS.values():
         tf = fock_basis(ts, 4)
-        bank = tf._bank
+        bank = fock._Bank(tf, 4)
         sums = [lhs for level in (0, 1) for _, lhs, _ in fock._rank_one_partition(bank, tf.dim, level)]
         for op in (bank.p0, bank.p1, *sums):
             assert op.shape == fock.READ
@@ -298,8 +376,7 @@ def test_the_derivation_sees_every_branch():
     # builders take bank.zero on some branches: no system yields a side
     # deeper or climbing higher than its builder's derived shape
     for name, (ts, _) in SYSTEMS.items():
-        tf = fock_basis(ts, 3)
-        bank = tf._bank
+        bank = fock._Bank(fock_basis(ts, 3), 3)
         for builder, (d, r) in fock._BUILDER_SHAPES.items():
             for _, *sides in builder(bank, 0):
                 assert all(side.shape[0] <= d and side.shape[1] <= r for side in sides[:2]), (name, builder)

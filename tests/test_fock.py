@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import sys
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -83,6 +84,31 @@ def test_basis_cap(exchange_pair):
         fock_basis(exchange_pair, 0)
 
 
+def test_the_cap_check_stops_at_the_first_empty_level(monkeypatch):
+    # each word's tail is a word of the level below, so after an empty level
+    # every level is empty: neither the count nor verify walks on to the
+    # level asked for.  Level 10^9 answers in milliseconds; the bound is 2 s
+    drawn = []
+    real = fock.level_sizes
+    monkeypatch.setattr(fock, "level_sizes", lambda ts, top: (drawn.append(n) or n for n in real(ts, top)))
+    shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    # no tile (A = 0); one tile and no longer word (A = B nilpotent)
+    for a, b, sizes in (([[0]], [[1]], [1, 0]), (shift, shift, [4, 1, 0])):
+        ts = q.build_system(a, b)
+        drawn.clear()
+        start = time.perf_counter()
+        reports = fock.verify_level(ts, 10**9)
+        assert time.perf_counter() - start < 2
+        assert [r.max_level for r in reports] == [10**9] * 3 and all(r.passed for r in reports)
+        # the cap check at 10^9, then the basis verify_level builds (depth 4)
+        assert drawn == sizes + sizes, (a, b)
+    # a level over the cap before the first empty one is still refused
+    longer = [[int(j == i + 1) for j in range(4)] for i in range(4)]
+    assert list(level_sizes(q.build_system(longer, longer), 4)) == [6, 2, 2, 0, 0]
+    with pytest.raises(BasisTooLarge, match=r"^level 2 would hold 2 words \(cap 1\)$"):
+        fock.verify_level(q.build_system(longer, longer), 10**9, cap=1)
+
+
 def test_creation_on_base_words(tf_exchange, exchange_pair):
     alpha1 = by_id(exchange_pair, "A:1->1#1")
     b2 = by_id(exchange_pair, "B:1->1#2")
@@ -121,7 +147,7 @@ def test_creation_refuses_an_unknown_kind_and_keeps_int_entries(tf_exchange, exc
     xi = q.QuadVector.from_values(exchange_pair, [1] * len(exchange_pair.tiles))
     with pytest.raises(ValueError, match="kind must be 's' or 't', got 'x'"):
         creation_from_vector(tf_exchange, "x", xi)
-    for lay in tf_exchange._bank.layers:
+    for lay in fock._Bank(tf_exchange, 4).layers:
         for op in lay.op.values():
             assert op.nnz() and all(type(v) is int for _, _, v in op.entries())
 
@@ -378,7 +404,7 @@ def test_tile_word_identity_with_content_at_depth(fibonacci):
     report = verify_fock_identities(tf, identities=["tile_word_commutation"])
     assert report.passed and not report.skipped
 
-    s, t = tf._bank.layers
+    s, t = fock._Bank(tf, 7).layers
     content = 0
     for tile in fibonacci.tiles:
         word_op = t.op[tile.left] @ s.op[tile.bottom] @ t.adj[tile.right] @ s.adj[tile.top]
@@ -508,16 +534,23 @@ def test_words_are_rebuilt_equal_to_the_eager_reference(run_order_systems):
             words[0] = eager[0]
 
 
-def test_one_bank_and_one_evaluation_per_twin(fibonacci, monkeypatch):
-    banks, quads, evaluated = [], [], []
+def _built_banks(monkeypatch) -> list:
+    """Every bank built from now on."""
+    banks = []
 
     class CountingBank(fock._Bank):
         def __init__(self, tf, level):
-            banks.append(tf)
             super().__init__(tf, level)
+            banks.append(self)
 
-    real_quad, real_differences = fock.build_quad_matrices, fock._differences
     monkeypatch.setattr(fock, "_Bank", CountingBank)
+    return banks
+
+
+def test_one_bank_and_one_evaluation_per_twin(fibonacci, monkeypatch):
+    quads, evaluated = [], []
+    banks = _built_banks(monkeypatch)
+    real_quad, real_differences = fock.build_quad_matrices, fock._differences
     monkeypatch.setattr(fock, "build_quad_matrices", lambda ts: quads.append(ts) or real_quad(ts))
     monkeypatch.setattr(
         fock,
@@ -525,13 +558,15 @@ def test_one_bank_and_one_evaluation_per_twin(fibonacci, monkeypatch):
         lambda tf, cases, high, columns: evaluated.append((cases.__name__, high, columns))
         or real_differences(tf, cases, high, columns),
     )
-    tf = fock_basis(fibonacci, 4)
-    reports = [verify_fock_identities(tf, headroom=2), verify_relations_hk(tf), ck_generators(tf)[2]]
+    level = 4
+    reports = fock.verify_level(fibonacci, level, headroom=2)
     assert all(r.passed for r in reports)
-    assert banks == [tf]
+    # the three reports share one bank, over levels <= 3 of the basis
+    [bank] = banks
+    assert (bank.level, bank.tf.max_level) == (level, 3)
     primitives = [
         op
-        for lay in tf._bank.layers
+        for lay in bank.layers
         for ops in (lay.op, lay.adj, lay.diag, lay.vertex)
         for op in ops.values()
     ]
@@ -554,12 +589,12 @@ def test_one_bank_and_one_evaluation_per_twin(fibonacci, monkeypatch):
         assert names.count(twin) == 1, twin
     # each on rows of level <= L - m and on the columns of the widest c of
     # the rows that take it at that margin
-    expected = [(getattr(b, "func", b).__name__, tf.max_level - m, _widest_columns(tf, b, m)) for b, m in keys]
+    expected = [(getattr(b, "func", b).__name__, level - m, _widest_columns(level, b, m)) for b, m in keys]
     assert sorted(evaluated) == sorted(expected)
     # diagonal_commutation's own columns stop at level 2, its twins' at 3
     columns = {name: c for name, _, c in evaluated}
     own = next(r for r in fock._TABLE if r.identity_id == "diagonal_commutation")
-    assert columns["_diagonal_commutation"] == 3 > own.columns(tf.max_level) == 2
+    assert columns["_diagonal_commutation"] == 3 > own.columns(level) == 2
     # rows whose cases are those of a twin's builder, compared on their own block
     builders = {r.identity_id: r.builders for r in fock._TABLE}
     for row, twin in (
@@ -637,19 +672,28 @@ def test_a_broken_bank_operator_is_caught(exchange_pair, monkeypatch):
             assert low <= level <= high
 
 
-def test_basis_and_bank_are_freed_without_the_cycle_collector(fibonacci):
-    # the bank refers to its basis weakly: dropping the basis frees both
-    # at once, so repeated verify calls do not pile up dead banks
+def test_basis_and_bank_are_freed_without_the_cycle_collector(fibonacci, monkeypatch):
+    # a library call's bank lives for that call, and nothing refers back to
+    # the basis: dropping it frees it at once, so repeated verify calls do
+    # not pile up dead banks or bases
+    banks = []
+
+    class WatchedBank(fock._Bank):
+        def __init__(self, tf, level):
+            super().__init__(tf, level)
+            banks.append(weakref.ref(self))
+
+    monkeypatch.setattr(fock, "_Bank", WatchedBank)
     gc.disable()
     try:
         tf = fock_basis(fibonacci, 4)
         s_ops, t_ops, _ = ck_generators(tf)
         assert verify_relations_hk(tf).passed
-        basis, bank = weakref.ref(tf), weakref.ref(tf._bank)
+        basis = weakref.ref(tf)
         del tf
         # no operator holds its basis: the generators handed out keep
-        # neither the basis nor the bank alive, and stay usable
-        assert basis() is None and bank() is None
+        # neither the basis nor their bank alive, and stay usable
+        assert basis() is None and len(banks) == 2 and not any(bank() for bank in banks)
         again = fock_basis(fibonacci, 4)
         assert (s_ops, t_ops) == ck_generators(again)[:2]
         assert sum(restrict(again, adjoint(op) @ op, 2, 3).nnz() for op in s_ops.values()) > 0
@@ -820,20 +864,27 @@ def test_levels_never_decrease_and_prefixes_count_them(all_systems, fibonacci_al
         assert tf.prefix(-1) == 0 and tf.prefix(top + 3) == tf.dim
 
 
-def _widest_columns(tf, builder, margin) -> int:
-    """c of the bank's evaluation of (builder, margin): the widest of the rows that take it."""
-    return max(r.columns(tf.max_level) for r in fock._TABLE if r.margin == margin and builder in r.builders)
+def _widest_columns(level, builder, margin) -> int:
+    """c of a bank's evaluation of (builder, margin) at truncation level L: the
+    widest of the rows that take it."""
+    return max(r.columns(level) for r in fock._TABLE if r.margin == margin and builder in r.builders)
+
+
+def _full_bank(tf):
+    """The bank over the whole of ``tf``, deciding at its top level."""
+    return fock._Bank(tf, tf.max_level)
 
 
 def _assert_block_equals_full(tf):
     # the cut's differences are the full block's, restricted to columns <= c
-    bank = tf._bank
+    bank = _full_bank(tf)
     for builder, margin in _distinct_builders():
         high = tf.max_level - margin
         full = fock._differences(tf, builder(bank, tf.dim), high)
-        width = tf.prefix(_widest_columns(tf, builder, margin))
+        width = tf.prefix(_widest_columns(tf.max_level, builder, margin))
         cut = [(label, {(r, c): v for (r, c), v in diff.items() if c < width}) for label, diff in full]
         assert bank.differences(builder, margin) == cut, (builder, margin)
+    return bank
 
 
 def test_block_evaluation_equals_full_evaluation(all_systems, fibonacci_alt):
@@ -848,17 +899,15 @@ def test_block_evaluation_equals_full_evaluation(all_systems, fibonacci_alt):
 def test_block_evaluation_equals_full_evaluation_on_a_broken_bank(exchange_pair, monkeypatch):
     _double_s(monkeypatch, exchange_pair)
     for level in (4, 5):
-        tf = fock_basis(exchange_pair, level)
-        _assert_block_equals_full(tf)
-        differing = {b for b, m in _distinct_builders() if any(d for _, d in tf._bank.differences(b, m))}
+        bank = _assert_block_equals_full(fock_basis(exchange_pair, level))
+        differing = {b for b, m in _distinct_builders() if any(d for _, d in bank.differences(b, m))}
         assert len(differing) >= 10
 
 
 def test_no_product_computes_a_column_outside_its_block(exchange_pair, monkeypatch):
     tf = fock_basis(exchange_pair, 5)
-    bank = tf._bank
-    # the shared operators are built once per bank, on the widest block of
-    # their readers (ss*, SS* + TT*) or whole: build them before watching
+    bank = _full_bank(tf)
+    # the shared operators are built once per bank, whole: build them before watching
     for lay in bank.layers:
         lay.range_sum, lay.initial
     bank.e, bank.generators, bank.generator_ranges, bank.quad
@@ -879,7 +928,7 @@ def test_no_product_computes_a_column_outside_its_block(exchange_pair, monkeypat
     monkeypatch.setattr(SparseOp, "times", watched)
     margins, steps, widths = {}, 0, []
     for builder, margin in _distinct_builders():
-        n = tf.prefix(_widest_columns(tf, builder, margin))
+        n = tf.prefix(_widest_columns(tf.max_level, builder, margin))
         widths.append(n)
         right_columns.clear()
         fused.clear()
@@ -897,12 +946,13 @@ def test_no_product_computes_a_column_outside_its_block(exchange_pair, monkeypat
     assert max(n for (b, m), n in zip(_distinct_builders(), widths) if m == 0) == tf.prefix(2)
 
 
-def _yielded_sides(tf):
+def _yielded_sides(bank):
     """(builder, block bound n, case label, side) for both sides of every case
     of every distinct builder."""
+    tf = bank.tf
     for builder, margin in _distinct_builders():
         n = tf.prefix(tf.max_level - margin)
-        for label, lhs, rhs, *_ in builder(tf._bank, n):
+        for label, lhs, rhs, *_ in builder(bank, n):
             yield builder, n, label, lhs
             yield builder, n, label, rhs
 
@@ -914,23 +964,25 @@ def _block_bases(all_systems, fibonacci_alt):
 
 def test_every_side_and_shared_product_stays_on_its_block(all_systems, fibonacci_alt):
     for tf in _block_bases(all_systems, fibonacci_alt):
-        for builder, n, label, side in _yielded_sides(tf):
+        bank = _full_bank(tf)
+        for builder, n, label, side in _yielded_sides(bank):
             assert all(c < n for c in side.cols), (builder, label)
-        # ss* and SS* + TT* keep the columns of levels <= L - 1, and no other
-        widest = tf.prefix(tf.max_level - 1)
-        bank = tf._bank
-        shared = [op for lay in bank.layers for op in (lay.range_sum, *lay.range.values())]
-        shared += bank.generator_ranges.values()
-        assert all(c < widest for op in shared for c in op.cols)
-        assert max(c for lay in bank.layers for c in lay.range_sum.cols) >= tf.prefix(tf.max_level - 2)
+        # ss* and SS* + TT* are whole products on the bank's basis: their
+        # columns reach its top level
+        for lay in bank.layers:
+            assert lay.range == {x: op @ lay.adj[x] for x, op in lay.op.items()}
+        (s, t), (s_adj, t_adj) = bank.generators, bank.generator_adjoints
+        assert bank.generator_ranges == {p: s[p] @ s_adj[p] + t[p] @ t_adj[p] for p in bank.e}
+        assert max(c for lay in bank.layers for c in lay.range_sum.cols) >= tf.prefix(tf.max_level - 1)
 
 
 def test_every_yielded_side_has_int_entries(all_systems, fibonacci_alt):
     denominators = set()
     for tf in _block_bases(all_systems, fibonacci_alt):
-        for builder, _, label, side in _yielded_sides(tf):
+        bank = _full_bank(tf)
+        for builder, _, label, side in _yielded_sides(bank):
             assert {type(v) for _, _, v in side.entries()} <= {int}, (builder, label)
-        denominators.update(d for *_, d in fock._creation_expansion(tf._bank, tf.dim))
+        denominators.update(d for *_, d in fock._creation_expansion(bank, tf.dim))
     # creation_expansion scaled rational vectors to get there
     assert max(denominators) > 1
 
@@ -991,7 +1043,7 @@ def test_the_banks_diagonals_stay_diagonal(all_systems, fibonacci_alt):
     for tf in _block_bases(all_systems, fibonacci_alt):
         reports = (verify_fock_identities(tf, headroom=2), verify_relations_hk(tf), ck_generators(tf)[2])
         assert all(r.passed for r in reports)
-        bank, ts = tf._bank, tf.ts
+        bank, ts = _full_bank(tf), tf.ts
         for lay, (layer, side, sep) in zip(bank.layers, _LAYER_READS):
             for x, op in lay.diag.items():
                 _assert_diagonal(tf, op, _old_diagonal(tf, lambda w: int(_reads(w, side) == x)))
@@ -1020,14 +1072,14 @@ def test_the_banks_diagonals_stay_diagonal(all_systems, fibonacci_alt):
 _VERTEX_BUILDERS = (fock._vertex_sandwich, fock._vertex_commutation, fock._tile_word_commutation)
 
 
-def _vertex_cases(tf):
+def _vertex_cases(bank):
     """(builder, margin, cases, differences) of every builder that reads
     ``bank.vertex``, at each margin the table compares it with."""
-    out = []
+    tf, out = bank.tf, []
     for builder, margin in _distinct_builders():
         if builder in _VERTEX_BUILDERS:
             high = tf.max_level - margin
-            cases = list(builder(tf._bank, tf.prefix(high)))
+            cases = list(builder(bank, tf.prefix(high)))
             out.append((builder, margin, cases, fock._differences(tf, cases, high)))
     return out
 
@@ -1035,8 +1087,8 @@ def _vertex_cases(tf):
 def _assert_vertex_rows_skip_level_zero(tf, rng):
     # phi(y) with arbitrary nonzero values on the level-0 markers and
     # layer A's values above them leaves every side and difference as it was
-    bank = tf._bank
-    before = _vertex_cases(tf)
+    bank = _full_bank(tf)
+    before = _vertex_cases(bank)
     markers = tf.count_at(0)
     bank.vertex = {
         v: fock._DiagonalOp(
@@ -1045,7 +1097,7 @@ def _assert_vertex_rows_skip_level_zero(tf, rng):
         )
         for v, op in bank.layers[0].vertex.items()
     }
-    assert _vertex_cases(tf) == before
+    assert _vertex_cases(bank) == before
     return before
 
 
@@ -1096,7 +1148,7 @@ def _plain_sum(ops):
 def test_products_with_a_diagonal_equal_the_plain_products(all_systems, fibonacci_alt):
     rng = random.Random(2357)
     for tf in _block_bases(all_systems, fibonacci_alt):
-        bank = tf._bank
+        bank = _full_bank(tf)
         h, v = bank.layers
         signed = SparseOp.diagonal([rng.choice([-2, -1, 0, 1, 3, Fraction(2, 3), Fraction(-1, 2)]) for _ in range(tf.dim)])
         diagonals = [bank.identity, bank.p1, h.range_proj, *h.diag.values(), *v.vertex.values(), *bank.e.values()]
@@ -1198,10 +1250,10 @@ def test_each_generator_adjoint_is_built_once(fibonacci, monkeypatch):
     calls = []
     real = fock.adjoint
     monkeypatch.setattr(fock, "adjoint", lambda op: calls.append(op) or real(op))
-    tf = fock_basis(fibonacci, 4)
-    reports = [verify_fock_identities(tf, headroom=2), verify_relations_hk(tf), ck_generators(tf)[2]]
+    banks = _built_banks(monkeypatch)
+    reports = fock.verify_level(fibonacci, 4, headroom=2)
     assert all(r.passed for r in reports)
-    bank = tf._bank
+    [bank] = banks
     generators = [g for gens in bank.generators for g in gens.values()]
     creations = [op for lay in bank.layers for op in lay.op.values()]
     # one transpose per creation operator (the layers' adj) and one per generator
@@ -1234,7 +1286,7 @@ def test_a_sum_copies_a_shared_column_before_adding_into_it(tf_exchange):
 
 def test_products_leave_both_operands_unchanged(tf_exchange, exchange_pair):
     tf = tf_exchange
-    bank = tf._bank
+    bank = _full_bank(tf)
     h, v = bank.layers
     xi = fock._seeded_tile_vectors(exchange_pair)[0][1]
     diagonals = [
@@ -1280,13 +1332,22 @@ def _bank_operators(bank) -> dict:
     return ops
 
 
-def test_the_suites_change_no_bank_operator(exchange_pair, fibonacci):
-    # products and sums share the operands' columns: none may be written to
+def test_the_suites_change_no_bank_operator(exchange_pair, fibonacci, monkeypatch):
+    # products and sums share the operands' columns: none may be written to.
+    # Every operator of the bank is built, and copied, before the three
+    # reports of verify_level run on it
+    built = []
+
+    class SnapshotBank(fock._Bank):
+        def __init__(self, tf, level):
+            super().__init__(tf, level)
+            ops = _bank_operators(self)
+            built.append((self, ops, {key: _plain(op) for key, op in ops.items()}))
+
+    monkeypatch.setattr(fock, "_Bank", SnapshotBank)
     for ts, level in ((exchange_pair, 4), (fibonacci, 5)):
-        tf = fock_basis(ts, level)
-        ops = _bank_operators(tf._bank)
-        before = {key: _plain(op) for key, op in ops.items()}
-        reports = (verify_fock_identities(tf, headroom=2), verify_relations_hk(tf), ck_generators(tf)[2])
-        assert all(r.passed for r in reports)
-        assert all(op is ops[key] for key, op in _bank_operators(tf._bank).items())
+        assert all(r.passed for r in fock.verify_level(ts, level, headroom=2))
+        [(bank, ops, before)] = built
+        built.clear()
+        assert all(op is ops[key] for key, op in _bank_operators(bank).items())
         assert {key: _plain(op) for key, op in ops.items()} == before

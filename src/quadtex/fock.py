@@ -1103,7 +1103,7 @@ _REPORTS = {
 # Every checked identity: report, id, formula, margin m, lowest compared
 # level and builders; its read depth d and climb r are derived from the
 # builders (``_Row.shape``).  Rows that share a builder are twins: its cases
-# are computed once per basis and margin and compared on each row's own
+# are computed once per bank and margin and compared on each row's own
 # block [low, L - margin], in its own columns.
 _TABLE = (
     _Row(WORDS, "creation_range", "sum_a s_a s_a* = P1 + Prho ; sum_b t_b t_b* = P1 + Peta", 1, 0, (_creation_range,)),

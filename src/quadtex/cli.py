@@ -10,8 +10,8 @@ subshift (rectangle counting).  Input is a JSON document:
 where an explicit kappa lists [[alpha_id, b_id], [a_id, beta_id]] pairs.
 Each ``cmd_*(args, ts)`` returns its payload and a text renderer; ``main``
 loads the input, prints the payload and picks the exit code: 0 success, 1
-a verified identity failed, 2 invalid input or an exceeded cap, 3 internal
-cross-check failure (only analyze checks).
+a verified identity failed, 2 invalid input, an exceeded cap or a count
+too long to print, 3 internal cross-check failure (only analyze checks).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__
 # a layer that one command alone uses is imported inside that command
 from .errors import CrossCheckFailure, QuadtexError
-from .subshift import DEFAULT_ROW_CAP, count_rectangles, enumerate_rectangles, wang_tile_list
+from .subshift import count_rectangles, enumerate_rectangles, wang_tile_list
 from .textile import block_kappas, build_system, count_specifications
 
 EXIT_OK = 0
@@ -186,10 +186,10 @@ def cmd_tiles(args, ts):
 
 
 def cmd_subshift(args, ts):
-    count = count_rectangles(ts, args.rows, args.cols, cap=args.cap)
+    count = count_rectangles(ts, args.rows, args.cols)
     payload = {"rows": args.rows, "cols": args.cols, "count": count}
     if args.limit:
-        rects = enumerate_rectangles(ts, args.rows, args.cols, limit=args.limit, cap=args.cap)
+        rects = enumerate_rectangles(ts, args.rows, args.cols, limit=args.limit)
         payload["patches"] = [[[ts.tile_index[t] for t in row] for row in r.cells] for r in rects]
 
     def render(p):
@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--limit", type=nonnegative, default=0, help="also list up to this many patches")
-    p.add_argument("--cap", type=nonnegative, default=DEFAULT_ROW_CAP)
     p.set_defaults(func=cmd_subshift)
 
     return parser

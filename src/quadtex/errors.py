@@ -55,7 +55,8 @@ class TruncationTooShallow(QuadtexError):
 
 
 class PatternSpaceTooLarge(QuadtexError):
-    """Rectangle counting exceeds the configured configuration cap."""
+    """A patch or specification count has more digits than ``str`` prints
+    (``sys.get_int_max_str_digits()``)."""
 
 
 class CrossCheckFailure(QuadtexError):

@@ -184,8 +184,10 @@ class TruncatedFock:
     ``splits[i]`` is word i split as (first tile's index in ``ts.tiles``,
     first separator, tail index); None on level 0, (k, None, None) on level 1.
     Levels never decrease along the basis: ``starts[n]`` is the index of the
-    first word of level n, and ``starts[max_level + 1] == dim``.  ``word(i)``
-    rebuilds word i from ``splits``; ``words`` builds them all on first read.
+    first word of level n, up to ``max_level`` or the first empty level from
+    1 on, whichever comes first (every later level is empty too), and
+    ``starts[-1] == dim``.  ``word(i)`` rebuilds word i from ``splits``;
+    ``words`` builds them all on first read.
     """
 
     ts: TextileSystem
@@ -202,7 +204,7 @@ class TruncatedFock:
 
     def prefix(self, level: int) -> int:
         """Number of words of level <= ``level``: the first ones."""
-        return self.starts[min(max(level + 1, 0), self.max_level + 1)]
+        return self.starts[min(max(level + 1, 0), len(self.starts) - 1)]
 
     def level(self, i: int) -> int:
         """The level of word i (0 <= i < dim)."""
@@ -288,7 +290,7 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
     level-(n-1) words that start with u as tails of k.  So every level is
     in lexicographic order of (tile, separator, tile, ...), and one run per
     tile carries it to the next.  Only the split records and the level
-    starts are built, no word.
+    starts are built, no word, and none past the first empty level.
     Raises BasisTooLarge when a level from 2 on would exceed ``cap`` words,
     before any of them is built.
     """
@@ -305,6 +307,8 @@ def fock_basis(ts: TextileSystem, max_level: int, cap: int = DEFAULT_BASIS_CAP) 
     # the words of the top level so far, one run per first tile
     runs = [range(i, i + 1) for i in range(start, len(splits))]
     for _ in range(2, max_level + 1):
+        if starts[-1] == starts[-2]:  # an empty level: so is every later one
+            break
         level = []
         for k, t in enumerate(tiles):
             first = len(splits)

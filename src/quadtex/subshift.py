@@ -8,10 +8,15 @@ Every composable (A-edge, B-edge) pair is the (top, right) of exactly one
 tile, so an h x w patch is fixed by its top A-path and its right B-path,
 and every such pair of paths fills one: the unique factorization of the
 2-graph of (A, B, kappa) (Kumjian-Pask, New York J. Math. 6 (2000)).  So
-``count_rectangles`` is 1^T A^w B^h 1 for every kappa, and the rows of
-width k number 1^T A^k B 1, which the cap check reads first.  The count
-is this closed form alone and reads no tile; the tests hold it to a
+``count_rectangles`` is 1^T A^w B^h 1 for every kappa.  The count is
+this closed form alone and reads no tile; the tests hold it to a
 brute-force count and to the row and cell transfers.
+
+The walk holds every entry at 10^D (``textile.digit_ceiling``).  It only
+adds and multiplies nonnegative integers, so entries below 10^D stay
+exact, and the count reaches 10^D exactly when ``str`` could not print
+it.  It stops at a step that leaves the vector unchanged, as would every
+later step.
 """
 
 from __future__ import annotations
@@ -20,10 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .errors import PatternSpaceTooLarge
-from .textile import IntMatrix, TextileSystem, Tile
-
-DEFAULT_ROW_CAP = 200_000
+from .textile import IntMatrix, TextileSystem, Tile, digit_ceiling, printable
 
 
 def glue(direction: str, first: Tile, second: Tile) -> bool:
@@ -50,9 +52,15 @@ class Rectangle:
                 raise ValueError(f"{direction} gluing fails between {first!r} and {second!r}")
 
 
-def _power(matrix: IntMatrix, steps: int, vector: list[int]) -> list[int]:
+def _power(matrix: IntMatrix, steps: int, vector: list[int], ceiling: int) -> list[int]:
+    """M^steps v with every entry held at ``ceiling`` (0: not held)."""
     for _ in range(steps):
-        vector = matrix.times(vector)
+        step = matrix.times(vector)
+        if ceiling:
+            step = [min(x, ceiling) for x in step]
+        if step == vector:
+            break
+        vector = step
     return vector
 
 
@@ -64,24 +72,22 @@ def _reachable(matrix: IntMatrix, steps: int) -> list[list[bool]]:
     return reach
 
 
-def _check_shape(ts: TextileSystem, height: int, width: int, cap: int) -> None:
+def _check_shape(height: int, width: int) -> None:
     if height < 1 or width < 1:
         raise ValueError("rectangle sides must be positive")
-    rows = ts.matrix_a.times(ts.matrix_b.times([1] * ts.n_vertices))  # by left vertex
-    for _ in range(width - 1):
-        rows = ts.matrix_a.times(rows)
-        if sum(rows) > cap:
-            raise PatternSpaceTooLarge(f"more than {cap} admissible rows of width {width}")
 
 
-def count_rectangles(ts: TextileSystem, height: int, width: int, cap: int = DEFAULT_ROW_CAP) -> int:
+def count_rectangles(ts: TextileSystem, height: int, width: int) -> int:
     """Number of admissible height x width patches (see the module docstring)."""
-    _check_shape(ts, height, width, cap)
-    return sum(_power(ts.matrix_a, width, _power(ts.matrix_b, height, [1] * ts.n_vertices)))
+    _check_shape(height, width)
+    ceiling = digit_ceiling()
+    down = _power(ts.matrix_b, height, [1] * ts.n_vertices, ceiling)
+    count = sum(_power(ts.matrix_a, width, down, ceiling))
+    return printable(count, ceiling, f"{height}x{width} patches")
 
 
 def enumerate_rectangles(
-    ts: TextileSystem, height: int, width: int, limit: int | None = None, cap: int = DEFAULT_ROW_CAP
+    ts: TextileSystem, height: int, width: int, limit: int | None = None
 ) -> Iterator[Rectangle]:
     """Yield admissible patches in row-major lexicographic tile order.
 
@@ -90,7 +96,7 @@ def enumerate_rectangles(
     finished, its last right edge starting a B-path as long as the rows
     left to fill; a cell takes only such tiles, so no branch dead-ends.
     """
-    _check_shape(ts, height, width, cap)
+    _check_shape(height, width)
     below = _reachable(ts.matrix_b, height - 1)
     placed: list[Tile] = []  # row-major
     ends: dict[int, list[set]] = {}  # row -> column -> right edges that can finish the row

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import (
@@ -39,6 +40,7 @@ from .errors import (
     InvalidMatrix,
     NonCommuting,
     NotABijection,
+    PatternSpaceTooLarge,
 )
 
 LAYER_A = "A"
@@ -370,14 +372,39 @@ def build_kappa(matrix_a: IntMatrix, matrix_b: IntMatrix, strategy="lex") -> Kap
     return _specify(edges_a + edges_b, blocks, strategy)
 
 
+def digit_ceiling() -> int:
+    """10**D, the least int that ``str`` refuses to print, where D is
+    ``sys.get_int_max_str_digits()``; 0, no ceiling, when D is 0 or the
+    interpreter has no such limit (3.10 before 3.10.7)."""
+    return _ten_to(getattr(sys, "get_int_max_str_digits", lambda: 0)())
+
+
+@lru_cache(maxsize=1)  # the limit seldom changes; 10**4300 costs 46 us
+def _ten_to(digits: int) -> int:
+    return 10**digits if digits else 0
+
+
+def printable(count: int, ceiling: int, what: str) -> int:
+    """``count``, unless it reaches ``ceiling`` (``digit_ceiling``): then
+    PatternSpaceTooLarge, as ``str`` could not print it."""
+    if ceiling and count >= ceiling:
+        digits = sys.get_int_max_str_digits()
+        raise PatternSpaceTooLarge(
+            f"the count of {what} has more than {digits} digits, "
+            "the limit of sys.get_int_max_str_digits()"
+        )
+    return count
+
+
 def count_specifications(matrix_a: IntMatrix, matrix_b: IntMatrix) -> int:
-    """Number of specifications: the product of (A*B)(i,j)! over all blocks."""
+    """Number of specifications: the product of (A*B)(i,j)! over all blocks.
+    Raises PatternSpaceTooLarge when it has too many digits to print."""
     ab = matrix_a.mul(matrix_b)
     total = 1
     for i in range(matrix_a.n):
         for j in range(matrix_a.n):
             total *= math.factorial(ab[i, j])
-    return total
+    return printable(total, digit_ceiling(), "specifications")
 
 
 def enumerate_kappas(

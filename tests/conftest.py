@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import quadtex as q
@@ -38,3 +40,14 @@ def fibonacci_alt():
 @pytest.fixture(scope="session")
 def all_systems(one_tile, exchange_pair, fibonacci):
     return [one_tile, exchange_pair, fibonacci]
+
+
+@pytest.fixture()
+def digit_limit():
+    """Set the interpreter's limit on the digits of a printed int for one
+    test (``digit_limit(D)``; 0 is no limit), restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints ints of any length")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)

@@ -2,8 +2,9 @@
 
 * ``row_transfer_count``: every admissible row of the width is built first;
   building raises ``PatternSpaceTooLarge`` as soon as the rows of some
-  width 2..w number more than ``cap``.  One weight per row is then carried
-  down the height, aggregated by bottom profile at each step.
+  width 2..w number more than ``ROW_CAP``, so a test that asks for too
+  many rows fails at once.  One weight per row is then carried down the
+  height, aggregated by bottom profile at each step.
 * ``cell_transfer_count``: a cell-by-cell (broken-profile) transfer over
   small-int edge codes.  A state is the bottom codes of the last w cells
   and the right code of the previous cell.  It runs by rows, with at most
@@ -16,10 +17,12 @@
 from itertools import product
 
 from quadtex.errors import PatternSpaceTooLarge
-from quadtex.subshift import DEFAULT_ROW_CAP, Rectangle, glue
+from quadtex.subshift import Rectangle, glue
+
+ROW_CAP = 200_000
 
 
-def rows_of_width(ts, width, cap=DEFAULT_ROW_CAP):
+def rows_of_width(ts, width):
     rows = [(t,) for t in ts.tiles]
     for _ in range(width - 1):
         extended = []
@@ -27,18 +30,18 @@ def rows_of_width(ts, width, cap=DEFAULT_ROW_CAP):
             for tile in ts.tiles:
                 if glue("horizontal", row[-1], tile):
                     extended.append(row + (tile,))
-                    if len(extended) > cap:
+                    if len(extended) > ROW_CAP:
                         raise PatternSpaceTooLarge(
-                            f"more than {cap} admissible rows of width {width}"
+                            f"more than {ROW_CAP} admissible rows of width {width}"
                         )
         rows = extended
     return rows
 
 
-def row_transfer_count(ts, height, width, cap=DEFAULT_ROW_CAP):
+def row_transfer_count(ts, height, width):
     if height < 1 or width < 1:
         raise ValueError("rectangle sides must be positive")
-    rows = rows_of_width(ts, width, cap)
+    rows = rows_of_width(ts, width)
     weights = {row: 1 for row in rows}
     for _ in range(height - 1):
         by_bottom = {}

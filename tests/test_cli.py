@@ -37,6 +37,16 @@ def test_analyze_exchange_pair(exchange_input, capsys):
     assert "n = 6" in out
 
 
+def test_analyze_prints_its_warnings(write_input, capsys):
+    path = write_input("dead-end.json", {"A": [[0, 1], [0, 0]], "B": [[1, 1], [0, 1]]})
+    assert main(["analyze", path]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning: ")]
+    assert warnings == [
+        "warning: layer A is not essential (some vertex has no incoming edge)",
+        "warning: edges without a tile over them: B:1->2#1, B:2->2#1",
+    ]
+
+
 def test_analyze_non_commuting(write_input, capsys):
     path = write_input("bad.json", {"A": [[1, 1], [0, 1]], "B": [[1, 0], [1, 1]]})
     assert main(["analyze", path]) == 2
@@ -191,27 +201,68 @@ def test_subshift_command(exchange_input, capsys):
     assert "1x2 patches: 12" in capsys.readouterr().out
 
 
-def test_subshift_cap_exceeded(exchange_input, capsys):
-    code = main(["subshift", exchange_input, "--rows", "1", "--cols", "4", "--cap", "10"])
-    assert code == 2
-    assert "more than 10 admissible rows" in capsys.readouterr().err
+def test_subshift_lists_patches_as_text(exchange_input, capsys):
+    assert main(["subshift", exchange_input, "--rows", "2", "--cols", "2", "--limit", "2"]) == 0
+    assert capsys.readouterr().out == "2x2 patches: 36\n  0 0; 0 0\n  0 0; 1 1\n"
 
 
-def test_subshift_cap_checked_before_rows_are_built(exchange_input, capsys):
-    # 6 * 2**29 rows of width 30: building them first would not finish
-    code = main(["subshift", exchange_input, "--rows", "1", "--cols", "30"])
-    assert code == 2
-    assert "more than 200000 admissible rows of width 30" in capsys.readouterr().err
+def test_subshift_rows_must_be_positive(exchange_input, capsys):
+    assert main(["subshift", exchange_input, "--rows", "0", "--cols", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: rectangle sides must be positive\n")
+
+
+def test_subshift_counts_strips_of_any_width(exchange_input, capsys):
+    # 6 * 2**29 rows of width 30, counted without building one
+    assert main(["subshift", exchange_input, "--rows", "1", "--cols", "30"]) == 0
+    assert capsys.readouterr().out == "1x30 patches: 3221225472\n"
+
+
+def test_subshift_refuses_a_count_past_the_printable_digits(write_input, capsys, digit_limit):
+    # 10^h patches: printed up to 4,300 digits, refused from 4,301
+    digit_limit(4300)
+    path = write_input("ten.json", {"A": [[1]], "B": [[10]]})
+    assert main(["subshift", path, "--rows", "4299", "--cols", "1"]) == 0
+    assert capsys.readouterr().out == "4299x1 patches: 1" + "0" * 4299 + "\n"
+    for rows in ("4300", "1000000000"):  # held at 10^4300, so at once
+        assert main(["subshift", path, "--rows", rows, "--cols", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the count of {rows}x1 patches has more than 4300 digits, "
+            "the limit of sys.get_int_max_str_digits()\n"
+        )
+
+
+def test_kappa_refuses_a_count_past_the_printable_digits(write_input, capsys, digit_limit):
+    # 2000! has 5,736 digits
+    digit_limit(4300)
+    path = write_input("wide.json", {"A": [[1]], "B": [[2000]]})
+    assert main(["kappa", path, "--limit", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the count of specifications has more than 4300 digits, "
+        "the limit of sys.get_int_max_str_digits()\n"
+    )
+
+
+def test_subshift_has_no_cap_option(exchange_input, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["subshift", exchange_input, "--rows", "2", "--cols", "2", "--cap", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --cap 5" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
     "args",
     [
         ["subshift", "--rows", "2", "--cols", "2", "--limit", "-1"],
-        ["subshift", "--rows", "2", "--cols", "2", "--cap", "-1"],
         ["kappa", "--limit", "-2"],
     ],
-    ids=["subshift-limit", "subshift-cap", "kappa-limit"],
+    ids=["subshift-limit", "kappa-limit"],
 )
 def test_negative_counts_rejected_at_parse_time(args, exchange_input, capsys):
     command, *options = args
@@ -226,9 +277,9 @@ def test_negative_counts_rejected_at_parse_time(args, exchange_input, capsys):
 def test_zero_counts_accepted(exchange_input, capsys):
     assert main(["kappa", exchange_input, "--limit", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["listed"] == 0
-    code = main(["subshift", exchange_input, "--rows", "1", "--cols", "2", "--cap", "0"])
-    assert code == 2
-    assert "more than 0 admissible rows of width 2" in capsys.readouterr().err
+    code = main(["subshift", exchange_input, "--rows", "1", "--cols", "2", "--limit", "0", "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"command": "subshift", "rows": 1, "cols": 2, "count": 12}
 
 
 def test_explicit_kappa_from_document(write_input, capsys):
@@ -309,6 +360,7 @@ def test_missing_file_and_bad_json(tmp_path, capsys):
             "image pair not composable",
         ),
         ({"A": [[1]], "B": [[1]], "kappa": "spiral"}, "unknown strategy 'spiral'"),
+        ({"A": [[1]], "B": [[1, 0], [0, 1]]}, "size mismatch: 1 vs 2"),
     ],
 )
 def test_malformed_documents_exit_two(write_input, capsys, doc, message):

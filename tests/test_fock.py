@@ -109,6 +109,42 @@ def test_the_cap_check_stops_at_the_first_empty_level(monkeypatch):
         fock.verify_level(q.build_system(longer, longer), 10**9, cap=1)
 
 
+def _library_reports(tf):
+    reports = verify_fock_identities(tf), verify_relations_hk(tf), ck_generators(tf)[2]
+    return [r.to_jsonable() for r in reports]
+
+
+def test_the_basis_stops_at_the_first_empty_level():
+    # no level is built past an empty one, as every later level is empty too:
+    # the basis at 10^9 takes milliseconds; the bound is 1 s
+    shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    # no tile (A = 0); one tile and no longer word (A = B nilpotent)
+    for a, b, sizes in (([[0]], [[1]], [1, 0]), (shift, shift, [4, 1, 0])):
+        ts = q.build_system(a, b)
+        start = time.perf_counter()
+        tf = fock_basis(ts, 10**9)
+        assert time.perf_counter() - start < 1
+        # a start per level up to the first empty one, then dim
+        starts = tuple(sum(sizes[:n]) for n in range(len(sizes) + 1))
+        assert (tf.max_level, tf.starts, tf.dim) == (10**9, starts, sum(sizes))
+        levels = [-1, 0, 1, 2, 3, 10**9, 10**9 + 1]
+        assert [tf.count_at(n) for n in levels] == [sizes[n] if 0 <= n < len(sizes) else 0 for n in levels]
+        assert tf.prefix(10**9) == tf.prefix(3) == tf.dim
+        head = tf.up_to(4)
+        assert (head.max_level, head.starts, head.splits) == (4, starts, tf.splits)
+        assert _library_reports(tf) == [r.to_jsonable() for r in fock.verify_level(ts, 10**9)]
+        # the same answers as with a start for every level, the layout that
+        # had one per level up to max_level
+        short = fock_basis(ts, 7)
+        full = fock.TruncatedFock(ts, 7, short.starts + (short.dim,) * (9 - len(short.starts)), short.splits)
+        for n in range(-2, 10):
+            assert (short.count_at(n), short.prefix(n)) == (full.count_at(n), full.prefix(n))
+        assert [short.level(i) for i in range(short.dim)] == [full.level(i) for i in range(full.dim)]
+        for n in range(1, 8):
+            assert short.up_to(n).splits == full.up_to(n).splits
+        assert _library_reports(short) == _library_reports(full)
+
+
 def test_creation_on_base_words(tf_exchange, exchange_pair):
     alpha1 = by_id(exchange_pair, "A:1->1#1")
     b2 = by_id(exchange_pair, "B:1->1#2")

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from quadtex.subshift import (
 from conftest import by_id
 from oracles import brute_force_count, random_commuting_pair
 import row_transfer
-from row_transfer import cell_transfer_count, listing_order, row_transfer_count, rows_of_width
+from row_transfer import cell_transfer_count, listing_order, row_transfer_count
 
 # h < w, h = w and h > w, with and without the brute-force oracle
 ORACLE_SHAPES = [
@@ -136,11 +137,30 @@ def test_rectangle_validation_rejects_bad_gluing(fibonacci):
         bad.validate()
 
 
-def test_row_cap(exchange_pair):
-    # strips of width 4 on the exchange pair: 6 * 2 * 2 * 2 = 48 of them
-    with pytest.raises(PatternSpaceTooLarge):
-        count_rectangles(exchange_pair, 1, 4, cap=40)
-    assert count_rectangles(exchange_pair, 1, 4, cap=48) == 48
+def _ten():
+    """One vertex, A = [[1]], B = [[10]]: 10^h patches of h x w."""
+    return q.build_system([[1]], [[10]])
+
+
+def _held_dead_end():
+    """B's walk grows as 10^h at vertex 1, where no A-path ends: 1 patch."""
+    return q.build_system([[0, 0], [0, 1]], [[10, 0], [0, 1]])
+
+
+def test_a_count_is_refused_exactly_past_the_printable_digits(digit_limit):
+    # 10^h has h + 1 digits: refused past the limit of D digits, h >= D
+    ten = _ten()
+    for digits in (640, 4300):
+        digit_limit(digits)
+        assert count_rectangles(ten, digits - 1, 1) == 10 ** (digits - 1)
+        message = (
+            f"^the count of {digits}x1 patches has more than {digits} digits, "
+            r"the limit of sys.get_int_max_str_digits\(\)$"
+        )
+        with pytest.raises(PatternSpaceTooLarge, match=message):
+            count_rectangles(ten, digits, 1)
+    digit_limit(0)  # no limit: nothing is refused
+    assert count_rectangles(ten, 5000, 1) == 10**5000
 
 
 def _record_transfers(monkeypatch):
@@ -196,38 +216,56 @@ def test_transfer_runs_along_the_cheaper_side(monkeypatch):
     assert calls == [(7, 3), (6, 6)]
 
 
-def _outcome(count):
-    try:
-        return count()
-    except PatternSpaceTooLarge as exc:
-        return str(exc)
+def _exact_count(ts, height, width):
+    """1^T A^w B^h 1 walked step by step, no entry held."""
+    vector = [1] * ts.n_vertices
+    for matrix, steps in ((ts.matrix_b, height), (ts.matrix_a, width)):
+        for _ in range(steps):
+            vector = matrix.times(vector)
+    return sum(vector)
 
 
-def test_row_cap_matches_the_row_oracle():
-    # the cap raises exactly when building the rows would exceed it
-    for ts in _seeded_systems(15, seed=3):
-        for width in (1, 2, 3, 4):
-            sizes = [len(rows_of_width(ts, k)) for k in range(2, width + 1)]
-            for cap in sorted({0, 1, *sizes, *(n - 1 for n in sizes)} - {-1}):
-                expected = _outcome(lambda: row_transfer_count(ts, 2, width, cap=cap))
-                assert _outcome(lambda: count_rectangles(ts, 2, width, cap=cap)) == expected
-                listed = _outcome(lambda: len(list(enumerate_rectangles(ts, 2, width, cap=cap))))
-                assert listed == expected
+def test_the_held_walk_gives_the_exact_count_or_refuses_it(digit_limit):
+    # entries held at 10^640 stay exact below it, so the count is exact
+    # unless it reaches 10^640, and then it is refused
+    polynomial = q.build_system([[1, 1], [0, 1]], [[1, 0], [0, 1]])
+    systems = _seeded_systems(15, seed=3) + _dead_end_systems() + [_held_dead_end(), polynomial]
+    shapes = [(1, 1), (4, 3), (700, 1), (1, 700), (300, 400), (1200, 900)]
+    seen = set()
+    for ts in systems:
+        for height, width in shapes:
+            digit_limit(0)
+            exact = _exact_count(ts, height, width)
+            digit_limit(640)
+            if exact < 10**640:
+                assert count_rectangles(ts, height, width) == exact, (ts.matrix_a, height, width)
+                seen.add("long" if exact >= 10**100 else "short")
+            else:
+                with pytest.raises(PatternSpaceTooLarge):
+                    count_rectangles(ts, height, width)
+                seen.add("refused")
+    assert seen == {"short", "long", "refused"}
+    # an entry held at 10^640 that no A-path reads
+    assert count_rectangles(_held_dead_end(), 700, 1) == 1
 
 
-def test_row_cap_raises_before_anything_is_built(exchange_pair, monkeypatch):
-    def fail(*args):
-        raise AssertionError("rows or states were built")
-
-    # the first thing the count and the listing compute after the cap check
-    monkeypatch.setattr(subshift, "_power", fail)
-    monkeypatch.setattr(subshift, "_reachable", fail)
-    message = "more than 200000 admissible rows of width 30"
-    # 6 * 2**29 rows of width 30
-    with pytest.raises(PatternSpaceTooLarge, match=message):
-        count_rectangles(exchange_pair, 1, 30)
-    with pytest.raises(PatternSpaceTooLarge, match=message):
-        next(enumerate_rectangles(exchange_pair, 2, 30, limit=1))
+def test_the_walk_stops_once_its_vector_is_held_or_repeats(digit_limit, one_tile):
+    # each call takes milliseconds; the bound is 1 s
+    digit_limit(4300)
+    calls = [
+        (_ten(), 10**9, 1, None),  # held at 10^4300 from step 4300 on
+        (_held_dead_end(), 200_000, 1, 1),
+        (one_tile, 3, 3 * 10**9, 1),  # the vector is [1] at every step
+        (one_tile, 10**9, 3, 1),
+    ]
+    for ts, height, width, expected in calls:
+        start = time.perf_counter()
+        if expected is None:
+            with pytest.raises(PatternSpaceTooLarge, match="has more than 4300 digits"):
+                count_rectangles(ts, height, width)
+        else:
+            assert count_rectangles(ts, height, width) == expected
+        assert time.perf_counter() - start < 1, (height, width)
 
 
 def _dead_end_systems():

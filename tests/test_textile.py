@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from quadtex.errors import (
     InvalidMatrix,
     NonCommuting,
     NotABijection,
+    PatternSpaceTooLarge,
 )
 from quadtex.textile import block_kappas
 from conftest import FIB, by_id
@@ -148,6 +150,18 @@ def test_count_specifications(exchange_pair, fibonacci, one_tile):
     assert q.count_specifications(exchange_pair.matrix_a, exchange_pair.matrix_b) == 720
     assert q.count_specifications(fibonacci.matrix_a, fibonacci.matrix_b) == 2
     assert q.count_specifications(one_tile.matrix_a, one_tile.matrix_b) == 1
+
+
+def test_count_specifications_is_refused_exactly_past_the_printable_digits(digit_limit):
+    # 2000! has 5,736 digits: counted under a limit of 5,736, refused under 5,735
+    a, b = q.IntMatrix.from_rows([[1]]), q.IntMatrix.from_rows([[2000]])
+    for digits in (5736, 0):  # 0: no limit
+        digit_limit(digits)
+        assert q.count_specifications(a, b) == math.factorial(2000)
+    assert len(str(math.factorial(2000))) == 5736
+    digit_limit(5735)
+    with pytest.raises(PatternSpaceTooLarge, match="^the count of specifications has more than 5735 digits"):
+        q.count_specifications(a, b)
 
 
 def test_enumerate_kappas_counts():

@@ -26,8 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__
 # a layer that one command alone uses is imported inside that command
 from .errors import CrossCheckFailure, QuadtexError
-from .subshift import count_rectangles, enumerate_rectangles, wang_tile_list
-from .textile import block_kappas, build_system, count_specifications
+from .textile import block_kappas, build_system, count_specifications, wang_tile_list
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -66,8 +65,8 @@ def _dumps(value, indent: str = "\n") -> str:
     That call runs every value through json's pure-Python encoder, which
     it uses whenever ``indent`` is set.  Here dicts, lists and tuples are
     laid out by hand, strings and keys go to the C string encoder, a list
-    of plain ints is joined in one step, and any other scalar is encoded
-    by the compact ``json.dumps``.
+    of plain ints or of plain strs is joined in one step, and any other
+    scalar is encoded by the compact ``json.dumps``.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -80,8 +79,11 @@ def _dumps(value, indent: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(x) is int for x in value):
+        kinds = set(map(type, value))
+        if kinds == {int}:
             items = map(str, value)
+        elif kinds == {str}:
+            items = map(_quote, value)
         else:
             items = (_dumps(x, inner) for x in value)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
@@ -186,6 +188,8 @@ def cmd_tiles(args, ts):
 
 
 def cmd_subshift(args, ts):
+    from .subshift import count_rectangles, enumerate_rectangles
+
     count = count_rectangles(ts, args.rows, args.cols)
     payload = {"rows": args.rows, "cols": args.cols, "count": count}
     if args.limit:

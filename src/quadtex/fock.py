@@ -805,13 +805,11 @@ class _Bank:
 
     def differences(self, builder, margin: int) -> list:
         """The builder's cases, computed once on the columns of level <= c, the
-        widest c of the rows that take it at this margin, and compared there
-        on rows of level <= L - margin."""
+        widest c of the rows that take it at this margin (``_WIDEST``), and
+        compared there on rows of level <= L - margin."""
         key = (builder, margin)
         if key not in self._differences:
-            columns = max(
-                row.columns(self.level) for row in _TABLE if row.margin == margin and builder in row.builders
-            )
+            columns = min(self.level - margin, _WIDEST[key])
             cases = builder(self, self.tf.prefix(columns))
             self._differences[key] = _differences(self.tf, cases, self.level - margin, columns)
         return self._differences[key]
@@ -1086,10 +1084,15 @@ class _Row(NamedTuple):
         """(d, r): the deepest read and the highest climb of its builders' sides."""
         return _ROW_SHAPES[self.identity_id]
 
+    @property
+    def width(self) -> int:
+        """d + max(1, low): the top level of the columns compared, when L - m is no lower."""
+        return self.shape[0] + max(1, self.low)
+
     def columns(self, level: int) -> int:
         """c: the top level of the columns compared at truncation level L,
         the deepest that can hold the first difference of the block."""
-        return min(level - self.margin, self.shape[0] + max(1, self.low))
+        return min(level - self.margin, self.width)
 
     def reach(self, level: int) -> int:
         """c + r: the top level its products read on those columns."""
@@ -1155,6 +1158,17 @@ def _derive_shapes() -> dict:
     bank = _Bank(fock_basis(build_system([[1]], [[1]]), 1), 1)
     builders = dict.fromkeys(b for row in _TABLE for b in row.builders)
     return {b: tuple(map(max, zip(*(side.shape[:2] for _, *sides in b(bank, 0) for side in sides[:2])))) for b in builders}
+
+
+def _widest() -> dict:
+    """The largest ``_Row.width`` per (builder, margin) over the rows that take
+    it, so the widest c at level L is min(L - margin, that)."""
+    widest: dict = {}
+    for row in _TABLE:
+        for builder in row.builders:
+            key = (builder, row.margin)
+            widest[key] = max(widest.get(key, 0), row.width)
+    return widest
 
 
 def _depth(level: int, reports, identities=None, headroom: int = 1) -> int:
@@ -1288,3 +1302,4 @@ def verify_level(
 # every builder and what it calls are defined above
 _BUILDER_SHAPES = _derive_shapes()
 _ROW_SHAPES = {row.identity_id: tuple(map(max, zip(*map(_BUILDER_SHAPES.get, row.builders)))) for row in _TABLE}
+_WIDEST = _widest()

@@ -19,8 +19,8 @@ kept as the reference.  All arithmetic is arbitrary-precision integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import CrossCheckFailure
 from .textile import LAYER_A, LAYER_B, TextileSystem, build_quad_matrices, empty_basis_edges, is_essential
@@ -82,8 +82,7 @@ def _bareiss(rows: Rows) -> tuple[int, int]:
     return rank, abs(prev)
 
 
-@dataclass
-class SNFResult:
+class SNFResult(NamedTuple):
     """U * M * V = D with U, V unimodular and D diagonal with a divisor chain."""
 
     d: Matrix
@@ -309,8 +308,7 @@ def invariant_factors(matrix: Matrix) -> list[int]:
     return _factors([{j: x for j, x in enumerate(row) if x} for row in matrix])
 
 
-@dataclass
-class KGroups:
+class KGroups(NamedTuple):
     """Torsion and free ranks of the two K-groups."""
 
     k0_torsion: list[int]
@@ -361,7 +359,7 @@ def k_groups(edges: Matrix, h_kappa: Matrix) -> KGroups:
     ):
         raise CrossCheckFailure(
             "K-group presentations disagree between the edge matrix and the block stack",
-            details={"edges": from_edges.__dict__, "block": from_block.__dict__},
+            details={"edges": from_edges._asdict(), "block": from_block._asdict()},
         )
     return from_edges
 

@@ -21,11 +21,11 @@ later step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .textile import IntMatrix, TextileSystem, Tile, digit_ceiling, printable
+# wang_tile_list lives in textile, as it reads only tiles; it stays importable from here
+from .textile import IntMatrix, TextileSystem, Tile, digit_ceiling, printable, wang_tile_list
 
 
 def glue(direction: str, first: Tile, second: Tile) -> bool:
@@ -37,8 +37,7 @@ def glue(direction: str, first: Tile, second: Tile) -> bool:
     raise ValueError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(NamedTuple):
     """k x l array of tiles satisfying both gluing conditions."""
 
     cells: tuple[tuple[Tile, ...], ...]
@@ -133,11 +132,3 @@ def enumerate_rectangles(
 
     yield from islice(patches(), limit)
 
-
-def wang_tile_list(ts: TextileSystem) -> list[dict]:
-    """Tile alphabet as generic Wang-tile records."""
-    sides = ("top", "right", "left", "bottom")
-    return [
-        {"id": i, **{side: getattr(t, side).id for side in sides}, "vertex": t.vertex}
-        for i, t in enumerate(ts.tiles)
-    ]

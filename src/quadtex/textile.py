@@ -19,6 +19,8 @@ The facts that more than one layer reads off a system live here too: the
 corner-pair transition matrices A_kappa, B_kappa and their block stack
 H_kappa (``build_quad_matrices``), the edges no tile lies over
 (``empty_basis_edges``), and whether a layer is essential (``is_essential``).
+The tile alphabet is also written out here as Wang-tile records
+(``wang_tile_list``), since that reads the tiles alone.
 
 All orderings are fixed here (edges by (source, target, multiplicity),
 tiles by (top, right), corner pairs by (alpha, a)) so every derived matrix
@@ -30,9 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     BlockViolation,
@@ -47,17 +48,20 @@ LAYER_A = "A"
 LAYER_B = "B"
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+def _is_sequence(value) -> bool:
+    """A list or a tuple, but not a record such as an ``IntMatrix`` or a
+    ``Kappa``: the value types here are named tuples."""
+    return isinstance(value, (list, tuple)) and not hasattr(value, "_fields")
+
+
+class IntMatrix(NamedTuple):
     """Square matrix of nonnegative integers; rows are immutable tuples."""
 
     rows: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        if not isinstance(rows, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in rows
-        ):
+        if not _is_sequence(rows) or not all(map(_is_sequence, rows)):
             raise InvalidMatrix(f"matrix must be a list of rows, got {rows!r}")
         n = len(rows)
         if n == 0:
@@ -93,8 +97,7 @@ class IntMatrix:
         return [sum(m * x for m, x in zip(row, vector)) for row in self.rows]
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     """Directed edge in one layer; vertices are 1-based.
 
     Field order gives the canonical sort: (layer, source, target, mult_index).
@@ -113,8 +116,7 @@ class Edge:
         return f"Edge({self.id})"
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     """Unit square (top, right, left, bottom) with kappa(top, right) = (left, bottom)."""
 
     top: Edge
@@ -127,51 +129,73 @@ class Tile:
         """Bottom-right corner vertex: r(right) = r(bottom)."""
         return self.right.target
 
-    def sort_key(self):
-        return (self.top, self.right)
-
     def __repr__(self):
         return f"Tile({self.top.id},{self.right.id},{self.left.id},{self.bottom.id})"
 
 
-@dataclass(frozen=True)
-class OmegaPair:
+class OmegaPair(NamedTuple):
     """Top-left corner pair (alpha, a) realized by at least one tile."""
 
     alpha: Edge
     a: Edge
 
 
-@dataclass(frozen=True)
-class Kappa:
+class Kappa(NamedTuple):
     """Bijection between composable AB pairs and BA pairs, stored as pairs.
 
     ``pairs`` holds ((alpha, b), (a, beta)) entries sorted by the domain
-    pair; ``forward`` and ``inverse`` are the derived lookup maps.
+    pair; ``forward`` and ``inverse`` build the lookup maps on each read.
     """
 
     pairs: tuple[tuple[tuple[Edge, Edge], tuple[Edge, Edge]], ...]
 
-    @cached_property
+    @property
     def forward(self) -> dict[tuple[Edge, Edge], tuple[Edge, Edge]]:
         return dict(self.pairs)
 
-    @cached_property
+    @property
     def inverse(self) -> dict[tuple[Edge, Edge], tuple[Edge, Edge]]:
         return {image: preimage for preimage, image in self.pairs}
 
 
-@dataclass(frozen=True)
 class TextileSystem:
     """Two commuting matrices, their edge lists, a validated specification
-    and the sigma-block table over those very edges (see ``sigma_blocks``)."""
+    and the sigma-block table over those very edges (see ``sigma_blocks``).
+
+    The six fields are read-only and the tables below are built on first
+    read.  Systems compare, hash and print by their first five fields."""
 
     matrix_a: IntMatrix
     matrix_b: IntMatrix
     edges_a: tuple[Edge, ...]
     edges_b: tuple[Edge, ...]
     kappa: Kappa
-    blocks: dict = field(compare=False, repr=False)
+    blocks: dict
+
+    def __init__(self, matrix_a, matrix_b, edges_a, edges_b, kappa, blocks):
+        # cached_property also writes to the instance dict, past __setattr__
+        vars(self).update(
+            matrix_a=matrix_a, matrix_b=matrix_b, edges_a=edges_a, edges_b=edges_b, kappa=kappa, blocks=blocks
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a TextileSystem is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a TextileSystem is read-only")
+
+    def _key(self) -> tuple:
+        return self.matrix_a, self.matrix_b, self.edges_a, self.edges_b, self.kappa
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is TextileSystem else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        names = ("matrix_a", "matrix_b", "edges_a", "edges_b", "kappa")
+        return f"TextileSystem({', '.join(f'{k}={v!r}' for k, v in zip(names, self._key()))})"
 
     @property
     def n_vertices(self) -> int:
@@ -183,12 +207,8 @@ class TextileSystem:
 
     @cached_property
     def tiles(self) -> tuple[Tile, ...]:
-        built = [
-            Tile(top=alpha, right=b, left=a, bottom=beta)
-            for (alpha, b), (a, beta) in self.kappa.pairs
-        ]
-        built.sort(key=Tile.sort_key)
-        return tuple(built)
+        # by (top, right), the first two fields, which fix a tile
+        return tuple(sorted(Tile(alpha, b, a, beta) for (alpha, b), (a, beta) in self.kappa.pairs))
 
     @cached_property
     def tile_index(self) -> dict[Tile, int]:
@@ -341,7 +361,7 @@ def _specify(edges: tuple[Edge, ...], blocks: dict, strategy) -> Kappa:
                 f"exchange pairing needs a single vertex, system has {math.isqrt(len(blocks))}"
             )
         pairs = [((alpha, b), (b, alpha)) for alpha, b in blocks[(1, 1)][0]]
-    elif isinstance(strategy, (list, tuple)):
+    elif _is_sequence(strategy):
         by_id = {e.id: e for e in edges}
         try:
             pairs = [
@@ -457,6 +477,14 @@ def build_system(a_rows, b_rows, kappa="lex") -> TextileSystem:
         kappa = [((alpha.id, b.id), (a.id, beta.id)) for (alpha, b), (a, beta) in kappa.pairs]
     spec = _specify(edges_a + edges_b, blocks, kappa)
     return TextileSystem(matrix_a, matrix_b, edges_a, edges_b, spec, blocks)
+
+
+def wang_tile_list(ts: TextileSystem) -> list[dict]:
+    """Tile alphabet as generic Wang-tile records."""
+    return [
+        {"id": i, **{side: e.id for side, e in zip(Tile._fields, t)}, "vertex": t.vertex}
+        for i, t in enumerate(ts.tiles)
+    ]
 
 
 def kappa_indicators(ts: TextileSystem):

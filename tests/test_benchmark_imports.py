@@ -37,3 +37,9 @@ def test_ktheory_reads_the_corner_pair_matrices_from_textile():
     from quadtex import ktheory, textile
 
     assert ktheory.build_quad_matrices is textile.build_quad_matrices
+
+
+def test_subshift_names_the_wang_records_of_textile():
+    from quadtex import subshift, textile
+
+    assert subshift.wang_tile_list is textile.wang_tile_list

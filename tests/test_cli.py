@@ -134,6 +134,10 @@ def test_kappa_builds_the_sigma_block_table_once(fib_input, capsys, monkeypatch)
     assert len(calls) == 1
 
 
+class _Text(str):
+    """A str subclass: not a plain str to ``_dumps``, a string to json."""
+
+
 def test_dumps_is_json_dumps_with_indent_two():
     values = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(GOLDEN.glob("*.json"))]
     assert len(values) > 20
@@ -156,6 +160,14 @@ def test_dumps_is_json_dumps_with_indent_two():
         [(1, ("a", 2.5)), ()],
         1.5,
         [0.1, -2.0, 1e300, float("inf"), float("nan")],
+        ["a", "b\n", "caf\u00e9", ""],
+        ("x",),
+        [_Text("sub"), "plain"],
+        [_Text("only")],
+        ["a", 1, True],
+        [1, "a"],
+        [True, "a", None],
+        [["a", "b"], [1, 2], ["c", 3]],
     ]
     for value in values:
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
@@ -429,7 +441,7 @@ def _run_fresh(*lines):
     return done.stdout
 
 
-SHARED_LAYERS = {"quadtex", "quadtex.cli", "quadtex.errors", "quadtex.textile", "quadtex.subshift"}
+SHARED_LAYERS = {"quadtex", "quadtex.cli", "quadtex.errors", "quadtex.textile"}
 # analyze_system reads its two warnings off the system itself
 ANALYZE_LAYERS = {"quadtex.ktheory"}
 
@@ -437,7 +449,7 @@ ANALYZE_LAYERS = {"quadtex.ktheory"}
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        (["subshift", "--rows", "2", "--cols", "2", "--limit", "3"], set()),
+        (["subshift", "--rows", "2", "--cols", "2", "--limit", "3"], {"quadtex.subshift"}),
         (["tiles"], set()),
         (["kappa"], set()),
         (["analyze"], ANALYZE_LAYERS),
@@ -448,13 +460,19 @@ ANALYZE_LAYERS = {"quadtex.ktheory"}
 def test_each_subcommand_loads_only_its_layers(exchange_input, argv, extra):
     argv = [argv[0], exchange_input, *argv[1:], "--format", "json"]
     out = _run_fresh(
-        "import contextlib, io, json, sys",
+        "import sys",
+        "started = set(sys.modules)  # a site hook may import stdlib modules first",
+        "import contextlib, io, json",
         "from quadtex.cli import main",
         "with contextlib.redirect_stdout(io.StringIO()):",
         f"    assert main({argv!r}) == 0",
-        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'quadtex']))",
+        "layers = [m for m in sys.modules if m.split('.')[0] == 'quadtex']",
+        "print(json.dumps([layers, [m for m in ('dataclasses', 'inspect') if m in sys.modules.keys() - started]]))",
     )
-    assert set(json.loads(out)) == SHARED_LAYERS | extra
+    layers, stdlib = json.loads(out)
+    assert set(layers) == SHARED_LAYERS | extra
+    # the value types are named tuples: only verify's layers build dataclasses
+    assert ("dataclasses" in stdlib) if argv[0] == "verify" else (stdlib == [])
 
 
 def test_a_bare_import_loads_no_layer_and_resolves_every_name():

@@ -11,7 +11,6 @@ specification and word counts, and transposed patches.
 
 import json
 import random
-from dataclasses import replace
 
 import quadtex as q
 from quadtex.fock import ck_generators, fock_basis, level_sizes, verify_fock_identities, verify_relations_hk
@@ -25,7 +24,7 @@ OTHER_LAYER = {"A": "B", "B": "A"}
 
 
 def _moved(e):
-    return replace(e, layer=OTHER_LAYER[e.layer])
+    return e._replace(layer=OTHER_LAYER[e.layer])
 
 
 def _reflected(t):

@@ -3,13 +3,17 @@ import math
 import random
 from pathlib import Path
 
+import pytest
+
 import quadtex as q
+from quadtex.errors import CrossCheckFailure
 from quadtex.ktheory import (
     _bareiss,
     build_quad_matrices,
     edge_matrix,
     identity_matrix,
     invariant_factors,
+    k_groups,
     k_theory,
     smith_normal_form,
     structure_checks,
@@ -289,6 +293,16 @@ def test_presentation_cross_check_over_enumerated_kappas(one_tile):
         ts = q.build_system(FIB, FIB, spec)
         k_theory(ts)  # raises CrossCheckFailure on mismatch
     k_theory(one_tile)
+
+
+def test_disagreeing_presentations_report_both_groups():
+    # [[3]] - I presents Z/2 with no free part, [[1]] - I presents Z
+    with pytest.raises(CrossCheckFailure) as exc:
+        k_groups([[3]], [[1]])
+    assert exc.value.details == {
+        "edges": {"k0_torsion": [2], "k0_free_rank": 0, "k1_free_rank": 0},
+        "block": {"k0_torsion": [], "k0_free_rank": 1, "k1_free_rank": 1},
+    }
 
 
 def test_presentation_cross_check_on_random_pairs():

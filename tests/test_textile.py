@@ -45,6 +45,11 @@ def test_invalid_matrices():
     for rows in ([[True]], [[1.0]], [[None]], 5, [1], "AB"):
         with pytest.raises(InvalidMatrix):
             q.IntMatrix.from_rows(rows)
+    # the value types are named tuples, yet none is read as a list of rows
+    matrix = q.IntMatrix.from_rows(FIB)
+    for rows in (matrix, q.build_system(FIB, FIB).kappa, [matrix.rows[0], matrix]):
+        with pytest.raises(InvalidMatrix, match="must be a list of rows"):
+            q.IntMatrix.from_rows(rows)
 
 
 def test_commuting_accepts_loops_and_self():
@@ -433,3 +438,17 @@ def test_explicit_pairs_must_compose(entry, reason):
 def test_unknown_strategy_is_refused():
     with pytest.raises(ValueError, match="unknown strategy 'spiral'"):
         q.build_system(FIB, FIB, "spiral")
+    # nor is a value type read as an explicit pairing
+    matrix = q.IntMatrix.from_rows(FIB)
+    for strategy in (q.build_system(FIB, FIB).kappa, matrix):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            q.build_kappa(matrix, matrix, strategy)
+
+
+def test_a_system_is_read_only_and_compares_by_its_first_five_fields(fibonacci):
+    again = q.build_system(FIB, FIB, fibonacci.kappa)
+    assert again == fibonacci and hash(again) == hash(fibonacci) and repr(again) == repr(fibonacci)
+    assert again.blocks is not fibonacci.blocks
+    for name in ("kappa", "tiles"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(fibonacci, name, None)

@@ -9,6 +9,7 @@ import quadtex as q
 from quadtex.errors import CrossCheckFailure
 from quadtex.ktheory import (
     _bareiss,
+    _unit_pivots,
     build_quad_matrices,
     edge_matrix,
     identity_matrix,
@@ -236,21 +237,79 @@ def test_sparse_bareiss_matches_the_dense_reference():
     assert full_rank >= 200
 
 
-def test_sparse_kernels_give_the_normal_form_and_the_reference_factors():
-    for matrix in _kernel_cases():
-        factors = invariant_factors(matrix)
+def _check_factors(matrix, snf=True):
+    """``invariant_factors`` against the dense reference kernels and, when
+    ``snf``, the normal form.  The unit-pivot pass leaves no +-1 entry and
+    no entry past the input's Hadamard bound, and its count of pivots plus
+    the reference factors of the rows left are the factors.  Returns the
+    number of rows left."""
+    factors = invariant_factors(matrix)
+    assert factors == _reference_factors(matrix)
+    if snf:
         assert factors == smith_normal_form(matrix).invariant_factors
-        assert factors == _reference_factors(matrix)
+    units, left = _unit_pivots(sparse_rows(matrix))
+    entries = [x for row in left for x in row.values()]
+    assert all(x not in (0, 1, -1) for x in entries)
+    bound = _hadamard_square(matrix)
+    assert all(x * x <= bound for x in entries)
+    dense = [[row.get(j, 0) for j in range(len(matrix[0]))] for row in left]
+    assert [1] * units + (_reference_factors(dense) if dense else []) == factors
+    return len(left)
+
+
+def _hadamard_square(matrix):
+    """The square of the Hadamard bound on every minor: the product of the
+    squared norms of the nonzero rows."""
+    return math.prod(sum(x * x for x in row) for row in matrix if any(row))
+
+
+def test_sparse_kernels_give_the_normal_form_and_the_reference_factors():
+    # about 0.5 s
+    for matrix in _kernel_cases():
+        _check_factors(matrix)
 
 
 def test_block_stack_factors_match_the_reference_kernels():
+    # about 0.2 s; the transform-carrying normal form only up to p = 4
     for p in range(2, 11):
         ts = q.build_system([[p]], [[p + 1]], "exchange")
-        presentation = _minus_identity(build_quad_matrices(ts)[2])
-        factors = invariant_factors(presentation)
-        assert factors == _reference_factors(presentation)
-        if p <= 4:
-            assert factors == smith_normal_form(presentation).invariant_factors
+        _check_factors(_minus_identity(build_quad_matrices(ts)[2]), snf=p <= 4)
+
+
+def _unit_rich_cases():
+    """60 seeded sparse matrices of 20-60 rows and columns, most nonzero
+    entries +-1, with dependent rows and a scaled block mixed in; a third
+    each has density 0.04, 0.08 and 0.15, in turn."""
+    rng = random.Random(4711)
+    for k in range(60):
+        rows, cols = rng.randint(20, 60), rng.randint(20, 60)
+        density = (0.04, 0.08, 0.15)[k // 3 % 3]
+        matrix = [
+            [rng.choice([1, -1, 1, -1, 2, -3]) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if k % 3 == 1:
+            matrix[-1] = [x - 2 * y for x, y in zip(matrix[0], matrix[1])]
+        elif k % 3 == 2:
+            for row in matrix[: rows // 2]:
+                row[:] = [6 * x for x in row]
+        yield matrix
+
+
+def test_unit_pivots_keep_the_factors_on_unit_rich_matrices():
+    # about 0.3 s.  The transform-carrying normal form runs on the sparsest
+    # third alone: on the denser ones its coefficients grow for seconds
+    left_over = 0
+    for k, matrix in enumerate(_unit_rich_cases()):
+        left_over += _check_factors(matrix, snf=k // 3 % 3 == 0) > 0
+    assert left_over >= 50
+
+
+def test_exchange_family_k0():
+    for p in range(3, 11):
+        groups = k_theory(q.build_system([[p]], [[p + 1]], "exchange"))
+        assert groups.k0_torsion == [p - 1] + [p * (p - 1)] * (p - 2) + [2 * p * p * (p - 1)]
+        assert groups.k0_free_rank == 0 and groups.k1_free_rank == 0
 
 
 def test_exchange_six_by_seven_regression():

@@ -9,9 +9,12 @@ subshift (rectangle counting).  Input is a JSON document:
 
 where an explicit kappa lists [[alpha_id, b_id], [a_id, beta_id]] pairs.
 Each ``cmd_*(args, ts)`` returns its payload and a text renderer; ``main``
-loads the input, prints the payload and picks the exit code: 0 success, 1
-a verified identity failed, 2 invalid input, an exceeded cap or a count
-too long to print, 3 internal cross-check failure (only analyze checks).
+loads the input, writes the payload and picks the exit code: 0 success, 1
+a verified identity failed, 2 invalid input, an exceeded cap, a count too
+long to print or a failed write, 3 internal cross-check failure (only
+analyze checks).  JSON is written as it is encoded (``_write_json``), so no
+command holds its whole document, and a row of ints 0-9 is converted in C
+(``_ints``).
 """
 
 from __future__ import annotations
@@ -59,16 +62,46 @@ def _load_input(path: str, kappa_override: str | None):
     return build_system(doc["A"], doc["B"], kappa)
 
 
+# byte b -> its digit for b = 0-9, and a non-digit for any other byte
+_DIGITS = b"0123456789".ljust(256, b"x")
+
+
+def _ints(row, sep: str) -> str:
+    """``sep.join(map(str, row))`` for a row of plain ints.
+
+    When every entry is 0-9 the row is converted in C, one digit per entry:
+    one ``bytes(row).translate`` and one join, with no ``str()`` per entry.
+    """
+    try:
+        digits = bytes(row).translate(_DIGITS)
+    except ValueError:  # an entry outside 0-255
+        return sep.join(map(str, row))
+    return sep.join(digits.decode() if digits.isdigit() else map(str, row))
+
+
 def _dumps(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
     That call runs every value through json's pure-Python encoder, which
     it uses whenever ``indent`` is set.  Here dicts, lists and tuples are
     laid out by hand, strings and keys go to the C string encoder, a list
-    of plain ints or of plain strs is joined in one step, and any other
-    scalar is encoded by the compact ``json.dumps``.
+    of plain ints (``_ints``) or of plain strs is joined in one step, and
+    any other scalar is encoded by the compact ``json.dumps``.
     """
+    kind = type(value)
     inner = indent + "  "
+    if kind is list or isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            return "[" + inner + _ints(value, "," + inner) + indent + "]"
+        items = map(_quote, value) if kinds == {str} else [_dumps(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is int:
+        return str(value)
+    if isinstance(value, str):
+        return _quote(value)
     if isinstance(value, dict):
         # a key that is not a str is coerced (or refused) as json itself does
         items = [
@@ -76,27 +109,31 @@ def _dumps(value, indent: str = "\n") -> str:
             for k, v in sorted(value.items())
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        kinds = set(map(type, value))
-        if kinds == {int}:
-            items = map(str, value)
-        elif kinds == {str}:
-            items = map(_quote, value)
+    return json.dumps(value)
+
+
+def _write_json(payload: dict, write) -> None:
+    """Write ``_dumps(payload) + "\\n"`` for a non-empty dict with str keys,
+    one top-level entry per ``write`` and a list of rows one row per
+    ``write``, so the whole document is never held at once."""
+    close = "{"
+    for key, value in sorted(payload.items()):
+        head = close + "\n  " + _quote(key) + ": "
+        if type(value) is list and value and type(value[0]) is list:  # a list of rows
+            write(head + "[")
+            sep = "\n    "
+            for row in value:
+                write(sep + _dumps(row, "\n    "))
+                sep = ",\n    "
+            close = "\n  ],"
         else:
-            items = (_dumps(x, inner) for x in value)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, str):
-        return _quote(value)
-    return str(value) if type(value) is int else json.dumps(value)
+            write(head + _dumps(value, "\n  "))
+            close = ","
+    write(close[:-1] + "\n}\n")
 
 
 def _matrix_lines(name: str, matrix) -> list[str]:
-    lines = [f"{name} ="]
-    for row in matrix:
-        lines.append("  [" + " ".join(str(v) for v in row) + "]")
-    return lines
+    return [f"{name} ="] + ["  [" + _ints(row, " ") + "]" for row in matrix]
 
 
 def cmd_analyze(args, ts):
@@ -254,8 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Load the input, run the subcommand and print its payload as JSON or
-    through its renderer; exit with 1 exactly when it holds ``"passed": false``."""
+    """Load the input, run the subcommand and write its payload as JSON, one
+    top-level entry or row at a time to the ``sys.stdout`` current at the
+    call, or through its renderer; exit with 1 exactly when it holds
+    ``"passed": false``, and with 2 when a write fails (``OSError``)."""
     args = build_parser().parse_args(argv)
     try:
         payload, render = args.func(args, _load_input(args.input, args.kappa))
@@ -263,7 +302,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         payload["command"] = args.command
         if args.format == "json":
-            print(_dumps(payload))
+            _write_json(payload, sys.stdout.write)
         else:
             render(payload)
     except CrossCheckFailure as exc:

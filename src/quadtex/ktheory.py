@@ -49,7 +49,8 @@ def _unit_pivots(rows: Rows) -> tuple[int, Rows]:
     of (length, row) gives the shortest row that holds a unit, its pivot
     in the column with the fewest rows: a row is looked at again only
     after a step changed it.  Each entry left is a minor of the input, up
-    to sign (``invariant_factors``).  Empty rows are dropped.
+    to sign (``invariant_factors``).  The rows hold no zero entry, and
+    empty rows are dropped.
     """
     live = {i: row for i, row in enumerate(rows) if row}
     where: dict[int, set[int]] = {}  # column -> the live rows with a nonzero there
@@ -64,7 +65,12 @@ def _unit_pivots(rows: Rows) -> tuple[int, Rows]:
         top = live.get(i)
         if top is None or len(top) != n:
             continue  # stale: the row left, or a later entry holds its length
-        c = min((j for j, x in top.items() if x == 1 or x == -1), key=lambda j: len(where[j]), default=None)
+        c = None
+        for j, x in top.items():  # the first unit in a column of fewest rows
+            if (x == 1 or x == -1) and (c is None or len(where[j]) < fewest):
+                c, fewest = j, len(where[j])
+                if fewest == 1:  # the row itself: no column has fewer
+                    break
         if c is None:
             continue  # looked at again once a step changes it
         units += 1
@@ -75,12 +81,15 @@ def _unit_pivots(rows: Rows) -> tuple[int, Rows]:
         for k in where.pop(c):
             row = live[k]
             a = row.pop(c) * p  # a / p, as p = +-1
+            get = row.get
             for j, y in top.items():
-                if x := row.get(j, 0) - a * y:
-                    if j not in row:
-                        where[j].add(k)
+                x = get(j)
+                if x is None:  # a new entry, nonzero as a and y are
+                    row[j] = -a * y
+                    where[j].add(k)
+                elif x := x - a * y:
                     row[j] = x
-                elif j in row:
+                else:
                     del row[j]
                     where[j].discard(k)
             if row:
@@ -240,20 +249,26 @@ def _diagonalize_mod(rows: Rows, modulus: int) -> list[int]:
     """Diagonal of an elimination of sparse rows over Z/modulus.
 
     The rows are consumed; their entries must already lie in (0, modulus).
-    The pivot is the entry sharing the fewest factors with the modulus, and
-    extended-gcd row and column steps shrink it until it divides its whole
-    cross; a unit divides every entry, so it needs no column step.  Zero
-    entries, finished pivot rows and empty rows are dropped; each diagonal
-    entry is returned as its gcd with the modulus, in order.
+    The pivot is the first entry sharing the fewest factors with the
+    modulus, and extended-gcd row and column steps shrink it until it
+    divides its whole cross; a unit divides every entry, so it needs no
+    column step.  Zero entries, finished pivot rows and empty rows are
+    dropped; each diagonal entry is returned as its gcd with the modulus,
+    in order.
     """
     n = modulus
     rows = [row for row in rows if row]
     diagonal = []
     while rows:
-        i, c = min(
-            ((i, j) for i, row in enumerate(rows) for j in row),
-            key=lambda ij: math.gcd(rows[ij[0]][ij[1]], n),
-        )
+        least = n  # the first entry of least gcd, found at once when it is 1
+        for k, row in enumerate(rows):
+            for j, x in row.items():
+                if (g := math.gcd(x, n)) < least:
+                    i, c, least = k, j, g
+                    if g == 1:
+                        break
+            if least == 1:
+                break
         top = rows.pop(i)
         while True:
             # p divides a in Z/n exactly when g = gcd(p, n) divides a

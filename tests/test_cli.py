@@ -1,10 +1,13 @@
+import enum
+import errno
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import quadtex as q
-from quadtex.cli import _dumps, main
+from quadtex.cli import _dumps, _load_input, build_parser, main
 from conftest import FIB
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -138,6 +141,13 @@ class _Text(str):
     """A str subclass: not a plain str to ``_dumps``, a string to json."""
 
 
+class _Bit(enum.IntEnum):
+    """IntEnum entries: ints to ``bytes``, but not plain ints to ``_dumps``."""
+
+    OFF = 0
+    ON = 1
+
+
 def test_dumps_is_json_dumps_with_indent_two():
     values = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(GOLDEN.glob("*.json"))]
     assert len(values) > 20
@@ -169,8 +179,94 @@ def test_dumps_is_json_dumps_with_indent_two():
         [True, "a", None],
         [["a", "b"], [1, 2], ["c", 3]],
     ]
+    # the digit path of an all-int row (0-9), and every row it must pass on
+    values += [
+        list(range(10)),
+        [[0, 1, 9], [9, 8, 7, 0], [5]],
+        [[0] * 12, [1] * 12],
+        [[1, 10, 0], [255, 256], [-1, 0, 1], [2**70, 3]],
+        [10],
+        [256],
+        [-1],
+        [2**70],
+        [0, 1, True],
+        [False, 0, 1],
+        [[1, 0], [True, 0]],
+        [_Bit.ON, _Bit.OFF],
+        [0, _Bit.ON, 1],
+        [(0, 1), (1, 0, 9)],
+        (0, 1, 2),
+        [[7], [0], [3]],
+        [1],
+        [[0, 1], [1], [], [1, 2, 3]],
+        [[], [], []],
+    ]
     for value in values:
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class _Writes:
+    """A stdout that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+INPUTS = sorted((Path(__file__).resolve().parents[1] / "inputs").glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["verify", "--level", "5"],
+        ["kappa", "--limit", "10"],
+        ["tiles"],
+        ["subshift", "--rows", "2", "--cols", "3", "--limit", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("path", INPUTS, ids=lambda path: path.stem)
+def test_streamed_json_is_json_dumps_of_the_payload(argv, path, capsys):
+    argv = [argv[0], str(path), *argv[1:], "--format", "json"]
+    args = build_parser().parse_args(argv)
+    payload, _ = args.func(args, _load_input(args.input, args.kappa))
+    payload["command"] = args.command
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_analyze_writes_its_json_one_row_at_a_time(write_input, monkeypatch):
+    path = write_input("exchange-10x11.json", {"A": [[10]], "B": [[11]], "kappa": "exchange"})
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["analyze", path, "--format", "json"]) == 0
+    h_kappa = json.loads("".join(out.writes))["H_kappa"]
+    assert len(h_kappa) == 220
+    # one row of H_kappa as the document lays it out: its separator and its text
+    row = ",\n    " + _dumps(h_kappa[0], "\n    ")
+    assert max(map(len, out.writes)) <= len(row)
+    assert len(out.writes) > 2 * len(h_kappa)  # A, B, H and omega write a row each
+
+
+class _FullDisk:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("form", ["json", "text"])
+def test_a_failed_stdout_write_exits_two(exchange_input, capsys, monkeypatch, form):
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    assert main(["analyze", exchange_input, "--format", form]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 def test_tiles_command(write_input, capsys):

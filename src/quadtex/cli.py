@@ -159,7 +159,11 @@ def cmd_analyze(args, ts):
 def cmd_verify(args, ts):
     from .fock import DEFAULT_BASIS_CAP, verify_level
 
-    cap = int(os.environ.get("QUADTEX_BASIS_CAP", DEFAULT_BASIS_CAP))
+    text = os.environ.get("QUADTEX_BASIS_CAP", str(DEFAULT_BASIS_CAP))
+    try:
+        cap = nonnegative(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise QuadtexError(f"QUADTEX_BASIS_CAP must be a nonnegative integer, got {text!r}") from None
     # decided at args.level, on a basis only as deep as the compared columns reach
     reports = verify_level(ts, args.level, cap=cap, headroom=CLI_HEADROOM)
     payload = {

@@ -62,8 +62,10 @@ on, set by the transition rows, d = r = 1.  So every entry point decides
 on a bank over the first min(L, L0) levels: ``verify_level`` (the CLI's)
 builds only those, and each library call takes them from the basis it is
 given (``TruncatedFock.up_to``).  The cap, ``max_level``,
-``levels_checked``, skips and errors are decided at L; a difference above
-L0 would show at its compared prefixes.
+``levels_checked``, skips and errors are decided at L, the cap and then
+each report's plan (``_plan``: its rows, their skips and every refusal)
+before any basis or bank is built; a difference above L0 would show at
+its compared prefixes.
 
 Diagonal operators (edge and vertex actions, range and level projections,
 the identity and e) are ``_DiagonalOp``s: one value per word, read off the
@@ -1171,59 +1173,50 @@ def _widest() -> dict:
     return widest
 
 
-def _depth(level: int, reports, identities=None, headroom: int = 1) -> int:
-    """min(L, L0) for ``reports`` at level L: L0 is the largest c + r of their
-    rows in ``identities`` (all by default) that run, whose L - m is at least
-    ``headroom`` on a word-space row and 1 on any other."""
-    reaches = [
-        row.reach(level)
-        for row in _TABLE
-        if row.report in reports
-        and (identities is None or row.identity_id in identities)
-        and level - row.margin >= (headroom if row.report == WORDS else 1)
-    ]
-    return min(level, max(reaches, default=0))
-
-
-def _run(bank: _Bank, report: str, identities=None, headroom: int = 1) -> Report:
-    """Compare every row of one report on its block; the one comparison runner.
-
-    Everything a report states is decided at the bank's level L.  A row
-    whose top level L - m falls below ``headroom`` is skipped with a named
-    notice, or raises TruncationTooShallow when it was asked for by id.
-    """
-    title, depth = _REPORTS[report]
-    level = bank.level
+def _plan(level: int, report: str, identities=None, headroom: int = 1) -> list:
+    """The rows of one report at level L in table order, each with None (it
+    runs) or its skip notice (its L - m is below ``headroom`` on a word-space
+    row, 1 on any other).  Raises, before anything is built: ValueError on an
+    id the report lacks, then TruncationTooShallow on L below the report's
+    depth, then on a row asked for by id that would be skipped."""
+    rows = [row for row in _TABLE if row.report == report]
+    if identities is not None:
+        if unknown := set(identities) - {row.identity_id for row in rows}:
+            raise ValueError(f"unknown identity ids: {sorted(unknown)}")
+        rows = [row for row in rows if row.identity_id in identities]
+    depth = _REPORTS[report][1]
     if level < depth:
         raise TruncationTooShallow(f"the {report} suite needs max_level >= {depth}")
+    floor = headroom if report == WORDS else 1
+    plan = [
+        (row, None if level - row.margin >= floor else f"needs max_level >= {row.margin + floor}, basis has {level}")
+        for row in rows
+    ]
+    for row, notice in plan:
+        if notice and identities is not None:
+            raise TruncationTooShallow(f"identity {row.identity_id!r} {notice}")
+    return plan
+
+
+def _depth(level: int, plan) -> int:
+    """min(L, L0) at level L: L0 is the largest c + r of the planned rows that run."""
+    return min(level, max((row.reach(level) for row, notice in plan if notice is None), default=0))
+
+
+def _run(bank: _Bank, report: str, plan) -> Report:
+    """Compare every planned row of one report on its block at the bank's level
+    L, listing each skipped one with its notice; the one comparison runner."""
+    level = bank.level
     checks = []
-    for row in _TABLE:
-        if row.report != report or (identities is not None and row.identity_id not in identities):
+    for row, notice in plan:
+        if notice:
+            checks.append(IdentityCheck(row.identity_id, row.formula, None, "skipped", notice))
             continue
-        high = level - row.margin
-        if high < headroom:
-            needs = f"needs max_level >= {row.margin + headroom}"
-            if identities is not None:
-                raise TruncationTooShallow(f"identity {row.identity_id!r} {needs}, basis has {level}")
-            notice = f"{needs}, basis has {level}"
-            checks.append(
-                IdentityCheck(row.identity_id, row.formula, None, "skipped", notice)
-            )
-            continue
-        cases = itertools.chain.from_iterable(
-            bank.differences(builder, row.margin) for builder in row.builders
-        )
+        cases = itertools.chain.from_iterable(bank.differences(b, row.margin) for b in row.builders)
         witness = _witness(bank.tf, cases, row.low, row.columns(level))
-        checks.append(
-            IdentityCheck(
-                row.identity_id,
-                row.formula,
-                (row.low, high),
-                "fail" if witness else "pass",
-                witness=witness,
-            )
-        )
-    return Report(title=title, max_level=level, checks=checks)
+        status = "fail" if witness else "pass"
+        checks.append(IdentityCheck(row.identity_id, row.formula, (row.low, level - row.margin), status, witness=witness))
+    return Report(title=_REPORTS[report][0], max_level=level, checks=checks)
 
 
 def _seeded_tile_vectors(ts: TextileSystem, count=2, seed=20240311):
@@ -1238,10 +1231,11 @@ def _seeded_tile_vectors(ts: TextileSystem, count=2, seed=20240311):
 
 
 def _decide(tf: TruncatedFock, report: str, identities=None, headroom: int = 1) -> tuple[Report, _Bank]:
-    """One report at ``tf``'s top level L, decided on a bank over its first
-    min(L, L0) levels (``_depth``), and that bank."""
-    bank = _Bank(tf.up_to(_depth(tf.max_level, (report,), identities, headroom)), tf.max_level)
-    return _run(bank, report, identities, headroom), bank
+    """One report planned at ``tf``'s top level L (``_plan``), decided on a bank
+    over its first min(L, L0) levels (``_depth``), and that bank."""
+    plan = _plan(tf.max_level, report, identities, headroom)
+    bank = _Bank(tf.up_to(_depth(tf.max_level, plan)), tf.max_level)
+    return _run(bank, report, plan), bank
 
 
 def verify_fock_identities(
@@ -1256,10 +1250,6 @@ def verify_fock_identities(
     named notice when running the full default suite; explicitly requesting
     such an identity raises TruncationTooShallow.
     """
-    if identities is not None:
-        unknown = set(identities) - {r.identity_id for r in _TABLE if r.report == WORDS}
-        if unknown:
-            raise ValueError(f"unknown identity ids: {sorted(unknown)}")
     return _decide(tf, WORDS, identities, headroom)[0]
 
 
@@ -1293,10 +1283,11 @@ def verify_level(
 ) -> list[Report]:
     """The three reports at truncation level L, the word-space one with
     ``headroom``, as the library calls give them on ``fock_basis(ts, L, cap)``:
-    decided on one bank over a basis built only min(L, L0) deep (``_depth``)."""
+    capped and planned at L, decided on one bank min(L, L0) deep (``_depth``)."""
     _check_cap(ts, level, cap)
-    bank = _Bank(fock_basis(ts, _depth(level, _REPORTS, headroom=headroom), cap), level)
-    return [_run(bank, WORDS, headroom=headroom), _run(bank, RELATIONS), _run(bank, GENERATORS)]
+    plans = {report: _plan(level, report, headroom=headroom) for report in _REPORTS}
+    bank = _Bank(fock_basis(ts, _depth(level, itertools.chain(*plans.values())), cap), level)
+    return [_run(bank, report, plan) for report, plan in plans.items()]
 
 
 # every builder and what it calls are defined above

@@ -433,6 +433,16 @@ def test_basis_cap_env_override(exchange_input, capsys, monkeypatch):
     assert "cap 100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", ""])
+def test_basis_cap_env_override_must_be_a_nonnegative_integer(exchange_input, capsys, monkeypatch, value):
+    # refused by name, not as an int() error or as a cap that refuses every input
+    monkeypatch.setenv("QUADTEX_BASIS_CAP", value)
+    assert main(["verify", exchange_input, "--level", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: QUADTEX_BASIS_CAP must be a nonnegative integer, got {value!r}\n"
+
+
 def test_basis_cap_refuses_a_thousand_tiles_at_once(write_input, capsys):
     # level 2 of 1,001 tiles is counted, not built: the refusal is immediate
     path = write_input("thousand.json", {"A": [[1]], "B": [[1001]]})

@@ -276,6 +276,46 @@ def test_the_cap_and_the_depth_errors_are_decided_at_the_level_asked_for(exchang
             verify_level(exchange_pair, level)
 
 
+
+def test_every_refusal_is_raised_before_anything_is_built(exchange_pair, monkeypatch):
+    # the cap, then an unknown id, then the report's depth, then a too-shallow
+    # id: each raises its own error and message with no basis, bank or
+    # creation operator built
+    tf2, tf3 = fock_basis(exchange_pair, 2), fock_basis(exchange_pair, 3)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built before the refusal")
+
+    for name in ("_Bank", "fock_basis", "creation"):
+        monkeypatch.setattr(fock, name, unbuilt)
+    words, relations = "the identity suite needs max_level >= 3", "the relation suite needs max_level >= 4"
+    refusals = [
+        (lambda: verify_level(exchange_pair, 2, cap=10), BasisTooLarge, "level 2 would hold 30 words (cap 10)"),
+        (lambda: verify_level(exchange_pair, 1), TruncationTooShallow, words),
+        (lambda: verify_level(exchange_pair, 3), TruncationTooShallow, relations),
+        (lambda: verify_fock_identities(tf2), TruncationTooShallow, words),
+        (lambda: verify_relations_hk(tf3), TruncationTooShallow, relations),
+        (lambda: ck_generators(tf3), TruncationTooShallow, "the generator suite needs max_level >= 4"),
+        (
+            lambda: verify_fock_identities(tf3, identities=["co_isometry", "tile_word_commutation"]),
+            TruncationTooShallow,
+            "identity 'tile_word_commutation' needs max_level >= 5, basis has 3",
+        ),
+        (
+            lambda: verify_fock_identities(tf3, identities=["tile_word_commutation"], headroom=2),
+            TruncationTooShallow,
+            "identity 'tile_word_commutation' needs max_level >= 6, basis has 3",
+        ),
+        (lambda: verify_fock_identities(tf2, identities=["no_such", "co_isometry"]), ValueError, "unknown identity ids: ['no_such']"),
+        (lambda: verify_fock_identities(tf2, identities=["tile_word_commutation"]), TruncationTooShallow, words),
+        # a relation id is unknown to the word-space report
+        (lambda: verify_fock_identities(tf3, identities=["corner_partition"]), ValueError, "unknown identity ids: ['corner_partition']"),
+    ]
+    for call, error, message in refusals:
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message
+
 # (d, r) of every row, derived from its builders' sides.  Each d is the read
 # depth the table declared by hand before it was derived; each r is at most
 # m - d, the bound that stood in for it

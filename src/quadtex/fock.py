@@ -252,34 +252,41 @@ class TruncatedFock:
 
 
 def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
-    """Yield the number of words at each level 0..max_level, from the two
-    matrices alone: no word is built and no tile is read.
+    """Yield the number of words at each level 0..max_level (``_levels``)."""
+    return (size for size, _ in itertools.islice(_levels(ts), max_level + 1))
+
+
+def _levels(ts: TextileSystem) -> Iterator[tuple[int, bool]]:
+    """Yield, for each level n = 0, 1, ..., its number of words and True once
+    every later level is known to hold as many, from the two matrices alone.
 
     A word of level n >= 1 is fixed by its separators and its top-right
     boundary path: the first tile's top A-edge, an A-edge per eta, a B-edge
     per rho and the last tile's right B-edge, and every such path bounds
     one word, by the unique factorization ``subshift`` counts patches by.
-    So level n holds 1^T A (A+B)^(n-1) B 1 words.
+    So level n holds 1^T A p words, p = (A+B)^(n-1) B 1, and once p repeats
+    from one level to the next, so does every later level size.
     """
-    a, b = ts.matrix_a, ts.matrix_b
-    yield len(ts.edges_a) + len(ts.edges_b)
-    paths = b.times([1] * ts.n_vertices)  # paths[v]: the paths (A+B)^k B from vertex v
-    for _ in range(max_level):
-        ahead = a.times(paths)
-        yield sum(ahead)
-        paths = [x + y for x, y in zip(ahead, b.times(paths))]
+    yield len(ts.edges_a) + len(ts.edges_b), False
+    paths = ts.matrix_b.times([1] * ts.n_vertices)  # paths[v]: the paths (A+B)^k B from vertex v
+    while True:
+        ahead = ts.matrix_a.times(paths)
+        step = [x + y for x, y in zip(ahead, ts.matrix_b.times(paths))]
+        yield sum(ahead), step == paths
+        paths = step
 
 
 def _check_cap(ts: TextileSystem, max_level: int, cap: int) -> None:
     """Raise BasisTooLarge if a level from 2 to ``max_level`` would hold over
-    ``cap`` words.  The count stops at the first empty level >= 1: each word's
-    tail is a word of the level below, so every later level is empty too."""
+    ``cap`` words.  The count stops at the first empty level >= 1, as each
+    word's tail is a word of the level below, and from level 2 on once every
+    later level is known to hold as many words (``_levels``)."""
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    for n, size in enumerate(level_sizes(ts, max_level)):
+    for n, (size, held) in enumerate(itertools.islice(_levels(ts), max_level + 1)):
         if n >= 2 and size > cap:
             raise BasisTooLarge(f"level {n} would hold {size} words (cap {cap})")
-        if n and not size:
+        if (n and not size) or (n >= 2 and held):
             return
 
 

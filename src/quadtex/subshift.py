@@ -12,11 +12,10 @@ and every such pair of paths fills one: the unique factorization of the
 this closed form alone and reads no tile; the tests hold it to a
 brute-force count and to the row and cell transfers.
 
-The walk holds every entry at 10^D (``textile.digit_ceiling``).  It only
-adds and multiplies nonnegative integers, so entries below 10^D stay
-exact, and the count reaches 10^D exactly when ``str`` could not print
-it.  It stops at a step that leaves the vector unchanged, as would every
-later step.
+Powers are taken by repeated squaring, every product held at 10^D
+(``textile.digit_ceiling``).  As min(ab, C) = min(min(a, C) min(b, C), C)
+for a, b >= 0, and so for sums, the held count is exact below 10^D and
+reaches 10^D exactly when ``str`` could not print it.
 """
 
 from __future__ import annotations
@@ -52,14 +51,14 @@ class Rectangle(NamedTuple):
 
 
 def _power(matrix: IntMatrix, steps: int, vector: list[int], ceiling: int) -> list[int]:
-    """M^steps v with every entry held at ``ceiling`` (0: not held)."""
-    for _ in range(steps):
-        step = matrix.times(vector)
-        if ceiling:
-            step = [min(x, ceiling) for x in step]
-        if step == vector:
-            break
-        vector = step
+    """M^steps v by repeated squaring, every entry held at ``ceiling`` (0: not held)."""
+    cap = ceiling or float("inf")
+    while steps:
+        if steps & 1:
+            vector = [min(x, cap) for x in matrix.times(vector)]
+        steps >>= 1
+        if steps:
+            matrix = IntMatrix(tuple(tuple(min(x, cap) for x in row) for row in matrix.mul(matrix).rows))
     return vector
 
 

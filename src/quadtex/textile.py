@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
@@ -84,13 +85,8 @@ class IntMatrix(NamedTuple):
         return self.rows[i][j]
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        n = self.n
-        return IntMatrix(
-            tuple(
-                tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        )
+        cols = tuple(zip(*other.rows))
+        return IntMatrix(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.rows))
 
     def times(self, vector) -> list[int]:
         """The product M v of this matrix with a column vector."""

@@ -86,14 +86,17 @@ def test_basis_cap(exchange_pair):
 
 def test_the_cap_check_stops_at_the_first_empty_level(monkeypatch):
     # each word's tail is a word of the level below, so after an empty level
-    # every level is empty: neither the count nor verify walks on to the
-    # level asked for.  Level 10^9 answers in milliseconds; the bound is 2 s
+    # every level is empty; and once the vector of path counts repeats, every
+    # later level holds as many words.  Neither the count nor verify walks on
+    # to the level asked for.  Level 10^9 answers in milliseconds; the bound is 2 s
     drawn = []
-    real = fock.level_sizes
-    monkeypatch.setattr(fock, "level_sizes", lambda ts, top: (drawn.append(n) or n for n in real(ts, top)))
+    real = fock._levels
+    monkeypatch.setattr(fock, "_levels", lambda ts: ((drawn.append(n) or (n, held)) for n, held in real(ts)))
     shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-    # no tile (A = 0); one tile and no longer word (A = B nilpotent)
-    for a, b, sizes in (([[0]], [[1]], [1, 0]), (shift, shift, [4, 1, 0])):
+    one_word = ([[1, 1], [0, 1]], [[0, 1], [0, 0]])
+    # no tile (A = 0); one tile and no longer word (A = B nilpotent); one
+    # word at every level, read to level 2, the first one the cap applies to
+    for a, b, sizes in (([[0]], [[1]], [1, 0]), (shift, shift, [4, 1, 0]), (*one_word, [4, 1, 1])):
         ts = q.build_system(a, b)
         drawn.clear()
         start = time.perf_counter()
@@ -107,6 +110,9 @@ def test_the_cap_check_stops_at_the_first_empty_level(monkeypatch):
     assert list(level_sizes(q.build_system(longer, longer), 4)) == [6, 2, 2, 0, 0]
     with pytest.raises(BasisTooLarge, match=r"^level 2 would hold 2 words \(cap 1\)$"):
         fock.verify_level(q.build_system(longer, longer), 10**9, cap=1)
+    # a repeated level size is still held to the cap
+    with pytest.raises(BasisTooLarge, match=r"^level 2 would hold 1 words \(cap 0\)$"):
+        fock.verify_level(q.build_system(*one_word), 10**9, cap=0)
 
 
 def _library_reports(tf):

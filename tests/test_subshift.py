@@ -249,14 +249,20 @@ def test_the_held_walk_gives_the_exact_count_or_refuses_it(digit_limit):
     assert count_rectangles(_held_dead_end(), 700, 1) == 1
 
 
-def test_the_walk_stops_once_its_vector_is_held_or_repeats(digit_limit, one_tile):
-    # each call takes milliseconds; the bound is 1 s
+def test_long_strips_count_in_logarithmic_steps(digit_limit, one_tile):
+    # the powers are taken by repeated squaring: each call takes
+    # milliseconds, whether the count is held, constant or growing; the
+    # bound is 1 s
     digit_limit(4300)
+    polynomial_columns = q.build_system([[1, 1], [0, 1]], [[1, 0], [0, 1]])
+    polynomial_rows = q.build_system([[1, 0], [0, 1]], [[1, 1], [0, 1]])
     calls = [
-        (_ten(), 10**9, 1, None),  # held at 10^4300 from step 4300 on
+        (_ten(), 10**9, 1, None),  # 10^h, held at 10^4300
         (_held_dead_end(), 200_000, 1, 1),
-        (one_tile, 3, 3 * 10**9, 1),  # the vector is [1] at every step
+        (one_tile, 3, 3 * 10**9, 1),
         (one_tile, 10**9, 3, 1),
+        (polynomial_columns, 1, 10**9, 10**9 + 2),  # 1^T A^w 1 = w + 2
+        (polynomial_rows, 10**9, 1, 10**9 + 2),
     ]
     for ts, height, width, expected in calls:
         start = time.perf_counter()

@@ -4,7 +4,7 @@ The package takes a pair of commuting nonnegative integer matrices plus a
 pairing of their composable edge paths, builds the resulting tile alphabet,
 and offers three computation layers on top of it:
 
-* exact module arithmetic over the tiles (``quadmod``, ``algebra``),
+* exact module arithmetic over the vertices, edges and tiles (``algebra``),
 * creation operators on truncated graded word spaces with machine-checked
   operator identities (``fock``),
 * integer K-group invariants and two-dimensional patch counting
@@ -29,7 +29,7 @@ _LAYER = {
     "Tile": "textile",
     "DiagElem": "algebra",
     "EdgeElem": "algebra",
-    "QuadVector": "quadmod",
+    "QuadVector": "algebra",
     "FockWord": "fock",
     "SparseOp": "fock",
     "TruncatedFock": "fock",

@@ -121,20 +121,20 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .algebra import DiagElem, EdgeElem, embed, pullback_along_kappa
+from .algebra import (
+    DiagElem, EdgeElem, QuadVector, embed, inner_eta, inner_rho, left_basis_vector, pullback_along_kappa, top_basis_vector
+)
 from .errors import (
     BasisTooLarge,
     LayerMismatch,
     TruncationTooShallow,
     UnknownEdge,
 )
-from .quadmod import QuadVector, inner_eta, inner_rho, left_basis_vector, top_basis_vector
 from .textile import LAYER_A, LAYER_B, Edge, TextileSystem, Tile, build_quad_matrices, build_system
 
 SEP_ETA = "eta"
@@ -144,8 +144,7 @@ DEFAULT_BASIS_CAP = 10**6
 PUSH, STRIP, SEPARATOR, READ = (0, 1, -1), (1, 0, 1), (1, 0, 0), (0, 0, 0)
 
 
-@dataclass(frozen=True)
-class FockWord:
+class FockWord(NamedTuple):
     """One basis word: a glued tile sequence, or a level-0 edge marker.
 
     Level-0 words carry ``base_kind`` 'q' (B-edge summand) or 'p' (A-edge
@@ -178,10 +177,11 @@ class FockWord:
         return "".join(parts)
 
 
-@dataclass(frozen=True, eq=False)
 class TruncatedFock:
     """Basis of all glued words up to a top level: one split record per word
-    and the index where each level starts.
+    and the index where each level starts.  The four fields are read-only,
+    the tables below are built on first read, and two bases are equal only
+    when they are the same object.
 
     ``splits[i]`` is word i split as (first tile's index in ``ts.tiles``,
     first separator, tail index); None on level 0, (k, None, None) on level 1.
@@ -195,7 +195,20 @@ class TruncatedFock:
     ts: TextileSystem
     max_level: int
     starts: tuple[int, ...]
-    splits: tuple[tuple[int, str | None, int | None] | None, ...] = field(repr=False)
+    splits: tuple[tuple[int, str | None, int | None] | None, ...]
+
+    def __init__(self, ts, max_level, starts, splits):
+        # cached_property also writes to the instance dict, past __setattr__
+        vars(self).update(ts=ts, max_level=max_level, starts=starts, splits=splits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a TruncatedFock is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a TruncatedFock is read-only")
+
+    def __repr__(self):
+        return f"TruncatedFock(ts={self.ts!r}, max_level={self.max_level!r}, starts={self.starts!r})"
 
     @property
     def dim(self) -> int:
@@ -253,7 +266,7 @@ class TruncatedFock:
 
 def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
     """Yield the number of words at each level 0..max_level (``_levels``)."""
-    return (size for size, _ in itertools.islice(_levels(ts), max_level + 1))
+    return (size for _, (size, _held) in zip(range(max_level + 1), _levels(ts)))
 
 
 def _levels(ts: TextileSystem) -> Iterator[tuple[int, bool]]:
@@ -283,7 +296,7 @@ def _check_cap(ts: TextileSystem, max_level: int, cap: int) -> None:
     later level is known to hold as many words (``_levels``)."""
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    for n, (size, held) in enumerate(itertools.islice(_levels(ts), max_level + 1)):
+    for n, (size, held) in zip(range(max_level + 1), _levels(ts)):
         if n >= 2 and size > cap:
             raise BasisTooLarge(f"level {n} would hold {size} words (cap {cap})")
         if (n and not size) or (n >= 2 and held):
@@ -657,8 +670,7 @@ def rank_one(tf: TruncatedFock, xi, zeta) -> SparseOp:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     identity_id: str
     formula: str
     levels_checked: tuple[int, int] | None
@@ -680,8 +692,7 @@ class IdentityCheck:
         return out
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     title: str
     max_level: int
     checks: list[IdentityCheck]

@@ -20,6 +20,7 @@ reaches 10^D exactly when ``str`` could not print it.
 
 from __future__ import annotations
 
+import sys
 from itertools import islice
 from typing import Iterator, NamedTuple
 
@@ -129,5 +130,6 @@ def enumerate_rectangles(
                 starts = range(0, len(placed), width)
                 yield Rectangle(tuple(tuple(placed[k : k + width]) for k in starts))
 
-    yield from islice(patches(), limit)
+    # islice takes no stop past sys.maxsize, more than any listing yields
+    yield from islice(patches(), None if limit is None else min(limit, sys.maxsize))
 

@@ -451,7 +451,8 @@ def block_kappas(blocks: dict, limit: int | None = None) -> Iterator[Kappa]:
         for perm in itertools.permutations(ba):
             yield from pairings(k + 1, prefix + list(zip(ab, perm)))
 
-    for pairs in itertools.islice(pairings(0, []), None if limit is None else max(limit, 0)):
+    # islice takes no stop past sys.maxsize, more than any listing yields
+    for pairs in itertools.islice(pairings(0, []), None if limit is None else min(max(limit, 0), sys.maxsize)):
         yield Kappa(pairs=tuple(sorted(pairs)))
 
 

@@ -9,8 +9,8 @@ over the target words.  ``glued`` is the gluing rule the oracle reads.
 
 from __future__ import annotations
 
+from quadtex.algebra import QuadVector
 from quadtex.fock import SEP_ETA, SEP_RHO, FockWord, SparseOp, TruncatedFock
-from quadtex.quadmod import QuadVector
 from quadtex.textile import Tile
 
 

@@ -38,10 +38,7 @@ from fractions import Fraction
 from itertools import product
 
 import quadtex.fock as fock
-from quadtex.errors import TruncationTooShallow
-from quadtex.fock import SEP_ETA, SEP_RHO, FockWord, IdentityCheck, Report, SparseOp, TruncatedFock
-from quadtex.ktheory import Matrix, Rows, _xgcd, identity_matrix
-from quadtex.quadmod import (
+from quadtex.algebra import (
     QuadVector,
     act_right_eta,
     act_right_rho,
@@ -51,6 +48,9 @@ from quadtex.quadmod import (
     left_basis_vector,
     top_basis_vector,
 )
+from quadtex.errors import TruncationTooShallow
+from quadtex.fock import SEP_ETA, SEP_RHO, FockWord, IdentityCheck, Report, SparseOp, TruncatedFock
+from quadtex.ktheory import Matrix, Rows, _xgcd, identity_matrix
 from quadtex.textile import IntMatrix, TextileSystem, build_system, check_commuting, kappa_indicators
 
 

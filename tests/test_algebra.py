@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -240,10 +239,10 @@ def test_arithmetic_keeps_the_class_fields_and_layer(fibonacci):
     assert (w + w.scale(-1)).is_zero() and not w.is_zero()
     # scaling by an int still gives exact rationals
     assert all(type(c) is Fraction for c in w.scale(3).coeffs + y.scale(3).coeffs)
-    assert [f.name for f in dataclasses.fields(EdgeElem)] == ["layer", "coeffs"]
+    assert EdgeElem._fields == ("layer", "coeffs")
     assert repr(EdgeElem.basis(fibonacci, by_id(fibonacci, "A:1->2#1"))) == (
         "EdgeElem(layer='A', coeffs=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)))"
     )
     assert repr(DiagElem.basis(2, 2)) == "DiagElem(coeffs=(Fraction(0, 1), Fraction(1, 1)))"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         w.layer = "A"

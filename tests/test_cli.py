@@ -119,6 +119,11 @@ def test_kappa_command(exchange_input, capsys):
     assert out.startswith("720 specifications")
     listed = [line for line in out.splitlines() if line.lstrip().startswith("#")]
     assert len(listed) == 3
+    # a limit past sys.maxsize lists every specification, as one of 720 does
+    assert main(["kappa", exchange_input, "--limit", "720"]) == 0
+    every = capsys.readouterr().out
+    assert main(["kappa", exchange_input, "--limit", str(2**63)]) == 0
+    assert capsys.readouterr().out == every and every.count("\n  #") == 720
 
 
 def test_kappa_builds_the_sigma_block_table_once(fib_input, capsys, monkeypatch):
@@ -312,6 +317,11 @@ def test_subshift_command(exchange_input, capsys):
 def test_subshift_lists_patches_as_text(exchange_input, capsys):
     assert main(["subshift", exchange_input, "--rows", "2", "--cols", "2", "--limit", "2"]) == 0
     assert capsys.readouterr().out == "2x2 patches: 36\n  0 0; 0 0\n  0 0; 1 1\n"
+    # a limit past sys.maxsize lists every patch, as one of 36 does
+    assert main(["subshift", exchange_input, "--rows", "2", "--cols", "2", "--limit", "36"]) == 0
+    every = capsys.readouterr().out
+    assert main(["subshift", exchange_input, "--rows", "2", "--cols", "2", "--limit", str(2**63)]) == 0
+    assert capsys.readouterr().out == every and every.count("\n") == 37
 
 
 def test_subshift_rows_must_be_positive(exchange_input, capsys):
@@ -559,7 +569,7 @@ ANALYZE_LAYERS = {"quadtex.ktheory"}
         (["tiles"], set()),
         (["kappa"], set()),
         (["analyze"], ANALYZE_LAYERS),
-        (["verify", "--level", "4"], {"quadtex.algebra", "quadtex.quadmod", "quadtex.fock"}),
+        (["verify", "--level", "4"], {"quadtex.algebra", "quadtex.fock"}),
     ],
     ids=["subshift", "tiles", "kappa", "analyze", "verify"],
 )
@@ -577,8 +587,8 @@ def test_each_subcommand_loads_only_its_layers(exchange_input, argv, extra):
     )
     layers, stdlib = json.loads(out)
     assert set(layers) == SHARED_LAYERS | extra
-    # the value types are named tuples: only verify's layers build dataclasses
-    assert ("dataclasses" in stdlib) if argv[0] == "verify" else (stdlib == [])
+    # the value types are named tuples: no command builds a dataclass
+    assert stdlib == []
 
 
 def test_a_bare_import_loads_no_layer_and_resolves_every_name():
@@ -588,8 +598,7 @@ def test_a_bare_import_loads_no_layer_and_resolves_every_name():
             "build_system", "check_commuting", "count_specifications", "edges_from_matrix",
             "enumerate_kappas", "kappa_indicators", "sigma_blocks",
         ],
-        "algebra": ["DiagElem", "EdgeElem"],
-        "quadmod": ["QuadVector"],
+        "algebra": ["DiagElem", "EdgeElem", "QuadVector"],
         "fock": ["FockWord", "SparseOp", "TruncatedFock", "fock_basis"],
         "ktheory": ["KGroups", "SNFResult", "k_theory", "smith_normal_form", "structure_checks"],
     }

@@ -84,6 +84,10 @@ def test_basis_cap(exchange_pair):
         fock_basis(exchange_pair, 0)
 
 
+# a level past sys.maxsize (2**63 - 1 on 64-bit builds) answers as a smaller one
+DEEP_LEVELS = (10**9, 2**63 - 1, 2**63, 10**20)
+
+
 def test_the_cap_check_stops_at_the_first_empty_level(monkeypatch):
     # each word's tail is a word of the level below, so after an empty level
     # every level is empty; and once the vector of path counts repeats, every
@@ -98,21 +102,23 @@ def test_the_cap_check_stops_at_the_first_empty_level(monkeypatch):
     # word at every level, read to level 2, the first one the cap applies to
     for a, b, sizes in (([[0]], [[1]], [1, 0]), (shift, shift, [4, 1, 0]), (*one_word, [4, 1, 1])):
         ts = q.build_system(a, b)
-        drawn.clear()
-        start = time.perf_counter()
-        reports = fock.verify_level(ts, 10**9)
-        assert time.perf_counter() - start < 2
-        assert [r.max_level for r in reports] == [10**9] * 3 and all(r.passed for r in reports)
-        # the cap check at 10^9, then the basis verify_level builds (depth 4)
-        assert drawn == sizes + sizes, (a, b)
+        for top in DEEP_LEVELS:
+            drawn.clear()
+            start = time.perf_counter()
+            reports = fock.verify_level(ts, top)
+            assert time.perf_counter() - start < 2
+            assert [r.max_level for r in reports] == [top] * 3 and all(r.passed for r in reports)
+            # the cap check at the top level, then the basis verify_level builds (depth 4)
+            assert drawn == sizes + sizes, (a, b, top)
     # a level over the cap before the first empty one is still refused
     longer = [[int(j == i + 1) for j in range(4)] for i in range(4)]
     assert list(level_sizes(q.build_system(longer, longer), 4)) == [6, 2, 2, 0, 0]
     with pytest.raises(BasisTooLarge, match=r"^level 2 would hold 2 words \(cap 1\)$"):
         fock.verify_level(q.build_system(longer, longer), 10**9, cap=1)
     # a repeated level size is still held to the cap
-    with pytest.raises(BasisTooLarge, match=r"^level 2 would hold 1 words \(cap 0\)$"):
-        fock.verify_level(q.build_system(*one_word), 10**9, cap=0)
+    for top in DEEP_LEVELS:
+        with pytest.raises(BasisTooLarge, match=r"^level 2 would hold 1 words \(cap 0\)$"):
+            fock.verify_level(q.build_system(*one_word), top, cap=0)
 
 
 def _library_reports(tf):
@@ -122,23 +128,24 @@ def _library_reports(tf):
 
 def test_the_basis_stops_at_the_first_empty_level():
     # no level is built past an empty one, as every later level is empty too:
-    # the basis at 10^9 takes milliseconds; the bound is 1 s
+    # the basis at 10^9 and deeper takes milliseconds; the bound is 1 s
     shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     # no tile (A = 0); one tile and no longer word (A = B nilpotent)
     for a, b, sizes in (([[0]], [[1]], [1, 0]), (shift, shift, [4, 1, 0])):
         ts = q.build_system(a, b)
-        start = time.perf_counter()
-        tf = fock_basis(ts, 10**9)
-        assert time.perf_counter() - start < 1
         # a start per level up to the first empty one, then dim
         starts = tuple(sum(sizes[:n]) for n in range(len(sizes) + 1))
-        assert (tf.max_level, tf.starts, tf.dim) == (10**9, starts, sum(sizes))
-        levels = [-1, 0, 1, 2, 3, 10**9, 10**9 + 1]
-        assert [tf.count_at(n) for n in levels] == [sizes[n] if 0 <= n < len(sizes) else 0 for n in levels]
-        assert tf.prefix(10**9) == tf.prefix(3) == tf.dim
-        head = tf.up_to(4)
-        assert (head.max_level, head.starts, head.splits) == (4, starts, tf.splits)
-        assert _library_reports(tf) == [r.to_jsonable() for r in fock.verify_level(ts, 10**9)]
+        for top in DEEP_LEVELS:
+            start = time.perf_counter()
+            tf = fock_basis(ts, top)
+            assert time.perf_counter() - start < 1
+            assert (tf.max_level, tf.starts, tf.dim) == (top, starts, sum(sizes))
+            levels = [-1, 0, 1, 2, 3, top, top + 1]
+            assert [tf.count_at(n) for n in levels] == [sizes[n] if 0 <= n < len(sizes) else 0 for n in levels]
+            assert tf.prefix(top) == tf.prefix(3) == tf.dim
+            head = tf.up_to(4)
+            assert (head.max_level, head.starts, head.splits) == (4, starts, tf.splits)
+            assert _library_reports(tf) == [r.to_jsonable() for r in fock.verify_level(ts, top)]
         # the same answers as with a start for every level, the layout that
         # had one per level up to max_level
         short = fock_basis(ts, 7)
@@ -506,9 +513,11 @@ def test_basis_cap_is_checked_before_any_word_is_built(exchange_pair, monkeypatc
     built = []
 
     class CountingWord(FockWord):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
+        # a named tuple takes its fields in __new__
+        def __new__(cls, *args, **kwargs):
+            word = super().__new__(cls, *args, **kwargs)
+            built.append(word)
+            return word
 
     monkeypatch.setattr(fock, "FockWord", CountingWord)
     # levels 0..4 hold 5 + 6 + 30 + 150 + 750 = 941 words, level 5 would hold 3750
@@ -571,9 +580,11 @@ def test_words_are_rebuilt_equal_to_the_eager_reference(run_order_systems):
         with pytest.raises(TypeError):
             words["0"]
         assert all(tf.index[w] == i for i, w in enumerate(eager))
-        # words are read-only
+        # words are read-only, and so is the basis
         with pytest.raises(TypeError):
             words[0] = eager[0]
+        with pytest.raises(AttributeError):
+            tf.max_level = level + 1
 
 
 def _built_banks(monkeypatch) -> list:

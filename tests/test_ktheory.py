@@ -425,9 +425,8 @@ def test_edge_matrix_counts_tiles_by_edges(exchange_pair):
 
 
 def test_analyze_warnings_agree_with_the_library_checks(all_systems, fibonacci_alt):
-    from quadtex.algebra import layer_unit_vector
+    from quadtex.algebra import layer_unit_vector, left_basis_vector, top_basis_vector
     from quadtex.ktheory import analyze_system
-    from quadtex.quadmod import left_basis_vector, top_basis_vector
     from quadtex.textile import empty_basis_edges, is_essential
 
     rng = random.Random(4242)

@@ -43,7 +43,6 @@ _LAYER = {
     "enumerate_kappas": "textile",
     "fock_basis": "fock",
     "k_theory": "ktheory",
-    "kappa_indicators": "textile",
     "sigma_blocks": "textile",
     "smith_normal_form": "ktheory",
     "structure_checks": "ktheory",

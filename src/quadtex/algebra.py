@@ -3,12 +3,10 @@
 Vertex vectors live in the diagonal algebra spanned by the vertex
 projections E_1..E_N; edge vectors live in the diagonal algebras spanned by
 the edge projections p_alpha (layer A) and q_a (layer B).  Tile vectors
-span the quad module over them: every action is diagonal, scaling a tile's
-coefficient by the operand's value at one of the tile's four edges or at
-its corner vertex, and the three inner products pair coefficients
-tile-by-tile and collect them at the corner vertex, the bottom edge or the
-right edge.  Coefficients are exact rationals throughout; every map in
-this module is linear and sends 0/1 data to 0/1 data.
+span the quad module over them, and its two edge-valued inner products
+pair coefficients tile-by-tile and collect them at the bottom edge (rho)
+or the right edge (eta).  Coefficients are exact rationals throughout;
+every map in this module is linear and sends 0/1 data to 0/1 data.
 """
 
 from __future__ import annotations
@@ -70,6 +68,8 @@ class DiagElem(NamedTuple):
         return DiagElem(coeffs=_as_fractions(values))
 
     def __getitem__(self, vertex: int) -> Fraction:
+        if not 1 <= vertex <= len(self.coeffs):
+            raise IndexError(f"vertex {vertex} is not in 1..{len(self.coeffs)}")
         return self.coeffs[vertex - 1]
 
 
@@ -103,6 +103,10 @@ class EdgeElem(NamedTuple):
         return EdgeElem(layer=layer, coeffs=coeffs)
 
     def coeff(self, ts: TextileSystem, edge: Edge) -> Fraction:
+        """The coefficient at one edge of this vector's layer."""
+        _check_edge(ts, edge)
+        if edge.layer != self.layer:
+            raise LayerMismatch(f"edge {edge.id} is in layer {edge.layer}, vector in {self.layer}")
         return self.coeffs[ts.edges(self.layer).index(edge)]
 
     def __add__(self, other: "EdgeElem") -> "EdgeElem":
@@ -135,11 +139,6 @@ def embed(ts: TextileSystem, layer: str, y: DiagElem) -> EdgeElem:
     return EdgeElem(layer=layer, coeffs=tuple(y[e.source] for e in ts.edges(layer)))
 
 
-def range_embed(ts: TextileSystem, layer: str, y: DiagElem) -> EdgeElem:
-    """Range-wise spreading of a vertex vector over a layer's edges."""
-    return EdgeElem(layer=layer, coeffs=tuple(y[e.target] for e in ts.edges(layer)))
-
-
 def range_sum(ts: TextileSystem, w: EdgeElem) -> DiagElem:
     """Collapse an edge vector to vertices: sum the coefficients at each range."""
     return _at_ranges(ts, ts.edges(w.layer), w.coeffs)
@@ -147,9 +146,6 @@ def range_sum(ts: TextileSystem, w: EdgeElem) -> DiagElem:
 
 def compress(ts: TextileSystem, edge: Edge, w: EdgeElem) -> DiagElem:
     """Extract one edge's coefficient onto its range vertex (w(e) * E_{r(e)})."""
-    _check_edge(ts, edge)
-    if w.layer != edge.layer:
-        raise LayerMismatch(f"edge {edge.id} is in layer {edge.layer}, vector in {w.layer}")
     return _at_ranges(ts, [edge], [w.coeff(ts, edge)])
 
 
@@ -171,17 +167,6 @@ def pullback_along_kappa(ts: TextileSystem, edge: Edge, w: EdgeElem) -> EdgeElem
     lookup = ts.kappa.inverse if edge.layer == LAYER_B else ts.kappa.forward
     pairs = (lookup.get((edge, x)) for x in ts.edges(w.layer))
     return EdgeElem(layer=w.layer, coeffs=tuple(w.coeff(ts, p[0]) if p else Fraction(0) for p in pairs))
-
-
-def layer_unit_vector(ts: TextileSystem, layer: str) -> DiagElem:
-    """Sum over the layer's edges of apply_edge(e, 1): counts in-edges per vertex."""
-    edges = ts.edges(layer)
-    return _at_ranges(ts, edges, [Fraction(1)] * len(edges))
-
-
-def sup_norm(elem) -> Fraction:
-    """Max |coefficient|; the operator norm of a diagonal element."""
-    return max((abs(c) for c in elem.coeffs), default=Fraction(0))
 
 
 class QuadVector(NamedTuple):
@@ -220,11 +205,6 @@ def _pairing(ts: TextileSystem, side: str, keys, xi: QuadVector, xi2: QuadVector
     return tuple(out.values())
 
 
-def inner_vertex(ts: TextileSystem, xi: QuadVector, xi2: QuadVector) -> DiagElem:
-    """Vertex-valued pairing: sum xi(t)*xi2(t) at each tile's corner vertex."""
-    return DiagElem(coeffs=_pairing(ts, "vertex", range(1, ts.n_vertices + 1), xi, xi2))
-
-
 def inner_rho(ts: TextileSystem, xi: QuadVector, xi2: QuadVector) -> EdgeElem:
     """A-layer-valued pairing: coefficients collected at each tile's bottom edge."""
     return EdgeElem(layer=LAYER_A, coeffs=_pairing(ts, "bottom", ts.edges_a, xi, xi2))
@@ -233,40 +213,6 @@ def inner_rho(ts: TextileSystem, xi: QuadVector, xi2: QuadVector) -> EdgeElem:
 def inner_eta(ts: TextileSystem, xi: QuadVector, xi2: QuadVector) -> EdgeElem:
     """B-layer-valued pairing: coefficients collected at each tile's right edge."""
     return EdgeElem(layer=LAYER_B, coeffs=_pairing(ts, "right", ts.edges_b, xi, xi2))
-
-
-def _act(ts: TextileSystem, xi: QuadVector, side: str, elem, layer=None, refusal=None) -> QuadVector:
-    """Scale each tile's coefficient by elem's value at its ``side``: a vertex vector
-    (no ``layer``) or an edge vector over ``layer``, else LayerMismatch(refusal)."""
-    if layer is not None and elem.layer != layer:
-        raise LayerMismatch(refusal)
-    keys = range(1, ts.n_vertices + 1) if layer is None else ts.edges(layer)
-    value = dict(zip(keys, elem.coeffs))
-    return QuadVector(coeffs=tuple(x * value[key] for key, x in zip(_sides(ts, side), xi.coeffs)))
-
-
-def act_right_vertex(ts: TextileSystem, xi: QuadVector, y: DiagElem) -> QuadVector:
-    return _act(ts, xi, "vertex", y)
-
-
-def act_right_rho(ts: TextileSystem, xi: QuadVector, w: EdgeElem) -> QuadVector:
-    """Right action of an A-layer vector: scale each tile by w(bottom)."""
-    return _act(ts, xi, "bottom", w, LAYER_A, "right rho action takes an A-layer vector")
-
-
-def act_right_eta(ts: TextileSystem, xi: QuadVector, z: EdgeElem) -> QuadVector:
-    """Right action of a B-layer vector: scale each tile by z(right)."""
-    return _act(ts, xi, "right", z, LAYER_B, "right eta action takes a B-layer vector")
-
-
-def act_left_rho(ts: TextileSystem, xi: QuadVector, w: EdgeElem) -> QuadVector:
-    """Left action of an A-layer vector: scale each tile by w(top)."""
-    return _act(ts, xi, "top", w, LAYER_A, "left rho action takes an A-layer vector")
-
-
-def act_left_eta(ts: TextileSystem, xi: QuadVector, z: EdgeElem) -> QuadVector:
-    """Left action of a B-layer vector: scale each tile by z(left)."""
-    return _act(ts, xi, "left", z, LAYER_B, "left eta action takes a B-layer vector")
 
 
 def top_basis_vector(ts: TextileSystem, alpha: Edge) -> QuadVector:

@@ -19,8 +19,8 @@ one pass over the target words: a tile word comes from a level-0 marker,
 a deeper one from its tail.  The basis is these split records and the
 index where each level starts (``TruncatedFock.starts``): no word object
 is built, and ``TruncatedFock.word`` rebuilds a ``FockWord`` from the
-splits when one is read (witness labels, ``rank_one``; ``words`` for
-tests).  An operator is its entries alone and holds no basis.
+splits when one is read (witness labels, ``rank_one``).  An operator is
+its entries alone and holds no basis.
 
 Truncation semantics: a product of operators computed on the truncated
 basis agrees with the untruncated product on any column whose intermediate
@@ -188,8 +188,7 @@ class TruncatedFock:
     Levels never decrease along the basis: ``starts[n]`` is the index of the
     first word of level n, up to ``max_level`` or the first empty level from
     1 on, whichever comes first (every later level is empty too), and
-    ``starts[-1] == dim``.  ``word(i)`` rebuilds word i from ``splits``;
-    ``words`` builds them all on first read.
+    ``starts[-1] == dim``.  ``word(i)`` rebuilds word i from ``splits``.
     """
 
     ts: TextileSystem
@@ -230,22 +229,12 @@ class TruncatedFock:
         """The edge of each level-0 word: the B-edges (q markers), then the A-edges (p markers)."""
         return self.ts.edges_b + self.ts.edges_a
 
-    @cached_property
-    def index(self) -> dict[FockWord, int]:
-        """Position of each word, hashed on first use; ``verify`` needs none."""
-        return {w: i for i, w in enumerate(self.words)}
-
     def up_to(self, level: int) -> "TruncatedFock":
         """The basis of its words of level <= ``level``, under the same indices
         and split records; itself when it holds no deeper word."""
         if level >= self.max_level:
             return self
         return TruncatedFock(self.ts, level, self.starts[: level + 2], self.splits[: self.prefix(level)])
-
-    @cached_property
-    def words(self) -> tuple[FockWord, ...]:
-        """Every word, rebuilt from ``splits`` on first read; ``verify`` reads none."""
-        return tuple(map(self.word, range(self.dim)))
 
     def word(self, i: int) -> FockWord:
         """Word i (0 <= i < dim): its first tile, then the word at its tail."""

@@ -20,35 +20,16 @@ reaches 10^D exactly when ``str`` could not print it.
 
 from __future__ import annotations
 
-import sys
-from itertools import islice
 from typing import Iterator, NamedTuple
 
 # wang_tile_list lives in textile, as it reads only tiles; it stays importable from here
-from .textile import IntMatrix, TextileSystem, Tile, digit_ceiling, printable, wang_tile_list
-
-
-def glue(direction: str, first: Tile, second: Tile) -> bool:
-    """Can ``second`` sit to the right of (or below) ``first``?"""
-    if direction == "horizontal":
-        return first.right == second.left
-    if direction == "vertical":
-        return first.bottom == second.top
-    raise ValueError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
+from .textile import IntMatrix, TextileSystem, Tile, digit_ceiling, limited, printable, wang_tile_list
 
 
 class Rectangle(NamedTuple):
     """k x l array of tiles satisfying both gluing conditions."""
 
     cells: tuple[tuple[Tile, ...], ...]
-
-    def validate(self) -> None:
-        pairs = [("horizontal", a, b) for row in self.cells for a, b in zip(row, row[1:])]
-        for upper, lower in zip(self.cells, self.cells[1:]):
-            pairs += [("vertical", a, b) for a, b in zip(upper, lower)]
-        for direction, first, second in pairs:
-            if not glue(direction, first, second):
-                raise ValueError(f"{direction} gluing fails between {first!r} and {second!r}")
 
 
 def _power(matrix: IntMatrix, steps: int, vector: list[int], ceiling: int) -> list[int]:
@@ -130,6 +111,5 @@ def enumerate_rectangles(
                 starts = range(0, len(placed), width)
                 yield Rectangle(tuple(tuple(placed[k : k + width]) for k in starts))
 
-    # islice takes no stop past sys.maxsize, more than any listing yields
-    yield from islice(patches(), None if limit is None else min(limit, sys.maxsize))
+    yield from limited(patches(), limit)
 

@@ -211,10 +211,6 @@ class TextileSystem:
         return {tile: i for i, tile in enumerate(self.tiles)}
 
     @cached_property
-    def tile_by_top_right(self) -> dict[tuple[Edge, Edge], Tile]:
-        return {(t.top, t.right): t for t in self.tiles}
-
-    @cached_property
     def omega(self) -> tuple[OmegaPair, ...]:
         seen = sorted({(t.top, t.left) for t in self.tiles})
         return tuple(OmegaPair(alpha=alpha, a=a) for alpha, a in seen)
@@ -451,9 +447,15 @@ def block_kappas(blocks: dict, limit: int | None = None) -> Iterator[Kappa]:
         for perm in itertools.permutations(ba):
             yield from pairings(k + 1, prefix + list(zip(ab, perm)))
 
-    # islice takes no stop past sys.maxsize, more than any listing yields
-    for pairs in itertools.islice(pairings(0, []), None if limit is None else min(max(limit, 0), sys.maxsize)):
+    for pairs in limited(pairings(0, []), limit):
         yield Kappa(pairs=tuple(sorted(pairs)))
+
+
+def limited(items: Iterator, limit: int | None) -> Iterator:
+    """The first ``limit`` items of a listing: all of them for None, none for
+    a negative limit."""
+    # islice takes no stop past sys.maxsize, more than any listing yields
+    return itertools.islice(items, None if limit is None else min(max(limit, 0), sys.maxsize))
 
 
 def build_system(a_rows, b_rows, kappa="lex") -> TextileSystem:
@@ -483,18 +485,3 @@ def wang_tile_list(ts: TextileSystem) -> list[dict]:
         for i, t in enumerate(ts.tiles)
     ]
 
-
-def kappa_indicators(ts: TextileSystem):
-    """0/1 existence tables for tiles with two fixed edges.
-
-    Returns (left_table, bottom_table): ``left_table[(a, alpha, b)] = 1``
-    when some tile has top alpha, right b and left a, and
-    ``bottom_table[(alpha, a, beta)] = 1`` when some tile has top alpha,
-    left a and bottom beta.  Missing keys mean 0.
-    """
-    left_table: dict[tuple[Edge, Edge, Edge], int] = {}
-    bottom_table: dict[tuple[Edge, Edge, Edge], int] = {}
-    for tile in ts.tiles:
-        left_table[(tile.left, tile.top, tile.right)] = 1
-        bottom_table[(tile.top, tile.left, tile.bottom)] = 1
-    return left_table, bottom_table

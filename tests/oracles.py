@@ -7,7 +7,8 @@
   in ``quadtex.ktheory`` replaced, kept as references, and
   ``sparse_rows``, a dense matrix as the sparse kernels' input;
   ``quad_matrices_by_definition``, the
-  corner-pair matrices entry by entry from ``kappa_indicators``, and
+  corner-pair matrices entry by entry from ``kappa_indicators``, the
+  tables of the tiles with two fixed edges, and
   ``corner_pair_presentation``, A + B - I over the corner pairs;
   ``random_commuting_pair`` and ``presentation_cross_check_pairs`` draw
   seeded commuting pairs.
@@ -38,20 +39,13 @@ from fractions import Fraction
 from itertools import product
 
 import quadtex.fock as fock
-from quadtex.algebra import (
-    QuadVector,
-    act_right_eta,
-    act_right_rho,
-    inner_eta,
-    inner_rho,
-    inner_vertex,
-    left_basis_vector,
-    top_basis_vector,
-)
+from quadtex.algebra import QuadVector, inner_eta, inner_rho, left_basis_vector, top_basis_vector
 from quadtex.errors import TruncationTooShallow
 from quadtex.fock import SEP_ETA, SEP_RHO, FockWord, IdentityCheck, Report, SparseOp, TruncatedFock
 from quadtex.ktheory import Matrix, Rows, _xgcd, identity_matrix
-from quadtex.textile import IntMatrix, TextileSystem, build_system, check_commuting, kappa_indicators
+from quadtex.textile import Edge, IntMatrix, TextileSystem, build_system, check_commuting
+
+from library import act_right_eta, act_right_rho, basis_words, inner_vertex
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +73,22 @@ def mat_add(a: Matrix, b: Matrix, scale_b: int = 1) -> Matrix:
     return [
         [x + scale_b * y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)
     ]
+
+
+def kappa_indicators(ts: TextileSystem):
+    """0/1 existence tables for tiles with two fixed edges.
+
+    Returns (left_table, bottom_table): ``left_table[(a, alpha, b)] = 1``
+    when some tile has top alpha, right b and left a, and
+    ``bottom_table[(alpha, a, beta)] = 1`` when some tile has top alpha,
+    left a and bottom beta.  Missing keys mean 0.
+    """
+    left_table: dict[tuple[Edge, Edge, Edge], int] = {}
+    bottom_table: dict[tuple[Edge, Edge, Edge], int] = {}
+    for tile in ts.tiles:
+        left_table[(tile.left, tile.top, tile.right)] = 1
+        bottom_table[(tile.top, tile.left, tile.bottom)] = 1
+    return left_table, bottom_table
 
 
 def quad_matrices_by_definition(ts: TextileSystem) -> tuple[Matrix, Matrix]:
@@ -349,7 +359,8 @@ def eager_words(ts: TextileSystem, max_level: int) -> tuple[FockWord, ...]:
     """Every basis word up to ``max_level``, each built whole with its own tile
     and separator tuples, in the basis order: the q markers, the p markers,
     then each level extending every word of the one below by (separator,
-    tile), eta before rho.  The reference for ``TruncatedFock.words``."""
+    tile), eta before rho.  The reference for the words ``TruncatedFock``
+    rebuilds (``library.basis_words``)."""
     words = [FockWord(base_kind="q", base=b) for b in ts.edges_b]
     words.extend(FockWord(base_kind="p", base=alpha) for alpha in ts.edges_a)
     level = [FockWord(tiles=(t,), seps=()) for t in ts.tiles]
@@ -367,8 +378,9 @@ def eager_words(ts: TextileSystem, max_level: int) -> tuple[FockWord, ...]:
 
 
 def basis_vector(tf: TruncatedFock, word: FockWord):
+    """The unit vector of one word, found among all the words of ``tf``."""
     vec = [0] * tf.dim
-    vec[tf.index[word]] = 1
+    vec[basis_words(tf).index(word)] = 1
     return vec
 
 

@@ -12,14 +12,36 @@
   most |E_B|^h * |E_A|, whichever bound is smaller.
 * ``listing_order``: a plain row-major depth-first fill with no pruning,
   for the order of the listing.
+* ``glue``, the gluing rule the oracles read, and ``validate``, which
+  checks both gluing conditions across a patch.
 """
 
 from itertools import product
 
 from quadtex.errors import PatternSpaceTooLarge
-from quadtex.subshift import Rectangle, glue
+from quadtex.subshift import Rectangle
 
 ROW_CAP = 200_000
+
+
+def glue(direction, first, second):
+    """Can ``second`` sit to the right of (or below) ``first``?"""
+    if direction == "horizontal":
+        return first.right == second.left
+    if direction == "vertical":
+        return first.bottom == second.top
+    raise ValueError(f"direction must be 'horizontal' or 'vertical', got {direction!r}")
+
+
+def validate(patch):
+    """Raise ValueError unless every pair of neighbouring cells glues."""
+    cells = patch.cells
+    pairs = [("horizontal", a, b) for row in cells for a, b in zip(row, row[1:])]
+    for upper, lower in zip(cells, cells[1:]):
+        pairs += [("vertical", a, b) for a, b in zip(upper, lower)]
+    for direction, first, second in pairs:
+        if not glue(direction, first, second):
+            raise ValueError(f"{direction} gluing fails between {first!r} and {second!r}")
 
 
 def rows_of_width(ts, width):

@@ -16,6 +16,7 @@ from quadtex.ktheory import (
 )
 from quadtex.subshift import count_rectangles
 from conftest import FIB
+from library import basis_words
 from oracles import (
     brute_force_count,
     corner_pair_presentation,
@@ -217,9 +218,9 @@ def test_criterion_8_subshift_consistency(all_systems):
                     ok = False
                 if count != row_transfer_count(ts, height, width):
                     ok = False
-        tf = fock_basis(ts, 2)
-        eta_words = sum(1 for w in tf.words if w.level == 2 and w.seps[0] == "eta")
-        rho_words = sum(1 for w in tf.words if w.level == 2 and w.seps[0] == "rho")
+        words = basis_words(fock_basis(ts, 2))
+        eta_words = sum(1 for w in words if w.level == 2 and w.seps[0] == "eta")
+        rho_words = sum(1 for w in words if w.level == 2 and w.seps[0] == "rho")
         if count_rectangles(ts, 1, 2) != eta_words:
             ok = False
         if count_rectangles(ts, 2, 1) != rho_words:

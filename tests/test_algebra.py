@@ -9,14 +9,13 @@ from quadtex.algebra import (
     apply_edge,
     compress,
     embed,
-    layer_unit_vector,
     pullback_along_kappa,
-    range_embed,
     range_sum,
 )
 from quadtex.errors import LayerMismatch, UnknownEdge
 from quadtex.textile import Edge, is_essential
 from conftest import by_id
+from library import layer_unit_vector, range_embed
 
 
 def test_apply_edge_loop(exchange_pair):
@@ -82,6 +81,9 @@ def test_compress(exchange_pair):
 def test_compress_layer_mismatch(exchange_pair):
     with pytest.raises(LayerMismatch):
         compress(exchange_pair, by_id(exchange_pair, "B:1->1#1"), EdgeElem.unit(exchange_pair, "A"))
+    # reading the coefficient of the other layer's edge refuses the same way
+    with pytest.raises(LayerMismatch, match="^edge B:1->1#1 is in layer B, vector in A$"):
+        EdgeElem.unit(exchange_pair, "A").coeff(exchange_pair, by_id(exchange_pair, "B:1->1#1"))
 
 
 def test_pullback_exchange_is_identity(exchange_pair):
@@ -204,6 +206,9 @@ def test_edge_vectors_of_two_layers_do_not_add(exchange_pair):
 def test_edge_basis_rejects_a_foreign_edge(fibonacci):
     with pytest.raises(UnknownEdge, match="A:5->5#1 is not an edge of the system"):
         EdgeElem.basis(fibonacci, Edge("A", 5, 5, 1))
+    for edge in (Edge("A", 5, 5, 1), Edge("B", 5, 5, 1)):  # either layer, no coefficient
+        with pytest.raises(UnknownEdge, match=f"^{edge.id} is not an edge of the system$"):
+            EdgeElem.unit(fibonacci, "A").coeff(fibonacci, edge)
 
 
 @pytest.mark.parametrize(
@@ -232,6 +237,11 @@ def test_edge_values_need_one_per_edge(fibonacci):
 def test_arithmetic_keeps_the_class_fields_and_layer(fibonacci):
     y = DiagElem.from_values([1, Fraction(-1, 2)])
     w = EdgeElem.from_values(fibonacci, "B", [1, -2, 3])
+    # vertices are 1-based, and no other key reads a coefficient
+    assert (y[1], y[2]) == (1, Fraction(-1, 2))
+    for vertex in (0, -1, 3):
+        with pytest.raises(IndexError, match=f"^vertex {vertex} is not in 1..2$"):
+            y[vertex]
     for v in (y + y, y.scale(2)):
         assert type(v) is DiagElem and v == DiagElem.from_values([2, -1])
     for v in (w + w, w.scale(2)):

@@ -1,8 +1,10 @@
-"""The benchmark's imports from quadtex resolve.
+"""The benchmark's imports from quadtex resolve, and none reads the tests.
 
 ``perfbench`` imports public names of the package directly, so a change
 under ``src/`` that renames or moves one of them fails here, in tier-1,
-and not only in the benchmark's own smoke run.
+and not only in the benchmark's own smoke run.  The test oracles and the
+library calls no command runs live in ``tests/``; the benchmark times the
+package alone, so it imports no module defined there.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _quadtex_imports(path: Path) -> list[tuple[str, str]]:
@@ -31,6 +34,27 @@ def test_every_name_the_benchmark_imports_resolves(script):
     assert imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The top-level name of every module a file imports, at any depth."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_benchmark_imports_no_module_of_the_tests():
+    test_modules = {path.stem for path in TESTS.glob("*.py")}
+    assert {"conftest", "library", "oracles", "row_transfer", "creation_oracle"} <= test_modules
+    scripts = sorted(PERFBENCH.glob("*.py"))
+    assert scripts
+    for script in scripts:
+        assert not _imported_modules(script) & test_modules, script.name
 
 
 def test_ktheory_reads_the_corner_pair_matrices_from_textile():

@@ -596,7 +596,7 @@ def test_a_bare_import_loads_no_layer_and_resolves_every_name():
         "textile": [
             "IntMatrix", "Edge", "Kappa", "OmegaPair", "TextileSystem", "Tile", "build_kappa",
             "build_system", "check_commuting", "count_specifications", "edges_from_matrix",
-            "enumerate_kappas", "kappa_indicators", "sigma_blocks",
+            "enumerate_kappas", "sigma_blocks",
         ],
         "algebra": ["DiagElem", "EdgeElem", "QuadVector"],
         "fock": ["FockWord", "SparseOp", "TruncatedFock", "fock_basis"],

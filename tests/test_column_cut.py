@@ -23,6 +23,7 @@ from quadtex.errors import BasisTooLarge, TruncationTooShallow
 from quadtex.fock import ck_generators, fock_basis, verify_fock_identities, verify_level, verify_relations_hk
 
 from conftest import FIB
+from library import basis_words
 from oracles import full_block_report, random_commuting_pair
 
 LEVELS = range(2, 7)
@@ -383,7 +384,7 @@ def test_primitives_are_prefix_local_at_their_depth():
     level = 4
     for name, (ts, _) in SYSTEMS.items():
         tf = fock_basis(ts, level)
-        words = tf.words
+        words = basis_words(tf)
         for op in _primitives(fock._Bank(tf, level)):
             d, r, s = op.shape
             images = {}

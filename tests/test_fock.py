@@ -35,7 +35,18 @@ from quadtex.fock import (
 )
 from conftest import by_id
 import creation_oracle
-from oracles import apply, basis_vector, eager_words, entry, level_shift, random_commuting_pair, restrict, scale
+from library import basis_words
+from oracles import (
+    apply,
+    basis_vector,
+    eager_words,
+    entry,
+    kappa_indicators,
+    level_shift,
+    random_commuting_pair,
+    restrict,
+    scale,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +61,9 @@ def tf_fib(fibonacci):
 
 def word_inner(tf, left, right):
     out = [Fraction(0)] * tf.ts.n_vertices
-    for word, x, y in zip(tf.words, left, right):
-        out[word.vertex - 1] += x * y
+    for i, (x, y) in enumerate(zip(left, right)):
+        if x and y:
+            out[tf.word(i).vertex - 1] += x * y
     return tuple(out)
 
 
@@ -60,7 +72,7 @@ def test_basis_counts(tf_exchange, one_tile):
     assert tf_exchange.count_at(1) == 6
     assert tf_exchange.count_at(2) == 30
     eta_first = [
-        w for w in tf_exchange.words if w.level == 2 and w.seps[0] == "eta"
+        w for w in basis_words(tf_exchange) if w.level == 2 and w.seps[0] == "eta"
     ]
     assert len(eta_first) == 12
 
@@ -69,7 +81,7 @@ def test_basis_counts(tf_exchange, one_tile):
 
 
 def test_basis_gluing_invariant(tf_fib):
-    for word in tf_fib.words:
+    for word in basis_words(tf_fib):
         for prev, sep, nxt in zip(word.tiles, word.seps, word.tiles[1:]):
             if sep == "eta":
                 assert prev.right == nxt.left
@@ -162,22 +174,24 @@ def test_creation_on_base_words(tf_exchange, exchange_pair):
     alpha1 = by_id(exchange_pair, "A:1->1#1")
     b2 = by_id(exchange_pair, "B:1->1#2")
     s1 = creation(tf_exchange, "s", alpha1)
-    col = tf_exchange.index[FockWord(base_kind="q", base=b2)]
-    target = exchange_pair.tile_by_top_right[(alpha1, b2)]
-    assert s1.cols[col] == {tf_exchange.index[FockWord(tiles=(target,), seps=())]: 1}
+    index = {w: i for i, w in enumerate(basis_words(tf_exchange))}
+    col = index[FockWord(base_kind="q", base=b2)]
+    target = {(t.top, t.right): t for t in exchange_pair.tiles}[(alpha1, b2)]
+    assert s1.cols[col] == {index[FockWord(tiles=(target,), seps=())]: 1}
     # the A-edge summand is annihilated
     for alpha in exchange_pair.edges_a:
-        assert tf_exchange.index[FockWord(base_kind="p", base=alpha)] not in s1.cols
+        assert index[FockWord(base_kind="p", base=alpha)] not in s1.cols
 
 
 def test_creation_on_base_words_vertical(tf_fib, fibonacci):
     b1 = by_id(fibonacci, "B:1->1#1")
     a1 = by_id(fibonacci, "A:1->1#1")
     t1 = creation(tf_fib, "t", b1)
-    col = tf_fib.index[FockWord(base_kind="p", base=a1)]
-    tile = fibonacci.tile_by_top_right[(a1, b1)]
+    index = {w: i for i, w in enumerate(basis_words(tf_fib))}
+    col = index[FockWord(base_kind="p", base=a1)]
+    tile = {(t.top, t.right): t for t in fibonacci.tiles}[(a1, b1)]
     assert tile.left == b1 and tile.bottom == a1
-    assert t1.cols[col] == {tf_fib.index[FockWord(tiles=(tile,), seps=())]: 1}
+    assert t1.cols[col] == {index[FockWord(tiles=(tile,), seps=())]: 1}
 
 
 def test_creation_argument_checks(tf_exchange, exchange_pair):
@@ -218,10 +232,11 @@ def test_adjoint_involution_and_level_shifts(tf_exchange, exchange_pair):
 def test_adjoint_of_creation_sends_tiles_to_markers(tf_exchange, exchange_pair):
     alpha1 = by_id(exchange_pair, "A:1->1#1")
     star = adjoint(creation(tf_exchange, "s", alpha1))
+    index = {w: i for i, w in enumerate(basis_words(tf_exchange))}
     for tile in exchange_pair.tiles:
-        col = tf_exchange.index[FockWord(tiles=(tile,), seps=())]
+        col = index[FockWord(tiles=(tile,), seps=())]
         if tile.top == alpha1:
-            expected = tf_exchange.index[FockWord(base_kind="q", base=tile.right)]
+            expected = index[FockWord(base_kind="q", base=tile.right)]
             assert star.cols[col] == {expected: 1}
         else:
             assert col not in star.cols
@@ -232,8 +247,9 @@ def test_co_isometry_on_markers(tf_exchange, exchange_pair):
     s1 = creation(tf_exchange, "s", alpha1)
     block = restrict(tf_exchange, adjoint(s1) @ s1, 0, 0)
     expected = {}
+    index = {w: i for i, w in enumerate(basis_words(tf_exchange))}
     for b in exchange_pair.edges_b:
-        i = tf_exchange.index[FockWord(base_kind="q", base=b)]
+        i = index[FockWord(base_kind="q", base=b)]
         expected[i] = {i: 1}
     assert block == SparseOp(expected)
 
@@ -261,17 +277,18 @@ def test_adjoint_is_adjoint_for_word_pairing(tf_fib):
 
 def test_left_action_unit_and_support(tf_exchange, exchange_pair):
     unit_rho = left_action_op(tf_exchange, "rho", EdgeElem.unit(exchange_pair, "A"))
-    for i, word in enumerate(tf_exchange.words):
+    words = basis_words(tf_exchange)
+    for i, word in enumerate(words):
         expected = 1 if word.tiles or word.base_kind == "p" else 0
         assert entry(unit_rho, i, i) == expected
 
     p1 = left_action_op(
         tf_exchange, "rho", EdgeElem.basis(exchange_pair, by_id(exchange_pair, "A:1->1#1"))
     )
-    level1 = [i for i in range(tf_exchange.dim) if tf_exchange.words[i].level == 1]
+    level1 = [i for i in range(tf_exchange.dim) if words[i].level == 1]
     hits = [i for i in level1 if entry(p1, i, i) == 1]
     assert len(hits) == 3
-    assert all(tf_exchange.words[i].tiles[0].top.mult_index == 1 for i in hits)
+    assert all(words[i].tiles[0].top.mult_index == 1 for i in hits)
 
 
 def test_embeddings_agree_above_level_zero(tf_fib, fibonacci):
@@ -358,7 +375,7 @@ def test_rank_one_above_level_one_matches_the_vertex_pairing(tf_fib):
         for _ in range(3):
             gamma = [rng.choice(values + [0, 0]) for _ in range(tf.dim)]
             pairing = word_inner(tf, zeta, gamma)
-            expected = [x * pairing[w.vertex - 1] for x, w in zip(xi, tf.words)]
+            expected = [x * pairing[w.vertex - 1] for x, w in zip(xi, basis_words(tf))]
             assert apply(tf, op, gamma) == expected
     assert {tf.word(i).vertex for i in above} == {1, 2}
 
@@ -412,18 +429,20 @@ def test_word_basis_vertex_bookkeeping(fibonacci):
     # the pairing of two distinct basis words vanishes and a word pairs
     # with itself to its terminal vertex, exhaustively at shallow depth
     tf = fock_basis(fibonacci, 3)
-    for i, word in enumerate(tf.words):
+    words = basis_words(tf)
+    units = [basis_vector(tf, word) for word in words]
+    for i, word in enumerate(words):
         if word.tiles:
             assert word.vertex == word.tiles[-1].vertex
         else:
             assert word.vertex == word.base.target
-        e_i = basis_vector(tf, word)
+        e_i = units[i]
         self_pair = word_inner(tf, e_i, e_i)
         assert self_pair == tuple(
             1 if v == word.vertex else 0 for v in range(1, 3)
         )
         for j in range(i + 1, tf.dim):
-            assert word_inner(tf, e_i, basis_vector(tf, tf.words[j])) == (0, 0)
+            assert word_inner(tf, e_i, units[j]) == (0, 0)
 
 
 def test_random_commuting_systems_satisfy_relations():
@@ -537,7 +556,7 @@ def test_basis_cap_is_checked_before_any_word_is_built(exchange_pair, monkeypatc
     # the basis holds columns only; reading the words builds each one once
     tf = fock_basis(exchange_pair, 4)
     assert built == [] and tf.dim == 941
-    words = list(tf.words)
+    words = list(basis_words(tf))
     assert len(built) == tf.dim and words == built
     # the prediction stops at the first level over the cap
     with pytest.raises(BasisTooLarge, match="level 9 would hold 2343750 words"):
@@ -563,7 +582,7 @@ def test_words_are_rebuilt_equal_to_the_eager_reference(run_order_systems):
     for level, ts in itertools.product(range(1, 6), run_order_systems):
         tf = fock_basis(ts, level)
         eager = eager_words(ts, level)
-        words = tf.words
+        words = basis_words(tf)
         assert len(words) == tf.dim == len(eager)
         assert tuple(words) == eager
         for i in range(tf.dim):
@@ -579,7 +598,8 @@ def test_words_are_rebuilt_equal_to_the_eager_reference(run_order_systems):
                 words[bad]
         with pytest.raises(TypeError):
             words["0"]
-        assert all(tf.index[w] == i for i, w in enumerate(eager))
+        index = {w: i for i, w in enumerate(words)}
+        assert all(index[w] == i for i, w in enumerate(eager))
         # words are read-only, and so is the basis
         with pytest.raises(TypeError):
             words[0] = eager[0]
@@ -721,7 +741,7 @@ def test_a_broken_bank_operator_is_caught(exchange_pair, monkeypatch):
         assert Fraction(witness["lhs"]) != Fraction(witness["rhs"])
         low, high = check.levels_checked
         for end in ("row", "col"):
-            level = next(w.level for w in tf.words if w.label() == witness[end])
+            level = next(w.level for w in basis_words(tf) if w.label() == witness[end])
             assert low <= level <= high
 
 
@@ -769,14 +789,15 @@ def _seeded_specifications(count, seed, total_cap, per_system=3):
 
 def _assert_creation_matches_oracle(ts, level):
     tf = fock_basis(ts, level)
+    index = {w: i for i, w in enumerate(basis_words(tf))}
     for kind, edges, side in (("s", ts.edges_a, "top"), ("t", ts.edges_b, "left")):
         for edge in edges:
             xi = q.QuadVector(coeffs=tuple(int(getattr(t, side) == edge) for t in ts.tiles))
             op = creation(tf, kind, edge)
-            assert op == creation_oracle.creation_from_vector(tf, kind, xi), (kind, edge)
+            assert op == creation_oracle.creation_from_vector(tf, kind, xi, index), (kind, edge)
         for tag, xi in fock._seeded_tile_vectors(ts):
             op = creation_from_vector(tf, kind, xi)
-            assert op == creation_oracle.creation_from_vector(tf, kind, xi), (kind, tag)
+            assert op == creation_oracle.creation_from_vector(tf, kind, xi, index), (kind, tag)
 
 
 def test_creation_matches_the_rebuild_oracle(all_systems, fibonacci_alt):
@@ -791,7 +812,8 @@ def test_creation_matches_the_rebuild_oracle(all_systems, fibonacci_alt):
 def test_splits_decompose_every_word(all_systems, fibonacci_alt):
     for ts in all_systems + [fibonacci_alt]:
         tf = fock_basis(ts, 4)
-        for word, split in zip(tf.words, tf.splits):
+        words = basis_words(tf)
+        for word, split in zip(words, tf.splits):
             if word.level == 0:
                 assert split is None
                 continue
@@ -801,7 +823,7 @@ def test_splits_decompose_every_word(all_systems, fibonacci_alt):
                 assert first_sep is None and tail is None
             else:
                 assert first_sep == word.seps[0]
-                assert tf.words[tail] == FockWord(tiles=word.tiles[1:], seps=word.seps[1:])
+                assert words[tail] == FockWord(tiles=word.tiles[1:], seps=word.seps[1:])
 
 
 def test_cancelling_sums_and_products_store_no_zero(tf_exchange, exchange_pair):
@@ -831,7 +853,7 @@ def test_corner_selection_tables_equal_the_pullback(all_systems, fibonacci_alt):
     # tables, against the pullback along kappa its twin builds from
     seeded = [ts for specs in _seeded_specifications(25, seed=2024, total_cap=24) for ts in specs]
     for ts in all_systems + [fibonacci_alt] + seeded:
-        left_table, bottom_table = q.kappa_indicators(ts)
+        left_table, bottom_table = kappa_indicators(ts)
         for alpha in ts.edges_a:
             for a in ts.edges_b:
                 through_s = pullback_along_kappa(ts, alpha, EdgeElem.basis(ts, a))
@@ -884,9 +906,13 @@ def test_verify_builds_no_word_index(exchange_pair):
     assert verify_fock_identities(tf, headroom=2).passed
     assert verify_relations_hk(tf).passed
     assert ck_generators(tf)[2].passed
-    assert "index" not in vars(tf) and "words" not in vars(tf)
-    for i, word in enumerate(tf.words):
-        vec = basis_vector(tf, word)
+    assert not hasattr(tf, "index") and not hasattr(tf, "words")
+    assert set(vars(tf)) <= {"ts", "max_level", "starts", "splits", "markers"}
+    words = basis_words(tf)
+    index = {w: i for i, w in enumerate(words)}
+    assert [index[word] for word in words] == list(range(tf.dim))
+    for i in (0, tf.dim // 2, tf.dim - 1):
+        vec = basis_vector(tf, words[i])
         assert vec[i] == 1 and sum(vec) == 1
 
 
@@ -1045,10 +1071,10 @@ def _plain(op):
     return {c: dict(col) for c, col in op.cols.items()}
 
 
-def _old_diagonal(tf, value, n=None):
+def _old_diagonal(words, value, n=None):
     """{i: {i: v}} for the nonzero value(word) of the first n words: a diagonal
     as every diagonal used to be stored."""
-    return {i: {i: v} for i, w in enumerate(tf.words[:n]) if (v := value(w))}
+    return {i: {i: v} for i, w in enumerate(words[:n]) if (v := value(w))}
 
 
 def _near_misses(tf, op):
@@ -1096,29 +1122,29 @@ def test_the_banks_diagonals_stay_diagonal(all_systems, fibonacci_alt):
     for tf in _block_bases(all_systems, fibonacci_alt):
         reports = (verify_fock_identities(tf, headroom=2), verify_relations_hk(tf), ck_generators(tf)[2])
         assert all(r.passed for r in reports)
-        bank, ts = _full_bank(tf), tf.ts
+        bank, ts, words = _full_bank(tf), tf.ts, basis_words(tf)
         for lay, (layer, side, sep) in zip(bank.layers, _LAYER_READS):
             for x, op in lay.diag.items():
-                _assert_diagonal(tf, op, _old_diagonal(tf, lambda w: int(_reads(w, side) == x)))
+                _assert_diagonal(tf, op, _old_diagonal(words, lambda w: int(_reads(w, side) == x)))
             for v, op in lay.vertex.items():
-                old = _old_diagonal(tf, lambda w: int(_reads(w, side).layer == layer and _reads(w, side).source == v))
+                old = _old_diagonal(words, lambda w: int(_reads(w, side).layer == layer and _reads(w, side).source == v))
                 _assert_diagonal(tf, op, old)
-            _assert_diagonal(tf, lay.range_proj, _old_diagonal(tf, lambda w: int(w.level >= 2 and w.seps[0] == sep)))
+            _assert_diagonal(tf, lay.range_proj, _old_diagonal(words, lambda w: int(w.level >= 2 and w.seps[0] == sep)))
             # an edge vector with negative and fractional coefficients, on a block
             values = [rng.choice([-3, -1, 0, 2, Fraction(1, 2), Fraction(-4, 3)]) for _ in ts.edges(layer)]
             elem = EdgeElem.from_values(ts, layer, values)
             coeff = dict(zip(ts.edges(layer), elem.coeffs))
             for n in (tf.prefix(tf.max_level - 2), tf.dim):
                 op = left_action_op(tf, lay.act, elem, n)
-                _assert_diagonal(tf, op, _old_diagonal(tf, lambda w: coeff.get(_reads(w, side), 0), n))
+                _assert_diagonal(tf, op, _old_diagonal(words, lambda w: coeff.get(_reads(w, side), 0), n))
         assert bank.vertex is bank.layers[0].vertex
-        _assert_diagonal(tf, bank.identity, _old_diagonal(tf, lambda w: 1))
-        _assert_diagonal(tf, bank.p0, _old_diagonal(tf, lambda w: int(w.level == 0)))
-        _assert_diagonal(tf, bank.p1, _old_diagonal(tf, lambda w: int(w.level == 1)))
+        _assert_diagonal(tf, bank.identity, _old_diagonal(words, lambda w: 1))
+        _assert_diagonal(tf, bank.p0, _old_diagonal(words, lambda w: int(w.level == 0)))
+        _assert_diagonal(tf, bank.p1, _old_diagonal(words, lambda w: int(w.level == 1)))
         assert list(bank.e) == list(ts.omega)
         for pair, op in bank.e.items():
             corner = (pair.alpha, pair.a)
-            _assert_diagonal(tf, op, _old_diagonal(tf, lambda w: int(bool(w.tiles) and (w.tiles[0].top, w.tiles[0].left) == corner)))
+            _assert_diagonal(tf, op, _old_diagonal(words, lambda w: int(bool(w.tiles) and (w.tiles[0].top, w.tiles[0].left) == corner)))
 
 
 # the builders whose products read the bank's vertex actions phi(y)

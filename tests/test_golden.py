@@ -10,7 +10,9 @@ inputs; and ``subshift`` counts at larger sizes: exchange [[3]] x [[4]] at
 6x6 and 3x7, fibonacci at 10x6 and exchange-2x3 at 8x8.  The ``verify``
 files of exchange-2x3 at levels 7 and 8 were written when ``verify``
 built every level of its basis (seconds and about 1 GB at level 8); it
-now builds only the levels its compared columns reach.
+now builds only the levels its compared columns reach.  A passing
+``verify`` report prints no system data, so one file pins a failing
+report: exchange-2x3 at level 5 on a bank whose s for A:1->1#1 is doubled.
 """
 
 import json
@@ -19,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from quadtex.cli import main
+from quadtex.textile import build_system
+from test_fock import _double_s
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -104,3 +108,12 @@ def test_generated_subcommands_match_golden(stem, name, args, tmp_path, capsys):
     command, *options = args
     out = _json_out([command, str(path), *options], capsys)
     assert out == _golden(stem)
+
+
+def test_a_failing_verify_report_matches_golden(monkeypatch, capsys):
+    # about 0.03 s.  The doubled s of test_fock's broken banks fails 23 of
+    # the 36 rows; the file pins each witness's case, row, column and entries
+    _double_s(monkeypatch, build_system([[2]], [[3]], "exchange"))
+    path = ROOT / "inputs" / "exchange-2x3.json"
+    assert main(["verify", str(path), "--level", "5", "--format", "json"]) == 1
+    assert capsys.readouterr().out == _golden("verify-exchange-2x3-l5-doubled-s")

@@ -20,11 +20,13 @@ from quadtex.ktheory import (
     structure_checks,
 )
 from conftest import FIB
+from library import layer_unit_vector
 from oracles import (
     corner_pair_presentation,
     dense_bareiss,
     dense_diagonalize_mod,
     int_det,
+    kappa_indicators,
     mat_add,
     mat_mul,
     minor_gcd,
@@ -425,7 +427,7 @@ def test_edge_matrix_counts_tiles_by_edges(exchange_pair):
 
 
 def test_analyze_warnings_agree_with_the_library_checks(all_systems, fibonacci_alt):
-    from quadtex.algebra import layer_unit_vector, left_basis_vector, top_basis_vector
+    from quadtex.algebra import left_basis_vector, top_basis_vector
     from quadtex.ktheory import analyze_system
     from quadtex.textile import empty_basis_edges, is_essential
 
@@ -553,7 +555,7 @@ def test_structure_checks_match_brute_force():
 
 def test_row_sum_consistency(all_systems):
     for ts in all_systems:
-        left_table, _ = q.kappa_indicators(ts)
+        left_table, _ = kappa_indicators(ts)
         a_kappa, _, _ = build_quad_matrices(ts)
         omega = ts.omega
         count_by_b = {}

@@ -7,24 +7,18 @@ from quadtex.algebra import (
     DiagElem,
     EdgeElem,
     QuadVector,
-    act_left_eta,
-    act_left_rho,
-    act_right_eta,
-    act_right_rho,
-    act_right_vertex,
     apply_edge,
     embed,
     inner_eta,
     inner_rho,
-    inner_vertex,
     left_basis_vector,
     range_sum,
-    sup_norm,
     top_basis_vector,
 )
 from quadtex.errors import LayerMismatch, UnknownEdge
 from quadtex.textile import Edge
 from conftest import by_id
+from library import act_left_eta, act_left_rho, act_right_eta, act_right_rho, act_right_vertex, inner_vertex, sup_norm
 from oracles import reconstruct_from_left_basis, reconstruct_from_top_basis, squared_norms
 
 

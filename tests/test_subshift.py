@@ -13,13 +13,13 @@ from quadtex.subshift import (
     Rectangle,
     count_rectangles,
     enumerate_rectangles,
-    glue,
     wang_tile_list,
 )
 from conftest import by_id
+from library import basis_words
 from oracles import brute_force_count, random_commuting_pair
 import row_transfer
-from row_transfer import cell_transfer_count, listing_order, row_transfer_count
+from row_transfer import cell_transfer_count, glue, listing_order, row_transfer_count, validate
 
 # h < w, h = w and h > w, with and without the brute-force oracle
 ORACLE_SHAPES = [
@@ -54,7 +54,7 @@ def test_glue_exchange_tiles(exchange_pair):
 def test_glue_fibonacci_vertical(fibonacci):
     a2 = by_id(fibonacci, "A:1->2#1")
     b3 = by_id(fibonacci, "B:2->1#1")
-    upper = fibonacci.tile_by_top_right[(a2, b3)]
+    upper = {(t.top, t.right): t for t in fibonacci.tiles}[(a2, b3)]
     assert upper.bottom.id == "A:2->1#1"
     for lower in fibonacci.tiles:
         assert glue("vertical", upper, lower) == (lower.top.id == "A:2->1#1")
@@ -71,12 +71,12 @@ def test_count_strips_match_level_two_summands(exchange_pair, all_systems):
     assert count_rectangles(exchange_pair, 1, 2) == 12
     assert count_rectangles(exchange_pair, 2, 1) == 18
     for ts in all_systems:
-        tf = fock_basis(ts, 2)
+        words = basis_words(fock_basis(ts, 2))
         eta_words = sum(
-            1 for w in tf.words if w.level == 2 and w.seps[0] == "eta"
+            1 for w in words if w.level == 2 and w.seps[0] == "eta"
         )
         rho_words = sum(
-            1 for w in tf.words if w.level == 2 and w.seps[0] == "rho"
+            1 for w in words if w.level == 2 and w.seps[0] == "rho"
         )
         assert count_rectangles(ts, 1, 2) == eta_words
         assert count_rectangles(ts, 2, 1) == rho_words
@@ -106,22 +106,24 @@ def test_enumerate_rectangles(one_tile, exchange_pair, fibonacci):
     for height, width in ((1, 1), (2, 2), (3, 2)):
         patches = list(enumerate_rectangles(one_tile, height, width))
         assert len(patches) == 1
-        patches[0].validate()
+        validate(patches[0])
 
     patches = list(enumerate_rectangles(exchange_pair, 1, 2, limit=100))
     assert len(patches) == 12
     for patch in patches:
-        patch.validate()
+        validate(patch)
 
     expected = count_rectangles(fibonacci, 2, 2)
     patches = list(enumerate_rectangles(fibonacci, 2, 2))
     assert len(patches) == expected
     assert len(set(patches)) == expected
     for patch in patches:
-        patch.validate()
+        validate(patch)
 
     limited = list(enumerate_rectangles(exchange_pair, 1, 2, limit=5))
     assert limited == patches_prefix(exchange_pair, 5)
+    # a negative limit lists nothing, as it does for block_kappas
+    assert list(enumerate_rectangles(exchange_pair, 1, 2, limit=-1)) == []
 
 
 def patches_prefix(ts, k):
@@ -131,10 +133,10 @@ def patches_prefix(ts, k):
 def test_rectangle_validation_rejects_bad_gluing(fibonacci):
     a2 = by_id(fibonacci, "A:1->2#1")
     b3 = by_id(fibonacci, "B:2->1#1")
-    upper = fibonacci.tile_by_top_right[(a2, b3)]
+    upper = {(t.top, t.right): t for t in fibonacci.tiles}[(a2, b3)]
     bad = Rectangle(cells=((upper, upper),))
     with pytest.raises(ValueError):
-        bad.validate()
+        validate(bad)
 
 
 def _ten():
@@ -350,7 +352,7 @@ def test_long_strips_count_and_list_at_once(one_tile):
     ex34 = q.build_system([[3]], [[4]], "exchange")
     patches = list(enumerate_rectangles(ex34, 2, 9, limit=1))
     assert len(patches) == 1
-    patches[0].validate()
+    validate(patches[0])
     assert patches[0] == next(listing_order(ex34, 2, 9))
 
 

@@ -14,6 +14,7 @@ from quadtex.errors import (
 )
 from quadtex.textile import block_kappas
 from conftest import FIB, by_id
+from oracles import kappa_indicators
 
 
 def test_edges_from_two_loops():
@@ -296,6 +297,8 @@ def test_block_kappas_list_the_systems_own_edges(fibonacci):
     own = {id(e) for e in fibonacci.edges_a + fibonacci.edges_b}
     listed = list(block_kappas(fibonacci.blocks, limit=5))
     assert listed == list(q.enumerate_kappas(fib, fib, limit=5))
+    # a negative limit lists nothing, as it does for enumerate_rectangles
+    assert list(block_kappas(fibonacci.blocks, limit=-1)) == []
     assert listed[0] == fibonacci.kappa
     for spec in listed:
         assert all(id(e) in own for pair in spec.pairs for half in pair for e in half)
@@ -377,7 +380,7 @@ def test_omega_orderings(exchange_pair, one_tile, fibonacci):
 
 
 def test_kappa_indicators_exchange(exchange_pair):
-    left_table, _ = q.kappa_indicators(exchange_pair)
+    left_table, _ = kappa_indicators(exchange_pair)
     for a in exchange_pair.edges_b:
         for alpha in exchange_pair.edges_a:
             for b in exchange_pair.edges_b:
@@ -385,7 +388,7 @@ def test_kappa_indicators_exchange(exchange_pair):
 
 
 def test_kappa_indicator_fibonacci(fibonacci):
-    _, bottom_table = q.kappa_indicators(fibonacci)
+    _, bottom_table = kappa_indicators(fibonacci)
     alpha = by_id(fibonacci, "A:1->1#1")
     a = by_id(fibonacci, "B:1->1#1")
     beta = by_id(fibonacci, "A:1->2#1")
@@ -394,7 +397,7 @@ def test_kappa_indicator_fibonacci(fibonacci):
 
 def test_indicators_agree_with_tiles(all_systems):
     for ts in all_systems:
-        left_table, bottom_table = q.kappa_indicators(ts)
+        left_table, bottom_table = kappa_indicators(ts)
         tile_set = {(t.left, t.top, t.right) for t in ts.tiles}
         for a in ts.edges_b:
             for alpha in ts.edges_a:
@@ -413,7 +416,7 @@ def test_indicator_row_sums(all_systems):
     # summing the left table over its first slot detects exactly the
     # composable (top, right) pairs
     for ts in all_systems:
-        left_table, _ = q.kappa_indicators(ts)
+        left_table, _ = kappa_indicators(ts)
         for alpha in ts.edges_a:
             for b in ts.edges_b:
                 total = sum(left_table.get((a, alpha, b), 0) for a in ts.edges_b)

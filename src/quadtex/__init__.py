@@ -35,7 +35,6 @@ _LAYER = {
     "TruncatedFock": "fock",
     "KGroups": "ktheory",
     "SNFResult": "ktheory",
-    "build_kappa": "textile",
     "build_system": "textile",
     "check_commuting": "textile",
     "count_specifications": "textile",

@@ -19,10 +19,6 @@ from .errors import LayerMismatch, UnknownEdge
 from .textile import LAYER_A, LAYER_B, Edge, TextileSystem
 
 
-def _as_fractions(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
 def _indicator(keys, hit) -> tuple[Fraction, ...]:
     """The 0/1 coefficients that are 1 exactly at the keys equal to ``hit``."""
     return tuple(Fraction(1 if key == hit else 0) for key in keys)
@@ -51,21 +47,9 @@ class DiagElem(NamedTuple):
     __add__, scale, is_zero = _add, _scale, _is_zero
 
     @staticmethod
-    def zeros(n: int) -> "DiagElem":
-        return DiagElem(coeffs=(Fraction(0),) * n)
-
-    @staticmethod
-    def unit(n: int) -> "DiagElem":
-        return DiagElem(coeffs=(Fraction(1),) * n)
-
-    @staticmethod
     def basis(n: int, vertex: int) -> "DiagElem":
         """The projection onto one vertex (1-based)."""
         return DiagElem(coeffs=_indicator(range(1, n + 1), vertex))
-
-    @staticmethod
-    def from_values(values) -> "DiagElem":
-        return DiagElem(coeffs=_as_fractions(values))
 
     def __getitem__(self, vertex: int) -> Fraction:
         if not 1 <= vertex <= len(self.coeffs):
@@ -82,25 +66,10 @@ class EdgeElem(NamedTuple):
     scale, is_zero = _scale, _is_zero
 
     @staticmethod
-    def zeros(ts: TextileSystem, layer: str) -> "EdgeElem":
-        return EdgeElem(layer=layer, coeffs=(Fraction(0),) * len(ts.edges(layer)))
-
-    @staticmethod
-    def unit(ts: TextileSystem, layer: str) -> "EdgeElem":
-        return EdgeElem(layer=layer, coeffs=(Fraction(1),) * len(ts.edges(layer)))
-
-    @staticmethod
     def basis(ts: TextileSystem, edge: Edge) -> "EdgeElem":
         """The projection p_alpha / q_a onto one edge."""
         _check_edge(ts, edge)
         return EdgeElem(layer=edge.layer, coeffs=_indicator(ts.edges(edge.layer), edge))
-
-    @staticmethod
-    def from_values(ts: TextileSystem, layer: str, values) -> "EdgeElem":
-        coeffs = _as_fractions(values)
-        if len(coeffs) != len(ts.edges(layer)):
-            raise LayerMismatch(f"expected {len(ts.edges(layer))} coefficients for layer {layer}")
-        return EdgeElem(layer=layer, coeffs=coeffs)
 
     def coeff(self, ts: TextileSystem, edge: Edge) -> Fraction:
         """The coefficient at one edge of this vector's layer."""
@@ -120,33 +89,9 @@ def _check_edge(ts: TextileSystem, edge: Edge) -> None:
         raise UnknownEdge(f"{edge.id} is not an edge of the system")
 
 
-def _at_ranges(ts: TextileSystem, edges, values) -> DiagElem:
-    """Sum each edge's value into its range vertex."""
-    out = [Fraction(0)] * ts.n_vertices
-    for e, c in zip(edges, values):
-        out[e.target - 1] += c
-    return DiagElem(coeffs=tuple(out))
-
-
-def apply_edge(ts: TextileSystem, edge: Edge, x: DiagElem) -> DiagElem:
-    """One edge's endomorphism: moves the coefficient at s(e) to r(e)."""
-    _check_edge(ts, edge)
-    return _at_ranges(ts, [edge], [x[edge.source]])
-
-
 def embed(ts: TextileSystem, layer: str, y: DiagElem) -> EdgeElem:
     """Source-wise embedding of a vertex vector into a layer's edge algebra."""
     return EdgeElem(layer=layer, coeffs=tuple(y[e.source] for e in ts.edges(layer)))
-
-
-def range_sum(ts: TextileSystem, w: EdgeElem) -> DiagElem:
-    """Collapse an edge vector to vertices: sum the coefficients at each range."""
-    return _at_ranges(ts, ts.edges(w.layer), w.coeffs)
-
-
-def compress(ts: TextileSystem, edge: Edge, w: EdgeElem) -> DiagElem:
-    """Extract one edge's coefficient onto its range vertex (w(e) * E_{r(e)})."""
-    return _at_ranges(ts, [edge], [w.coeff(ts, edge)])
 
 
 def pullback_along_kappa(ts: TextileSystem, edge: Edge, w: EdgeElem) -> EdgeElem:
@@ -177,16 +122,8 @@ class QuadVector(NamedTuple):
     __add__, scale, is_zero = _add, _scale, _is_zero
 
     @staticmethod
-    def zeros(ts: TextileSystem) -> "QuadVector":
-        return QuadVector(coeffs=(Fraction(0),) * len(ts.tiles))
-
-    @staticmethod
-    def basis(ts: TextileSystem, tile) -> "QuadVector":
-        return QuadVector(coeffs=_indicator(range(len(ts.tiles)), ts.tile_index[tile]))
-
-    @staticmethod
     def from_values(ts: TextileSystem, values) -> "QuadVector":
-        coeffs = _as_fractions(values)
+        coeffs = tuple(map(Fraction, values))
         if len(coeffs) != len(ts.tiles):
             raise ValueError(f"expected {len(ts.tiles)} coefficients")
         return QuadVector(coeffs=coeffs)

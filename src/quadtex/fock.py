@@ -120,7 +120,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from operator import itemgetter
@@ -220,10 +219,6 @@ class TruncatedFock:
         """Number of words of level <= ``level``: the first ones."""
         return self.starts[min(max(level + 1, 0), len(self.starts) - 1)]
 
-    def level(self, i: int) -> int:
-        """The level of word i (0 <= i < dim)."""
-        return bisect_right(self.starts, i) - 1
-
     @cached_property
     def markers(self) -> tuple[Edge, ...]:
         """The edge of each level-0 word: the B-edges (q markers), then the A-edges (p markers)."""
@@ -251,11 +246,6 @@ class TruncatedFock:
                 return FockWord(tiles=tuple(tiles), seps=tuple(seps))
             seps.append(sep)
             split = splits[tail]
-
-
-def level_sizes(ts: TextileSystem, max_level: int) -> Iterator[int]:
-    """Yield the number of words at each level 0..max_level (``_levels``)."""
-    return (size for _, (size, _held) in zip(range(max_level + 1), _levels(ts)))
 
 
 def _levels(ts: TextileSystem) -> Iterator[tuple[int, bool]]:
@@ -361,15 +351,6 @@ class SparseOp:
     def diagonal(values) -> "_DiagonalOp":
         """Diagonal operator from one value per basis word."""
         return _DiagonalOp(dict(itertools.compress(enumerate(values), values)))
-
-    def column(self, c: int) -> dict[int, object]:
-        """Column c, ``{}`` where it has no entry."""
-        return self.cols.get(c, {})
-
-    def entries(self):
-        for c, col in self.cols.items():
-            for r, v in col.items():
-                yield r, c, v
 
     @staticmethod
     def sum(ops) -> "SparseOp":
@@ -478,9 +459,6 @@ class SparseOp:
                 cols.setdefault(r, {})[c] = v
         return SparseOp(cols)
 
-    def is_zero(self) -> bool:
-        return not self.nnz()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOp):
             return NotImplemented
@@ -503,13 +481,6 @@ class _DiagonalOp(SparseOp):
     @property
     def cols(self) -> dict[int, dict[int, object]]:
         return {c: {c: v} for c, v in self.values.items()}
-
-    def column(self, c: int) -> dict[int, object]:
-        v = self.values.get(c)
-        return {} if v is None else {c: v}
-
-    def entries(self):
-        return ((c, c, v) for c, v in self.values.items())
 
     def transpose(self) -> "_DiagonalOp":
         return self
@@ -637,7 +608,7 @@ def graded_projection(tf: TruncatedFock, which, n: int | None = None) -> SparseO
 def rank_one(tf: TruncatedFock, xi, zeta) -> SparseOp:
     """theta_{xi,zeta}: gamma -> xi scaled by the vertex pairing <zeta|gamma>.
 
-    ``xi`` and ``zeta`` are vectors over the truncated basis (any indexable).
+    ``xi`` and ``zeta`` are vectors over a prefix of the basis (any indexable).
     Sends basis word W to sum_W' xi(W') zeta(W) [vertex(W') == vertex(W)] W'.
     Each support word is rebuilt to read its vertex, cheap on the levels 0
     and 1 ``verify`` uses.
@@ -689,10 +660,6 @@ class Report(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
-
-    @property
-    def skipped(self) -> list[str]:
-        return [c.identity_id for c in self.checks if c.status == "skipped"]
 
     def to_jsonable(self) -> dict:
         return {
@@ -976,7 +943,7 @@ def _diagonal_reconstruction(bank, n):
 def _rank_one_partition(bank, n, level: int):
     tf = bank.tf
     positions = range(tf.prefix(level - 1), tf.prefix(level))
-    units = ([0] * i + [1] + [0] * (tf.dim - i - 1) for i in positions)
+    units = ([0] * i + [1] + [0] * (positions.stop - i - 1) for i in positions)
     total = SparseOp.sum(rank_one(tf, vec, vec) for vec in units)
     yield "", bank.product(n, total), bank.product(n, (bank.p0, bank.p1)[level])
 

@@ -85,8 +85,16 @@ class IntMatrix(NamedTuple):
         return self.rows[i][j]
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        cols = tuple(zip(*other.rows))
-        return IntMatrix(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.rows))
+        """The product: each row sums ``other``'s rows at its nonzero entries."""
+        rows = []
+        for row in self.rows:
+            total = (0,) * other.n
+            for a, line in zip(row, other.rows):
+                if a:
+                    term = line if a == 1 else map(operator.mul, line, itertools.repeat(a))
+                    total = tuple(map(operator.add, total, term))
+            rows.append(total)
+        return IntMatrix(tuple(rows))
 
     def times(self, vector) -> list[int]:
         """The product M v of this matrix with a column vector."""
@@ -344,7 +352,14 @@ def _validate_kappa(blocks: dict, pairs: list) -> Kappa:
 
 def _specify(edges: tuple[Edge, ...], blocks: dict, strategy) -> Kappa:
     """The validated specification of ``strategy`` over one system's edges
-    and sigma-block table (see ``build_kappa``)."""
+    and sigma-block table.
+
+    ``lex`` pairs the k-th AB pair with the k-th BA pair inside each block.
+    ``exchange`` maps (alpha, b) to (b, alpha); it needs a single vertex,
+    where every edge pair is composable both ways.  An explicit list of
+    ((alpha_id, b_id), (a_id, beta_id)) entries is accepted as-is and fully
+    validated.
+    """
     if strategy == "lex":
         pairs = [pair for key in sorted(blocks) for pair in zip(*blocks[key])]
     elif strategy == "exchange":
@@ -369,19 +384,6 @@ def _specify(edges: tuple[Edge, ...], blocks: dict, strategy) -> Kappa:
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return _validate_kappa(blocks, pairs)
-
-
-def build_kappa(matrix_a: IntMatrix, matrix_b: IntMatrix, strategy="lex") -> Kappa:
-    """Build a specification.
-
-    ``lex`` pairs the k-th AB pair with the k-th BA pair inside each block.
-    ``exchange`` maps (alpha, b) to (b, alpha); it needs a single vertex,
-    where every edge pair is composable both ways.  An explicit list of
-    ((alpha_id, b_id), (a_id, beta_id)) entries is accepted as-is and fully
-    validated.
-    """
-    edges_a, edges_b, blocks = _layers(matrix_a, matrix_b)
-    return _specify(edges_a + edges_b, blocks, strategy)
 
 
 def digit_ceiling() -> int:
@@ -462,7 +464,7 @@ def build_system(a_rows, b_rows, kappa="lex") -> TextileSystem:
     """Validate the matrices and return the system with its specification.
 
     Commutation is checked once and each layer's edges and the sigma-block
-    table are built once; every strategy (see ``build_kappa``) reads that
+    table are built once; every strategy (see ``_specify``) reads that
     table and is validated, so the tiles hold the very edges of
     ``edges_a`` and ``edges_b``.  A given ``Kappa`` is read by its edge ids
     like an explicit pairing: validated against the table and mapped onto

@@ -45,7 +45,7 @@ from quadtex.fock import SEP_ETA, SEP_RHO, FockWord, IdentityCheck, Report, Spar
 from quadtex.ktheory import Matrix, Rows, _xgcd, identity_matrix
 from quadtex.textile import Edge, IntMatrix, TextileSystem, build_system, check_commuting
 
-from library import act_right_eta, act_right_rho, basis_words, inner_vertex
+from library import act_right_eta, act_right_rho, basis_words, inner_vertex, word_level
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def reconstruct_from_top_basis(ts: TextileSystem, xi: QuadVector) -> QuadVector:
     Must reproduce xi exactly: the top-edge vectors form an orthogonal basis
     for the right B-layer module structure.
     """
-    total = QuadVector.zeros(ts)
+    total = QuadVector(coeffs=(Fraction(0),) * len(ts.tiles))
     for alpha in ts.edges_a:
         u = top_basis_vector(ts, alpha)
         total = total + act_right_eta(ts, u, inner_eta(ts, u, xi))
@@ -333,7 +333,7 @@ def reconstruct_from_top_basis(ts: TextileSystem, xi: QuadVector) -> QuadVector:
 
 def reconstruct_from_left_basis(ts: TextileSystem, xi: QuadVector) -> QuadVector:
     """Symmetric reconstruction through the left-edge vectors and the rho pairing."""
-    total = QuadVector.zeros(ts)
+    total = QuadVector(coeffs=(Fraction(0),) * len(ts.tiles))
     for a in ts.edges_b:
         v = left_basis_vector(ts, a)
         total = total + act_right_rho(ts, v, inner_rho(ts, v, xi))
@@ -410,9 +410,9 @@ def restrict(tf: TruncatedFock, op: SparseOp, low_level: int, high_level: int) -
     """Cut rows and columns to words with level in [low_level, high_level]."""
     cols = {}
     for c, col in op.cols.items():
-        if not low_level <= tf.level(c) <= high_level:
+        if not low_level <= word_level(tf, c) <= high_level:
             continue
-        kept = {r: v for r, v in col.items() if low_level <= tf.level(r) <= high_level}
+        kept = {r: v for r, v in col.items() if low_level <= word_level(tf, r) <= high_level}
         if kept:
             cols[c] = kept
     return SparseOp(cols)
@@ -420,7 +420,7 @@ def restrict(tf: TruncatedFock, op: SparseOp, low_level: int, high_level: int) -
 
 def level_shift(tf: TruncatedFock, op: SparseOp) -> int | None:
     """The uniform level shift of all entries, or None if mixed/empty."""
-    shifts = {tf.level(r) - tf.level(c) for r, c, _ in op.entries()}
+    shifts = {word_level(tf, r) - word_level(tf, c) for c, col in op.cols.items() for r in col}
     if len(shifts) == 1:
         return shifts.pop()
     return None

@@ -594,9 +594,9 @@ def test_each_subcommand_loads_only_its_layers(exchange_input, argv, extra):
 def test_a_bare_import_loads_no_layer_and_resolves_every_name():
     exported = {
         "textile": [
-            "IntMatrix", "Edge", "Kappa", "OmegaPair", "TextileSystem", "Tile", "build_kappa",
-            "build_system", "check_commuting", "count_specifications", "edges_from_matrix",
-            "enumerate_kappas", "sigma_blocks",
+            "IntMatrix", "Edge", "Kappa", "OmegaPair", "TextileSystem", "Tile", "build_system",
+            "check_commuting", "count_specifications", "edges_from_matrix", "enumerate_kappas",
+            "sigma_blocks",
         ],
         "algebra": ["DiagElem", "EdgeElem", "QuadVector"],
         "fock": ["FockWord", "SparseOp", "TruncatedFock", "fock_basis"],

@@ -23,7 +23,7 @@ from quadtex.errors import BasisTooLarge, TruncationTooShallow
 from quadtex.fock import ck_generators, fock_basis, verify_fock_identities, verify_level, verify_relations_hk
 
 from conftest import FIB
-from library import basis_words
+from library import basis_words, word_level
 from oracles import full_block_report, random_commuting_pair
 
 LEVELS = range(2, 7)
@@ -245,7 +245,7 @@ def test_the_generators_returned_live_on_the_deciding_prefix(exchange_pair, monk
         s_ops, t_ops, report = ck_generators(tf)
         assert report.passed
         n = tf.prefix(depths[-1])
-        entries = [(r, c) for op in (*s_ops.values(), *t_ops.values()) for r, c, _ in op.entries()]
+        entries = [(r, c) for op in (*s_ops.values(), *t_ops.values()) for c, col in op.cols.items() for r in col]
         assert entries and all(r < n and c < n for r, c in entries)
         # whole on that prefix: the top level of it holds images
         assert max(r for r, _ in entries) >= tf.prefix(depths[-1] - 1)
@@ -263,7 +263,8 @@ def test_verify_level_reports_what_the_library_reports_at_every_headroom(exchang
     words, relations, generators = verify_level(exchange_pair, 4, headroom=3)
     # the word-space rows of margin >= 2 are skipped; the 5 relation and 4
     # generator rows of margin 2 still run
-    assert len(words.skipped) == 5 and not relations.skipped and not generators.skipped
+    statuses = [[c.status for c in report.checks] for report in (words, relations, generators)]
+    assert [s.count("skipped") for s in statuses] == [5, 0, 0]
 
 
 def test_the_cap_and_the_depth_errors_are_decided_at_the_level_asked_for(exchange_pair):
@@ -387,11 +388,12 @@ def test_primitives_are_prefix_local_at_their_depth():
         words = basis_words(tf)
         for op in _primitives(fock._Bank(tf, level)):
             d, r, s = op.shape
+            cols = op.cols  # a diagonal builds its columns on each read
             images = {}
             for i in range(tf.prefix(d), tf.prefix(level - r)):
                 w = words[i]
                 image = {}
-                for j, value in op.column(i).items():
+                for j, value in cols.get(i, {}).items():
                     out = words[j]
                     assert out.level == w.level - s, (name, op.shape, w.label(), out.label())
                     assert (out.tiles[d - s :], out.seps[d - s :]) == (w.tiles[d:], w.seps[d:])
@@ -410,7 +412,8 @@ def test_short_operators_vanish_above_level_one():
         sums = [lhs for level in (0, 1) for _, lhs, _ in fock._rank_one_partition(bank, tf.dim, level)]
         for op in (bank.p0, bank.p1, *sums):
             assert op.shape == fock.READ
-            assert op.nnz() and all(tf.level(r) <= 1 and tf.level(c) <= 1 for r, c, _ in op.entries())
+            levels = {word_level(tf, i) for c, col in op.cols.items() for i in (c, *col)}
+            assert op.nnz() and levels <= {0, 1}
 
 
 def test_the_derivation_sees_every_branch():

@@ -13,10 +13,11 @@ import json
 import random
 
 import quadtex as q
-from quadtex.fock import ck_generators, fock_basis, level_sizes, verify_fock_identities, verify_relations_hk
+from quadtex.fock import ck_generators, fock_basis, verify_fock_identities, verify_relations_hk
 from quadtex.ktheory import analyze_system
 from quadtex.subshift import count_rectangles, enumerate_rectangles
 from conftest import FIB
+from library import level_sizes
 from oracles import random_commuting_pair
 
 SHAPES = [(1, 1), (2, 3), (3, 2), (2, 2), (1, 4)]

@@ -7,18 +7,27 @@ from quadtex.algebra import (
     DiagElem,
     EdgeElem,
     QuadVector,
-    apply_edge,
     embed,
     inner_eta,
     inner_rho,
     left_basis_vector,
-    range_sum,
     top_basis_vector,
 )
 from quadtex.errors import LayerMismatch, UnknownEdge
 from quadtex.textile import Edge
 from conftest import by_id
-from library import act_left_eta, act_left_rho, act_right_eta, act_right_rho, act_right_vertex, inner_vertex, sup_norm
+from library import (
+    act_left_eta,
+    act_left_rho,
+    act_right_eta,
+    act_right_rho,
+    act_right_vertex,
+    apply_edge,
+    edge_from_values,
+    inner_vertex,
+    range_sum,
+    sup_norm,
+)
 from oracles import reconstruct_from_left_basis, reconstruct_from_top_basis, squared_norms
 
 
@@ -29,26 +38,25 @@ def random_vector(ts, rng):
 
 
 def test_basis_inner_products(fibonacci):
-    for i, tile in enumerate(fibonacci.tiles):
-        e = QuadVector.basis(fibonacci, tile)
+    tiles = fibonacci.tiles
+    basis = [QuadVector.from_values(fibonacci, [int(t == tile) for t in tiles]) for tile in tiles]
+    for i, (tile, e) in enumerate(zip(tiles, basis)):
         assert inner_vertex(fibonacci, e, e) == DiagElem.basis(2, tile.vertex)
-        for j, other in enumerate(fibonacci.tiles):
+        for j, other in enumerate(basis):
             if i != j:
-                assert inner_vertex(
-                    fibonacci, e, QuadVector.basis(fibonacci, other)
-                ).is_zero()
+                assert inner_vertex(fibonacci, e, other).is_zero()
 
 
 def test_top_basis_eta_inner(exchange_pair):
     u1 = top_basis_vector(exchange_pair, by_id(exchange_pair, "A:1->1#1"))
-    assert inner_eta(exchange_pair, u1, u1) == EdgeElem.unit(exchange_pair, "B")
+    assert inner_eta(exchange_pair, u1, u1) == edge_from_values(exchange_pair, "B", [1] * 3)
 
 
 def test_actions_scale_by_the_right_edge(exchange_pair, fibonacci):
     # unit acts as the identity
     rng = random.Random(5)
     xi = random_vector(exchange_pair, rng)
-    assert act_left_rho(exchange_pair, xi, EdgeElem.unit(exchange_pair, "A")) == xi
+    assert act_left_rho(exchange_pair, xi, edge_from_values(exchange_pair, "A", [1, 1])) == xi
 
     # a top projection kills the tiles with the other top edge
     p1 = EdgeElem.basis(exchange_pair, by_id(exchange_pair, "A:1->1#1"))
@@ -64,10 +72,11 @@ def test_actions_scale_by_the_right_edge(exchange_pair, fibonacci):
 
 
 def test_action_layer_checks(exchange_pair):
+    zero = QuadVector.from_values(exchange_pair, [0] * 6)
     with pytest.raises(LayerMismatch):
-        act_left_rho(exchange_pair, QuadVector.zeros(exchange_pair), EdgeElem.unit(exchange_pair, "B"))
+        act_left_rho(exchange_pair, zero, edge_from_values(exchange_pair, "B", [1] * 3))
     with pytest.raises(LayerMismatch):
-        act_right_eta(exchange_pair, QuadVector.zeros(exchange_pair), EdgeElem.unit(exchange_pair, "A"))
+        act_right_eta(exchange_pair, zero, edge_from_values(exchange_pair, "A", [1, 1]))
 
 
 def test_basis_vector_supports(exchange_pair, fibonacci):
@@ -89,7 +98,7 @@ def test_reconstruction(all_systems):
     rng = random.Random(11)
     for ts in all_systems:
         for tile in ts.tiles:
-            e = QuadVector.basis(ts, tile)
+            e = QuadVector.from_values(ts, [int(t == tile) for t in ts.tiles])
             assert reconstruct_from_top_basis(ts, e) == e
             assert reconstruct_from_left_basis(ts, e) == e
         for _ in range(100):
@@ -100,20 +109,21 @@ def test_reconstruction(all_systems):
 
 def test_norms(exchange_pair):
     # squared norms, compared exactly
-    e = QuadVector.basis(exchange_pair, exchange_pair.tiles[0])
+    e = QuadVector.from_values(exchange_pair, [1, 0, 0, 0, 0, 0])  # the first tile
     assert squared_norms(exchange_pair, e) == (1, 1, 1)
     u1 = top_basis_vector(exchange_pair, by_id(exchange_pair, "A:1->1#1"))
     vertex, _, eta = squared_norms(exchange_pair, u1)
     assert eta == 1
     assert vertex == 3
-    assert squared_norms(exchange_pair, QuadVector.zeros(exchange_pair)) == (0, 0, 0)
+    assert squared_norms(exchange_pair, QuadVector.from_values(exchange_pair, [0] * 6)) == (0, 0, 0)
 
 
 def test_norm_equivalence_bounds(all_systems):
     rng = random.Random(23)
     for ts in all_systems:
-        c_rho = max(range_sum(ts, embed(ts, "A", DiagElem.unit(ts.n_vertices))).coeffs)
-        c_eta = max(range_sum(ts, embed(ts, "B", DiagElem.unit(ts.n_vertices))).coeffs)
+        unit = DiagElem(coeffs=(Fraction(1),) * ts.n_vertices)
+        c_rho = max(range_sum(ts, embed(ts, "A", unit)).coeffs)
+        c_eta = max(range_sum(ts, embed(ts, "B", unit)).coeffs)
         for _ in range(200):
             xi = random_vector(ts, rng)
             # squares of rho <= vertex <= sqrt(c_rho) rho, and likewise for eta
@@ -153,17 +163,17 @@ def test_left_actions_commute_and_agree_on_vertex_masses(all_systems):
     for ts in all_systems:
         for _ in range(20):
             xi = random_vector(ts, rng)
-            w = EdgeElem.from_values(
+            w = edge_from_values(
                 ts, "A", [Fraction(rng.randint(-3, 3)) for _ in ts.edges_a]
             )
-            z = EdgeElem.from_values(
+            z = edge_from_values(
                 ts, "B", [Fraction(rng.randint(-3, 3)) for _ in ts.edges_b]
             )
             assert act_left_rho(ts, act_left_eta(ts, xi, z), w) == act_left_eta(
                 ts, act_left_rho(ts, xi, w), z
             )
-            y = DiagElem.from_values(
-                [Fraction(rng.randint(-3, 3)) for _ in range(ts.n_vertices)]
+            y = DiagElem(
+                coeffs=tuple(Fraction(rng.randint(-3, 3)) for _ in range(ts.n_vertices))
             )
             assert act_left_rho(ts, xi, embed(ts, "A", y)) == act_left_eta(
                 ts, xi, embed(ts, "B", y)
@@ -171,8 +181,8 @@ def test_left_actions_commute_and_agree_on_vertex_masses(all_systems):
 
 
 def test_sup_norm_helper():
-    assert sup_norm(DiagElem.from_values([Fraction(-3), Fraction(2)])) == 3
-    assert sup_norm(DiagElem.zeros(2)) == 0
+    assert sup_norm(DiagElem(coeffs=(Fraction(-3), Fraction(2)))) == 3
+    assert sup_norm(DiagElem(coeffs=(Fraction(0),) * 2)) == 0
 
 
 def test_zero_support_basis_vectors_are_flagged():
@@ -200,15 +210,16 @@ def test_quad_arithmetic_keeps_the_class(fibonacci):
     assert type(half) is QuadVector
     assert half.coeffs == (Fraction(1, 2), -1, 0, Fraction(1, 6), 2)
     assert type(half + half) is QuadVector and half + half == xi
-    assert xi.scale(0).is_zero() and xi.scale(0) == QuadVector.zeros(fibonacci)
-    assert repr(QuadVector.basis(fibonacci, fibonacci.tiles[0])).startswith(
+    assert xi.scale(0).is_zero() and xi.scale(0) == QuadVector.from_values(fibonacci, [0] * 5)
+    assert repr(QuadVector.from_values(fibonacci, [1, 0, 0, 0, 0])).startswith(
         "QuadVector(coeffs=(Fraction(1, 1), Fraction(0, 1),"
     )
 
 
 def test_every_action_checks_its_layer(exchange_pair):
-    xi = QuadVector.zeros(exchange_pair)
-    a_unit, b_unit = EdgeElem.unit(exchange_pair, "A"), EdgeElem.unit(exchange_pair, "B")
+    xi = QuadVector.from_values(exchange_pair, [0] * 6)
+    a_unit = edge_from_values(exchange_pair, "A", [1, 1])
+    b_unit = edge_from_values(exchange_pair, "B", [1] * 3)
     for act, wrong, message in (
         (act_right_rho, b_unit, "right rho action takes an A-layer vector"),
         (act_right_eta, a_unit, "right eta action takes a B-layer vector"),

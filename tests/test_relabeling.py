@@ -9,10 +9,10 @@ flags, tile and specification counts, word-level sizes and patch counts.
 import random
 
 import quadtex as q
-from quadtex.fock import level_sizes
 from quadtex.ktheory import analyze_system
 from quadtex.subshift import count_rectangles
 from conftest import FIB
+from library import level_sizes
 from oracles import random_commuting_pair
 
 SHAPES = [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4), (4, 3)]

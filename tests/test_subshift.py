@@ -258,6 +258,8 @@ def test_long_strips_count_in_logarithmic_steps(digit_limit, one_tile):
     digit_limit(4300)
     polynomial_columns = q.build_system([[1, 1], [0, 1]], [[1, 0], [0, 1]])
     polynomial_rows = q.build_system([[1, 0], [0, 1]], [[1, 1], [0, 1]])
+    # 100 vertices: each squaring skips the zero entries of I
+    identity = [[int(i == j) for j in range(100)] for i in range(100)]
     calls = [
         (_ten(), 10**9, 1, None),  # 10^h, held at 10^4300
         (_held_dead_end(), 200_000, 1, 1),
@@ -265,6 +267,7 @@ def test_long_strips_count_in_logarithmic_steps(digit_limit, one_tile):
         (one_tile, 10**9, 3, 1),
         (polynomial_columns, 1, 10**9, 10**9 + 2),  # 1^T A^w 1 = w + 2
         (polynomial_rows, 10**9, 1, 10**9 + 2),
+        (q.build_system(identity, identity), 1000, 1000, 100),
     ]
     for ts, height, width, expected in calls:
         start = time.perf_counter()

@@ -97,9 +97,8 @@ def test_exchange_kappa_swaps(exchange_pair):
 
 
 def test_exchange_needs_single_vertex():
-    m = q.IntMatrix.from_rows(FIB)
     with pytest.raises(ExchangeUnavailable):
-        q.build_kappa(m, m, "exchange")
+        q.build_system(FIB, FIB, "exchange")
 
 
 def test_lex_kappa_on_singleton_blocks():
@@ -109,9 +108,7 @@ def test_lex_kappa_on_singleton_blocks():
         q.enumerate_kappas(q.IntMatrix.from_rows(identity), q.IntMatrix.from_rows(ones))
     )
     assert len(kappas) == 1
-    assert kappas[0] == q.build_kappa(
-        q.IntMatrix.from_rows(identity), q.IntMatrix.from_rows(ones), "lex"
-    )
+    assert kappas[0] == q.build_system(identity, ones, "lex").kappa
 
 
 def test_lex_kappa_table_fibonacci(fibonacci):
@@ -138,18 +135,17 @@ def test_explicit_kappa_round_trip(fibonacci):
 
 
 def test_explicit_kappa_validation():
-    m = q.IntMatrix.from_rows(FIB)
     good = [
         [[pre[0].id, pre[1].id], [img[0].id, img[1].id]]
-        for pre, img in q.build_kappa(m, m, "lex").pairs
+        for pre, img in q.build_system(FIB, FIB, "lex").kappa.pairs
     ]
     with pytest.raises(NotABijection):
-        q.build_kappa(m, m, good[:-1])
+        q.build_system(FIB, FIB, good[:-1])
     swapped = [list(entry) for entry in good]
     # point one pairing at an image from the wrong block
     swapped[1][1] = good[0][1]
     with pytest.raises((BlockViolation, NotABijection)):
-        q.build_kappa(m, m, swapped)
+        q.build_system(FIB, FIB, swapped)
 
 
 def test_count_specifications(exchange_pair, fibonacci, one_tile):
@@ -264,7 +260,7 @@ def test_build_system_builds_each_layer_once(fibonacci, monkeypatch):
 
         monkeypatch.setattr(textile, name, wrapper)
 
-    for name in ("check_commuting", "edges_from_matrix", "_layers", "sigma_blocks", "build_kappa"):
+    for name in ("check_commuting", "edges_from_matrix", "_layers", "sigma_blocks"):
         counted(name)
     listing = [
         [[pre[0].id, pre[1].id], [img[0].id, img[1].id]] for pre, img in fibonacci.kappa.pairs
@@ -334,7 +330,7 @@ def test_a_given_valid_kappa_builds_its_own_tiles():
 def test_enumeration_is_lazy_on_a_huge_block():
     four = q.IntMatrix.from_rows([[4]])
     (first,) = q.enumerate_kappas(four, four, limit=1)
-    assert first == q.build_kappa(four, four, "lex")
+    assert first == q.build_system([[4]], [[4]], "lex").kappa
     assert list(q.enumerate_kappas(four, four, limit=0)) == []
 
 
@@ -441,11 +437,9 @@ def test_explicit_pairs_must_compose(entry, reason):
 def test_unknown_strategy_is_refused():
     with pytest.raises(ValueError, match="unknown strategy 'spiral'"):
         q.build_system(FIB, FIB, "spiral")
-    # nor is a value type read as an explicit pairing
-    matrix = q.IntMatrix.from_rows(FIB)
-    for strategy in (q.build_system(FIB, FIB).kappa, matrix):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            q.build_kappa(matrix, matrix, strategy)
+    # nor is a value type other than a Kappa read as an explicit pairing
+    with pytest.raises(ValueError, match="unknown strategy"):
+        q.build_system(FIB, FIB, q.IntMatrix.from_rows(FIB))
 
 
 def test_a_system_is_read_only_and_compares_by_its_first_five_fields(fibonacci):

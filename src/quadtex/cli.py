@@ -51,7 +51,10 @@ def nonnegative(text: str) -> int:
 
 def _load_input(path: str, kappa_override: str | None):
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError:  # json reads each nesting level by recursion
+            raise QuadtexError("input document nests too deeply to read") from None
     if not isinstance(doc, dict) or "A" not in doc or "B" not in doc:
         raise QuadtexError('input document needs "A" and "B" matrices')
     kappa = kappa_override or doc.get("kappa", "lex")

@@ -344,8 +344,8 @@ def _validate_kappa(blocks: dict, pairs: list) -> Kappa:
         seen_codomain.add((a, beta))
     if seen_domain != domain or seen_codomain != codomain or len(pairs) != len(domain):
         raise NotABijection(
-            f"pairing covers {len(seen_domain)}/{len(domain)} domain pairs and "
-            f"{len(seen_codomain)}/{len(codomain)} image pairs"
+            f"pairing of {len(pairs)} entries covers {len(seen_domain)}/{len(domain)} "
+            f"domain pairs and {len(seen_codomain)}/{len(codomain)} image pairs"
         )
     return Kappa(pairs=tuple(sorted(pairs)))
 

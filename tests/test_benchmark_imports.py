@@ -3,8 +3,9 @@
 ``perfbench`` imports public names of the package directly, so a change
 under ``src/`` that renames or moves one of them fails here, in tier-1,
 and not only in the benchmark's own smoke run.  The test oracles and the
-library calls no command runs live in ``tests/``; the benchmark times the
-package alone, so it imports no module defined there.
+library calls no command runs live in ``tests/``; the benchmark and the
+bounded runs of ``bench/`` time the package alone, so neither imports a
+module defined there.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
+BENCH = TESTS.parent / "bench"
 
 
 def _quadtex_imports(path: Path) -> list[tuple[str, str]]:
@@ -51,10 +53,11 @@ def _imported_modules(path: Path) -> set[str]:
 def test_the_benchmark_imports_no_module_of_the_tests():
     test_modules = {path.stem for path in TESTS.glob("*.py")}
     assert {"conftest", "library", "oracles", "row_transfer", "creation_oracle"} <= test_modules
-    scripts = sorted(PERFBENCH.glob("*.py"))
-    assert scripts
-    for script in scripts:
-        assert not _imported_modules(script) & test_modules, script.name
+    for directory in (PERFBENCH, BENCH):
+        scripts = sorted(directory.glob("*.py"))
+        assert scripts, directory
+        for script in scripts:
+            assert not _imported_modules(script) & test_modules, script.name
 
 
 def test_ktheory_reads_the_corner_pair_matrices_from_textile():

@@ -466,8 +466,12 @@ def test_missing_file_and_bad_json(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
     bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
-    assert main(["analyze", str(bad)]) == 2
+    deep = '{"A": ' + "[" * 100_000 + "]" * 100_000 + ', "B": [[1]]}'
+    for text in ("{not json", deep):
+        bad.write_text(text)
+        assert main(["analyze", str(bad)]) == 2
+    # json reads nested arrays by recursion: past its depth, one line, not a traceback
+    assert capsys.readouterr().err.splitlines()[-1] == "error: input document nests too deeply to read"
 
 
 @pytest.mark.parametrize(
@@ -489,6 +493,10 @@ def test_missing_file_and_bad_json(tmp_path, capsys):
         ),
         ({"A": [[1]], "B": [[1]], "kappa": "spiral"}, "unknown strategy 'spiral'"),
         ({"A": [[1]], "B": [[1, 0], [0, 1]]}, "size mismatch: 1 vs 2"),
+        (
+            {"A": [[1]], "B": [[1]], "kappa": [[["A:1->1#1", "B:1->1#1"], ["B:1->1#1", "A:1->1#1"]]] * 2},
+            "pairing of 2 entries covers 1/1 domain pairs and 1/1 image pairs",
+        ),
     ],
 )
 def test_malformed_documents_exit_two(write_input, capsys, doc, message):

@@ -53,6 +53,29 @@ def test_invalid_matrices():
             q.IntMatrix.from_rows(rows)
 
 
+def test_a_product_costs_what_its_nonzero_entries_cost():
+    # I_100 squared: one row sum per nonzero entry is n^2 = 10,000 sums; a
+    # dense row-by-column product takes 2 n^3 = 2,000,000 operations
+    ops = [0]
+
+    class Counted(int):
+        def __add__(self, other):
+            ops[0] += 1
+            return Counted(int(self) + int(other))
+
+        def __mul__(self, other):
+            ops[0] += 1
+            return Counted(int(self) * int(other))
+
+        __radd__ = __add__
+        __rmul__ = __mul__
+
+    n = 100
+    identity = q.IntMatrix(tuple(tuple(Counted(i == j) for j in range(n)) for i in range(n)))
+    assert identity.mul(identity) == identity
+    assert ops[0] <= 2 * n * n
+
+
 def test_commuting_accepts_loops_and_self():
     q.check_commuting(q.IntMatrix.from_rows([[2]]), q.IntMatrix.from_rows([[3]]))
     m = q.IntMatrix.from_rows(FIB)
